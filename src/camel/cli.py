@@ -311,7 +311,28 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return raw
 
 
+def _check_params(arch: ArchConfig, tensors: dict[str, CTensor]) -> None:
+    """The tensors must be exactly the parameters of ``arch``, by name and
+    shape, and hold finite values."""
+    want = init_params(arch, np.random.default_rng(0))
+    missing = [k for k in want if k not in tensors]
+    if missing:
+        raise CheckpointError(f"checkpoint lacks parameter(s) {', '.join(missing)}")
+    extra = [k for k in tensors if k not in want]
+    if extra:
+        raise CheckpointError(f"checkpoint has parameter(s) {', '.join(extra)} "
+                              "that the architecture does not define")
+    for name, t in tensors.items():
+        if t.shape != want[name].shape:
+            raise CheckpointError(f"parameter {name} has shape {t.shape}, "
+                                  f"the architecture needs {want[name].shape}")
+        arr = t.numpy()
+        if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+            raise CheckpointError(f"parameter {name} holds non-finite values")
+
+
 def load_checkpoint(path: str) -> Checkpoint:
+    """Read a CAML file; its parameters are checked against its architecture."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CAML_MAGIC:
@@ -344,6 +365,7 @@ def load_checkpoint(path: str) -> Checkpoint:
             inter = np.frombuffer(_read_exact(fh, 16 * size, f"parameter {name}"), dtype="<f8")
             arr = (inter[0::2] + 1j * inter[1::2]).reshape(dims)
             tensors[name] = CTensor._wrap(arr.astype(_C))
+        _check_params(arch, tensors)
         (hlen2,) = struct.unpack("<Q", _read_exact(fh, 8, "history length"))
         hist_text = _read_exact(fh, hlen2, "history").decode("utf-8")
         history = []

@@ -4,12 +4,14 @@ The inner loop adapts parameters on a task's support set with the complex
 gradient; the outer loop follows the exact meta-gradient, whose one-step
 form carries two curvature corrections,
 
-    (I - alpha * H_vv) grad_query  -  alpha * H_cv * conj(grad_query),
+    (I - alpha * H_vv) grad_query  -  alpha * H_cv * conj(grad_query).
 
-computed here with Hessian-vector products on the adaptation tape.  For
-multi-step inner loops the correction is composed step by step by
-back-propagating through the whole recorded inner trajectory; both routes
-agree at one step and both are validated against finite differences.
+For any number of inner steps the corrections are composed by
+back-propagating from the query loss through the whole recorded inner
+trajectory: each inner step's support gradient is recorded on the tape, so
+the final sweep differentiates it a second time.  The result is validated
+against finite differences and, at one step, against the closed form above
+built from Hessian-vector products.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .ctensor import CTensor, ShapeMismatchError
 from .layers import ArchConfig, build_cross_entropy, build_network, frames_to_input, init_params
-from .wirtinger import Tape, backward, backward_graph, hvp, g_sum
+from .wirtinger import Tape, backward_graph, backward_values, g_sum
 
 _C = np.complex128
 
@@ -257,14 +259,15 @@ class MetaConfig:
 # core operations
 # ---------------------------------------------------------------------------
 
-def _grad_from_pairs(g: Tape, pairs, leaves: dict[str, int], theta: Mapping[str, CTensor]) -> dict[str, CTensor]:
+def _grad_from_pairs(pairs, leaves: dict[str, int], theta: Mapping[str, CTensor]) -> dict[str, CTensor]:
+    """2 dL/dz* at each leaf, from the adjoint arrays of :func:`backward_values`."""
     out = {}
     for name, nid in leaves.items():
         pair = pairs.get(nid, (None, None))
         if pair[1] is None:
             out[name] = CTensor.zeros(theta[name].shape)
         else:
-            out[name] = CTensor._wrap(2.0 * g.val[pair[1]])
+            out[name] = CTensor._wrap(2.0 * pair[1])
     return out
 
 
@@ -275,8 +278,8 @@ def _support_gradient(theta: ParamSet, task: MetaTask) -> tuple[dict[str, CTenso
     loss = float(g.raw(loss_id).real)
     if not math.isfinite(loss):
         raise FloatingPointError(f"support loss is not finite: {loss}")
-    pairs = backward_graph(g, loss_id, seed=(0.5, 0.5))
-    return _grad_from_pairs(g, pairs, leaves, theta), loss
+    pairs = backward_values(g, loss_id, seed=(0.5, 0.5))
+    return _grad_from_pairs(pairs, leaves, theta), loss
 
 
 def inner_update(theta: ParamSet, task: MetaTask, inner_lr: float, steps: int) -> ParamSet:
@@ -296,8 +299,8 @@ def _query_gradient(theta: ParamSet, task: MetaTask) -> tuple[dict[str, CTensor]
     leaves = {k: g.leaf(v) for k, v in theta.items()}
     loss_id = task.query_loss(g, leaves)
     loss = float(g.raw(loss_id).real)
-    pairs = backward_graph(g, loss_id, seed=(0.5, 0.5))
-    return _grad_from_pairs(g, pairs, leaves, theta), loss
+    pairs = backward_values(g, loss_id, seed=(0.5, 0.5))
+    return _grad_from_pairs(pairs, leaves, theta), loss
 
 
 def meta_objective(theta: ParamSet, tasks: Sequence[MetaTask], inner_lr: float, steps: int) -> float:
@@ -325,36 +328,13 @@ def _mean_paramset(acc: dict[str, np.ndarray], n: int) -> ParamSet:
     return ParamSet({k: CTensor._wrap(v / n) for k, v in acc.items()})
 
 
-def _one_step_task_gradient(theta: ParamSet, task: MetaTask, inner_lr: float):
-    """Exact one-step meta-gradient of one task via curvature products.
-
-    The chain rule contracts the query gradient against the transposed
-    curvature blocks.  The conj-value block is symmetric, and the
-    value-value block is the conjugate of a Hermitian matrix, so both
-    transposed products follow from one Hessian-vector product evaluated
-    at the conjugated query gradient:
-
-        H_vv^T u = conj(H_vv conj(u)),   H_cv^T conj(u) = H_cv conj(u).
-    """
-    adapted = inner_update(theta, task, inner_lr, 1)
-    u, q_loss = _query_gradient(adapted, task)
-
-    def support_builder(g: Tape, leaves: dict[str, int]) -> int:
-        return task.support_loss(g, leaves)
-
-    u_conj = {k: CTensor._wrap(np.conj(v.numpy())) for k, v in u.items()}
-    h_vv, h_cv = hvp(support_builder, theta, u_conj)
-
-    grad = {k: CTensor._wrap(u[k].numpy()
-                             - inner_lr * np.conj(h_vv[k].numpy())
-                             - inner_lr * h_cv[k].numpy())
-            for k in u}
-    return grad, q_loss, adapted
-
-
 def _unrolled_task_gradient(theta: ParamSet, task: MetaTask, inner_lr: float, steps: int):
     """Meta-gradient of one task by differentiating through the whole
-    recorded inner trajectory."""
+    recorded inner trajectory.
+
+    The inner steps' sweeps record their arithmetic, because the final
+    sweep from the query loss differentiates them again; the final sweep
+    itself records nothing."""
     g = Tape()
     leaves = {k: g.leaf(v) for k, v in theta.items()}
     cur = dict(leaves)
@@ -373,8 +353,8 @@ def _unrolled_task_gradient(theta: ParamSet, task: MetaTask, inner_lr: float, st
         cur = nxt
     q_id = task.query_loss(g, cur)
     q_loss = float(g.raw(q_id).real)
-    final = backward_graph(g, q_id, seed=(0.5, 0.5))
-    grad = _grad_from_pairs(g, final, leaves, theta)
+    final = backward_values(g, q_id, seed=(0.5, 0.5))
+    grad = _grad_from_pairs(final, leaves, theta)
     adapted = ParamSet({k: CTensor._wrap(g.val[cur[k]].copy()) for k in leaves})
     return grad, q_loss, adapted
 
@@ -382,9 +362,9 @@ def _unrolled_task_gradient(theta: ParamSet, task: MetaTask, inner_lr: float, st
 def meta_gradient(theta: ParamSet, tasks: Sequence[MetaTask], inner_lr: float, steps: int) -> ParamSet:
     """Exact gradient of the meta-objective.
 
-    One inner step uses the closed correction form with two
-    Hessian-vector products per task; more steps compose the correction
-    by back-propagating through the full inner trajectory.
+    Every number of inner steps takes the same route: the curvature
+    corrections are composed by back-propagating from each task's query
+    loss through its full recorded inner trajectory.
     """
     grad, _, _ = _meta_step_gradient(theta, tasks, inner_lr, steps, first_order=False)
     return grad
@@ -393,7 +373,8 @@ def meta_gradient(theta: ParamSet, tasks: Sequence[MetaTask], inner_lr: float, s
 def first_order_meta_gradient(theta: ParamSet, tasks: Sequence[MetaTask],
                               inner_lr: float, steps: int) -> ParamSet:
     """Ablation dropping both curvature terms: the mean query gradient at
-    the adapted parameters.  Never invokes a Hessian-vector product."""
+    the adapted parameters.  Records no backward sweep: nothing here is
+    differentiated twice."""
     grad, _, _ = _meta_step_gradient(theta, tasks, inner_lr, steps, first_order=True)
     return grad
 
@@ -411,8 +392,6 @@ def _meta_step_gradient(theta: ParamSet, tasks: Sequence[MetaTask], inner_lr: fl
         if first_order:
             adapted = inner_update(theta, task, inner_lr, steps)
             grad, q_loss = _query_gradient(adapted, task)
-        elif steps == 1:
-            grad, q_loss, adapted = _one_step_task_gradient(theta, task, inner_lr)
         else:
             grad, q_loss, adapted = _unrolled_task_gradient(theta, task, inner_lr, steps)
         acc = _accumulate(acc, grad)

@@ -11,9 +11,18 @@ For a real-valued scalar loss the two channels are conjugate mirrors of
 each other at every node, and the steepest-ascent direction is
 ``2 * dL/dz*``, which is what :func:`complex_gradient` returns.
 
-The backward sweep records its own arithmetic on the same tape.  That is
-what makes exact second derivatives possible: a second sweep over the
-extended tape differentiates the first gradient (see :func:`hvp`).
+Two sweeps run the same pullbacks.  :func:`backward_graph` records its
+own arithmetic on the same tape, which is what makes exact second
+derivatives possible: a second sweep over the extended tape differentiates
+the first gradient.  :func:`backward_values` records nothing and keeps only
+the adjoints of leaves and stop nodes, for the last sweep of a gradient,
+which nothing differentiates again.
+
+Recording sweeps: :func:`backward` (and so :class:`Cotangents`), the first
+sweep of :func:`hvp`, and each inner-step sweep of the unrolled
+meta-gradient in ``meta``.  Graph-free sweeps: the two second sweeps of
+:func:`hvp`, and in ``meta`` every support and query gradient and the
+final sweep of each exact meta-gradient.
 """
 
 from __future__ import annotations
@@ -655,13 +664,68 @@ def backward_graph(
     Node ids are processed in descending order, so every adjoint is fully
     accumulated before it is propagated.
     """
+    return _sweep(g, g, out_id, seed, naive, stop)
+
+
+def backward_values(
+    g: Tape,
+    out_id: int,
+    seed: tuple[complex | None, complex | None] = (1.0, None),
+    stop: frozenset[int] | set[int] | None = None,
+) -> dict[int, tuple[np.ndarray | None, np.ndarray | None]]:
+    """The sweep of :func:`backward_graph`, run on arrays: it records
+    nothing, so the tape keeps its length and its result cannot be
+    differentiated again.
+
+    Each adjoint is dropped once it has been propagated.  Returns a map
+    node id -> (value-channel array, conj-channel array) for the leaves and
+    ``stop`` nodes the sweep reached; None is a structural zero.  The
+    arrays equal the values of the nodes :func:`backward_graph` records.
+    """
+    return _sweep(g, _ArrayOps(g), out_id, seed, False, stop)
+
+
+class _Resolved:
+    """Operand lookup of :class:`_ArrayOps`: an int is a node id and
+    resolves to the tape's forward value; anything else is a value already."""
+
+    __slots__ = ("_val",)
+
+    def __init__(self, val: list[np.ndarray]):
+        self._val = val
+
+    def __getitem__(self, x):
+        return self._val[x] if type(x) is int else x
+
+
+class _ArrayOps(Tape):
+    """The ops of a tape, evaluated on arrays without recording.
+
+    Every op method returns its value instead of a new node id, and reads
+    its operands through :class:`_Resolved`.  The pullbacks run against it
+    unchanged, so they stay the only definition of each op's adjoint."""
+
+    __slots__ = ()
+
+    def __init__(self, g: Tape):
+        self.kind, self.inputs, self.aux, self.needs = g.kind, g.inputs, g.aux, g.needs
+        self.val = _Resolved(g.val)
+
+    def _push(self, kind, inputs, val, aux=None):
+        return val
+
+
+def _sweep(g: Tape, ops: Tape, out_id: int, seed, naive: bool, stop):
+    """Reverse sweep over ``g`` whose adjoint arithmetic runs on ``ops``:
+    ``g`` itself records it, an :class:`_ArrayOps` over ``g`` does not and
+    keeps only the adjoints of leaves and stop nodes."""
+    keep_all = ops is g
     shape = g.val[out_id].shape
     sv, sc = seed
     if naive:
         sc = None
-    sv_id = None if sv is None else g.const(np.full(shape, _C(sv)))
-    sc_id = None if sc is None else g.const(np.full(shape, _C(sc)))
-    cot: dict[int, tuple[int | None, int | None]] = {out_id: (sv_id, sc_id)}
+    cot: dict = {out_id: (None if sv is None else ops.const(np.full(shape, _C(sv))),
+                          None if sc is None else ops.const(np.full(shape, _C(sc))))}
 
     heap = [-out_id]
     while heap:
@@ -671,14 +735,14 @@ def backward_graph(
             continue
         if stop is not None and nid in stop:
             continue
-        cv, cc = cot[nid]
+        cv, cc = cot[nid] if keep_all else cot.pop(nid)
         if cv is None and cc is None:
             continue
         ins = g.inputs[nid]
         need = tuple(g.needs[i] for i in ins)
         if not any(need):
             continue
-        for inp, pv, pc in _PULLBACKS[kind](g, nid, cv, cc, need):
+        for inp, pv, pc in _PULLBACKS[kind](ops, nid, cv, cc, need):
             if not g.needs[inp]:
                 continue
             if naive:
@@ -690,7 +754,7 @@ def backward_graph(
                 cot[inp] = (pv, pc)
                 heapq.heappush(heap, -inp)
             else:
-                cot[inp] = (_madd(g, prev[0], pv), _madd(g, prev[1], pc))
+                cot[inp] = (_madd(ops, prev[0], pv), _madd(ops, prev[1], pc))
     return cot
 
 
@@ -729,13 +793,6 @@ def complex_gradient(g: Tape, loss_id: int, param_id: int, cots: Cotangents | No
 # Hessian-vector products via double backprop
 # ---------------------------------------------------------------------------
 
-_HVP_CALLS = 0
-
-
-def hvp_call_count() -> int:
-    return _HVP_CALLS
-
-
 def hvp(
     loss_builder: Callable[[Tape, dict[str, int]], int],
     theta: Mapping[str, CTensor],
@@ -751,11 +808,9 @@ def hvp(
     and the returned pair is (H_vv v, H_cv v).  Both are obtained by
     differentiating the recorded gradient a second time; symmetry of the
     mixed second derivatives turns the needed Jacobian-vector products
-    into vector-Jacobian products on the extended tape.
+    into vector-Jacobian products on the extended tape.  The first sweep
+    records its arithmetic; the two second sweeps do not.
     """
-    global _HVP_CALLS
-    _HVP_CALLS += 1
-
     g = Tape()
     leaves = {name: g.leaf(t) for name, t in theta.items()}
     loss_id = loss_builder(g, leaves)
@@ -776,13 +831,13 @@ def hvp(
             for name, t in theta.items():
                 out[name] = CTensor.zeros(t.shape)
             return out
-        second = backward_graph(g, s, seed=(1.0, None))
+        second = backward_values(g, s, seed=(1.0, None))
         for name, leaf in leaves.items():
             pair = second.get(leaf, (None, None))
             if pair[0] is None:
                 out[name] = CTensor.zeros(theta[name].shape)
             else:
-                out[name] = CTensor._wrap(g.val[pair[0]].copy())
+                out[name] = CTensor._wrap(pair[0].copy())
         return out
 
     # H_vv v: differentiate sum(g * v) along the value channel.

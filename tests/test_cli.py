@@ -18,7 +18,7 @@ from camel.cli import (
 )
 from camel.ctensor import CTensor
 from camel.gradcheck import GradCase, run_suite
-from camel.layers import ArchConfig
+from camel.layers import ArchConfig, init_params
 from camel.meta import HistoryRow, ParamSet
 from camel.wirtinger import g_re, g_sum
 
@@ -82,7 +82,7 @@ def test_worker_cap(monkeypatch):
 def _checkpoint(rng) -> Checkpoint:
     arch = ArchConfig(n_classes=3, frame_len=16, conv_channels=2, conv_stride=2,
                       attn_dim=2, n_heads=1, fc_hidden=4)
-    theta = ParamSet({"w": CTensor(rand_complex(rng, 2, 3)), "b": CTensor(rand_complex(rng, 3))})
+    theta = ParamSet(init_params(arch, rng))
     rng_state = np.random.Generator(np.random.Philox(42)).bit_generator.state
     history = [HistoryRow(0, 1.25, 0.5), HistoryRow(1, 1.0 / 3.0, float("nan"))]
     return Checkpoint(arch, theta, 2, rng_state, history)
@@ -103,7 +103,7 @@ def test_checkpoint_restores_everything(tmp_path, rng):
     back = load_checkpoint(str(p))
     assert back.arch == ck.arch
     assert back.iteration == 2
-    assert list(back.theta) == ["w", "b"]
+    assert list(back.theta) == list(ck.theta)
     for k in ck.theta:
         assert np.array_equal(back.theta[k].numpy(), ck.theta[k].numpy())
     assert back.history[0].meta_loss == 1.25
@@ -279,6 +279,55 @@ def test_cmd_eval_arch_mismatch_exits_3(tmp_path, tiny_cfg_path):
     code = main(["eval", "--config", tiny_cfg_path, "--set", "conv_channels=4",
                  "--checkpoint", str(out / "checkpoint.caml"), "--episodes", "1"])
     assert code == 3
+
+
+def _damaged_checkpoint(tmp_path, tiny_cfg_path, damage) -> str:
+    out = tmp_path / "run"
+    assert main(["train", "--config", tiny_cfg_path, "--iterations", "2",
+                 "--out", str(out)]) == 0
+    ck = load_checkpoint(str(out / "checkpoint.caml"))
+    ck.theta = ParamSet(damage(dict(ck.theta)))
+    path = str(tmp_path / "damaged.caml")
+    save_checkpoint(path, ck)
+    return path
+
+
+def _drop_head_b(params):
+    del params["head.b"]
+    return params
+
+
+def _nan_param(params):
+    arr = params["fc0.W"].numpy().copy()
+    arr[0, 0] = complex(np.nan, 0.0)
+    params["fc0.W"] = CTensor._wrap(arr)  # the public constructor refuses NaN
+    return params
+
+
+@pytest.mark.parametrize("damage, message", [(_drop_head_b, "lacks parameter"),
+                                             (_nan_param, "non-finite")],
+                         ids=["missing_head_b", "nan_param"])
+def test_cmd_eval_and_resume_reject_damaged_checkpoint(tmp_path, tiny_cfg_path, capsys,
+                                                       damage, message):
+    path = _damaged_checkpoint(tmp_path, tiny_cfg_path, damage)
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+    capsys.readouterr()
+    assert main(["eval", "--config", tiny_cfg_path, "--checkpoint", path, "--episodes", "1"]) == 3
+    assert main(["train", "--config", tiny_cfg_path, "--resume", path,
+                 "--out", str(tmp_path / "resumed")]) == 3
+    err = capsys.readouterr().err
+    assert err.count(message) == 2 and "Traceback" not in err
+    assert not os.path.exists(tmp_path / "resumed" / "checkpoint.caml")
+
+
+def test_checkpoint_wrong_shape_rejected(tmp_path, rng):
+    ck = _checkpoint(rng)
+    ck.theta = ParamSet({**ck.theta, "head.b": CTensor(rand_complex(rng, 4))})
+    p = tmp_path / "s.caml"
+    save_checkpoint(str(p), ck)
+    with pytest.raises(CheckpointError, match="shape"):
+        load_checkpoint(str(p))
 
 
 def test_cmd_train_bad_frames_file_exits_3(tmp_path, tiny_cfg_path):

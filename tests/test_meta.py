@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,10 +24,11 @@ from camel.meta import (
     train_camel,
     train_meta,
 )
-from camel.meta import _one_step_task_gradient, _unrolled_task_gradient
-from camel.wirtinger import hvp_call_count
+import camel.meta
+import camel.wirtinger
+from camel.wirtinger import Tape, backward, backward_graph, backward_values, complex_gradient, hvp
 
-from conftest import rand_complex
+from conftest import assert_same_adjoints, rand_complex
 
 ALPHA = 0.1
 THETA0 = 1.0 - 0.4j
@@ -150,22 +152,36 @@ def test_first_order_differs_by_curvature_factor():
     assert abs(exact - (1 - 2 * ALPHA) * fo) <= 1e-12
 
 
-def test_first_order_never_calls_hvp():
-    before = hvp_call_count()
+def test_first_order_never_calls_backward_graph(monkeypatch):
+    def recording_sweep(*args, **kwargs):
+        raise AssertionError("first-order meta-gradient recorded a backward sweep")
+
+    monkeypatch.setattr(camel.wirtinger, "backward_graph", recording_sweep)
+    monkeypatch.setattr(camel.meta, "backward_graph", recording_sweep)
     first_order_meta_gradient(theta_scalar(), quad_tasks(), ALPHA, 3)
-    assert hvp_call_count() == before
 
 
 def test_curvature_form_equals_unrolled_single_step(rng):
+    # the closed one-step form (I - a H_vv) u - a H_cv conj(u), with u the
+    # query gradient at the adapted parameters; the transposed curvature
+    # products come from one hvp at conj(u): H_vv^T u = conj(H_vv conj(u))
+    # and H_cv^T conj(u) = H_cv conj(u)
     theta = ParamSet(init_params(TOY_ARCH, rng))
     task = EpisodeTask(toy_episode(rng, TOY_ARCH), TOY_ARCH)
-    g1, _, _ = _one_step_task_gradient(theta, task, ALPHA)
-    g2, _, _ = _unrolled_task_gradient(theta, task, ALPHA, 1)
-    worst = max(np.max(np.abs(g1[k].numpy() - g2[k].numpy())) for k in theta)
+    adapted = inner_update(theta, task, ALPHA, 1)
+    g = Tape()
+    leaves = {k: g.leaf(v) for k, v in adapted.items()}
+    q_loss = task.query_loss(g, leaves)
+    cots = backward(g, q_loss)
+    u = {k: complex_gradient(g, q_loss, nid, cots).numpy() for k, nid in leaves.items()}
+    h_vv, h_cv = hvp(task.support_loss, theta, {k: CTensor(np.conj(v)) for k, v in u.items()})
+    closed = {k: u[k] - ALPHA * np.conj(h_vv[k].numpy()) - ALPHA * h_cv[k].numpy() for k in u}
+    unrolled = meta_gradient(theta, [task], ALPHA, 1)
+    worst = max(np.max(np.abs(closed[k] - unrolled[k].numpy())) for k in theta)
     assert worst <= 1e-10
 
 
-@pytest.mark.parametrize("steps", [1, 2])
+@pytest.mark.parametrize("steps", [1, 2, 5])
 def test_meta_gradient_matches_fd_on_network(rng, steps):
     theta = ParamSet(init_params(TOY_ARCH, rng))
     tasks = [EpisodeTask(toy_episode(rng, TOY_ARCH), TOY_ARCH) for _ in range(2)]
@@ -180,6 +196,45 @@ def test_meta_gradient_matches_fd_on_network(rng, steps):
               - meta_objective(tm, tasks, ALPHA, steps)) / (2 * h)
         want = sum(float(np.sum(grad[k].numpy() * np.conj(d[k].numpy())).real) for k in theta)
         assert abs(fd - want) <= 1e-4 * max(abs(fd), 1e-8)
+
+
+def test_backward_values_match_backward_graph_on_network(rng):
+    theta = ParamSet(init_params(TOY_ARCH, rng))
+    task = EpisodeTask(toy_episode(rng, TOY_ARCH), TOY_ARCH)
+    g = Tape()
+    leaves = {k: g.leaf(v) for k, v in theta.items()}
+    loss = task.support_loss(g, leaves)
+    n = len(g)
+    values = backward_values(g, loss, seed=(0.5, 0.5))
+    assert len(g) == n
+    graph = backward_graph(g, loss, seed=(0.5, 0.5))
+    assert_same_adjoints(g, values, graph, leaves.values())
+    # a stop node keeps its adjoint and shields the nodes below it
+    mid = loss
+    for _ in range(5):
+        mid = next(i for i in g.inputs[mid] if g.needs[i])
+    values = backward_values(g, loss, seed=(0.5, 0.5), stop={mid})
+    graph = backward_graph(g, loss, seed=(0.5, 0.5), stop={mid})
+    assert set(values) == {mid}
+    assert_same_adjoints(g, values, graph, [mid])
+
+
+DESK_ARCH = ArchConfig(n_classes=5, frame_len=64, conv_channels=8, conv_stride=4,
+                       attn_dim=8, n_heads=2, fc_hidden=32)
+
+
+def test_unrolled_meta_gradient_memory_at_desk_scale(rng):
+    # with a graph-free final sweep one 5-step desk task peaks near 28 MB of
+    # traced allocations; a final sweep that records its arithmetic needs 133 MB
+    theta = ParamSet(init_params(DESK_ARCH, rng))
+    task = EpisodeTask(toy_episode(rng, DESK_ARCH, n_way=5, k_shot=1, q_per_class=5), DESK_ARCH)
+    tracemalloc.start()
+    try:
+        meta_gradient(theta, [task], ALPHA, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60 * 2**20
 
 
 def test_meta_gradient_conjugation_symmetry():

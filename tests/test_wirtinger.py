@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from camel.ctensor import CTensor, ShapeMismatchError
+from camel.gradcheck import default_cases
 from camel.wirtinger import (
     NonAnalyticChainError,
     NonRealLossError,
@@ -11,6 +12,7 @@ from camel.wirtinger import (
     UnknownOpError,
     backward,
     backward_graph,
+    backward_values,
     complex_gradient,
     cr_check,
     fd_complex_gradient,
@@ -24,7 +26,7 @@ from camel.wirtinger import (
     rel_error,
 )
 
-from conftest import assert_close, rand_complex, rand_off_zero
+from conftest import assert_close, assert_same_adjoints, rand_complex, rand_off_zero
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +193,25 @@ def test_naive_rule_kills_conjugate_entry_point():
     pairs = backward_graph(g, loss, seed=(1.0, None), naive=True)
     pv, _ = pairs.get(x, (None, None))
     assert pv is None or np.max(np.abs(g.val[pv])) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# graph-free sweeps
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("case", default_cases(), ids=lambda c: c.name)
+def test_backward_values_match_backward_graph_on_registry(case):
+    for k in range(3):
+        rng = np.random.default_rng(np.random.SeedSequence((7, k)))
+        g = Tape()
+        leaves = {n: g.leaf(v) for n, v in case.make_inputs(rng).items()}
+        loss = case.build_loss(g, leaves, rng)
+        n = len(g)
+        values = backward_values(g, loss, seed=(0.5, 0.5))
+        assert len(g) == n
+        assert set(values) <= set(leaves.values())
+        graph = backward_graph(g, loss, seed=(0.5, 0.5))
+        assert_same_adjoints(g, values, graph, leaves.values())
 
 
 # ---------------------------------------------------------------------------
