@@ -15,8 +15,8 @@ Two sweeps run the same pullbacks.  :func:`backward_graph` records its
 own arithmetic on the same tape, which is what makes exact second
 derivatives possible: a second sweep over the extended tape differentiates
 the first gradient.  :func:`backward_values` records nothing and keeps only
-the adjoints of leaves and stop nodes, for the last sweep of a gradient,
-which nothing differentiates again.
+the adjoints of leaves, for the last sweep of a gradient, which nothing
+differentiates again.
 
 Recording sweeps: :func:`backward` (and so :class:`Cotangents`), the first
 sweep of :func:`hvp`, and each inner-step sweep of the unrolled
@@ -671,23 +671,24 @@ def backward_values(
     g: Tape,
     out_id: int,
     seed: tuple[complex | None, complex | None] = (1.0, None),
-    stop: frozenset[int] | set[int] | None = None,
 ) -> dict[int, tuple[np.ndarray | None, np.ndarray | None]]:
     """The sweep of :func:`backward_graph`, run on arrays: it records
     nothing, so the tape keeps its length and its result cannot be
     differentiated again.
 
     Each adjoint is dropped once it has been propagated.  Returns a map
-    node id -> (value-channel array, conj-channel array) for the leaves and
-    ``stop`` nodes the sweep reached; None is a structural zero.  The
-    arrays equal the values of the nodes :func:`backward_graph` records.
+    leaf id -> (value-channel array, conj-channel array) for the leaves the
+    sweep reached; None is a structural zero.  The arrays equal the values
+    of the nodes :func:`backward_graph` records.
     """
-    return _sweep(g, _ArrayOps(g), out_id, seed, False, stop)
+    return _sweep(g, _ArrayOps(g), out_id, seed, False, None)
 
 
 class _Resolved:
-    """Operand lookup of :class:`_ArrayOps`: an int is a node id and
-    resolves to the tape's forward value; anything else is a value already."""
+    """Operand lookup of :class:`_ArrayOps`: an integer (Python or numpy,
+    as :meth:`Tape.record` accepts either) is a node id and resolves to the
+    tape's forward value; anything else is a value already.  Values are not
+    all arrays: arithmetic on rank-0 arrays yields numpy scalars."""
 
     __slots__ = ("_val",)
 
@@ -695,7 +696,7 @@ class _Resolved:
         self._val = val
 
     def __getitem__(self, x):
-        return self._val[x] if type(x) is int else x
+        return self._val[x] if isinstance(x, (int, np.integer)) else x
 
 
 class _ArrayOps(Tape):
@@ -718,7 +719,7 @@ class _ArrayOps(Tape):
 def _sweep(g: Tape, ops: Tape, out_id: int, seed, naive: bool, stop):
     """Reverse sweep over ``g`` whose adjoint arithmetic runs on ``ops``:
     ``g`` itself records it, an :class:`_ArrayOps` over ``g`` does not and
-    keeps only the adjoints of leaves and stop nodes."""
+    keeps only the adjoints of leaves (and of ``stop`` nodes, if given)."""
     keep_all = ops is g
     shape = g.val[out_id].shape
     sv, sc = seed

@@ -214,6 +214,20 @@ def test_backward_values_match_backward_graph_on_registry(case):
         assert_same_adjoints(g, values, graph, leaves.values())
 
 
+@pytest.mark.parametrize("shape", [(), (3,)])
+def test_backward_values_resolve_numpy_integer_ids(rng, shape):
+    # record() accepts numpy integer ids and stores them as given; the
+    # graph-free sweep must read them as nodes, not as adjoint values.
+    g = Tape()
+    a = g.leaf(rand_complex(rng, *shape))
+    b = g.leaf(rand_complex(rng, *shape))
+    c = g.record("mul", [np.int64(a), np.int64(b)])
+    loss = g_sum(g, g.record("mul", [np.int64(c), g.record("conj", [np.int64(c)])]))
+    values = backward_values(g, loss, seed=(0.5, 0.5))
+    graph = backward_graph(g, loss, seed=(0.5, 0.5))
+    assert_same_adjoints(g, values, graph, [a, b])
+
+
 # ---------------------------------------------------------------------------
 # Cauchy-Riemann checking
 # ---------------------------------------------------------------------------
