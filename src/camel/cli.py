@@ -10,8 +10,8 @@ Commands (see README for the config key reference):
     camel train         episodic training with checkpoints and metrics CSV
     camel eval          fine-tune/classify held-out episodes from a checkpoint
 
-Exit codes: 0 success, 1 validation failure, 2 divergence, 3 I/O or
-configuration error.
+Exit codes: 0 success, 1 validation failure, 2 non-finite loss in training
+or eval fine-tuning, 3 I/O or configuration error.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .ctensor import CTensor
 from .gradcheck import default_cases, run_suite
-from .layers import ArchConfig, init_params
+from .layers import ArchConfig, ConfigError, init_params
 from .meta import (
     AdaptiveBetaConfig,
     DivergenceError,
@@ -61,10 +61,6 @@ _C = np.complex128
 
 CAML_MAGIC = b"CAML"
 CAML_VERSION = 1
-
-
-class ConfigError(ValueError):
-    pass
 
 
 class CheckpointError(ValueError):
@@ -127,8 +123,7 @@ _ARCH_FIELDS = {f.name: f.type for f in dataclasses.fields(ArchConfig)}
 _META_FIELDS = {f.name: f.type for f in dataclasses.fields(MetaConfig)
                 if f.name not in ("adaptive_beta", "seed")}
 _DATA_FIELDS = {f.name: f.type for f in dataclasses.fields(DataConfig)}
-_ADAPTIVE_KEYS = ("adaptive_grad_lipschitz", "adaptive_hess_lipschitz",
-                  "adaptive_probe_tasks", "adaptive_probe_batch")
+_ADAPTIVE_KEYS = ("adaptive_grad_lipschitz", "adaptive_hess_lipschitz", "adaptive_probe_tasks")
 
 
 def _coerce(key: str, ftype: str, value: str):
@@ -187,7 +182,6 @@ def parse_config(lines, source: str = "<config>") -> RunConfig:
                 grad_lipschitz=adaptive_kw["grad_lipschitz"],
                 hess_lipschitz=adaptive_kw.get("hess_lipschitz", 0.0),
                 probe_tasks=int(adaptive_kw.get("probe_tasks", 1)),
-                probe_batch=int(adaptive_kw.get("probe_batch", 0)),
             )
         meta = MetaConfig(seed=seed, **meta_kw)
         data = DataConfig(**data_kw)
@@ -379,21 +373,6 @@ def load_checkpoint(path: str) -> Checkpoint:
 # shared run plumbing
 # ---------------------------------------------------------------------------
 
-def worker_cap() -> int:
-    """Worker-parallelism cap from CAMEL_THREADS; execution is sequential,
-    so the effective parallelism is min(cap, 1)."""
-    raw = os.environ.get("CAMEL_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"CAMEL_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ConfigError(f"CAMEL_THREADS must be >= 1, got {cap}")
-    return min(cap, 1)
-
-
 def _rng(seed_seq) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed_seq))
 
@@ -546,7 +525,6 @@ def _apply_flag_overrides(cfg: RunConfig, args) -> None:
 def cmd_train(args) -> int:
     cfg = load_config(args.config, args.set)
     _apply_flag_overrides(cfg, args)
-    worker_cap()
     streams = _streams(cfg.seed)
     train_pool, _ = _train_test_pools(cfg, streams)
 
@@ -618,7 +596,11 @@ def cmd_eval(args) -> int:
     n_episodes = args.episodes if args.episodes is not None else cfg.data.eval_episodes
     episodes = [sample_episode(test_pool, cfg.meta.n_way, cfg.meta.k_shot, cfg.meta.q_size, e_rng)
                 for _ in range(n_episodes)]
-    report = evaluate(ckpt.theta, episodes, cfg.meta, cfg.arch)
+    try:
+        report = evaluate(ckpt.theta, episodes, cfg.meta, cfg.arch)
+    except FloatingPointError as exc:
+        print(f"evaluation failed: {exc}", file=sys.stderr)
+        return 2
     print(f"accuracy {report.accuracy:.4f} ± {report.ci95:.4f} "
           f"(95% CI over {len(episodes)} episodes)")
     if args.out:

@@ -2,7 +2,8 @@
 
 Each case builds a real scalar loss from leaf inputs, differentiates it on
 the tape, and compares the steepest-ascent direction against central
-differences on the real and imaginary parts of every input element.
+differences on the real and imaginary parts of every input element.  The
+differenced losses are only evaluated, so they run on an evaluator.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .layers import (
     frames_to_input,
     init_params,
 )
-from .wirtinger import Tape, backward, fd_complex_gradient, g_re, g_sum, rel_error
+from .wirtinger import Tape, backward, evaluator, fd_complex_gradient, g_re, g_sum, rel_error
 
 _C = np.complex128
 
@@ -101,10 +102,10 @@ def run_case(case: GradCase, instances: int = 20, seed: int = 0) -> CaseResult:
             def f(arr, n=n):
                 vals = dict(inputs)
                 vals[n] = arr
-                gg = Tape()
-                lv = {m: gg.leaf(v) for m, v in vals.items()}
+                ev = evaluator()
+                consts = {m: ev.const(v) for m, v in vals.items()}
                 hr = np.random.default_rng(np.random.SeedSequence((seed, k, 1)))
-                return float(gg.raw(case.build_loss(gg, lv, hr)).real)
+                return float(ev.raw(case.build_loss(ev, consts, hr)).real)
 
             fd = fd_complex_gradient(f, inputs[n])
             worst = max(worst, rel_error(got, fd, REL_TOL, ABS_FLOOR))

@@ -4,7 +4,8 @@ network (embedding -> conv block -> attention block -> FC block -> head).
 
 Each layer exists twice: a ``build_*`` function that records the layer onto
 a tape (used by training), and a small eager wrapper with the public
-CTensor signature (used by callers and by the numerical checkers).
+CTensor signature (used by callers and by the numerical checkers), which
+runs the same builder on a ``wirtinger.evaluator`` and so records nothing.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import numpy as np
 from .ctensor import CTensor, ShapeMismatchError
 from .wirtinger import (
     Tape,
+    _cached_idx,
+    evaluator,
     g_abs,
     g_expand_last,
     g_im,
@@ -121,19 +124,8 @@ class NormState:
 
 
 # ---------------------------------------------------------------------------
-# cached index maps
+# index maps (in the tape's cache; they only depend on shapes)
 # ---------------------------------------------------------------------------
-
-_IDX: dict[tuple, np.ndarray] = {}
-
-
-def _cached(key, build):
-    idx = _IDX.get(key)
-    if idx is None:
-        idx = build()
-        _IDX[key] = idx
-    return idx
-
 
 def _conv_patch_idx(n: int, ci: int, t: int, k: int, stride: int):
     to = (t - k) // stride + 1
@@ -145,7 +137,7 @@ def _conv_patch_idx(n: int, ci: int, t: int, k: int, stride: int):
         col_src = (nn * ci * t + tt * stride).reshape(-1)  # (n*to,)
         return (row_src[:, None] + col_src[None, :]).reshape(-1).astype(np.intp)
 
-    return _cached(("convpatch", n, ci, t, k, stride), build), to
+    return _cached_idx(("convpatch", n, ci, t, k, stride), build), to
 
 
 def _chanmajor_to_batch_idx(n: int, c: int, t: int) -> np.ndarray:
@@ -154,7 +146,7 @@ def _chanmajor_to_batch_idx(n: int, c: int, t: int) -> np.ndarray:
         nn, cc, tt = np.meshgrid(np.arange(n), np.arange(c), np.arange(t), indexing="ij")
         return (cc * n * t + nn * t + tt).reshape(-1).astype(np.intp)
 
-    return _cached(("chan2batch", n, c, t), build)
+    return _cached_idx(("chan2batch", n, c, t), build)
 
 
 def _timemajor_idx(n: int, c: int, t: int) -> np.ndarray:
@@ -163,11 +155,11 @@ def _timemajor_idx(n: int, c: int, t: int) -> np.ndarray:
         nn, tt, cc = np.meshgrid(np.arange(n), np.arange(t), np.arange(c), indexing="ij")
         return (nn * c * t + cc * t + tt).reshape(-1).astype(np.intp)
 
-    return _cached(("timemajor", n, c, t), build)
+    return _cached_idx(("timemajor", n, c, t), build)
 
 
 def _tile_idx(d: int, n: int) -> np.ndarray:
-    return _cached(("tile", d, n), lambda: np.tile(np.arange(d, dtype=np.intp), n))
+    return _cached_idx(("tile", d, n), lambda: np.tile(np.arange(d, dtype=np.intp), n))
 
 
 def _head_slice_idx(d: int, dh: int, h: int) -> np.ndarray:
@@ -176,7 +168,7 @@ def _head_slice_idx(d: int, dh: int, h: int) -> np.ndarray:
         rr, cc = np.meshgrid(np.arange(d), np.arange(dh), indexing="ij")
         return (rr * d + h * dh + cc).reshape(-1).astype(np.intp)
 
-    return _cached(("headslice", d, dh, h), build)
+    return _cached_idx(("headslice", d, dh, h), build)
 
 
 def _head_merge_idx(n: int, l: int, d: int, dh: int, h: int) -> np.ndarray:
@@ -185,7 +177,7 @@ def _head_merge_idx(n: int, l: int, d: int, dh: int, h: int) -> np.ndarray:
         nn, ll, cc = np.meshgrid(np.arange(n), np.arange(l), np.arange(dh), indexing="ij")
         return ((nn * l + ll) * d + h * dh + cc).reshape(-1).astype(np.intp)
 
-    return _cached(("headmerge", n, l, d, dh, h), build)
+    return _cached_idx(("headmerge", n, l, d, dh, h), build)
 
 
 # ---------------------------------------------------------------------------
@@ -517,18 +509,14 @@ def fresh_norm_states(arch: ArchConfig) -> dict[str, NormState]:
 # eager wrappers (public layer signatures)
 # ---------------------------------------------------------------------------
 
-def _leaf(g: Tape, t: CTensor) -> int:
-    return g.leaf(t)
-
-
 def cconv1d(x: CTensor, a: CTensor, b: CTensor, stride: int = 1) -> CTensor:
     """Valid complex convolution of (C_in, T) with kernels (C_out, C_in, K)."""
     if x.rank != 2 or a.rank != 3:
         raise ShapeMismatchError(f"cconv1d: need x rank-2 and A rank-3, got {x.rank} and {a.rank}")
-    g = Tape()
+    g = evaluator()
     ci, t = x.shape
-    x3 = g.reshape(_leaf(g, x), (1, ci, t))
-    out = build_cconv1d(g, x3, _leaf(g, a), None if b is None else _leaf(g, b), stride)
+    x3 = g.reshape(g.const(x), (1, ci, t))
+    out = build_cconv1d(g, x3, g.const(a), None if b is None else g.const(b), stride)
     return g.value(out)
 
 
@@ -536,9 +524,9 @@ def cfc(x: CTensor, w: CTensor, b: CTensor) -> CTensor:
     """Complex linear transform of a vector: out = W^T x + b."""
     if x.rank != 1 or w.rank != 2:
         raise ShapeMismatchError(f"cfc: need x rank-1 and W rank-2, got {x.rank} and {w.rank}")
-    g = Tape()
-    x2 = g.reshape(_leaf(g, x), (1, x.size))
-    out = build_cfc(g, x2, _leaf(g, w), None if b is None else _leaf(g, b))
+    g = evaluator()
+    x2 = g.reshape(g.const(x), (1, x.size))
+    out = build_cfc(g, x2, g.const(w), None if b is None else g.const(b))
     return g.value(out).reshape((w.shape[1],))
 
 
@@ -550,8 +538,8 @@ def c_softmax(x: CTensor, lift: str = "abs") -> CTensor:
         raise ConfigError(f"c_softmax: lift must be one of {LIFTS}, got {lift!r}")
     if x.rank not in (1, 2):
         raise ShapeMismatchError(f"c_softmax: need rank-1 or rank-2 input, got rank {x.rank}")
-    g = Tape()
-    return g.value(build_softmax_last(g, _leaf(g, x), lift))
+    g = evaluator()
+    return g.value(build_softmax_last(g, g.const(x), lift))
 
 
 def c_attention(q: CTensor, k: CTensor, v: CTensor, lift: str = "abs",
@@ -559,10 +547,10 @@ def c_attention(q: CTensor, k: CTensor, v: CTensor, lift: str = "abs",
     """Single-sequence attention over rank-2 Q (Lq, d), K (Lk, d), V (Lk, dv)."""
     if q.rank != 2 or k.rank != 2 or v.rank != 2:
         raise ShapeMismatchError("c_attention: Q, K, V must be rank-2")
-    g = Tape()
-    q3 = g.reshape(_leaf(g, q), (1,) + q.shape)
-    k3 = g.reshape(_leaf(g, k), (1,) + k.shape)
-    v3 = g.reshape(_leaf(g, v), (1,) + v.shape)
+    g = evaluator()
+    q3 = g.reshape(g.const(q), (1,) + q.shape)
+    k3 = g.reshape(g.const(k), (1,) + k.shape)
+    v3 = g.reshape(g.const(v), (1,) + v.shape)
     out, w = build_attention(g, q3, k3, v3, lift)
     out_t = g.value(out).reshape((q.shape[0], v.shape[1]))
     if return_weights:
@@ -575,12 +563,12 @@ def c_mha(q: CTensor, k: CTensor, v: CTensor, params: MhaParams, lift: str = "ab
     d = q.shape[1]
     if d % params.n_heads != 0:
         raise ShapeMismatchError(f"c_mha: feature dim {d} not divisible by {params.n_heads} heads")
-    g = Tape()
-    q3 = g.reshape(_leaf(g, q), (1,) + q.shape)
-    k3 = g.reshape(_leaf(g, k), (1,) + k.shape)
-    v3 = g.reshape(_leaf(g, v), (1,) + v.shape)
-    out = build_mha(g, q3, k3, v3, _leaf(g, params.wq), _leaf(g, params.wk),
-                    _leaf(g, params.wv), _leaf(g, params.wo), params.n_heads, lift)
+    g = evaluator()
+    q3 = g.reshape(g.const(q), (1,) + q.shape)
+    k3 = g.reshape(g.const(k), (1,) + k.shape)
+    v3 = g.reshape(g.const(v), (1,) + v.shape)
+    out = build_mha(g, q3, k3, v3, g.const(params.wq), g.const(params.wk),
+                    g.const(params.wv), g.const(params.wo), params.n_heads, lift)
     return g.value(out).reshape((q.shape[0], d))
 
 
@@ -588,8 +576,8 @@ def c_norm(x: CTensor, gamma: CTensor, kappa: CTensor, eps: float = 1e-5,
            state: NormState | None = None, training: bool = True,
            update_state: bool = False) -> CTensor:
     """Per-channel complex normalization of (C, M); rank-1 input is one channel."""
-    g = Tape()
-    x2 = _leaf(g, x)
+    g = evaluator()
+    x2 = g.const(x)
     squeeze = False
     if x.rank == 1:
         x2 = g.reshape(x2, (1, x.size))
@@ -597,8 +585,8 @@ def c_norm(x: CTensor, gamma: CTensor, kappa: CTensor, eps: float = 1e-5,
     elif x.rank != 2:
         raise ShapeMismatchError(f"c_norm: need rank-1 or rank-2 input, got rank {x.rank}")
     c = g.raw(x2).shape[0]
-    ga = _leaf(g, gamma if gamma.rank == 1 else gamma.reshape((1,)))
-    ka = _leaf(g, kappa if kappa.rank == 1 else kappa.reshape((1,)))
+    ga = g.const(gamma if gamma.rank == 1 else gamma.reshape((1,)))
+    ka = g.const(kappa if kappa.rank == 1 else kappa.reshape((1,)))
     if g.raw(ga).shape != (c,) or g.raw(ka).shape != (c,):
         raise ShapeMismatchError(f"c_norm: gamma/kappa must have {c} channels")
     out = build_norm(g, x2, ga, ka, eps, state, training, update_state)
@@ -608,8 +596,8 @@ def c_norm(x: CTensor, gamma: CTensor, kappa: CTensor, eps: float = 1e-5,
 
 def c_act(x: CTensor, kind: str = "crelu") -> CTensor:
     """Activation applied to real and imaginary parts independently."""
-    g = Tape()
-    return g.value(build_act(g, _leaf(g, x), kind))
+    g = evaluator()
+    return g.value(build_act(g, g.const(x), kind))
 
 
 def camel_forward(frame: CTensor, params: Mapping[str, CTensor], arch: ArchConfig,
@@ -620,9 +608,9 @@ def camel_forward(frame: CTensor, params: Mapping[str, CTensor], arch: ArchConfi
     frame's own statistics (batch of one; the FC norm then degenerates to
     its shift parameter).  Pass ``norm_states`` for calibrated inference.
     """
-    g = Tape()
+    g = evaluator()
     x3 = g.const(frames_to_input([frame], arch))
-    leaves = {name: g.leaf(t) for name, t in params.items()}
+    consts = {name: g.const(t) for name, t in params.items()}
     training = norm_states is None
-    lp = build_network(g, x3, leaves, arch, norm_states, training=training)
+    lp = build_network(g, x3, consts, arch, norm_states, training=training)
     return g.value(lp).reshape((arch.n_classes,))

@@ -25,7 +25,7 @@ import numpy as np
 
 from .ctensor import CTensor, ShapeMismatchError
 from .layers import ArchConfig, build_cross_entropy, build_network, frames_to_input, init_params
-from .wirtinger import Tape, backward_graph, backward_values, g_sum
+from .wirtinger import Tape, backward_graph, backward_values, evaluator, g_sum
 
 _C = np.complex128
 
@@ -179,10 +179,14 @@ class EpisodeTask:
         return self._loss(g, params, self._query_in, self._query_labels)
 
     def query_predictions(self, theta: Mapping[str, CTensor]) -> list[int]:
-        g = Tape()
-        leaves = {k: g.const(v) for k, v in theta.items()}
-        lp = build_network(g, g.const(self._query_in), leaves, self.arch)
-        return [int(i) for i in np.argmax(g.raw(lp).real, axis=1)]
+        """Predicted class of each query frame; raises FloatingPointError
+        when a log-probability is not finite, where argmax would pick 0."""
+        g = evaluator()
+        consts = {k: g.const(v) for k, v in theta.items()}
+        lp = g.raw(build_network(g, g.const(self._query_in), consts, self.arch))
+        if not np.all(np.isfinite(lp)):
+            raise FloatingPointError("query log-probabilities are not finite")
+        return [int(i) for i in np.argmax(lp.real, axis=1)]
 
     def query_accuracy(self, theta: Mapping[str, CTensor]) -> float:
         preds = self.query_predictions(theta)
@@ -202,7 +206,6 @@ class AdaptiveBetaConfig:
     grad_lipschitz: float
     hess_lipschitz: float
     probe_tasks: int = 1
-    probe_batch: int = 0  # 0 means the full support set
 
     def __post_init__(self):
         if self.grad_lipschitz <= 0:
@@ -310,9 +313,9 @@ def meta_objective(theta: ParamSet, tasks: Sequence[MetaTask], inner_lr: float, 
     total = 0.0
     for task in tasks:
         adapted = inner_update(theta, task, inner_lr, steps) if steps > 0 else theta
-        g = Tape()
-        leaves = {k: g.const(v) for k, v in adapted.items()}
-        total += float(g.raw(task.query_loss(g, leaves)).real)
+        g = evaluator()
+        consts = {k: g.const(v) for k, v in adapted.items()}
+        total += float(g.raw(task.query_loss(g, consts)).real)
     return total / len(tasks)
 
 
@@ -501,12 +504,11 @@ def train_meta(theta0: ParamSet, batch_source: Callable[[], Sequence[MetaTask]],
         try:
             grad, meta_loss, adapted = _meta_step_gradient(
                 state.theta, tasks, cfg.inner_lr, cfg.inner_steps, cfg.first_order)
+            if not math.isfinite(meta_loss):
+                raise FloatingPointError(f"meta loss {meta_loss}")
+            accs = [t.query_accuracy(a) for t, a in zip(tasks, adapted) if hasattr(t, "query_accuracy")]
         except FloatingPointError as exc:
             raise DivergenceError(f"iteration {state.iteration}: {exc}", state) from exc
-        if not math.isfinite(meta_loss):
-            raise DivergenceError(f"iteration {state.iteration}: meta loss {meta_loss}", state)
-
-        accs = [t.query_accuracy(a) for t, a in zip(tasks, adapted) if hasattr(t, "query_accuracy")]
         acc = float(np.mean(accs)) if accs else math.nan
 
         if adam is not None:

@@ -23,6 +23,13 @@ sweep of :func:`hvp`, and each inner-step sweep of the unrolled
 meta-gradient in ``meta``.  Graph-free sweeps: the two second sweeps of
 :func:`hvp`, and in ``meta`` every support and query gradient and the
 final sweep of each exact meta-gradient.
+
+A forward pass that nothing differentiates runs on :func:`evaluator`, the
+same op methods evaluated on arrays, so each intermediate is freed once
+its last consumer has run: ``EpisodeTask.query_predictions`` (evaluation
+and training accuracy) and the query losses of ``meta.meta_objective``, the
+eager layer wrappers of ``layers``, and the finite-difference losses of
+``gradcheck``.
 """
 
 from __future__ import annotations
@@ -74,22 +81,21 @@ def _as_node_value(x) -> np.ndarray:
 _IDX_CACHE: dict[tuple, np.ndarray] = {}
 
 
-def _expand_last_idx(base_size: int, n: int) -> np.ndarray:
-    key = ("expand", base_size, n)
+def _cached_idx(key: tuple, build: Callable[[], np.ndarray]) -> np.ndarray:
+    """The index map stored under ``key``, built on first use."""
     idx = _IDX_CACHE.get(key)
     if idx is None:
-        idx = np.arange(base_size * n, dtype=np.intp) // n
+        idx = build()
         _IDX_CACHE[key] = idx
     return idx
+
+
+def _expand_last_idx(base_size: int, n: int) -> np.ndarray:
+    return _cached_idx(("expand", base_size, n), lambda: np.arange(base_size * n, dtype=np.intp) // n)
 
 
 def _zero_idx(size: int) -> np.ndarray:
-    key = ("zero", size)
-    idx = _IDX_CACHE.get(key)
-    if idx is None:
-        idx = np.zeros(size, dtype=np.intp)
-        _IDX_CACHE[key] = idx
-    return idx
+    return _cached_idx(("zero", size), lambda: np.zeros(size, dtype=np.intp))
 
 
 class Tape:
@@ -714,6 +720,17 @@ class _ArrayOps(Tape):
 
     def _push(self, kind, inputs, val, aux=None):
         return val
+
+    def leaf(self, value):
+        raise TypeError("an evaluator records nothing to differentiate; use const for its inputs")
+
+
+def evaluator() -> Tape:
+    """A forward pass that nothing differentiates: the ops of a :class:`Tape`
+    evaluated on arrays over an empty tape.  Each op returns its value where
+    a tape returns a node id, ``const`` takes every input and ``leaf`` is
+    refused.  ``raw`` and ``value`` read a value as they read a node."""
+    return _ArrayOps(Tape())
 
 
 def _sweep(g: Tape, ops: Tape, out_id: int, seed, naive: bool, stop):

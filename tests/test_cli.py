@@ -14,10 +14,10 @@ from camel.cli import (
     parse_config,
     save_checkpoint,
     toychain_run,
-    worker_cap,
 )
 from camel.ctensor import CTensor
 from camel.gradcheck import GradCase, run_suite
+from camel import layers
 from camel.layers import ArchConfig, init_params
 from camel.meta import HistoryRow, ParamSet
 from camel.wirtinger import g_re, g_sum
@@ -62,17 +62,20 @@ def test_load_config_with_set_overrides(tmp_path):
     assert cfg.meta.inner_lr == 0.7
 
 
-def test_worker_cap(monkeypatch):
-    monkeypatch.delenv("CAMEL_THREADS", raising=False)
-    assert worker_cap() == 1
-    monkeypatch.setenv("CAMEL_THREADS", "8")
-    assert worker_cap() == 1  # sequential execution, cap honored as upper bound
-    monkeypatch.setenv("CAMEL_THREADS", "0")
-    with pytest.raises(ConfigError):
-        worker_cap()
-    monkeypatch.setenv("CAMEL_THREADS", "many")
-    with pytest.raises(ConfigError):
-        worker_cap()
+def test_config_error_is_one_class():
+    assert ConfigError is layers.ConfigError
+    with pytest.raises(ConfigError, match="n_heads"):
+        parse_config(["attn_dim=6", "n_heads=4"])
+
+
+def test_adaptive_probe_batch_is_an_unknown_key(tmp_path, capsys):
+    lines = ["adaptive_grad_lipschitz=1.0", "adaptive_probe_batch=4"]
+    with pytest.raises(ConfigError, match=r"cfg:2.*adaptive_probe_batch"):
+        parse_config(lines, source="cfg")
+    p = tmp_path / "probe.cfg"
+    p.write_text("\n".join(lines) + "\n")
+    assert main(["gen", "--config", str(p), "--out", str(tmp_path / "pool.csig")]) == 3
+    assert "adaptive_probe_batch" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +331,25 @@ def test_checkpoint_wrong_shape_rejected(tmp_path, rng):
     save_checkpoint(str(p), ck)
     with pytest.raises(CheckpointError, match="shape"):
         load_checkpoint(str(p))
+
+
+def _blown_up(params):
+    # finite, so the checkpoint loads, but the forward pass overflows
+    return {k: CTensor._wrap(v.numpy() * 1e150) for k, v in params.items()}
+
+
+@pytest.mark.parametrize("finetune, message", [("10", "support loss is not finite"),
+                                               ("0", "query log-probabilities are not finite")],
+                         ids=["finetune", "no_finetune"])
+def test_cmd_eval_nonfinite_loss_exits_2(tmp_path, tiny_cfg_path, capsys, finetune, message):
+    path = _damaged_checkpoint(tmp_path, tiny_cfg_path, _blown_up)
+    load_checkpoint(path)
+    capsys.readouterr()
+    code = main(["eval", "--config", tiny_cfg_path, "--set", f"finetune_steps={finetune}",
+                 "--checkpoint", path, "--episodes", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err and "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
 def test_cmd_train_bad_frames_file_exits_3(tmp_path, tiny_cfg_path):

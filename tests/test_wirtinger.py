@@ -15,6 +15,7 @@ from camel.wirtinger import (
     backward_values,
     complex_gradient,
     cr_check,
+    evaluator,
     fd_complex_gradient,
     fd_wirtinger_pair,
     g_abs,
@@ -226,6 +227,31 @@ def test_backward_values_resolve_numpy_integer_ids(rng, shape):
     values = backward_values(g, loss, seed=(0.5, 0.5))
     graph = backward_graph(g, loss, seed=(0.5, 0.5))
     assert_same_adjoints(g, values, graph, [a, b])
+
+
+# ---------------------------------------------------------------------------
+# the evaluator: forward passes that record nothing
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("case", default_cases(), ids=lambda c: c.name)
+def test_evaluator_matches_recorded_forward_on_registry(case):
+    for k in range(3):
+        inputs = case.make_inputs(np.random.default_rng(np.random.SeedSequence((7, k))))
+        g = Tape()
+        want = g.raw(case.build_loss(g, {n: g.leaf(v) for n, v in inputs.items()},
+                                     np.random.default_rng(np.random.SeedSequence((7, k, 1)))))
+        ev = evaluator()
+        got = ev.raw(case.build_loss(ev, {n: ev.const(v) for n, v in inputs.items()},
+                                     np.random.default_rng(np.random.SeedSequence((7, k, 1)))))
+        assert len(ev) == 0
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_evaluator_refuses_leaf(rng):
+    ev = evaluator()
+    with pytest.raises(TypeError, match="const"):
+        ev.leaf(rand_complex(rng, 3))
+    assert len(ev) == 0
 
 
 # ---------------------------------------------------------------------------
