@@ -1,9 +1,10 @@
 """Complex-valued meta-learning toolkit.
 
-Reverse-mode differentiation over complex tensors with dual adjoint
-channels, complex-valued layers (convolution, fully connected, softmax,
-attention, normalization), an exact second-order episodic meta-learner,
-and synthetic modulated-signal data for desk-scale experiments.
+Reverse-mode differentiation over complex tensors with one adjoint
+channel (dL/dz*), complex-valued layers (convolution, fully connected,
+softmax, attention, normalization), an exact second-order episodic
+meta-learner, and synthetic modulated-signal data for desk-scale
+experiments.
 """
 
 from .ctensor import CTensor, cmatmul, cmul, conj, hermitian

@@ -23,6 +23,7 @@ import os
 import struct
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -45,6 +46,7 @@ from .signals import (
     episode_stream,
     generate_pool,
     load_frames,
+    read_exact,
     sample_episode,
     save_frames,
     scenario_split,
@@ -298,13 +300,6 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
         fh.write(hist_blob)
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    raw = fh.read(n)
-    if len(raw) != n:
-        raise CheckpointError(f"checkpoint ended while reading {what}")
-    return raw
-
-
 def _check_params(arch: ArchConfig, tensors: dict[str, CTensor]) -> None:
     """The tensors must be exactly the parameters of ``arch``, by name and
     shape, and hold finite values."""
@@ -331,11 +326,12 @@ def load_checkpoint(path: str) -> Checkpoint:
         magic = fh.read(4)
         if magic != CAML_MAGIC:
             raise CheckpointError(f"bad magic {magic!r}, expected {CAML_MAGIC!r}")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
+        read = partial(read_exact, fh, source="checkpoint", error=CheckpointError)
+        (version,) = struct.unpack("<I", read(4, "version"))
         if version != CAML_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        (hlen,) = struct.unpack("<I", _read_exact(fh, 4, "header length"))
-        header = _read_exact(fh, hlen, "header").decode("utf-8")
+        (hlen,) = struct.unpack("<I", read(4, "header length"))
+        header = read(hlen, "header").decode("utf-8")
         arch_lines, iteration, rng_state = [], None, None
         for line in header.splitlines():
             if line.startswith("iteration="):
@@ -348,20 +344,20 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise CheckpointError("checkpoint header lacks iteration or rng_state")
         arch = _arch_from_lines("\n".join(arch_lines))
 
-        (n_params,) = struct.unpack("<I", _read_exact(fh, 4, "parameter count"))
+        (n_params,) = struct.unpack("<I", read(4, "parameter count"))
         tensors: dict[str, CTensor] = {}
         for _ in range(n_params):
-            (nlen,) = struct.unpack("<H", _read_exact(fh, 2, "parameter name length"))
-            name = _read_exact(fh, nlen, "parameter name").decode("utf-8")
-            (rank,) = struct.unpack("<I", _read_exact(fh, 4, "parameter rank"))
-            dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "parameter dims"))
+            (nlen,) = struct.unpack("<H", read(2, "parameter name length"))
+            name = read(nlen, "parameter name").decode("utf-8")
+            (rank,) = struct.unpack("<I", read(4, "parameter rank"))
+            dims = struct.unpack(f"<{rank}I", read(4 * rank, "parameter dims"))
             size = int(np.prod(dims, dtype=np.int64)) if rank else 1
-            inter = np.frombuffer(_read_exact(fh, 16 * size, f"parameter {name}"), dtype="<f8")
+            inter = np.frombuffer(read(16 * size, f"parameter {name}"), dtype="<f8")
             arr = (inter[0::2] + 1j * inter[1::2]).reshape(dims)
             tensors[name] = CTensor._wrap(arr.astype(_C))
         _check_params(arch, tensors)
-        (hlen2,) = struct.unpack("<Q", _read_exact(fh, 8, "history length"))
-        hist_text = _read_exact(fh, hlen2, "history").decode("utf-8")
+        (hlen2,) = struct.unpack("<Q", read(8, "history length"))
+        hist_text = read(hlen2, "history").decode("utf-8")
         history = []
         for line in hist_text.splitlines()[1:]:
             it, loss, acc = line.split(",")
@@ -555,8 +551,10 @@ def cmd_train(args) -> int:
             write_ckpt(st)
 
     try:
-        state = train_camel(cfg.meta, cfg.arch, episodes, theta0=theta0, state=state,
-                            on_iteration=on_iteration)
+        # a loss that turns non-finite is a divergence, detected and reported below
+        with np.errstate(all="ignore"):
+            state = train_camel(cfg.meta, cfg.arch, episodes, theta0=theta0, state=state,
+                                on_iteration=on_iteration)
     except DivergenceError as exc:
         write_ckpt(exc.state)
         with open(metrics_path, "w", encoding="utf-8") as fh:
@@ -597,7 +595,9 @@ def cmd_eval(args) -> int:
     episodes = [sample_episode(test_pool, cfg.meta.n_way, cfg.meta.k_shot, cfg.meta.q_size, e_rng)
                 for _ in range(n_episodes)]
     try:
-        report = evaluate(ckpt.theta, episodes, cfg.meta, cfg.arch)
+        # evaluate raises FloatingPointError on a non-finite loss or log-prob
+        with np.errstate(all="ignore"):
+            report = evaluate(ckpt.theta, episodes, cfg.meta, cfg.arch)
     except FloatingPointError as exc:
         print(f"evaluation failed: {exc}", file=sys.stderr)
         return 2

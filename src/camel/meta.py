@@ -178,20 +178,31 @@ class EpisodeTask:
     def query_loss(self, g: Tape, params: dict[str, int]) -> int:
         return self._loss(g, params, self._query_in, self._query_labels)
 
+    def query_loss_and_accuracy(self, g: Tape, params: dict[str, int]) -> tuple[int, float]:
+        """The query loss node, and the accuracy of the query log-probs that
+        one forward computes it from (see :meth:`query_predictions`)."""
+        lp = build_network(g, g.const(self._query_in), params, self.arch)
+        return build_cross_entropy(g, lp, self._query_labels), self._hit_rate(_predictions(g.raw(lp)))
+
     def query_predictions(self, theta: Mapping[str, CTensor]) -> list[int]:
         """Predicted class of each query frame; raises FloatingPointError
         when a log-probability is not finite, where argmax would pick 0."""
         g = evaluator()
         consts = {k: g.const(v) for k, v in theta.items()}
-        lp = g.raw(build_network(g, g.const(self._query_in), consts, self.arch))
-        if not np.all(np.isfinite(lp)):
-            raise FloatingPointError("query log-probabilities are not finite")
-        return [int(i) for i in np.argmax(lp.real, axis=1)]
+        return _predictions(g.raw(build_network(g, g.const(self._query_in), consts, self.arch)))
 
     def query_accuracy(self, theta: Mapping[str, CTensor]) -> float:
-        preds = self.query_predictions(theta)
+        return self._hit_rate(self.query_predictions(theta))
+
+    def _hit_rate(self, preds: list[int]) -> float:
         hits = sum(p == y for p, y in zip(preds, self._query_labels))
         return hits / max(1, len(self._query_labels))
+
+
+def _predictions(lp: np.ndarray) -> list[int]:
+    if not np.all(np.isfinite(lp)):
+        raise FloatingPointError("query log-probabilities are not finite")
+    return [int(i) for i in np.argmax(lp.real, axis=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +308,20 @@ def inner_update(theta: ParamSet, task: MetaTask, inner_lr: float, steps: int) -
     return cur
 
 
-def _query_gradient(theta: ParamSet, task: MetaTask) -> tuple[dict[str, CTensor], float]:
+def _query_loss(task: MetaTask, g: Tape, params: dict[str, int]) -> tuple[int, float | None]:
+    """The query loss node, and the query accuracy read from the same
+    forward; None for a task without a notion of accuracy."""
+    scored = getattr(task, "query_loss_and_accuracy", None)
+    return (task.query_loss(g, params), None) if scored is None else scored(g, params)
+
+
+def _query_gradient(theta: ParamSet, task: MetaTask) -> tuple[dict[str, CTensor], float, float | None]:
     g = Tape()
     leaves = {k: g.leaf(v) for k, v in theta.items()}
-    loss_id = task.query_loss(g, leaves)
+    loss_id, acc = _query_loss(task, g, leaves)
     loss = float(g.raw(loss_id).real)
     pairs = backward_values(g, loss_id, seed=(0.5, 0.5))
-    return _grad_from_pairs(pairs, leaves, theta), loss
+    return _grad_from_pairs(pairs, leaves, theta), loss, acc
 
 
 def meta_objective(theta: ParamSet, tasks: Sequence[MetaTask], inner_lr: float, steps: int) -> float:
@@ -354,12 +372,10 @@ def _unrolled_task_gradient(theta: ParamSet, task: MetaTask, inner_lr: float, st
             else:
                 nxt[name] = g.sub(nid, g.smul(pair[1], 2.0 * inner_lr))
         cur = nxt
-    q_id = task.query_loss(g, cur)
+    q_id, acc = _query_loss(task, g, cur)
     q_loss = float(g.raw(q_id).real)
     final = backward_values(g, q_id, seed=(0.5, 0.5))
-    grad = _grad_from_pairs(final, leaves, theta)
-    adapted = ParamSet({k: CTensor._wrap(g.val[cur[k]].copy()) for k in leaves})
-    return grad, q_loss, adapted
+    return _grad_from_pairs(final, leaves, theta), q_loss, acc
 
 
 def meta_gradient(theta: ParamSet, tasks: Sequence[MetaTask], inner_lr: float, steps: int) -> ParamSet:
@@ -390,17 +406,16 @@ def _meta_step_gradient(theta: ParamSet, tasks: Sequence[MetaTask], inner_lr: fl
         raise ValueError("meta gradient needs steps >= 1")
     acc = None
     total_loss = 0.0
-    adapted_sets = []
+    query_accs = []
     for task in tasks:
         if first_order:
-            adapted = inner_update(theta, task, inner_lr, steps)
-            grad, q_loss = _query_gradient(adapted, task)
+            grad, q_loss, q_acc = _query_gradient(inner_update(theta, task, inner_lr, steps), task)
         else:
-            grad, q_loss, adapted = _unrolled_task_gradient(theta, task, inner_lr, steps)
+            grad, q_loss, q_acc = _unrolled_task_gradient(theta, task, inner_lr, steps)
         acc = _accumulate(acc, grad)
         total_loss += q_loss
-        adapted_sets.append(adapted)
-    return _mean_paramset(acc, len(tasks)), total_loss / len(tasks), adapted_sets
+        query_accs.append(q_acc)
+    return _mean_paramset(acc, len(tasks)), total_loss / len(tasks), query_accs
 
 
 def outer_update(theta: ParamSet, grad: Mapping[str, CTensor], outer_lr: float) -> ParamSet:
@@ -502,13 +517,13 @@ def train_meta(theta0: ParamSet, batch_source: Callable[[], Sequence[MetaTask]],
     while state.iteration < cfg.iterations:
         tasks = list(batch_source())
         try:
-            grad, meta_loss, adapted = _meta_step_gradient(
+            grad, meta_loss, query_accs = _meta_step_gradient(
                 state.theta, tasks, cfg.inner_lr, cfg.inner_steps, cfg.first_order)
             if not math.isfinite(meta_loss):
                 raise FloatingPointError(f"meta loss {meta_loss}")
-            accs = [t.query_accuracy(a) for t, a in zip(tasks, adapted) if hasattr(t, "query_accuracy")]
         except FloatingPointError as exc:
             raise DivergenceError(f"iteration {state.iteration}: {exc}", state) from exc
+        accs = [a for a in query_accs if a is not None]
         acc = float(np.mean(accs)) if accs else math.nan
 
         if adam is not None:

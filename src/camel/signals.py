@@ -304,10 +304,13 @@ def save_frames(path: str, pool: FramePool) -> None:
             fh.write(iq.tobytes())
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
+def read_exact(fh, n: int, what: str, source: str = "frame file",
+               error: type[Exception] = TruncatedFileError) -> bytes:
+    """``n`` bytes from ``fh``; raises ``error`` naming ``source`` and
+    ``what`` when the file ends first."""
     raw = fh.read(n)
     if len(raw) != n:
-        raise TruncatedFileError(f"frame file ended while reading {what}")
+        raise error(f"{source} ended while reading {what}")
     return raw
 
 
@@ -321,24 +324,24 @@ def load_frames(path: str) -> FramePool:
         magic = fh.read(4)
         if magic != CSIG_MAGIC:
             raise BadMagicError(f"bad magic {magic!r}, expected {CSIG_MAGIC!r}")
-        version, n_schemes = struct.unpack("<II", _read_exact(fh, 8, "header"))
+        version, n_schemes = struct.unpack("<II", read_exact(fh, 8, "header"))
         if version != CSIG_VERSION:
             raise FrameFormatError(f"unsupported frame file version {version}")
         schemes = []
         for _ in range(n_schemes):
-            (ln,) = struct.unpack("<H", _read_exact(fh, 2, "scheme name length"))
-            name = _read_exact(fh, ln, "scheme name").decode("utf-8")
+            (ln,) = struct.unpack("<H", read_exact(fh, 2, "scheme name length"))
+            name = read_exact(fh, ln, "scheme name").decode("utf-8")
             if name not in SCHEMES:
                 raise UnknownSchemeError(f"unknown scheme name {name!r} in frame file")
             schemes.append(name)
-        (n_frames,) = struct.unpack("<Q", _read_exact(fh, 8, "frame count"))
+        (n_frames,) = struct.unpack("<Q", read_exact(fh, 8, "frame count"))
         pool = FramePool(schemes=schemes)
         for k in range(n_frames):
-            label, snr, flen = struct.unpack("<IfI", _read_exact(fh, 12, f"frame {k} header"))
+            label, snr, flen = struct.unpack("<IfI", read_exact(fh, 12, f"frame {k} header"))
             if label >= len(schemes):
                 raise FrameFormatError(f"frame {k} references scheme id {label} "
                                        f"outside the {len(schemes)}-entry table")
-            iq = np.frombuffer(_read_exact(fh, 8 * flen, f"frame {k} samples"), dtype="<f4")
+            iq = np.frombuffer(read_exact(fh, 8 * flen, f"frame {k} samples"), dtype="<f4")
             samples = iq[0::2].astype(np.float64) + 1j * iq[1::2].astype(np.float64)
             pool.frames.append(SignalFrame(CTensor(samples), int(label), float(snr)))
         return pool

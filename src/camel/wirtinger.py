@@ -1,33 +1,38 @@
-"""Reverse-mode differentiation over complex tensors with dual cotangents.
+"""Reverse-mode differentiation over complex tensors with one adjoint channel.
 
-Every node on the tape carries two adjoint channels, one with respect to
-the node's value and one with respect to its conjugate, so the backward
-sweep implements the two-term chain rule for non-holomorphic maps:
+The chain rule for a non-holomorphic map u(z) has two terms,
 
-    dL/dz  +=  dL/du * du/dz   +  dL/du* * d(u*)/dz
-    dL/dz* +=  dL/du * du/dz*  +  dL/du* * d(u*)/dz*
+    dL/dz*  =  dL/du* * conj(du/dz)  +  dL/du * du/dz*,
 
-For a real-valued scalar loss the two channels are conjugate mirrors of
-each other at every node, and the steepest-ascent direction is
-``2 * dL/dz*``, which is what :func:`complex_gradient` returns.
+and for a real-valued loss dL/du = conj(dL/du*) at every node: the two
+Wirtinger channels are conjugate mirrors.  So a sweep propagates one
+adjoint per node, c = dL/du*, as c * conj(du/dz) + conj(c) * du/dz*.  Only
+conj, cabs and crelu have the second, antiholomorphic term; the naive rule
+drops it, which leaves the classical holomorphic-only rule.  The
+steepest-ascent direction is ``2 * dL/dz*``, which is what
+:func:`complex_gradient` returns.
 
-Two sweeps run the same pullbacks.  :func:`backward_graph` records its
-own arithmetic on the same tape, which is what makes exact second
-derivatives possible: a second sweep over the extended tape differentiates
-the first gradient.  :func:`backward_values` records nothing and keeps only
-the adjoints of leaves, for the last sweep of a gradient, which nothing
-differentiates again.
+Sweeps return (dL/dz, dL/dz*) pairs: after a real seed the value channel is
+the conjugate of the propagated one, built when read.  Any other seed runs
+as two real-seeded sweeps (see :func:`_paired`).
+
+Both kinds of sweep run the same pullbacks.  :func:`backward_graph`
+records its own arithmetic on the same tape, which is what makes exact
+second derivatives possible: a second sweep over the extended tape
+differentiates the first gradient.  :func:`backward_values` records
+nothing and keeps only the adjoints of leaves, for the last sweep of a
+gradient, which nothing differentiates again.
 
 Recording sweeps: :func:`backward` (and so :class:`Cotangents`), the first
 sweep of :func:`hvp`, and each inner-step sweep of the unrolled
-meta-gradient in ``meta``.  Graph-free sweeps: the two second sweeps of
+meta-gradient in ``meta``.  Graph-free sweeps: the second sweeps of
 :func:`hvp`, and in ``meta`` every support and query gradient and the
 final sweep of each exact meta-gradient.
 
 A forward pass that nothing differentiates runs on :func:`evaluator`, the
 same op methods evaluated on arrays, so each intermediate is freed once
-its last consumer has run: ``EpisodeTask.query_predictions`` (evaluation
-and training accuracy) and the query losses of ``meta.meta_objective``, the
+its last consumer has run: ``EpisodeTask.query_predictions`` (evaluation)
+and the query losses of ``meta.meta_objective``, the
 eager layer wrappers of ``layers``, and the finite-difference losses of
 ``gradcheck``.
 """
@@ -352,222 +357,157 @@ def g_dot_const(g: Tape, x: int, w) -> int:
 
 
 # ---------------------------------------------------------------------------
-# pullbacks: one function per op, emitting per-input (value, conj) channels
+# pullbacks: one function per op, propagating the one adjoint c = dL/du*
 # ---------------------------------------------------------------------------
 #
-# Conventions: cv = dL/du, cc = dL/du*.  Either may be None (structural
-# zero).  Each pullback returns (input_id, pv, pc) triples where pv feeds
-# the input's value channel and pc its conjugate channel.
+# Each pullback takes the adjoint c of node u and returns (input_id, dL/dz*)
+# pairs: the holomorphic term c * conj(du/dz) plus the antiholomorphic term
+# conj(c) * du/dz*.  Only conj, cabs and crelu have the second term, and
+# ``naive`` drops it, which leaves the classical, holomorphic-only rule.
 
-def _madd(g: Tape, a: int | None, b: int | None) -> int | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return g.add(a, b)
+def _pull_add(g, nid, c, naive):
+    return [(i, c) for i in g.inputs[nid] if g.needs[i]]
 
 
-def _mneg(g: Tape, a: int | None) -> int | None:
-    return None if a is None else g.neg(a)
-
-
-def _pull_add(g, nid, cv, cc, need):
+def _pull_sub(g, nid, c, naive):
     a, b = g.inputs[nid]
     out = []
-    if need[0]:
-        out.append((a, cv, cc))
-    if need[1]:
-        out.append((b, cv, cc))
+    if g.needs[a]:
+        out.append((a, c))
+    if g.needs[b]:
+        out.append((b, g.neg(c)))
     return out
 
 
-def _pull_sub(g, nid, cv, cc, need):
-    a, b = g.inputs[nid]
-    out = []
-    if need[0]:
-        out.append((a, cv, cc))
-    if need[1]:
-        out.append((b, _mneg(g, cv), _mneg(g, cc)))
-    return out
-
-
-def _pull_neg(g, nid, cv, cc, need):
+def _pull_neg(g, nid, c, naive):
     (a,) = g.inputs[nid]
-    return [(a, _mneg(g, cv), _mneg(g, cc))]
+    return [(a, g.neg(c))]
 
 
-def _pull_conj(g, nid, cv, cc, need):
-    # conjugation swaps the two adjoint channels
+def _pull_conj(g, nid, c, naive):
+    # du/dz = 0 and du/dz* = 1: the whole adjoint is antiholomorphic
     (a,) = g.inputs[nid]
-    return [(a, cc, cv)]
+    return [] if naive else [(a, g.conj(c))]
 
 
-def _pull_mul(g, nid, cv, cc, need):
+def _pull_mul(g, nid, c, naive):
     a, b = g.inputs[nid]
     out = []
-    if need[0]:
-        pv = None if cv is None else g.mul(cv, b)
-        pc = None if cc is None else g.mul(cc, g.conj(b))
-        out.append((a, pv, pc))
-    if need[1]:
-        pv = None if cv is None else g.mul(cv, a)
-        pc = None if cc is None else g.mul(cc, g.conj(a))
-        out.append((b, pv, pc))
+    if g.needs[a]:
+        out.append((a, g.mul(c, g.conj(b))))
+    if g.needs[b]:
+        out.append((b, g.mul(c, g.conj(a))))
     return out
 
 
-def _pull_div(g, nid, cv, cc, need):
+def _pull_div(g, nid, c, naive):
     a, b = g.inputs[nid]
+    cb = g.conj(b)
     out = []
-    if need[0]:
-        pv = None if cv is None else g.div(cv, b)
-        pc = None if cc is None else g.div(cc, g.conj(b))
-        out.append((a, pv, pc))
-    if need[1]:
+    if g.needs[a]:
+        out.append((a, g.div(c, cb)))
+    if g.needs[b]:
         # d(a/b)/db = -u/b with u the node value
-        pv = None if cv is None else g.neg(g.div(g.mul(cv, nid), b))
-        pc = None if cc is None else g.neg(g.div(g.mul(cc, g.conj(nid)), g.conj(b)))
-        out.append((b, pv, pc))
+        out.append((b, g.neg(g.div(g.mul(c, g.conj(nid)), cb))))
     return out
 
 
-def _pull_smul(g, nid, cv, cc, need):
+def _pull_smul(g, nid, c, naive):
     (a,) = g.inputs[nid]
-    c = g.aux[nid]
-    pv = None if cv is None else g.smul(cv, c)
-    pc = None if cc is None else g.smul(cc, c.conjugate())
-    return [(a, pv, pc)]
+    return [(a, g.smul(c, g.aux[nid].conjugate()))]
 
 
-def _pull_exp(g, nid, cv, cc, need):
+def _pull_exp(g, nid, c, naive):
     (a,) = g.inputs[nid]
-    pv = None if cv is None else g.mul(cv, nid)
-    pc = None if cc is None else g.mul(cc, g.conj(nid))
-    return [(a, pv, pc)]
+    return [(a, g.mul(c, g.conj(nid)))]
 
 
-def _pull_log(g, nid, cv, cc, need):
+def _pull_log(g, nid, c, naive):
     (a,) = g.inputs[nid]
-    pv = None if cv is None else g.div(cv, a)
-    pc = None if cc is None else g.div(cc, g.conj(a))
-    return [(a, pv, pc)]
+    return [(a, g.div(c, g.conj(a)))]
 
 
-def _pull_sqrt(g, nid, cv, cc, need):
+def _pull_sqrt(g, nid, c, naive):
     (a,) = g.inputs[nid]
-    d = g.smul(nid, 2.0)
-    pv = None if cv is None else g.div(cv, d)
-    pc = None if cc is None else g.div(cc, g.conj(d))
-    return [(a, pv, pc)]
+    return [(a, g.div(c, g.conj(g.smul(nid, 2.0))))]
 
 
-def _pull_cabs(g, nid, cv, cc, need):
-    # d|z|/dz = z*/(2|z|), d|z|/dz* = z/(2|z|); both channels collapse onto
-    # t = cv + cc because |z| is real.  Masked divide keeps z = 0 at zero.
+def _pull_cabs(g, nid, c, naive):
+    # d|z|/dz = z*/(2|z|) and d|z|/dz* = z/(2|z|), so the two terms share
+    # z/(2|z|) and their adjoints sum to t = c + conj(c).  Masked divide
+    # keeps z = 0 at zero.
     (a,) = g.inputs[nid]
-    t = _madd(g, cv, cc)
-    if t is None:
-        return [(a, None, None)]
-    two_u = g.smul(nid, 2.0)
-    pv = g.mdiv(g.mul(t, g.conj(a)), two_u)
-    pc = g.mdiv(g.mul(t, a), two_u)
-    return [(a, pv, pc)]
+    t = c if naive else g.add(c, g.conj(c))
+    return [(a, g.mdiv(g.mul(t, a), g.smul(nid, 2.0)))]
 
 
-def _pull_mdiv(g, nid, cv, cc, need):
+def _pull_mdiv(g, nid, c, naive):
     a, b = g.inputs[nid]
+    cb = g.conj(b)
     out = []
-    if need[0]:
-        pv = None if cv is None else g.mdiv(cv, b)
-        pc = None if cc is None else g.mdiv(cc, g.conj(b))
-        out.append((a, pv, pc))
-    if need[1]:
-        pv = None if cv is None else g.neg(g.mdiv(g.mul(cv, nid), b))
-        pc = None if cc is None else g.neg(g.mdiv(g.mul(cc, g.conj(nid)), g.conj(b)))
-        out.append((b, pv, pc))
+    if g.needs[a]:
+        out.append((a, g.mdiv(c, cb)))
+    if g.needs[b]:
+        out.append((b, g.neg(g.mdiv(g.mul(c, g.conj(nid)), cb))))
     return out
 
 
-def _pull_crelu(g, nid, cv, cc, need):
+def _pull_crelu(g, nid, c, naive):
     # du/dz = (m_re + m_im)/2 and du/dz* = (m_re - m_im)/2 with the two
     # half-plane masks; both are real, so conjugations drop out.
     (a,) = g.inputs[nid]
     v = g.val[a]
     mre = (v.real > 0).astype(_C)
     mim = (v.imag > 0).astype(_C)
-    p = g.const((mre + mim) * 0.5)
-    q = g.const((mre - mim) * 0.5)
-    pv = _madd(g, None if cv is None else g.mul(cv, p), None if cc is None else g.mul(cc, q))
-    pc = _madd(g, None if cv is None else g.mul(cv, q), None if cc is None else g.mul(cc, p))
-    return [(a, pv, pc)]
+    hol = g.mul(c, g.const((mre + mim) * 0.5))
+    if naive:
+        return [(a, hol)]
+    return [(a, g.add(hol, g.mul(g.conj(c), g.const((mre - mim) * 0.5))))]
 
 
-def _pull_matmul(g, nid, cv, cc, need):
+def _pull_matmul(g, nid, c, naive):
     a, b = g.inputs[nid]
     out = []
-    if need[0]:
-        pv = None if cv is None else g.matmul(cv, g.transpose(b))
-        pc = None if cc is None else g.matmul(cc, g.transpose(g.conj(b)))
-        out.append((a, pv, pc))
-    if need[1]:
-        pv = None if cv is None else g.matmul(g.transpose(a), cv)
-        pc = None if cc is None else g.matmul(g.transpose(g.conj(a)), cc)
-        out.append((b, pv, pc))
+    if g.needs[a]:
+        out.append((a, g.matmul(c, g.transpose(g.conj(b)))))
+    if g.needs[b]:
+        out.append((b, g.matmul(g.transpose(g.conj(a)), c)))
     return out
 
 
-def _pull_bmm(g, nid, cv, cc, need):
+def _pull_bmm(g, nid, c, naive):
     a, b = g.inputs[nid]
     out = []
-    if need[0]:
-        pv = None if cv is None else g.bmm(cv, g.btranspose(b))
-        pc = None if cc is None else g.bmm(cc, g.btranspose(g.conj(b)))
-        out.append((a, pv, pc))
-    if need[1]:
-        pv = None if cv is None else g.bmm(g.btranspose(a), cv)
-        pc = None if cc is None else g.bmm(g.btranspose(g.conj(a)), cc)
-        out.append((b, pv, pc))
+    if g.needs[a]:
+        out.append((a, g.bmm(c, g.btranspose(g.conj(b)))))
+    if g.needs[b]:
+        out.append((b, g.bmm(g.btranspose(g.conj(a)), c)))
     return out
 
 
-def _pull_transpose(g, nid, cv, cc, need):
+def _pull_transpose(g, nid, c, naive):
     (a,) = g.inputs[nid]
-    pv = None if cv is None else g.transpose(cv)
-    pc = None if cc is None else g.transpose(cc)
-    return [(a, pv, pc)]
+    return [(a, g.transpose(c))]
 
 
-def _pull_btranspose(g, nid, cv, cc, need):
+def _pull_btranspose(g, nid, c, naive):
     (a,) = g.inputs[nid]
-    pv = None if cv is None else g.btranspose(cv)
-    pc = None if cc is None else g.btranspose(cc)
-    return [(a, pv, pc)]
+    return [(a, g.btranspose(c))]
 
 
-def _pull_reshape(g, nid, cv, cc, need):
+def _pull_reshape(g, nid, c, naive):
     (a,) = g.inputs[nid]
-    shape = g.aux[nid]
-    pv = None if cv is None else g.reshape(cv, shape)
-    pc = None if cc is None else g.reshape(cc, shape)
-    return [(a, pv, pc)]
+    return [(a, g.reshape(c, g.aux[nid]))]
 
 
-def _pull_take(g, nid, cv, cc, need):
+def _pull_take(g, nid, c, naive):
     (a,) = g.inputs[nid]
-    idx = g.aux[nid]
-    shape = g.val[a].shape
-    pv = None if cv is None else g.scatter(cv, idx, shape)
-    pc = None if cc is None else g.scatter(cc, idx, shape)
-    return [(a, pv, pc)]
+    return [(a, g.scatter(c, g.aux[nid], g.val[a].shape))]
 
 
-def _pull_scatter(g, nid, cv, cc, need):
+def _pull_scatter(g, nid, c, naive):
     (a,) = g.inputs[nid]
-    idx = g.aux[nid]
-    shape = g.val[a].shape
-    pv = None if cv is None else g.take(cv, idx, shape)
-    pc = None if cc is None else g.take(cc, idx, shape)
-    return [(a, pv, pc)]
+    return [(a, g.take(c, g.aux[nid], g.val[a].shape))]
 
 
 _PULLBACKS: dict[str, Callable] = {
@@ -613,7 +553,7 @@ class Cotangents:
     materialized lazily.
     """
 
-    def __init__(self, tape: Tape, node_pairs: dict[int, tuple[int | None, int | None]]):
+    def __init__(self, tape: Tape, node_pairs: dict[int, Sequence[int | None]]):
         self._tape = tape
         self._pairs = node_pairs
 
@@ -636,11 +576,10 @@ class Cotangents:
     def pair(self, nid: int) -> DualCotangent:
         return DualCotangent(self.wrt_value(nid), self.wrt_conj(nid))
 
-    def node_pair_ids(self, nid: int) -> tuple[int | None, int | None]:
-        return self._pairs.get(nid, (None, None))
-
     def max_conjugate_gap(self) -> float:
-        """max |wrt_conj - conj(wrt_value)| over all touched nodes."""
+        """max |wrt_conj - conj(wrt_value)| over all touched nodes; zero by
+        construction after :func:`backward`, whose value channel is the
+        conjugate of its conj channel."""
         gap = 0.0
         for nid in self._pairs:
             dv = self._channel(nid, 0)
@@ -655,39 +594,39 @@ def backward_graph(
     seed: tuple[complex | None, complex | None] = (1.0, None),
     naive: bool = False,
     stop: frozenset[int] | set[int] | None = None,
-) -> dict[int, tuple[int | None, int | None]]:
+) -> dict[int, Sequence[int | None]]:
     """Sweep the tape in reverse from ``out_id``, recording the adjoint
     arithmetic on the same tape.
 
     ``seed`` gives the (value, conjugate) adjoints of the output node; None
-    means a structural zero.  With ``naive=True`` only the value channel is
-    propagated, which drops every conjugate-path term of the chain rule
-    (the classical, holomorphic-only rule).  Nodes in ``stop`` are treated
-    as free variables: they accumulate adjoints but are not differentiated
+    means a structural zero.  With ``naive=True`` the conjugate seed and
+    every antiholomorphic term are dropped (the classical, holomorphic-only
+    rule), and so is the conj channel.  Nodes in ``stop`` are treated as
+    free variables: they accumulate adjoints but are not differentiated
     through.
 
     Returns a map node id -> (value-channel node id, conj-channel node id).
     Node ids are processed in descending order, so every adjoint is fully
     accumulated before it is propagated.
     """
-    return _sweep(g, g, out_id, seed, naive, stop)
+    return _paired(g, g, out_id, seed, naive, stop)
 
 
 def backward_values(
     g: Tape,
     out_id: int,
     seed: tuple[complex | None, complex | None] = (1.0, None),
-) -> dict[int, tuple[np.ndarray | None, np.ndarray | None]]:
+) -> dict[int, Sequence[np.ndarray | None]]:
     """The sweep of :func:`backward_graph`, run on arrays: it records
     nothing, so the tape keeps its length and its result cannot be
     differentiated again.
 
     Each adjoint is dropped once it has been propagated.  Returns a map
     leaf id -> (value-channel array, conj-channel array) for the leaves the
-    sweep reached; None is a structural zero.  The arrays equal the values
-    of the nodes :func:`backward_graph` records.
+    sweep reached.  The arrays equal the values of the nodes
+    :func:`backward_graph` records.
     """
-    return _sweep(g, _ArrayOps(g), out_id, seed, False, None)
+    return _paired(g, _ArrayOps(g), out_id, seed, False, None)
 
 
 class _Resolved:
@@ -733,18 +672,68 @@ def evaluator() -> Tape:
     return _ArrayOps(Tape())
 
 
-def _sweep(g: Tape, ops: Tape, out_id: int, seed, naive: bool, stop):
-    """Reverse sweep over ``g`` whose adjoint arithmetic runs on ``ops``:
-    ``g`` itself records it, an :class:`_ArrayOps` over ``g`` does not and
-    keeps only the adjoints of leaves (and of ``stop`` nodes, if given)."""
-    keep_all = ops is g
-    shape = g.val[out_id].shape
-    sv, sc = seed
-    if naive:
-        sc = None
-    cot: dict = {out_id: (None if sv is None else ops.const(np.full(shape, _C(sv))),
-                          None if sc is None else ops.const(np.full(shape, _C(sc))))}
+class _Pair:
+    """(dL/dz, dL/dz*) of one node from its adjoints c1 and c2 in the
+    sweeps of :func:`_paired` (c2 None after a real seed): c1 + i c2 and
+    conj(c1) + i conj(c2), each built by ``ops`` on first read.  A pair
+    holds the ops, never the map it sits in, so a swept tape and its result
+    are freed by reference counting alone."""
 
+    __slots__ = ("_ops", "_c1", "_c2", "_built")
+
+    def __init__(self, ops: Tape, c1, c2):
+        self._ops, self._c1, self._c2 = ops, c1, c2
+        self._built = [None, c1 if c2 is None else None]
+
+    def __getitem__(self, slot: int):
+        if slot not in (0, 1):
+            raise IndexError(slot)
+        got = self._built[slot]
+        if got is None:
+            ops = self._ops
+            lift = ops.conj if slot == 0 else (lambda c: c)
+            terms = [] if self._c1 is None else [lift(self._c1)]
+            if self._c2 is not None:
+                terms.append(ops.smul(lift(self._c2), 1j))
+            got = terms[0] if len(terms) == 1 else ops.add(*terms)
+            self._built[slot] = got
+        return got
+
+
+def _paired(g: Tape, ops: Tape, out_id: int, seed, naive: bool, stop) -> dict:
+    """Run the sweeps a (value, conj) seed needs and pair their adjoints.
+
+    A sweep propagates one adjoint, c = dL/du*, which stands for the pair
+    (conj(c), c): the two channels of a real loss are conjugate mirrors.
+    A seed (sv, sc) with sv == conj(sc) is real and runs one sweep, seeded
+    with sc.  Any other seed is the sum of two real ones, because the
+    two-channel chain rule is linear over C in the seed pair:
+
+        a1 = (sc + conj(sv)) / 2,   a2 = (sc - conj(sv)) / 2i,
+        conj channel  = P(a1) + i P(a2),
+        value channel = conj(P(a1)) + i conj(P(a2)),
+
+    with P(a) the sweep seeded with a.  The naive rule has no
+    antiholomorphic term, so with sc dropped the two sweeps reduce to one
+    seeded with conj(sv), whose conjugate is the value channel.
+    """
+    sv, sc = (0j if s is None else complex(s) for s in seed)
+    if naive:
+        cot = _sweep(g, ops, out_id, sv.conjugate(), True, stop) if sv else {}
+        return {nid: (ops.conj(c), None) for nid, c in cot.items()}
+    a1, a2 = (sc + sv.conjugate()) / 2, (sc - sv.conjugate()) / 2j
+    p1 = _sweep(g, ops, out_id, a1, False, stop) if a1 else {}
+    p2 = _sweep(g, ops, out_id, a2, False, stop) if a2 else {}
+    return {nid: _Pair(ops, p1.get(nid), p2.get(nid)) for nid in dict.fromkeys([*p1, *p2])}
+
+
+def _sweep(g: Tape, ops: Tape, out_id: int, seed: complex, naive: bool, stop) -> dict:
+    """Reverse sweep over ``g`` from the adjoint ``seed`` at ``out_id``,
+    whose adjoint arithmetic runs on ``ops``: ``g`` itself records it, an
+    :class:`_ArrayOps` over ``g`` does not and keeps only the adjoints of
+    leaves (and of ``stop`` nodes, if given).  Returns node id -> c."""
+    keep_all = ops is g
+    cot: dict = {out_id: ops.const(np.full(g.val[out_id].shape, _C(seed)))}
     heap = [-out_id]
     while heap:
         nid = -heapq.heappop(heap)
@@ -753,26 +742,16 @@ def _sweep(g: Tape, ops: Tape, out_id: int, seed, naive: bool, stop):
             continue
         if stop is not None and nid in stop:
             continue
-        cv, cc = cot[nid] if keep_all else cot.pop(nid)
-        if cv is None and cc is None:
+        c = cot[nid] if keep_all else cot.pop(nid)
+        if not g.needs[nid]:
             continue
-        ins = g.inputs[nid]
-        need = tuple(g.needs[i] for i in ins)
-        if not any(need):
-            continue
-        for inp, pv, pc in _PULLBACKS[kind](ops, nid, cv, cc, need):
-            if not g.needs[inp]:
-                continue
-            if naive:
-                pc = None
-            if pv is None and pc is None:
-                continue
+        for inp, p in _PULLBACKS[kind](ops, nid, c, naive):
             prev = cot.get(inp)
             if prev is None:
-                cot[inp] = (pv, pc)
+                cot[inp] = p
                 heapq.heappush(heap, -inp)
             else:
-                cot[inp] = (_madd(ops, prev[0], pv), _madd(ops, prev[1], pc))
+                cot[inp] = ops.add(prev, p)
     return cot
 
 
@@ -786,12 +765,12 @@ def _check_real_scalar(g: Tape, loss_id: int) -> None:
 
 
 def backward(g: Tape, loss_id: int) -> Cotangents:
-    """Dual-channel reverse sweep from a real-valued scalar loss.
+    """Reverse sweep from a real-valued scalar loss, with both channels.
 
     The loss node is seeded with the pair (1/2, 1/2): a real scalar reads
     as (L + L*)/2, which splits the unit adjoint evenly across the two
-    channels and keeps ``wrt_conj == conj(wrt_value)`` at every node,
-    including the loss itself.
+    channels.  That seed is real, so one sweep propagates dL/dz* and each
+    ``wrt_value`` is its conjugate.
     """
     _check_real_scalar(g, loss_id)
     pairs = backward_graph(g, loss_id, seed=(0.5, 0.5))

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from camel.cli import (
 )
 from camel.ctensor import CTensor
 from camel.gradcheck import GradCase, run_suite
+import camel
 from camel import layers
 from camel.layers import ArchConfig, init_params
 from camel.meta import HistoryRow, ParamSet
@@ -160,9 +163,8 @@ def test_gradcheck_negative_control_flags_corrupted_adjoint(rng):
 
     original = w._PULLBACKS["conj"]
 
-    def crooked(g, nid, cv, cc, need):
-        return [(i, pv if pv is None else g.smul(pv, 1.001), pc)
-                for i, pv, pc in original(g, nid, cv, cc, need)]
+    def crooked(g, nid, c, naive):
+        return [(i, g.smul(p, 1.001)) for i, p in original(g, nid, c, naive)]
 
     w._PULLBACKS["conj"] = crooked
     try:
@@ -350,6 +352,27 @@ def test_cmd_eval_nonfinite_loss_exits_2(tmp_path, tiny_cfg_path, capsys, finetu
     err = capsys.readouterr().err
     assert code == 2
     assert message in err and "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def _camel_in_fresh_process(*argv) -> tuple[int, str]:
+    """Exit code and standard error of the CLI in its own interpreter, where
+    numpy warnings reach stderr as they do for a user."""
+    src = os.path.dirname(os.path.dirname(camel.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", "import sys; from camel.cli import main; sys.exit(main())",
+                           *argv], capture_output=True, text=True, env=env, timeout=300)
+    return done.returncode, done.stderr
+
+
+def test_nonfinite_train_and_eval_print_no_numpy_warnings(tmp_path, tiny_cfg_path):
+    path = _damaged_checkpoint(tmp_path, tiny_cfg_path, _blown_up)
+    code, err = _camel_in_fresh_process("eval", "--config", tiny_cfg_path, "--checkpoint", path,
+                                        "--episodes", "2")
+    assert code == 2 and "RuntimeWarning" not in err and len(err.strip().splitlines()) == 1
+    code, err = _camel_in_fresh_process("train", "--config", tiny_cfg_path,
+                                        "--set", "outer_optimizer=sgd", "--set", "outer_lr=1e9",
+                                        "--set", "iterations=50", "--out", str(tmp_path / "div"))
+    assert code == 2 and "RuntimeWarning" not in err and "training diverged" in err
 
 
 def test_cmd_train_bad_frames_file_exits_3(tmp_path, tiny_cfg_path):

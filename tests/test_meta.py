@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 
@@ -237,6 +238,58 @@ def test_unrolled_meta_gradient_memory_at_desk_scale(rng):
     assert peak < 60 * 2**20
 
 
+def _desk_task(rng):
+    theta = ParamSet(init_params(DESK_ARCH, rng))
+    return theta, EpisodeTask(toy_episode(rng, DESK_ARCH, n_way=5, k_shot=1, q_per_class=5), DESK_ARCH)
+
+
+def test_single_channel_sweeps_at_desk_scale(rng):
+    # one adjoint per node: a recorded desk support backward takes 262 nodes
+    # (451 with two channels), and one 5-step task peaks near 20 MB of traced
+    # allocations (28 MB with two)
+    theta, task = _desk_task(rng)
+    g = Tape()
+    loss = task.support_loss(g, {k: g.leaf(v) for k, v in theta.items()})
+    n = len(g)
+    backward_graph(g, loss, seed=(0.5, 0.5))
+    assert len(g) - n <= 300
+    tracemalloc.start()
+    try:
+        meta_gradient(theta, [task], ALPHA, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 23 * 2**20
+
+
+def test_swept_tape_is_freed_without_the_cycle_collector(rng):
+    theta, task = _desk_task(rng)
+
+    def sweep_and_read():
+        g = Tape()
+        leaves = {k: g.leaf(v) for k, v in theta.items()}
+        loss = task.support_loss(g, leaves)
+        pairs = backward_graph(g, loss, seed=(0.5, 0.5))
+        values = backward_values(g, loss, seed=(1.0, None))
+        return g, [pairs[n][0] for n in leaves.values()], [values[n][0] for n in leaves.values()]
+
+    sweep_and_read()  # fills the index-map cache
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = sweep_and_read()
+        held = tracemalloc.get_traced_memory()[0] - base
+        del result
+        left = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert held > 2**20
+    assert left < 64 * 2**10
+
+
 WIDE_ARCH = ArchConfig(n_classes=5, frame_len=128, conv_channels=32, conv_stride=2,
                        attn_dim=16, n_heads=4, fc_hidden=64)
 
@@ -370,6 +423,25 @@ def test_train_divergence_aborts_with_last_good():
         train_meta(theta_scalar(), lambda: quad_tasks(), cfg)
     state = info.value.state
     assert np.all(np.isfinite(state.theta["t"].numpy().real))
+
+
+@pytest.mark.parametrize("first_order", [False, True], ids=["exact", "first_order"])
+def test_training_accuracy_reads_the_recorded_query_forward(rng, monkeypatch, first_order):
+    # each task runs inner_steps support forwards and one query forward, and
+    # query_acc is the accuracy of the adapted parameters on the query set
+    arch = TOY_ARCH
+    tasks = [EpisodeTask(toy_episode(rng, arch, q_per_class=4), arch) for _ in range(3)]
+    theta = ParamSet(init_params(arch, rng))
+    cfg = MetaConfig(inner_lr=0.5, outer_lr=0.01, meta_batch=3, inner_steps=2, iterations=2,
+                     first_order=first_order, early_stop=False)
+    want = float(np.mean([t.query_accuracy(inner_update(theta, t, cfg.inner_lr, 2)) for t in tasks]))
+    calls = []
+    real_build = camel.meta.build_network
+    monkeypatch.setattr(camel.meta, "build_network", lambda *a, **k: calls.append(1) or real_build(*a, **k))
+    state = train_meta(theta, lambda: tasks, cfg)
+    assert len(calls) == cfg.iterations * cfg.meta_batch * (cfg.inner_steps + 1)
+    assert state.history[0].query_acc == want
+    assert 0.0 < want < 1.0
 
 
 def test_train_camel_seeded_runs_identical(rng):

@@ -196,6 +196,64 @@ def test_naive_rule_kills_conjugate_entry_point():
     assert pv is None or np.max(np.abs(g.val[pv])) == 0.0
 
 
+def _mixed_graph(g, z, w):
+    # sum(crelu(z) * conj(z) + |z| * w): mul, conj, cabs and crelu
+    return g_sum(g, g.add(g.mul(g.crelu(z), g.conj(z)), g.mul(g.cabs(z), w)))
+
+
+@pytest.mark.parametrize("seed", [(1.0, None), (0.5, 0.5), (0.3 - 0.2j, 1.1 + 0.4j), (None, 2.0j)])
+@pytest.mark.parametrize("sweep", ["graph", "values"])
+def test_sweeps_match_hand_derived_dual_pair(rng, seed, sweep):
+    # u = sum(r * conj(z) + |z| w) with r = crelu(z) and half-plane masks
+    # m_re, m_im has, per element,
+    #   A = du/dz  = p conj(z) + w conj(z) / (2|z|)
+    #   B = du/dz* = q conj(z) + r + w z / (2|z|)
+    # with p = (m_re + m_im)/2, q = (m_re - m_im)/2, so the dual-channel
+    # adjoints of a seed (sv, sc) are sv A + sc conj(B) and sv B + sc conj(A).
+    z0 = rand_off_zero(rng, 6)
+    w0 = rand_complex(rng, 6)
+    mre, mim = (z0.real > 0) * 1.0, (z0.imag > 0) * 1.0
+    r = np.maximum(z0.real, 0) + 1j * np.maximum(z0.imag, 0)
+    a = (mre + mim) / 2 * np.conj(z0) + w0 * np.conj(z0) / (2 * np.abs(z0))
+    b = (mre - mim) / 2 * np.conj(z0) + r + w0 * z0 / (2 * np.abs(z0))
+    sv, sc = (0.0 if s is None else s for s in seed)
+    want = (sv * a + sc * np.conj(b), sv * b + sc * np.conj(a))
+
+    g = Tape()
+    z = g.leaf(z0)
+    out = _mixed_graph(g, z, g.const(w0))
+    pairs = (backward_graph if sweep == "graph" else backward_values)(g, out, seed=seed)
+    for slot in (0, 1):
+        got = pairs[z][slot]
+        got = g.val[got] if sweep == "graph" else got
+        assert np.max(np.abs(got - want[slot])) <= 1e-12 * np.max(np.abs(want[slot]))
+
+
+def test_real_seed_builds_the_value_channel_only_when_read(rng):
+    g = Tape()
+    z = g.leaf(rand_off_zero(rng, 4))
+    out = _mixed_graph(g, z, g.const(rand_complex(rng, 4)))
+    pairs = backward_graph(g, out, seed=(0.5, 0.5))
+    n = len(g)
+    cid = pairs[z][1]
+    assert len(g) == n
+    vid = pairs[z][0]
+    assert len(g) == n + 1 and g.kind[vid] == "conj" and g.inputs[vid] == (cid,)
+    assert pairs[z][0] == vid and len(g) == n + 1
+
+
+def test_naive_rule_gives_exact_zeros_behind_conj():
+    # every path from the loss to x passes a conj, whose whole adjoint is
+    # antiholomorphic: the naive rule reaches nothing, and has no conj channel
+    g = Tape()
+    x = g.leaf(np.asarray([0.5 + 0.5j, -0.3 + 0.8j]))
+    u = g.conj(x)
+    loss = g_sum(g, g.mul(g.cabs(u), g.crelu(u)))
+    pairs = backward_graph(g, loss, seed=(1.0, None), naive=True)
+    assert x not in pairs
+    assert all(p[1] is None for p in pairs.values())
+
+
 # ---------------------------------------------------------------------------
 # graph-free sweeps
 # ---------------------------------------------------------------------------
