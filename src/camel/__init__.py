@@ -11,7 +11,6 @@ from .ctensor import CTensor, cmatmul, cmul, conj, hermitian
 from .layers import (
     ArchConfig,
     MhaParams,
-    NormState,
     c_act,
     c_attention,
     c_mha,

@@ -149,7 +149,7 @@ def _act_case(kind: str) -> GradCase:
 def _conv_case() -> GradCase:
     def build(g, lv, rng):
         out = build_cconv1d(g, lv["x"], lv["A"], lv["b"], stride=1)
-        return _head(g, out, rng)
+        return _head(g, g.permute(out, (1, 0)), rng)  # channel-major, (C_out, N*T_out)
 
     return GradCase(
         "cconv1d",
@@ -192,7 +192,8 @@ def _norm_case() -> GradCase:
     return GradCase(
         "c_norm",
         lambda rng: {"x": _rand(rng, 2, 5), "gamma": _rand(rng, 2), "kappa": _rand(rng, 2)},
-        lambda g, lv, rng: _head(g, build_norm(g, lv["x"], lv["gamma"], lv["kappa"], 1e-5), rng),
+        lambda g, lv, rng: _head(g, g.permute(build_norm(g, g.permute(lv["x"], (1, 0)), lv["gamma"],
+                                                         lv["kappa"], 1e-5), (1, 0)), rng),
     )
 
 
@@ -212,14 +213,43 @@ def _forward_case() -> GradCase:
     return GradCase("camel_forward", make_inputs, build)
 
 
+BROADCAST_PATTERNS = {
+    "row": ((2, 3), (3,)),
+    "col": ((2, 3), (2, 1)),
+    "scalar": ((2, 3), ()),
+    "outer": ((2, 1), (1, 3)),
+}
+"""Operand shapes of the broadcasting cases: a bias row, a per-row
+statistic, a scalar, and both operands broadcast."""
+
+_BINARY = {"add": Tape.add, "sub": Tape.sub, "mul": Tape.mul, "mulc": Tape.mulc,
+           "div": Tape.div, "mdiv": Tape.mdiv}
+
+
+def _broadcast_case(op: str, pattern: str) -> GradCase:
+    sa, sb = BROADCAST_PATTERNS[pattern]
+    off_zero = op in ("div", "mdiv")
+
+    def make_inputs(rng):
+        gen = _rand_off_zero if off_zero else _rand
+        return {"x0": gen(rng, *sa), "x1": gen(rng, *sb)}
+
+    return GradCase(f"{op}[{pattern}]", make_inputs,
+                    lambda g, lv, rng: _head(g, _BINARY[op](g, lv["x0"], lv["x1"]), rng))
+
+
+def _product_case(op: str, adj, sa, sb) -> GradCase:
+    name = op if adj is None else f"{op}[adj={adj}]"
+    return GradCase(name,
+                    lambda rng: {"x0": _rand(rng, *sa), "x1": _rand(rng, *sb)},
+                    lambda g, lv, rng: _head(g, getattr(g, op)(lv["x0"], lv["x1"], adj), rng))
+
+
 def default_cases() -> list[GradCase]:
     cases = [
-        _elementwise_case("add", Tape.add, n_inputs=2),
-        _elementwise_case("sub", Tape.sub, n_inputs=2),
+        *(_elementwise_case(op, fn, off_zero=op in ("div", "mdiv"), n_inputs=2)
+          for op, fn in _BINARY.items()),
         _elementwise_case("neg", Tape.neg),
-        _elementwise_case("mul", Tape.mul, n_inputs=2),
-        _elementwise_case("div", Tape.div, off_zero=True, n_inputs=2),
-        _elementwise_case("mdiv", Tape.mdiv, off_zero=True, n_inputs=2),
         _elementwise_case("smul", lambda g, a: g.smul(a, 0.7 - 0.4j)),
         _elementwise_case("conj", Tape.conj),
         _elementwise_case("exp", Tape.exp),
@@ -227,15 +257,19 @@ def default_cases() -> list[GradCase]:
         _elementwise_case("sqrt", Tape.sqrt, off_zero=True),
         _elementwise_case("cabs", Tape.cabs, off_zero=True),
         _elementwise_case("crelu", Tape.crelu, off_zero=True),
-        GradCase("matmul",
-                 lambda rng: {"x0": _rand(rng, 2, 3), "x1": _rand(rng, 3, 4)},
-                 lambda g, lv, rng: _head(g, g.matmul(lv["x0"], lv["x1"]), rng)),
-        GradCase("bmm",
-                 lambda rng: {"x0": _rand(rng, 2, 2, 3), "x1": _rand(rng, 2, 3, 2)},
-                 lambda g, lv, rng: _head(g, g.bmm(lv["x0"], lv["x1"]), rng)),
-        _elementwise_case("transpose", Tape.transpose),
-        _elementwise_case("btranspose", lambda g, a: g.btranspose(g.reshape(a, (1, 2, 3)))),
+        *(_broadcast_case(op, pattern) for op in _BINARY for pattern in BROADCAST_PATTERNS),
+        _product_case("matmul", None, (2, 3), (3, 4)),
+        _product_case("matmul", "a", (3, 2), (3, 4)),
+        _product_case("matmul", "b", (2, 3), (4, 3)),
+        _product_case("bmm", None, (2, 2, 3), (2, 3, 2)),
+        _product_case("bmm", "a", (2, 3, 2), (2, 3, 4)),
+        _product_case("bmm", "b", (2, 2, 3), (2, 4, 3)),
         _elementwise_case("reshape", lambda g, a: g.reshape(a, (3, 2))),
+        _elementwise_case("permute", lambda g, a: g.permute(g.reshape(a, (1, 2, 3)), (2, 0, 1))),
+        _elementwise_case("transpose", lambda g, a: g.permute(a, (1, 0))),
+        _elementwise_case("btranspose", lambda g, a: g.permute(g.reshape(a, (1, 2, 3)), (0, 2, 1))),
+        _elementwise_case("sum_to", lambda g, a: g.sum_to(a, (1, 3))),
+        _elementwise_case("expand", lambda g, a: g.expand(g.reshape(a, (2, 1, 3)), (2, 4, 3))),
         GradCase("take",
                  lambda rng: {"x0": _rand(rng, 6)},
                  lambda g, lv, rng: _head(g, g.take(lv["x0"], np.array([0, 2, 2, 5, 1], dtype=np.intp), (5,)), rng)),

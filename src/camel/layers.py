@@ -6,6 +6,11 @@ Each layer exists twice: a ``build_*`` function that records the layer onto
 a tape (used by training), and a small eager wrapper with the public
 CTensor signature (used by callers and by the numerical checkers), which
 runs the same builder on a ``wirtinger.evaluator`` and so records nothing.
+
+Inside the network, features are time-major rows (N*T, C) from the
+embedding to the FC block: biases, norm statistics and scales broadcast
+over the rows, multi-head attention moves heads with ``permute``, and the
+convolution's patch gather is the only index map.
 """
 
 from __future__ import annotations
@@ -16,17 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .ctensor import CTensor, ShapeMismatchError
-from .wirtinger import (
-    Tape,
-    _cached_idx,
-    evaluator,
-    g_abs,
-    g_expand_last,
-    g_im,
-    g_re,
-    g_reduce_last,
-    g_sum,
-)
+from .wirtinger import Tape, _cached_idx, evaluator, g_abs, g_abs2, g_im, g_re, g_sum
 
 _C = np.complex128
 
@@ -105,79 +100,25 @@ class MhaParams:
     n_heads: int
 
 
-@dataclass
-class NormState:
-    """Running statistics of one normalization layer (inference mode)."""
-
-    mean: np.ndarray
-    var: np.ndarray
-    momentum: float = 0.1
-
-    @classmethod
-    def for_channels(cls, n: int, momentum: float = 0.1) -> "NormState":
-        return cls(np.zeros(n, dtype=_C), np.ones(n, dtype=np.float64), momentum)
-
-    def update(self, mean: np.ndarray, var: np.ndarray) -> None:
-        m = self.momentum
-        self.mean = (1 - m) * self.mean + m * mean
-        self.var = (1 - m) * self.var + m * var.real
-
-
 # ---------------------------------------------------------------------------
 # index maps (in the tape's cache; they only depend on shapes)
 # ---------------------------------------------------------------------------
 
-def _conv_patch_idx(n: int, ci: int, t: int, k: int, stride: int):
+def _conv_patch_idx(n: int, ci: int, t: int, k: int, stride: int, channels_last: bool):
+    """Gather map from an (n, ci, t) input, or an (n, t, ci) one when
+    ``channels_last``, to the (n*to, ci*k) patch matrix: row n*to + j holds
+    input channel c at times j*stride .. j*stride + k - 1 in column c*k + kk."""
     to = (t - k) // stride + 1
 
     def build():
+        sc, st = (1, ci) if channels_last else (t, 1)
+        nn, jj = np.meshgrid(np.arange(n), np.arange(to), indexing="ij")
+        row_src = (nn * ci * t + jj * stride * st).reshape(-1)  # (n*to,)
         cc, kk = np.meshgrid(np.arange(ci), np.arange(k), indexing="ij")
-        row_src = (cc * t + kk).reshape(-1)  # (ci*k,)
-        nn, tt = np.meshgrid(np.arange(n), np.arange(to), indexing="ij")
-        col_src = (nn * ci * t + tt * stride).reshape(-1)  # (n*to,)
+        col_src = (cc * sc + kk * st).reshape(-1)  # (ci*k,)
         return (row_src[:, None] + col_src[None, :]).reshape(-1).astype(np.intp)
 
-    return _cached_idx(("convpatch", n, ci, t, k, stride), build), to
-
-
-def _chanmajor_to_batch_idx(n: int, c: int, t: int) -> np.ndarray:
-    # (c, n*t) -> (n, c, t)
-    def build():
-        nn, cc, tt = np.meshgrid(np.arange(n), np.arange(c), np.arange(t), indexing="ij")
-        return (cc * n * t + nn * t + tt).reshape(-1).astype(np.intp)
-
-    return _cached_idx(("chan2batch", n, c, t), build)
-
-
-def _timemajor_idx(n: int, c: int, t: int) -> np.ndarray:
-    # (n, c, t) -> (n*t, c)
-    def build():
-        nn, tt, cc = np.meshgrid(np.arange(n), np.arange(t), np.arange(c), indexing="ij")
-        return (nn * c * t + cc * t + tt).reshape(-1).astype(np.intp)
-
-    return _cached_idx(("timemajor", n, c, t), build)
-
-
-def _tile_idx(d: int, n: int) -> np.ndarray:
-    return _cached_idx(("tile", d, n), lambda: np.tile(np.arange(d, dtype=np.intp), n))
-
-
-def _head_slice_idx(d: int, dh: int, h: int) -> np.ndarray:
-    # (d, d) -> column block h of width dh
-    def build():
-        rr, cc = np.meshgrid(np.arange(d), np.arange(dh), indexing="ij")
-        return (rr * d + h * dh + cc).reshape(-1).astype(np.intp)
-
-    return _cached_idx(("headslice", d, dh, h), build)
-
-
-def _head_merge_idx(n: int, l: int, d: int, dh: int, h: int) -> np.ndarray:
-    # (n, l, dh) scattered into column block h of (n, l, d)
-    def build():
-        nn, ll, cc = np.meshgrid(np.arange(n), np.arange(l), np.arange(dh), indexing="ij")
-        return ((nn * l + ll) * d + h * dh + cc).reshape(-1).astype(np.intp)
-
-    return _cached_idx(("headmerge", n, l, d, dh, h), build)
+    return _cached_idx(("convpatch", n, ci, t, k, stride, channels_last), build), to
 
 
 # ---------------------------------------------------------------------------
@@ -194,36 +135,43 @@ def build_lift(g: Tape, x: int, lift: str) -> int:
     raise ConfigError(f"unknown lift {lift!r}")
 
 
-def build_softmax_last(g: Tape, x: int, lift: str) -> int:
-    """Real softmax over the last axis of the lifted input.
+def _sum_last(g: Tape, x: int) -> int:
+    """Sum over the last axis, kept as an axis of length 1."""
+    shape = g.raw(x).shape
+    return g.sum_to(x, shape[:-1] + (1,))
 
-    The row maximum is subtracted as a detached constant; softmax is shift
-    invariant, so gradients are unaffected.
-    """
-    lifted = build_lift(g, x, lift)
-    v = g.raw(lifted)
-    shift = g.const(np.broadcast_to(v.real.max(axis=-1, keepdims=True), v.shape).copy())
-    e = g.exp(g.sub(lifted, shift))
-    denom = g_expand_last(g, g_reduce_last(g, e), v.shape[-1])
-    return g.div(e, denom)
+
+def _minus_row_max(g: Tape, lifted: int) -> int:
+    """The lifted input minus its row maximum, held as a detached constant:
+    softmax is shift invariant, so gradients are unaffected."""
+    return g.sub(lifted, g.const(g.raw(lifted).real.max(axis=-1, keepdims=True)))
+
+
+def _normalize_rows(g: Tape, e: int) -> int:
+    return g.div(e, _sum_last(g, e))
+
+
+def build_softmax_last(g: Tape, x: int, lift: str) -> int:
+    """Real softmax over the last axis of the lifted input."""
+    return _normalize_rows(g, g.exp(_minus_row_max(g, build_lift(g, x, lift))))
 
 
 def build_log_softmax_last(g: Tape, x: int, lift: str) -> int:
-    lifted = build_lift(g, x, lift)
-    v = g.raw(lifted)
-    shift = g.const(np.broadcast_to(v.real.max(axis=-1, keepdims=True), v.shape).copy())
-    z = g.sub(lifted, shift)
-    lse = g.log(g_reduce_last(g, g.exp(z)))
-    return g.sub(z, g_expand_last(g, lse, v.shape[-1]))
+    z = _minus_row_max(g, build_lift(g, x, lift))
+    return g.sub(z, g.log(_sum_last(g, g.exp(z))))
 
 
-def build_cconv1d(g: Tape, x3: int, a: int, b: int | None, stride: int = 1) -> int:
+def build_cconv1d(g: Tape, x3: int, a: int, b: int | None, stride: int = 1,
+                  channels_last: bool = False) -> int:
     """Valid 1-d complex convolution.
 
-    x3: (N, C_in, T); a: (C_out, C_in, K); b: (C_out,) or None.
-    Returns channel-major features (C_out, N*T_out).
+    x3: (N, C_in, T), or (N, T, C_in) with ``channels_last``; a: (C_out,
+    C_in, K); b: (C_out,) or None.  Returns time-major rows (N*T_out, C_out).
     """
-    n, ci, t = g.raw(x3).shape
+    if channels_last:
+        n, t, ci = g.raw(x3).shape
+    else:
+        n, ci, t = g.raw(x3).shape
     co, cia, k = g.raw(a).shape
     if cia != ci:
         raise ShapeMismatchError(f"cconv1d: input has {ci} channels, kernel expects {cia}")
@@ -231,13 +179,13 @@ def build_cconv1d(g: Tape, x3: int, a: int, b: int | None, stride: int = 1) -> i
         raise ShapeMismatchError(f"cconv1d: kernel length {k} exceeds input length {t}")
     if stride < 1:
         raise ConfigError("cconv1d: stride must be >= 1")
-    idx, to = _conv_patch_idx(n, ci, t, k, stride)
-    patches = g.take(x3, idx, (ci * k, n * to))
-    out = g.matmul(g.reshape(a, (co, ci * k)), patches)
+    idx, to = _conv_patch_idx(n, ci, t, k, stride, channels_last)
+    patches = g.take(x3, idx, (n * to, ci * k))
+    out = g.matmul(patches, g.reshape(g.permute(a, (1, 2, 0)), (ci * k, co)))
     if b is not None:
         if g.raw(b).shape != (co,):
             raise ShapeMismatchError(f"cconv1d: bias shape {g.raw(b).shape} != ({co},)")
-        out = g.add(out, g_expand_last(g, b, n * to))
+        out = g.add(out, b)
     return out
 
 
@@ -251,8 +199,17 @@ def build_cfc(g: Tape, x2: int, w: int, b: int | None) -> int:
     if b is not None:
         if g.raw(b).shape != (dout,):
             raise ShapeMismatchError(f"cfc: bias shape {g.raw(b).shape} != ({dout},)")
-        out = g.add(out, g.take(b, _tile_idx(dout, n), (n, dout)))
+        out = g.add(out, b)
     return out
+
+
+def _attend(g: Tape, q3: int, kt3: int, v3: int, lift: str) -> tuple[int, int]:
+    """Attention of (B, Lq, d) queries, already scaled by 1/sqrt(d), over
+    (B, d, Lk) transposed keys and (B, Lk, dv) values; returns (output,
+    weights).  No local name holds the scores or their lift, so an evaluator
+    frees each as soon as the next op has read it."""
+    weights = _normalize_rows(g, g.exp(_minus_row_max(g, build_lift(g, g.bmm(q3, kt3), lift))))
+    return g.bmm(weights, v3), weights
 
 
 def build_attention(g: Tape, q3: int, k3: int, v3: int, lift: str = "abs") -> tuple[int, int]:
@@ -270,64 +227,55 @@ def build_attention(g: Tape, q3: int, k3: int, v3: int, lift: str = "abs") -> tu
         raise ShapeMismatchError(
             f"attention: K length/batch {(nk, lk)} does not match V {(nv, lv)}"
         )
-    scores = g.smul(g.bmm(q3, g.btranspose(k3)), 1.0 / np.sqrt(d))
-    weights = build_softmax_last(g, scores, lift)
-    return g.bmm(weights, v3), weights
+    return _attend(g, g.smul(q3, 1.0 / np.sqrt(d)), g.permute(k3, (0, 2, 1)), v3, lift)
 
 
 def build_mha(g: Tape, q3: int, k3: int, v3: int, wq: int, wk: int, wv: int, wo: int,
               n_heads: int, lift: str = "abs") -> int:
-    """Multi-head attention: per-head projections, attention, concat, W^O."""
+    """Multi-head attention over (N, L, d) stacks: projections, attention
+    of all heads as one batch of n_heads * N, concat, W^O."""
     n, lq, d = g.raw(q3).shape
+    lk = g.raw(k3).shape[1]
+    q2 = g.reshape(q3, (n * lq, d))
+    k2 = q2 if k3 is q3 else g.reshape(k3, (n * lk, d))
+    v2 = k2 if v3 is k3 else g.reshape(v3, (n * lk, d))
+    return g.reshape(_mha_rows(g, q2, k2, v2, n, wq, wk, wv, wo, n_heads, lift), (n, lq, d))
+
+
+def _mha_rows(g: Tape, q2: int, k2: int, v2: int, n: int, wq: int, wk: int, wv: int, wo: int,
+              n_heads: int, lift: str) -> int:
+    """:func:`build_mha` on (N*L, d) rows, returning (N*Lq, d) rows."""
+    lq, lk, d = g.raw(q2).shape[0] // n, g.raw(k2).shape[0] // n, g.raw(q2).shape[1]
     if g.raw(wq).shape != (d, d) or g.raw(wk).shape != (d, d) or g.raw(wv).shape != (d, d):
         raise ShapeMismatchError("mha: projection matrices must be (d, d)")
     if d % n_heads != 0:
         raise ShapeMismatchError(f"mha: feature dim {d} not divisible by n_heads {n_heads}")
-    dh = d // n_heads
-    lk = g.raw(k3).shape[1]
+    h, dh = n_heads, d // n_heads
 
-    q2 = g.reshape(q3, (n * lq, d))
-    k2 = g.reshape(k3, (n * lk, d))
-    v2 = g.reshape(v3, (n * lk, d))
-    merged = None
-    for h in range(n_heads):
-        sl = _head_slice_idx(d, dh, h)
-        wq_h = g.take(wq, sl, (d, dh))
-        wk_h = g.take(wk, sl, (d, dh))
-        wv_h = g.take(wv, sl, (d, dh))
-        qh = g.reshape(g.matmul(q2, wq_h), (n, lq, dh))
-        kh = g.reshape(g.matmul(k2, wk_h), (n, lk, dh))
-        vh = g.reshape(g.matmul(v2, wv_h), (n, lk, dh))
-        out_h, _ = build_attention(g, qh, kh, vh, lift)
-        part = g.scatter(out_h, _head_merge_idx(n, lq, d, dh, h), (n, lq, d))
-        merged = part if merged is None else g.add(merged, part)
-    return g.reshape(g.matmul(g.reshape(merged, (n * lq, d)), wo), (n, lq, d))
+    def heads(x2: int, w: int, l: int, axes: tuple[int, ...]) -> int:
+        # (n*l, d) @ W, split into (n, l, h, dh) and moved to head-major
+        # order: column block k*dh .. (k+1)*dh of W is head k's projection
+        p = g.permute(g.reshape(g.matmul(x2, w), (n, l, h, dh)), axes)
+        return g.reshape(p, (h * n,) + g.raw(p).shape[2:])
+
+    qh = g.smul(heads(q2, wq, lq, (2, 0, 1, 3)), 1.0 / np.sqrt(dh))
+    out, _ = _attend(g, qh, heads(k2, wk, lk, (2, 0, 3, 1)), heads(v2, wv, lk, (2, 0, 1, 3)), lift)
+    merged = g.permute(g.reshape(out, (h, n, lq, dh)), (1, 2, 0, 3))
+    return g.matmul(g.reshape(merged, (n * lq, d)), wo)
 
 
-def build_norm(g: Tape, x2: int, gamma: int, kappa: int, eps: float,
-               state: NormState | None = None, training: bool = True,
-               update_state: bool = False) -> int:
-    """Per-channel normalization of (C, M): subtract the complex mean,
-    divide by sqrt(E|x - mean|^2 + eps), scale by gamma, shift by kappa."""
+def build_norm(g: Tape, x2: int, gamma: int, kappa: int, eps: float) -> int:
+    """Per-channel normalization of (M, C) rows: subtract each column's
+    complex mean, divide by sqrt(E|x - mean|^2 + eps), scale by gamma,
+    shift by kappa (both (C,))."""
     if eps < 0:
         raise ConfigError(f"norm eps must be >= 0, got {eps}")
-    c, m = g.raw(x2).shape
-    if training:
-        mu = g.smul(g_reduce_last(g, x2), 1.0 / m)
-        xc = g.sub(x2, g_expand_last(g, mu, m))
-        var = g.smul(g_reduce_last(g, g.mul(xc, g.conj(xc))), 1.0 / m)
-        if update_state and state is not None:
-            state.update(g.raw(mu).copy(), g.raw(var).copy())
-    else:
-        if state is None:
-            raise ConfigError("inference-mode norm needs running statistics")
-        mu = g.const(state.mean)
-        xc = g.sub(x2, g_expand_last(g, mu, m))
-        var = g.const(state.var.astype(_C))
-    denom = g.sqrt(g.add(var, g.const(np.full(c, eps, dtype=_C))))
-    xn = g.div(xc, g_expand_last(g, denom, m))
-    return g.add(g.mul(xn, g_expand_last(g, gamma, m)),
-                 g_expand_last(g, kappa, m))
+    m, c = g.raw(x2).shape
+    mu = g.smul(g.sum_to(x2, (1, c)), 1.0 / m)
+    xc = g.sub(x2, mu)
+    var = g.smul(g.sum_to(g_abs2(g, xc), (1, c)), 1.0 / m)
+    denom = g.sqrt(g.add(var, g.const(np.full((1, c), eps, dtype=_C))))
+    return g.add(g.mul(g.div(xc, denom), gamma), kappa)
 
 
 def build_act(g: Tape, x: int, kind: str) -> int:
@@ -336,8 +284,7 @@ def build_act(g: Tape, x: int, kind: str) -> int:
         return g.crelu(x)
     if kind not in ACTIVATIONS:
         raise ConfigError(f"unknown activation {kind!r}")
-    shape = g.raw(x).shape
-    one = g.const(np.ones(shape, dtype=_C))
+    one = g.const(1.0)
 
     def real_af(u: int) -> int:
         if kind == "csigmoid":
@@ -382,57 +329,43 @@ def frames_to_input(frames: Sequence[CTensor], arch: ArchConfig) -> np.ndarray:
     return out
 
 
-def build_network(g: Tape, x3: int, params: Mapping[str, int], arch: ArchConfig,
-                  norm_states: Mapping[str, NormState] | None = None,
-                  training: bool = True, update_states: bool = False) -> int:
+def build_network(g: Tape, x3: int, params: Mapping[str, int], arch: ArchConfig) -> int:
     """Record the full network; returns (N, n_classes) real log-probs.
 
     ``params`` maps parameter names to tape node ids (see ``init_params``
-    for the naming scheme).
+    for the naming scheme).  Features stay in time-major rows (N*T, C)
+    from the embedding to the FC block.
     """
     n = g.raw(x3).shape[0]
     t = arch.frame_len
     c = arch.conv_channels
 
-    def norm_state(name: str) -> NormState | None:
-        return None if norm_states is None else norm_states.get(name)
-
     # embedding block: pointwise conv lifting input channels to C
     feats = build_cconv1d(g, x3, params["embed.A"], params["embed.b"], stride=1)
 
-    # conv blocks: conv -> norm -> activation, channel-major throughout
+    # conv blocks: conv -> norm -> activation
     for i in range(arch.conv_blocks):
         name = f"conv{i}"
-        x3 = g.take(feats, _chanmajor_to_batch_idx(n, c, t), (n, c, t))
-        feats = build_cconv1d(g, x3, params[f"{name}.A"], params[f"{name}.b"], stride=arch.conv_stride)
+        feats = build_cconv1d(g, g.reshape(feats, (n, t, c)), params[f"{name}.A"], params[f"{name}.b"],
+                              stride=arch.conv_stride, channels_last=True)
         t = (t - arch.conv_kernel) // arch.conv_stride + 1
-        feats = build_norm(g, feats, params[f"{name}.gamma"], params[f"{name}.kappa"],
-                           arch.norm_eps, norm_state(name), training, update_states)
+        feats = build_norm(g, feats, params[f"{name}.gamma"], params[f"{name}.kappa"], arch.norm_eps)
         feats = build_act(g, feats, arch.activation)
-
-    x3 = g.take(feats, _chanmajor_to_batch_idx(n, c, t), (n, c, t))
-    rows = g.take(x3, _timemajor_idx(n, c, t), (n * t, c))
 
     if arch.use_attention:
         d = arch.attn_dim
-        rows = build_cfc(g, rows, params["attn_in.W"], params["attn_in.b"])
-        seq = g.reshape(rows, (n, t, d))
-        attn = build_mha(g, seq, seq, seq,
+        rows = build_cfc(g, feats, params["attn_in.W"], params["attn_in.b"])
+        attn = _mha_rows(g, rows, rows, rows, n,
                          params["attn.wq"], params["attn.wk"], params["attn.wv"],
                          params["attn.wo"], arch.n_heads, arch.softmax_lift)
-        rows = g.reshape(attn, (n * t, d))
-        width = d
+        h = g.reshape(attn, (n, t * d))
     else:
-        width = c
+        h = g.reshape(feats, (n, t * c))
 
-    h = g.reshape(rows, (n, t * width))
     for i in range(arch.fc_blocks):
         name = f"fc{i}"
         h = build_cfc(g, h, params[f"{name}.W"], params[f"{name}.b"])
-        hc = g.transpose(h)
-        hc = build_norm(g, hc, params[f"{name}.gamma"], params[f"{name}.kappa"],
-                        arch.norm_eps, norm_state(name), training, update_states)
-        h = g.transpose(hc)
+        h = build_norm(g, h, params[f"{name}.gamma"], params[f"{name}.kappa"], arch.norm_eps)
         h = build_act(g, h, arch.activation)
 
     logits = build_cfc(g, h, params["head.W"], params["head.b"])
@@ -492,19 +425,6 @@ def param_count(params: Mapping[str, CTensor]) -> int:
     return sum(t.size for t in params.values())
 
 
-def norm_layer_names(arch: ArchConfig) -> list[str]:
-    return [f"conv{i}" for i in range(arch.conv_blocks)] + [f"fc{i}" for i in range(arch.fc_blocks)]
-
-
-def fresh_norm_states(arch: ArchConfig) -> dict[str, NormState]:
-    states = {}
-    for i in range(arch.conv_blocks):
-        states[f"conv{i}"] = NormState.for_channels(arch.conv_channels)
-    for i in range(arch.fc_blocks):
-        states[f"fc{i}"] = NormState.for_channels(arch.fc_hidden)
-    return states
-
-
 # ---------------------------------------------------------------------------
 # eager wrappers (public layer signatures)
 # ---------------------------------------------------------------------------
@@ -517,7 +437,7 @@ def cconv1d(x: CTensor, a: CTensor, b: CTensor, stride: int = 1) -> CTensor:
     ci, t = x.shape
     x3 = g.reshape(g.const(x), (1, ci, t))
     out = build_cconv1d(g, x3, g.const(a), None if b is None else g.const(b), stride)
-    return g.value(out)
+    return g.value(g.permute(out, (1, 0)))
 
 
 def cfc(x: CTensor, w: CTensor, b: CTensor) -> CTensor:
@@ -572,26 +492,24 @@ def c_mha(q: CTensor, k: CTensor, v: CTensor, params: MhaParams, lift: str = "ab
     return g.value(out).reshape((q.shape[0], d))
 
 
-def c_norm(x: CTensor, gamma: CTensor, kappa: CTensor, eps: float = 1e-5,
-           state: NormState | None = None, training: bool = True,
-           update_state: bool = False) -> CTensor:
+def c_norm(x: CTensor, gamma: CTensor, kappa: CTensor, eps: float = 1e-5) -> CTensor:
     """Per-channel complex normalization of (C, M); rank-1 input is one channel."""
     g = evaluator()
-    x2 = g.const(x)
-    squeeze = False
     if x.rank == 1:
-        x2 = g.reshape(x2, (1, x.size))
-        squeeze = True
-    elif x.rank != 2:
+        x2 = g.reshape(g.const(x), (x.size, 1))
+    elif x.rank == 2:
+        x2 = g.permute(g.const(x), (1, 0))
+    else:
         raise ShapeMismatchError(f"c_norm: need rank-1 or rank-2 input, got rank {x.rank}")
-    c = g.raw(x2).shape[0]
+    c = g.raw(x2).shape[1]
     ga = g.const(gamma if gamma.rank == 1 else gamma.reshape((1,)))
     ka = g.const(kappa if kappa.rank == 1 else kappa.reshape((1,)))
     if g.raw(ga).shape != (c,) or g.raw(ka).shape != (c,):
         raise ShapeMismatchError(f"c_norm: gamma/kappa must have {c} channels")
-    out = build_norm(g, x2, ga, ka, eps, state, training, update_state)
-    res = g.value(out)
-    return res.reshape((x.size,)) if squeeze else res
+    out = build_norm(g, x2, ga, ka, eps)
+    if x.rank == 1:
+        return g.value(out).reshape((x.size,))
+    return g.value(g.permute(out, (1, 0)))
 
 
 def c_act(x: CTensor, kind: str = "crelu") -> CTensor:
@@ -600,17 +518,14 @@ def c_act(x: CTensor, kind: str = "crelu") -> CTensor:
     return g.value(build_act(g, g.const(x), kind))
 
 
-def camel_forward(frame: CTensor, params: Mapping[str, CTensor], arch: ArchConfig,
-                  norm_states: Mapping[str, NormState] | None = None) -> CTensor:
+def camel_forward(frame: CTensor, params: Mapping[str, CTensor], arch: ArchConfig) -> CTensor:
     """Log class probabilities of one frame shaped (1, frame_len).
 
-    Without running statistics the normalization layers fall back to the
-    frame's own statistics (batch of one; the FC norm then degenerates to
-    its shift parameter).  Pass ``norm_states`` for calibrated inference.
+    The normalization layers use the frame's own statistics (a batch of
+    one; the FC norm then degenerates to its shift parameter).
     """
     g = evaluator()
     x3 = g.const(frames_to_input([frame], arch))
     consts = {name: g.const(t) for name, t in params.items()}
-    training = norm_states is None
-    lp = build_network(g, x3, consts, arch, norm_states, training=training)
+    lp = build_network(g, x3, consts, arch)
     return g.value(lp).reshape((arch.n_classes,))

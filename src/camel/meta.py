@@ -25,7 +25,7 @@ import numpy as np
 
 from .ctensor import CTensor, ShapeMismatchError
 from .layers import ArchConfig, build_cross_entropy, build_network, frames_to_input, init_params
-from .wirtinger import Tape, backward_graph, backward_values, evaluator, g_sum
+from .wirtinger import Tape, backward_graph, backward_values, evaluator, g_abs2, g_sum
 
 _C = np.complex128
 
@@ -149,7 +149,7 @@ class QuadraticTask:
         total = None
         for name, nid in params.items():
             d = g.sub(nid, g.const(self.centers[name]))
-            term = g_sum(g, g.mul(d, g.conj(d)))
+            term = g_sum(g, g_abs2(g, d))
             total = term if total is None else g.add(total, term)
         return total
 

@@ -7,10 +7,19 @@ The chain rule for a non-holomorphic map u(z) has two terms,
 and for a real-valued loss dL/du = conj(dL/du*) at every node: the two
 Wirtinger channels are conjugate mirrors.  So a sweep propagates one
 adjoint per node, c = dL/du*, as c * conj(du/dz) + conj(c) * du/dz*.  Only
-conj, cabs and crelu have the second, antiholomorphic term; the naive rule
-drops it, which leaves the classical holomorphic-only rule.  The
-steepest-ascent direction is ``2 * dL/dz*``, which is what
-:func:`complex_gradient` returns.
+conj, cabs, crelu and the conjugated factor of the conjugate-aware products
+have the second, antiholomorphic term; the naive rule drops it, which
+leaves the classical holomorphic-only rule.  The steepest-ascent direction
+is ``2 * dL/dz*``, which is what :func:`complex_gradient` returns.
+
+The op set is chosen so that adjoints need no conjugation or transposition
+nodes of their own.  ``mulc(a, b) = a * conj(b)`` and the ``adj`` flag of
+``matmul``/``bmm`` (a^H @ b or a @ b^H, BLAS op 'C') are the conjugate-aware
+products: the adjoint of a @ b is c @ b^H, one node.  Binary elementwise
+ops broadcast as numpy does, and their pullbacks reduce over the broadcast
+axes with ``sum_to``, whose adjoint is ``expand``; ``permute`` moves axes.
+Only fixed gathers with no regular structure (the convolution's patch
+matrix) use ``take``/``scatter`` and a cached index map.
 
 Sweeps return (dL/dz, dL/dz*) pairs: after a real seed the value channel is
 the conjugate of the propagated one, built when read.  Any other seed runs
@@ -95,12 +104,15 @@ def _cached_idx(key: tuple, build: Callable[[], np.ndarray]) -> np.ndarray:
     return idx
 
 
-def _expand_last_idx(base_size: int, n: int) -> np.ndarray:
-    return _cached_idx(("expand", base_size, n), lambda: np.arange(base_size * n, dtype=np.intp) // n)
+def _broadcasts(src: tuple[int, ...], dst: tuple[int, ...]) -> bool:
+    """True iff shape ``src`` broadcasts to exactly ``dst``."""
+    if len(src) > len(dst):
+        return False
+    return all(s == d or s == 1 for s, d in zip(src[::-1], dst[::-1]))
 
 
-def _zero_idx(size: int) -> np.ndarray:
-    return _cached_idx(("zero", size), lambda: np.zeros(size, dtype=np.intp))
+ADJOINT_FLAGS = (None, "a", "b")
+"""The ``adj`` flags of matmul and bmm: a @ b, a^H @ b and a @ b^H."""
 
 
 class Tape:
@@ -159,29 +171,37 @@ class Tape:
 
     # -- elementwise -----------------------------------------------------
 
-    def _check_same(self, op: str, a: int, b: int) -> None:
-        if self.val[a].shape != self.val[b].shape:
-            raise ShapeMismatchError(
-                f"{op}: operand shapes differ, {self.val[a].shape} vs {self.val[b].shape}"
-            )
+    def _check_broadcast(self, op: str, a: int, b: int) -> None:
+        """Binary elementwise ops broadcast their operands as numpy does."""
+        sa, sb = self.val[a].shape, self.val[b].shape
+        if sa != sb:
+            try:
+                np.broadcast_shapes(sa, sb)
+            except ValueError:
+                raise ShapeMismatchError(f"{op}: operand shapes do not broadcast, {sa} vs {sb}") from None
 
     def add(self, a: int, b: int) -> int:
-        self._check_same("add", a, b)
+        self._check_broadcast("add", a, b)
         return self._push("add", (a, b), self.val[a] + self.val[b])
 
     def sub(self, a: int, b: int) -> int:
-        self._check_same("sub", a, b)
+        self._check_broadcast("sub", a, b)
         return self._push("sub", (a, b), self.val[a] - self.val[b])
 
     def neg(self, a: int) -> int:
         return self._push("neg", (a,), -self.val[a])
 
     def mul(self, a: int, b: int) -> int:
-        self._check_same("mul", a, b)
+        self._check_broadcast("mul", a, b)
         return self._push("mul", (a, b), self.val[a] * self.val[b])
 
+    def mulc(self, a: int, b: int) -> int:
+        """a * conj(b): holomorphic in a, antiholomorphic in b."""
+        self._check_broadcast("mulc", a, b)
+        return self._push("mulc", (a, b), self.val[a] * np.conj(self.val[b]))
+
     def div(self, a: int, b: int) -> int:
-        self._check_same("div", a, b)
+        self._check_broadcast("div", a, b)
         return self._push("div", (a, b), self.val[a] / self.val[b])
 
     def smul(self, a: int, c: complex) -> int:
@@ -203,16 +223,18 @@ class Tape:
 
     def cabs(self, a: int) -> int:
         """Elementwise modulus |z| (real-carrying); derivative 0 at z = 0."""
-        return self._push("cabs", (a,), np.abs(self.val[a]).astype(_C))
+        v = self.val[a]
+        out = np.zeros(v.shape, dtype=_C)
+        np.abs(v, out=out.real)
+        return self._push("cabs", (a,), out)
 
     def mdiv(self, a: int, b: int) -> int:
         """Masked divide: a/b where b != 0, else 0.  Supports the modulus
         pullback, which must stay finite at exact zeros."""
-        self._check_same("mdiv", a, b)
-        vb = self.val[b]
-        mask = vb != 0
-        out = np.zeros(vb.shape, dtype=_C)
-        np.divide(self.val[a], vb, out=out, where=mask)
+        self._check_broadcast("mdiv", a, b)
+        va, vb = self.val[a], self.val[b]
+        out = np.zeros(np.broadcast_shapes(va.shape, vb.shape), dtype=_C)
+        np.divide(va, vb, out=out, where=vb != 0)
         return self._push("mdiv", (a, b), out)
 
     def crelu(self, a: int) -> int:
@@ -223,39 +245,61 @@ class Tape:
 
     # -- linear algebra ----------------------------------------------------
 
-    def matmul(self, a: int, b: int) -> int:
+    def _product(self, kind: str, rank: int, a: int, b: int, adj) -> int:
         va, vb = self.val[a], self.val[b]
-        if va.ndim != 2 or vb.ndim != 2:
-            raise ShapeMismatchError(f"matmul needs rank-2 operands, got ranks {va.ndim} and {vb.ndim}")
-        if va.shape[1] != vb.shape[0]:
-            raise ShapeMismatchError(f"matmul: inner dimensions disagree, {va.shape} x {vb.shape}")
-        return self._push("matmul", (a, b), va @ vb)
+        if va.ndim != rank or vb.ndim != rank:
+            raise ShapeMismatchError(f"{kind} needs rank-{rank} operands, got ranks {va.ndim} and {vb.ndim}")
+        if adj not in ADJOINT_FLAGS:
+            raise UnknownOpError(f"{kind}: adj must be one of {ADJOINT_FLAGS}, got {adj!r}")
+        if adj == "a":
+            va = np.swapaxes(np.conj(va), -1, -2)
+        elif adj == "b":
+            vb = np.swapaxes(np.conj(vb), -1, -2)
+        if va.shape[:-2] != vb.shape[:-2] or va.shape[-1] != vb.shape[-2]:
+            raise ShapeMismatchError(f"{kind}: shapes disagree, {va.shape} x {vb.shape} (adj={adj!r})")
+        return self._push(kind, (a, b), va @ vb, adj)
 
-    def bmm(self, a: int, b: int) -> int:
-        va, vb = self.val[a], self.val[b]
-        if va.ndim != 3 or vb.ndim != 3:
-            raise ShapeMismatchError(f"bmm needs rank-3 operands, got ranks {va.ndim} and {vb.ndim}")
-        if va.shape[0] != vb.shape[0] or va.shape[2] != vb.shape[1]:
-            raise ShapeMismatchError(f"bmm: shapes disagree, {va.shape} x {vb.shape}")
-        return self._push("bmm", (a, b), va @ vb)
+    def matmul(self, a: int, b: int, adj: str | None = None) -> int:
+        """a @ b of rank-2 operands; ``adj="a"`` gives a^H @ b and
+        ``adj="b"`` gives a @ b^H, as BLAS does with op 'C'."""
+        return self._product("matmul", 2, a, b, adj)
 
-    def transpose(self, a: int) -> int:
-        va = self.val[a]
-        if va.ndim != 2:
-            raise ShapeMismatchError(f"transpose needs a rank-2 tensor, got rank {va.ndim}")
-        return self._push("transpose", (a,), np.ascontiguousarray(va.T))
-
-    def btranspose(self, a: int) -> int:
-        va = self.val[a]
-        if va.ndim != 3:
-            raise ShapeMismatchError(f"btranspose needs a rank-3 tensor, got rank {va.ndim}")
-        return self._push("btranspose", (a,), np.ascontiguousarray(np.swapaxes(va, 1, 2)))
+    def bmm(self, a: int, b: int, adj: str | None = None) -> int:
+        """Batched matmul of rank-3 operands, with the same ``adj`` flag."""
+        return self._product("bmm", 3, a, b, adj)
 
     # -- structure ---------------------------------------------------------
 
     def reshape(self, a: int, shape: Sequence[int]) -> int:
         shape = tuple(shape)
         return self._push("reshape", (a,), self.val[a].reshape(shape), self.val[a].shape)
+
+    def permute(self, a: int, axes: Sequence[int]) -> int:
+        """Axis permutation: out.shape[i] = a.shape[axes[i]]."""
+        axes = tuple(axes)
+        va = self.val[a]
+        if sorted(axes) != list(range(va.ndim)):
+            raise ShapeMismatchError(f"permute: {axes} is not a permutation of the {va.ndim} axes")
+        return self._push("permute", (a,), np.ascontiguousarray(np.transpose(va, axes)), axes)
+
+    def sum_to(self, a: int, shape: Sequence[int]) -> int:
+        """Sum over the axes along which ``shape`` broadcasts to a's shape:
+        the adjoint of broadcasting.  ``()`` sums everything."""
+        shape = tuple(shape)
+        va = self.val[a]
+        if not _broadcasts(shape, va.shape):
+            raise ShapeMismatchError(f"sum_to: {shape} does not broadcast to {va.shape}")
+        lead = va.ndim - len(shape)
+        axes = tuple(range(lead)) + tuple(lead + i for i, n in enumerate(shape) if n != va.shape[lead + i])
+        return self._push("sum_to", (a,), np.sum(va, axis=axes, keepdims=True).reshape(shape))
+
+    def expand(self, a: int, shape: Sequence[int]) -> int:
+        """Broadcast to ``shape``, as a read-only view; adjoint of sum_to."""
+        shape = tuple(shape)
+        va = self.val[a]
+        if not _broadcasts(va.shape, shape):
+            raise ShapeMismatchError(f"expand: {va.shape} does not broadcast to {shape}")
+        return self._push("expand", (a,), np.broadcast_to(va, shape))
 
     def take(self, a: int, idx: np.ndarray, out_shape: Sequence[int]) -> int:
         """Gather: out.flat[i] = a.flat[idx[i]].  idx is a fixed index map."""
@@ -288,6 +332,7 @@ _RECORDABLE: dict[str, Callable] = {
     "sub": Tape.sub,
     "neg": Tape.neg,
     "mul": Tape.mul,
+    "mulc": Tape.mulc,
     "div": Tape.div,
     "smul": Tape.smul,
     "conj": Tape.conj,
@@ -299,9 +344,10 @@ _RECORDABLE: dict[str, Callable] = {
     "crelu": Tape.crelu,
     "matmul": Tape.matmul,
     "bmm": Tape.bmm,
-    "transpose": Tape.transpose,
-    "btranspose": Tape.btranspose,
     "reshape": Tape.reshape,
+    "permute": Tape.permute,
+    "sum_to": Tape.sum_to,
+    "expand": Tape.expand,
     "take": Tape.take,
     "scatter": Tape.scatter,
 }
@@ -322,7 +368,7 @@ def g_im(g: Tape, x: int) -> int:
 
 
 def g_abs2(g: Tape, x: int) -> int:
-    return g.mul(x, g.conj(x))
+    return g.mulc(x, x)
 
 
 def g_abs(g: Tape, x: int) -> int:
@@ -331,24 +377,11 @@ def g_abs(g: Tape, x: int) -> int:
 
 def g_sum(g: Tape, x: int) -> int:
     """Sum of all elements, as a rank-0 node."""
-    return g.scatter(x, _zero_idx(g.val[x].size), ())
+    return g.sum_to(x, ())
 
 
 def g_mean(g: Tape, x: int) -> int:
     return g.smul(g_sum(g, x), 1.0 / g.val[x].size)
-
-
-def g_reduce_last(g: Tape, x: int) -> int:
-    """Sum over the last axis."""
-    shape = g.val[x].shape
-    n = shape[-1]
-    return g.scatter(x, _expand_last_idx(g.val[x].size // n, n), shape[:-1])
-
-
-def g_expand_last(g: Tape, x: int, n: int) -> int:
-    """Repeat along a new trailing axis of length n."""
-    shape = g.val[x].shape
-    return g.take(x, _expand_last_idx(g.val[x].size, n), shape + (n,))
 
 
 def g_dot_const(g: Tape, x: int, w) -> int:
@@ -362,20 +395,29 @@ def g_dot_const(g: Tape, x: int, w) -> int:
 #
 # Each pullback takes the adjoint c of node u and returns (input_id, dL/dz*)
 # pairs: the holomorphic term c * conj(du/dz) plus the antiholomorphic term
-# conj(c) * du/dz*.  Only conj, cabs and crelu have the second term, and
-# ``naive`` drops it, which leaves the classical, holomorphic-only rule.
+# conj(c) * du/dz*.  Only conj, cabs, crelu, mulc's second factor and the
+# ^H factor of matmul/bmm have the second term, and ``naive`` drops it,
+# which leaves the classical, holomorphic-only rule.  A binary elementwise
+# op that broadcast an input sums that input's adjoint back to its shape.
+
+def _fit(g, p, x):
+    """Adjoint ``p`` summed down to the shape of input ``x``, which the
+    node broadcast."""
+    shape = g.val[x].shape
+    return p if g.val[p].shape == shape else g.sum_to(p, shape)
+
 
 def _pull_add(g, nid, c, naive):
-    return [(i, c) for i in g.inputs[nid] if g.needs[i]]
+    return [(i, _fit(g, c, i)) for i in g.inputs[nid] if g.needs[i]]
 
 
 def _pull_sub(g, nid, c, naive):
     a, b = g.inputs[nid]
     out = []
     if g.needs[a]:
-        out.append((a, c))
+        out.append((a, _fit(g, c, a)))
     if g.needs[b]:
-        out.append((b, g.neg(c)))
+        out.append((b, g.neg(_fit(g, c, b))))
     return out
 
 
@@ -394,9 +436,20 @@ def _pull_mul(g, nid, c, naive):
     a, b = g.inputs[nid]
     out = []
     if g.needs[a]:
-        out.append((a, g.mul(c, g.conj(b))))
+        out.append((a, _fit(g, g.mulc(c, b), a)))
     if g.needs[b]:
-        out.append((b, g.mul(c, g.conj(a))))
+        out.append((b, _fit(g, g.mulc(c, a), b)))
+    return out
+
+
+def _pull_mulc(g, nid, c, naive):
+    # u = a conj(b): du/da = conj(b), and du/db* = a is antiholomorphic
+    a, b = g.inputs[nid]
+    out = []
+    if g.needs[a]:
+        out.append((a, _fit(g, g.mul(c, b), a)))
+    if g.needs[b] and not naive:
+        out.append((b, _fit(g, g.mulc(a, c), b)))
     return out
 
 
@@ -405,10 +458,10 @@ def _pull_div(g, nid, c, naive):
     cb = g.conj(b)
     out = []
     if g.needs[a]:
-        out.append((a, g.div(c, cb)))
+        out.append((a, _fit(g, g.div(c, cb), a)))
     if g.needs[b]:
         # d(a/b)/db = -u/b with u the node value
-        out.append((b, g.neg(g.div(g.mul(c, g.conj(nid)), cb))))
+        out.append((b, g.neg(_fit(g, g.div(g.mulc(c, nid), cb), b))))
     return out
 
 
@@ -419,7 +472,7 @@ def _pull_smul(g, nid, c, naive):
 
 def _pull_exp(g, nid, c, naive):
     (a,) = g.inputs[nid]
-    return [(a, g.mul(c, g.conj(nid)))]
+    return [(a, g.mulc(c, nid))]
 
 
 def _pull_log(g, nid, c, naive):
@@ -446,9 +499,9 @@ def _pull_mdiv(g, nid, c, naive):
     cb = g.conj(b)
     out = []
     if g.needs[a]:
-        out.append((a, g.mdiv(c, cb)))
+        out.append((a, _fit(g, g.mdiv(c, cb), a)))
     if g.needs[b]:
-        out.append((b, g.neg(g.mdiv(g.mul(c, g.conj(nid)), cb))))
+        out.append((b, g.neg(_fit(g, g.mdiv(g.mulc(c, nid), cb), b))))
     return out
 
 
@@ -465,39 +518,57 @@ def _pull_crelu(g, nid, c, naive):
     return [(a, g.add(hol, g.mul(g.conj(c), g.const((mre - mim) * 0.5))))]
 
 
-def _pull_matmul(g, nid, c, naive):
+def _pull_product(g, nid, c, naive, prod):
+    # u = op(a) op(b) with op the identity or ^H.  The adjoint of a plain
+    # factor is c times the other factor's ^H; a factor under ^H enters
+    # antiholomorphically, and its adjoint is the ^H of that product.
     a, b = g.inputs[nid]
+    adj = g.aux[nid]
     out = []
     if g.needs[a]:
-        out.append((a, g.matmul(c, g.transpose(g.conj(b)))))
+        if adj is None:
+            out.append((a, prod(c, b, "b")))
+        elif adj == "b":
+            out.append((a, prod(c, b)))
+        elif not naive:
+            out.append((a, prod(b, c, "b")))
     if g.needs[b]:
-        out.append((b, g.matmul(g.transpose(g.conj(a)), c)))
+        if adj is None:
+            out.append((b, prod(a, c, "a")))
+        elif adj == "a":
+            out.append((b, prod(a, c)))
+        elif not naive:
+            out.append((b, prod(c, a, "a")))
     return out
+
+
+def _pull_matmul(g, nid, c, naive):
+    return _pull_product(g, nid, c, naive, g.matmul)
 
 
 def _pull_bmm(g, nid, c, naive):
-    a, b = g.inputs[nid]
-    out = []
-    if g.needs[a]:
-        out.append((a, g.bmm(c, g.btranspose(g.conj(b)))))
-    if g.needs[b]:
-        out.append((b, g.bmm(g.btranspose(g.conj(a)), c)))
-    return out
-
-
-def _pull_transpose(g, nid, c, naive):
-    (a,) = g.inputs[nid]
-    return [(a, g.transpose(c))]
-
-
-def _pull_btranspose(g, nid, c, naive):
-    (a,) = g.inputs[nid]
-    return [(a, g.btranspose(c))]
+    return _pull_product(g, nid, c, naive, g.bmm)
 
 
 def _pull_reshape(g, nid, c, naive):
     (a,) = g.inputs[nid]
     return [(a, g.reshape(c, g.aux[nid]))]
+
+
+def _pull_permute(g, nid, c, naive):
+    (a,) = g.inputs[nid]
+    axes = g.aux[nid]
+    return [(a, g.permute(c, sorted(range(len(axes)), key=axes.__getitem__)))]
+
+
+def _pull_sum_to(g, nid, c, naive):
+    (a,) = g.inputs[nid]
+    return [(a, g.expand(c, g.val[a].shape))]
+
+
+def _pull_expand(g, nid, c, naive):
+    (a,) = g.inputs[nid]
+    return [(a, g.sum_to(c, g.val[a].shape))]
 
 
 def _pull_take(g, nid, c, naive):
@@ -515,6 +586,7 @@ _PULLBACKS: dict[str, Callable] = {
     "sub": _pull_sub,
     "neg": _pull_neg,
     "mul": _pull_mul,
+    "mulc": _pull_mulc,
     "div": _pull_div,
     "smul": _pull_smul,
     "conj": _pull_conj,
@@ -526,9 +598,10 @@ _PULLBACKS: dict[str, Callable] = {
     "crelu": _pull_crelu,
     "matmul": _pull_matmul,
     "bmm": _pull_bmm,
-    "transpose": _pull_transpose,
-    "btranspose": _pull_btranspose,
     "reshape": _pull_reshape,
+    "permute": _pull_permute,
+    "sum_to": _pull_sum_to,
+    "expand": _pull_expand,
     "take": _pull_take,
     "scatter": _pull_scatter,
 }
@@ -752,6 +825,12 @@ def _sweep(g: Tape, ops: Tape, out_id: int, seed: complex, naive: bool, stop) ->
                 heapq.heappush(heap, -inp)
             else:
                 cot[inp] = ops.add(prev, p)
+    if not keep_all:
+        # a leaf's adjoint may be a broadcast view (from expand) or a
+        # numpy scalar: hand out a writable array of the leaf's shape
+        for nid, c in cot.items():
+            if not (isinstance(c, np.ndarray) and c.flags.writeable):
+                cot[nid] = np.array(c, dtype=_C)
     return cot
 
 

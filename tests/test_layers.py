@@ -6,7 +6,6 @@ from camel.layers import (
     ArchConfig,
     ConfigError,
     MhaParams,
-    NormState,
     c_act,
     c_attention,
     c_mha,
@@ -15,7 +14,6 @@ from camel.layers import (
     camel_forward,
     cconv1d,
     cfc,
-    fresh_norm_states,
     frames_to_input,
     init_params,
     param_count,
@@ -259,18 +257,6 @@ def test_c_norm_negative_eps_rejected(rng):
                CTensor.zeros((1,)), eps=-1e-3)
 
 
-def test_c_norm_running_stats_inference(rng):
-    x = rand_complex(rng, 2, 32)
-    state = NormState.for_channels(2, momentum=1.0)  # adopt batch stats outright
-    gamma = CTensor(np.ones(2, dtype=complex))
-    kappa = CTensor.zeros((2,))
-    trained = c_norm(CTensor(x), gamma, kappa, eps=1e-6, state=state, update_state=True)
-    infer = c_norm(CTensor(x), gamma, kappa, eps=1e-6, state=state, training=False)
-    assert np.max(np.abs(trained.numpy() - infer.numpy())) <= 1e-10
-    with pytest.raises(ConfigError):
-        c_norm(CTensor(x), gamma, kappa, training=False)  # no stats supplied
-
-
 # ---------------------------------------------------------------------------
 # activations
 # ---------------------------------------------------------------------------
@@ -318,15 +304,6 @@ def test_camel_forward_zero_params_uniform(rng):
     params = {k: CTensor.zeros(v.shape) for k, v in init_params(arch, rng).items()}
     lp = camel_forward(CTensor(rand_complex(rng, 1, arch.frame_len)), params, arch).numpy()
     assert np.max(np.abs(np.exp(lp.real) - 1.0 / arch.n_classes)) <= 1e-12
-
-
-def test_camel_forward_with_running_stats(rng):
-    arch = _toy_arch()
-    params = init_params(arch, rng)
-    states = fresh_norm_states(arch)
-    lp = camel_forward(CTensor(rand_complex(rng, 1, arch.frame_len)), params, arch,
-                       norm_states=states)
-    assert abs(np.log(np.exp(lp.numpy().real).sum())) <= 1e-10
 
 
 def test_real_input_mode_stays_real(rng):

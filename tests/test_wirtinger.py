@@ -1,9 +1,14 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from camel.ctensor import CTensor, ShapeMismatchError
-from camel.gradcheck import default_cases
+from camel.gradcheck import ABS_FLOOR, BROADCAST_PATTERNS, REL_TOL, default_cases
 from camel.wirtinger import (
+    ADJOINT_FLAGS,
+    _PULLBACKS,
+    _RECORDABLE,
     NonAnalyticChainError,
     NonRealLossError,
     NonScalarLossError,
@@ -19,6 +24,7 @@ from camel.wirtinger import (
     fd_complex_gradient,
     fd_wirtinger_pair,
     g_abs,
+    g_abs2,
     g_re,
     g_sum,
     hvp,
@@ -287,6 +293,136 @@ def test_backward_values_resolve_numpy_integer_ids(rng, shape):
     assert_same_adjoints(g, values, graph, [a, b])
 
 
+@pytest.mark.parametrize("consumer", ["add", "expand", "sum_to"])
+def test_leaf_consumed_by_a_broadcast_gets_a_writable_gradient(rng, consumer):
+    # the adjoint of a broadcast is a reduction and the adjoint of a
+    # reduction is a broadcast view; a graph-free sweep hands out neither
+    # a view nor a scalar, but an array of the leaf's own
+    g = Tape()
+    if consumer == "sum_to":
+        x = g.leaf(rand_complex(rng, 2, 3))
+        loss = g.sum_to(x, ())
+    else:
+        x = g.leaf(rand_complex(rng, 3))
+        w = g.const(rand_complex(rng, 2, 3))
+        out = g.add(w, x) if consumer == "add" else g.expand(x, (2, 3))
+        loss = g_sum(g, g.mul(out, w))
+    got = backward_values(g, loss, seed=(0.5, 0.5))[x][1]
+    assert isinstance(got, np.ndarray) and got.shape == g.val[x].shape
+    assert got.flags.writeable and got.flags.c_contiguous
+    assert not any(np.shares_memory(got, v) for v in g.val)
+    assert_same_adjoints(g, backward_values(g, loss, seed=(0.5, 0.5)),
+                         backward_graph(g, loss, seed=(0.5, 0.5)), [x])
+
+
+_PRODUCT_SHAPES = {
+    "matmul": {None: ((2, 3), (3, 4)), "a": ((3, 2), (3, 4)), "b": ((2, 3), (4, 3))},
+    "bmm": {None: ((2, 2, 3), (2, 3, 4)), "a": ((2, 3, 2), (2, 3, 4)), "b": ((2, 2, 3), (2, 4, 3))},
+}
+_PRODUCTS = {
+    "mul": ((2, 3), (2, 3), lambda g, a, b: g.mul(a, b)),
+    "mulc": ((2, 3), (2, 3), lambda g, a, b: g.mulc(a, b)),
+    "abs2": ((2, 3), (2, 3), lambda g, a, b: g.mul(g_abs2(g, a), b)),
+    **{f"{op}[adj={adj}]": (*shapes, lambda g, a, b, op=op, adj=adj: getattr(g, op)(a, b, adj))
+       for op, flags in _PRODUCT_SHAPES.items() for adj, shapes in flags.items()},
+}
+
+
+@pytest.mark.parametrize("name", list(_PRODUCTS))
+def test_product_adjoints_record_no_conjugation_or_transposition(rng, name):
+    sa, sb, op = _PRODUCTS[name]
+    for depth in (1, 2):
+        g = Tape()
+        a, b = g.leaf(rand_complex(rng, *sa)), g.leaf(rand_complex(rng, *sb))
+        loss = g_sum(g, op(g, a, b))
+        n = len(g)
+        first = backward_graph(g, loss, seed=(0.5, 0.5))
+        if depth == 2:  # differentiate the recorded gradient once more
+            loss = g_sum(g, g.add(g_sum(g, first[a][1]), g_sum(g, first[b][1])))
+            n = len(g)
+            backward_graph(g, loss, seed=(0.5, 0.5))
+        assert not {"conj", "permute", "take", "scatter"} & set(g.kind[n:])
+
+
+def _registry_tapes():
+    tapes = {}
+    for case in default_cases():
+        rng = np.random.default_rng(0)
+        g = Tape()
+        case.build_loss(g, {n: g.leaf(v) for n, v in case.make_inputs(rng).items()}, rng)
+        tapes[case.name] = g
+    return tapes
+
+
+def test_registry_covers_every_op_adjoint_flag_and_broadcast_pattern():
+    tapes = _registry_tapes()
+    assert set(_RECORDABLE) == set(_PULLBACKS)
+    for op in _RECORDABLE:
+        assert any(name.split("[")[0] == op and op in g.kind for name, g in tapes.items()), \
+            f"no gradcheck case named for and recording {op!r}"
+    for op, method in _RECORDABLE.items():
+        if "adj" not in inspect.signature(method).parameters:
+            continue
+        for adj in ADJOINT_FLAGS:
+            g = tapes[op if adj is None else f"{op}[adj={adj}]"]
+            assert any(k == op and aux == adj for k, aux in zip(g.kind, g.aux)), (op, adj)
+    # an op that records a broadcast of its two operands needs a case per pattern
+    probe = Tape()
+    x, r = probe.leaf(np.ones((2, 3), dtype=complex)), probe.leaf(np.ones(3, dtype=complex))
+    broadcasting = []
+    for op in _RECORDABLE:
+        try:
+            nid = probe.record(op, [x, r])
+        except (TypeError, ValueError):
+            continue
+        if probe.inputs[nid] == (x, r):
+            broadcasting.append(op)
+    assert {"add", "sub", "mul", "mulc", "div", "mdiv"} <= set(broadcasting)
+    for op in broadcasting:
+        for pattern, shapes in BROADCAST_PATTERNS.items():
+            g = tapes[f"{op}[{pattern}]"]
+            assert any(k == op and tuple(g.val[i].shape for i in ins) == shapes
+                       for k, ins in zip(g.kind, g.inputs)), (op, pattern)
+
+
+@pytest.mark.parametrize("case", default_cases(), ids=lambda c: c.name)
+def test_second_order_matches_fd_of_gradient_on_registry(case):
+    # phi(theta) = Re sum conj(u) * grad L(theta): its gradient through the
+    # recorded first sweep against central differences of phi, where phi is
+    # recomputed from a graph-free gradient
+    for k in range(2):
+        rng = np.random.default_rng(np.random.SeedSequence((11, k)))
+        inputs = case.make_inputs(rng)
+        u = {n: rand_complex(rng, *np.shape(v)) for n, v in inputs.items()}
+
+        def head_rng():
+            return np.random.default_rng(np.random.SeedSequence((11, k, 1)))
+
+        g = Tape()
+        leaves = {n: g.leaf(v) for n, v in inputs.items()}
+        first = backward_graph(g, case.build_loss(g, leaves, head_rng()), seed=(0.5, 0.5))
+        phi = None
+        for n, leaf in leaves.items():
+            if leaf in first:
+                term = g_sum(g, g.mulc(g.smul(first[leaf][1], 2.0), g.const(u[n])))
+                phi = term if phi is None else g.add(phi, term)
+        second = backward_values(g, g_re(g, phi), seed=(0.5, 0.5))
+
+        def phi_at(name, arr):
+            vals = dict(inputs)
+            vals[name] = arr
+            gg = Tape()
+            lv = {m: gg.leaf(v) for m, v in vals.items()}
+            grads = backward_values(gg, case.build_loss(gg, lv, head_rng()), seed=(0.5, 0.5))
+            return sum(float(np.sum(np.conj(u[m]) * 2.0 * grads[lv[m]][1]).real)
+                       for m in lv if lv[m] in grads)
+
+        for n, leaf in leaves.items():
+            got = 2.0 * second[leaf][1] if leaf in second else np.zeros(np.shape(inputs[n]))
+            fd = fd_complex_gradient(lambda arr, n=n: phi_at(n, arr), inputs[n])
+            assert rel_error(got, fd, REL_TOL, ABS_FLOOR) <= REL_TOL, (case.name, k, n)
+
+
 # ---------------------------------------------------------------------------
 # the evaluator: forward passes that record nothing
 # ---------------------------------------------------------------------------
@@ -390,8 +526,8 @@ def test_hvp_matches_fd_of_gradient_map(rng):
     def loss(g, leaves):
         th = leaves["t"]
         col = g.reshape(th, (3, 1))
-        quad = g.matmul(g.matmul(g.transpose(g.conj(col)), g.const(a)), col)
-        anom = g_re(g, g.matmul(g.matmul(g.transpose(col), g.const(b)), col))
+        quad = g.matmul(g.matmul(col, g.const(a), "a"), col)
+        anom = g_re(g, g.matmul(g.matmul(g.permute(col, (1, 0)), g.const(b)), col))
         return g_re(g, g.add(g_sum(g, quad), g_sum(g, anom)))
 
     theta0 = rand_complex(rng, 3)
