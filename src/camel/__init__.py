@@ -50,7 +50,6 @@ from .signals import (
     scenario_split,
 )
 from .wirtinger import (
-    DualCotangent,
     Tape,
     backward,
     complex_gradient,

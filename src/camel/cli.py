@@ -41,7 +41,6 @@ from .meta import (
     train_camel,
 )
 from .signals import (
-    FrameFormatError,
     FramePool,
     episode_stream,
     generate_pool,
@@ -200,7 +199,7 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> RunConf
         source = path
     else:
         source = "<defaults>"
-    for i, ov in enumerate(overrides or []):
+    for ov in overrides or []:
         lines.append(ov + "\n")
     return parse_config(lines, source)
 
@@ -272,10 +271,7 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     header = (_arch_to_lines(ckpt.arch)
               + f"\niteration={ckpt.iteration}"
               + f"\nrng_state={_rng_state_to_json(ckpt.rng_state)}\n")
-    hist_lines = ["iteration,meta_loss,query_acc"]
-    for row in ckpt.history:
-        hist_lines.append(f"{row.iteration},{row.meta_loss!r},{row.query_acc!r}")
-    hist_blob = ("\n".join(hist_lines) + "\n").encode("utf-8")
+    hist_blob = metrics_csv(ckpt.history).encode("utf-8")
     header_blob = header.encode("utf-8")
 
     with open(path, "wb") as fh:
@@ -576,9 +572,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = load_config(args.config, args.set)
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-        cfg.meta.seed = args.seed
+    _apply_flag_overrides(cfg, args)
     ckpt = load_checkpoint(args.checkpoint)
     explicit_arch = {k for k in cfg.explicit if k in _ARCH_FIELDS}
     for key in explicit_arch:
@@ -679,10 +673,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, CheckpointError, FrameFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
+        # ConfigError, CheckpointError and FrameFormatError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

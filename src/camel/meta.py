@@ -2,9 +2,12 @@
 
 The inner loop adapts parameters on a task's support set with the complex
 gradient; the outer loop follows the exact meta-gradient, whose one-step
-form carries two curvature corrections,
+form carries one curvature correction,
 
-    (I - alpha * H_vv) grad_query  -  alpha * H_cv * conj(grad_query).
+    grad_query  -  alpha * hvp(support_loss, theta, grad_query),
+
+with grad_query taken at the adapted parameters and ``wirtinger.hvp`` the
+support loss's R-linear Hessian applied to it.
 
 For any number of inner steps the corrections are composed by
 back-propagating from the query loss through the whole recorded inner
@@ -273,15 +276,12 @@ class MetaConfig:
 # core operations
 # ---------------------------------------------------------------------------
 
-def _grad_from_pairs(pairs, leaves: dict[str, int], theta: Mapping[str, CTensor]) -> dict[str, CTensor]:
+def _leaf_gradients(adjoints, leaves: dict[str, int], theta: Mapping[str, CTensor]) -> dict[str, CTensor]:
     """2 dL/dz* at each leaf, from the adjoint arrays of :func:`backward_values`."""
     out = {}
     for name, nid in leaves.items():
-        pair = pairs.get(nid, (None, None))
-        if pair[1] is None:
-            out[name] = CTensor.zeros(theta[name].shape)
-        else:
-            out[name] = CTensor._wrap(2.0 * pair[1])
+        c = adjoints.get(nid)
+        out[name] = CTensor.zeros(theta[name].shape) if c is None else CTensor._wrap(2.0 * c)
     return out
 
 
@@ -292,8 +292,7 @@ def _support_gradient(theta: ParamSet, task: MetaTask) -> tuple[dict[str, CTenso
     loss = float(g.raw(loss_id).real)
     if not math.isfinite(loss):
         raise FloatingPointError(f"support loss is not finite: {loss}")
-    pairs = backward_values(g, loss_id, seed=(0.5, 0.5))
-    return _grad_from_pairs(pairs, leaves, theta), loss
+    return _leaf_gradients(backward_values(g, loss_id), leaves, theta), loss
 
 
 def inner_update(theta: ParamSet, task: MetaTask, inner_lr: float, steps: int) -> ParamSet:
@@ -320,8 +319,7 @@ def _query_gradient(theta: ParamSet, task: MetaTask) -> tuple[dict[str, CTensor]
     leaves = {k: g.leaf(v) for k, v in theta.items()}
     loss_id, acc = _query_loss(task, g, leaves)
     loss = float(g.raw(loss_id).real)
-    pairs = backward_values(g, loss_id, seed=(0.5, 0.5))
-    return _grad_from_pairs(pairs, leaves, theta), loss, acc
+    return _leaf_gradients(backward_values(g, loss_id), leaves, theta), loss, acc
 
 
 def meta_objective(theta: ParamSet, tasks: Sequence[MetaTask], inner_lr: float, steps: int) -> float:
@@ -374,8 +372,7 @@ def _unrolled_task_gradient(theta: ParamSet, task: MetaTask, inner_lr: float, st
         cur = nxt
     q_id, acc = _query_loss(task, g, cur)
     q_loss = float(g.raw(q_id).real)
-    final = backward_values(g, q_id, seed=(0.5, 0.5))
-    return _grad_from_pairs(final, leaves, theta), q_loss, acc
+    return _leaf_gradients(backward_values(g, q_id), leaves, theta), q_loss, acc
 
 
 def meta_gradient(theta: ParamSet, tasks: Sequence[MetaTask], inner_lr: float, steps: int) -> ParamSet:
@@ -438,8 +435,7 @@ def adaptive_beta(theta: ParamSet, tasks: Sequence[MetaTask], inner_lr: float,
     norms = []
     for task in tasks[: cfg.probe_tasks]:
         grad, _ = _support_gradient(theta, task)
-        flat = np.concatenate([v.numpy().ravel() for v in grad.values()])
-        norms.append(float(np.sqrt(np.sum(flat * np.conj(flat)).real)))
+        norms.append(ParamSet(grad).norm())
     mean_norm = float(np.mean(norms)) if norms else 0.0
     l, rho = cfg.grad_lipschitz, cfg.hess_lipschitz
     beta_tilde = 1.0 / (4.0 * l + 2.0 * rho * inner_lr * mean_norm)

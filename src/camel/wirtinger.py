@@ -21,9 +21,12 @@ axes with ``sum_to``, whose adjoint is ``expand``; ``permute`` moves axes.
 Only fixed gathers with no regular structure (the convolution's patch
 matrix) use ``take``/``scatter`` and a cached index map.
 
-Sweeps return (dL/dz, dL/dz*) pairs: after a real seed the value channel is
-the conjugate of the propagated one, built when read.  Any other seed runs
-as two real-seeded sweeps (see :func:`_paired`).
+A real scalar loss reads as (L + L*)/2, so its sweep starts from the real
+seed 1/2: :func:`backward` and :func:`backward_values` return one adjoint
+per node, dL/dz*, and :class:`Cotangents` reads dL/dz as its conjugate.
+:func:`backward_graph` takes a (value, conj) seed pair and returns
+(dL/dz, dL/dz*) pairs; a seed that is not real runs as two real-seeded
+sweeps (see :func:`_paired`).
 
 Both kinds of sweep run the same pullbacks.  :func:`backward_graph`
 records its own arithmetic on the same tape, which is what makes exact
@@ -34,7 +37,7 @@ gradient, which nothing differentiates again.
 
 Recording sweeps: :func:`backward` (and so :class:`Cotangents`), the first
 sweep of :func:`hvp`, and each inner-step sweep of the unrolled
-meta-gradient in ``meta``.  Graph-free sweeps: the second sweeps of
+meta-gradient in ``meta``.  Graph-free sweeps: the second sweep of
 :func:`hvp`, and in ``meta`` every support and query gradient and the
 final sweep of each exact meta-gradient.
 
@@ -49,7 +52,6 @@ eager layer wrappers of ``layers``, and the finite-difference losses of
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -611,54 +613,26 @@ _PULLBACKS: dict[str, Callable] = {
 # backward sweeps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DualCotangent:
-    """Adjoint pair of one node: (dL/dz, dL/dz*), both shaped like the node."""
-
-    wrt_value: CTensor
-    wrt_conj: CTensor
-
-
 class Cotangents:
-    """Result of a backward sweep: node id -> DualCotangent.
+    """Result of :func:`backward`: the adjoint dL/dz* of each node.
 
     Nodes that do not influence the loss have zero cotangents; they are
     materialized lazily.
     """
 
-    def __init__(self, tape: Tape, node_pairs: dict[int, Sequence[int | None]]):
+    def __init__(self, tape: Tape, adjoints: dict[int, int]):
         self._tape = tape
-        self._pairs = node_pairs
-
-    def node_ids(self):
-        return self._pairs.keys()
-
-    def _channel(self, nid: int, slot: int) -> np.ndarray:
-        pair = self._pairs.get(nid)
-        cid = None if pair is None else pair[slot]
-        if cid is None:
-            return np.zeros(self._tape.val[nid].shape, dtype=_C)
-        return self._tape.val[cid]
-
-    def wrt_value(self, nid: int) -> CTensor:
-        return CTensor._wrap(self._channel(nid, 0))
+        self._adj = adjoints
 
     def wrt_conj(self, nid: int) -> CTensor:
-        return CTensor._wrap(self._channel(nid, 1))
+        cid = self._adj.get(nid)
+        if cid is None:
+            return CTensor.zeros(self._tape.val[nid].shape)
+        return CTensor._wrap(self._tape.val[cid])
 
-    def pair(self, nid: int) -> DualCotangent:
-        return DualCotangent(self.wrt_value(nid), self.wrt_conj(nid))
-
-    def max_conjugate_gap(self) -> float:
-        """max |wrt_conj - conj(wrt_value)| over all touched nodes; zero by
-        construction after :func:`backward`, whose value channel is the
-        conjugate of its conj channel."""
-        gap = 0.0
-        for nid in self._pairs:
-            dv = self._channel(nid, 0)
-            dc = self._channel(nid, 1)
-            gap = max(gap, float(np.max(np.abs(dc - np.conj(dv)), initial=0.0)))
-        return gap
+    def wrt_value(self, nid: int) -> CTensor:
+        """dL/dz, the conjugate of dL/dz* for a real loss."""
+        return CTensor._wrap(np.conj(self.wrt_conj(nid).numpy()))
 
 
 def backward_graph(
@@ -682,24 +656,20 @@ def backward_graph(
     Node ids are processed in descending order, so every adjoint is fully
     accumulated before it is propagated.
     """
-    return _paired(g, g, out_id, seed, naive, stop)
+    return _paired(g, out_id, seed, naive, stop)
 
 
-def backward_values(
-    g: Tape,
-    out_id: int,
-    seed: tuple[complex | None, complex | None] = (1.0, None),
-) -> dict[int, Sequence[np.ndarray | None]]:
-    """The sweep of :func:`backward_graph`, run on arrays: it records
-    nothing, so the tape keeps its length and its result cannot be
-    differentiated again.
+def backward_values(g: Tape, loss_id: int) -> dict[int, np.ndarray]:
+    """The sweep of :func:`backward`, run on arrays: it records nothing,
+    so the tape keeps its length and its result cannot be differentiated
+    again.
 
     Each adjoint is dropped once it has been propagated.  Returns a map
-    leaf id -> (value-channel array, conj-channel array) for the leaves the
-    sweep reached.  The arrays equal the values of the nodes
-    :func:`backward_graph` records.
+    leaf id -> dL/dz* for the leaves the sweep reached.  The arrays equal
+    the values of the nodes :func:`backward` records.
     """
-    return _paired(g, _ArrayOps(g), out_id, seed, False, None)
+    _check_real_scalar(g, loss_id)
+    return _sweep(g, _ArrayOps(g), loss_id, 0.5, False, None)
 
 
 class _Resolved:
@@ -748,14 +718,14 @@ def evaluator() -> Tape:
 class _Pair:
     """(dL/dz, dL/dz*) of one node from its adjoints c1 and c2 in the
     sweeps of :func:`_paired` (c2 None after a real seed): c1 + i c2 and
-    conj(c1) + i conj(c2), each built by ``ops`` on first read.  A pair
-    holds the ops, never the map it sits in, so a swept tape and its result
-    are freed by reference counting alone."""
+    conj(c1) + i conj(c2), each recorded on first read.  A pair holds the
+    tape, never the map it sits in, so a swept tape and its result are
+    freed by reference counting alone."""
 
-    __slots__ = ("_ops", "_c1", "_c2", "_built")
+    __slots__ = ("_g", "_c1", "_c2", "_built")
 
-    def __init__(self, ops: Tape, c1, c2):
-        self._ops, self._c1, self._c2 = ops, c1, c2
+    def __init__(self, g: Tape, c1, c2):
+        self._g, self._c1, self._c2 = g, c1, c2
         self._built = [None, c1 if c2 is None else None]
 
     def __getitem__(self, slot: int):
@@ -763,18 +733,19 @@ class _Pair:
             raise IndexError(slot)
         got = self._built[slot]
         if got is None:
-            ops = self._ops
-            lift = ops.conj if slot == 0 else (lambda c: c)
+            g = self._g
+            lift = g.conj if slot == 0 else (lambda c: c)
             terms = [] if self._c1 is None else [lift(self._c1)]
             if self._c2 is not None:
-                terms.append(ops.smul(lift(self._c2), 1j))
-            got = terms[0] if len(terms) == 1 else ops.add(*terms)
+                terms.append(g.smul(lift(self._c2), 1j))
+            got = terms[0] if len(terms) == 1 else g.add(*terms)
             self._built[slot] = got
         return got
 
 
-def _paired(g: Tape, ops: Tape, out_id: int, seed, naive: bool, stop) -> dict:
-    """Run the sweeps a (value, conj) seed needs and pair their adjoints.
+def _paired(g: Tape, out_id: int, seed, naive: bool, stop) -> dict:
+    """Run the recorded sweeps a (value, conj) seed needs and pair their
+    adjoints.
 
     A sweep propagates one adjoint, c = dL/du*, which stands for the pair
     (conj(c), c): the two channels of a real loss are conjugate mirrors.
@@ -792,12 +763,12 @@ def _paired(g: Tape, ops: Tape, out_id: int, seed, naive: bool, stop) -> dict:
     """
     sv, sc = (0j if s is None else complex(s) for s in seed)
     if naive:
-        cot = _sweep(g, ops, out_id, sv.conjugate(), True, stop) if sv else {}
-        return {nid: (ops.conj(c), None) for nid, c in cot.items()}
+        cot = _sweep(g, g, out_id, sv.conjugate(), True, stop) if sv else {}
+        return {nid: (g.conj(c), None) for nid, c in cot.items()}
     a1, a2 = (sc + sv.conjugate()) / 2, (sc - sv.conjugate()) / 2j
-    p1 = _sweep(g, ops, out_id, a1, False, stop) if a1 else {}
-    p2 = _sweep(g, ops, out_id, a2, False, stop) if a2 else {}
-    return {nid: _Pair(ops, p1.get(nid), p2.get(nid)) for nid in dict.fromkeys([*p1, *p2])}
+    p1 = _sweep(g, g, out_id, a1, False, stop) if a1 else {}
+    p2 = _sweep(g, g, out_id, a2, False, stop) if a2 else {}
+    return {nid: _Pair(g, p1.get(nid), p2.get(nid)) for nid in dict.fromkeys([*p1, *p2])}
 
 
 def _sweep(g: Tape, ops: Tape, out_id: int, seed: complex, naive: bool, stop) -> dict:
@@ -844,16 +815,14 @@ def _check_real_scalar(g: Tape, loss_id: int) -> None:
 
 
 def backward(g: Tape, loss_id: int) -> Cotangents:
-    """Reverse sweep from a real-valued scalar loss, with both channels.
+    """Reverse sweep from a real-valued scalar loss, recorded on the tape.
 
-    The loss node is seeded with the pair (1/2, 1/2): a real scalar reads
-    as (L + L*)/2, which splits the unit adjoint evenly across the two
-    channels.  That seed is real, so one sweep propagates dL/dz* and each
-    ``wrt_value`` is its conjugate.
+    The loss node is seeded with 1/2: a real scalar reads as (L + L*)/2,
+    which splits the unit adjoint evenly across the two conjugate-mirror
+    channels, so one sweep propagates dL/dz*.
     """
     _check_real_scalar(g, loss_id)
-    pairs = backward_graph(g, loss_id, seed=(0.5, 0.5))
-    return Cotangents(g, pairs)
+    return Cotangents(g, _sweep(g, g, loss_id, 0.5, False, None))
 
 
 def complex_gradient(g: Tape, loss_id: int, param_id: int, cots: Cotangents | None = None) -> CTensor:
@@ -872,56 +841,30 @@ def complex_gradient(g: Tape, loss_id: int, param_id: int, cots: Cotangents | No
 def hvp(
     loss_builder: Callable[[Tape, dict[str, int]], int],
     theta: Mapping[str, CTensor],
-    v: Mapping[str, CTensor],
-) -> tuple[dict[str, CTensor], dict[str, CTensor]]:
-    """Products of the two curvature blocks of a real loss with ``v``.
+    u: Mapping[str, CTensor],
+) -> dict[str, CTensor]:
+    """The R-linear Hessian of a real loss applied to ``u``: the derivative
+    of the gradient map g = 2 dL/dz* along u, lim (g(theta + h u) - g(theta)) / h.
 
-    With g = 2 dL/dz* the gradient map, the blocks are
-
-        H_vv  = (d g / d theta)^*          (value-value block)
-        H_cv  = (d conj(g) / d theta)^*    (conj-value block)
-
-    and the returned pair is (H_vv v, H_cv v).  Both are obtained by
-    differentiating the recorded gradient a second time; symmetry of the
-    mixed second derivatives turns the needed Jacobian-vector products
-    into vector-Jacobian products on the extended tape.  The first sweep
-    records its arithmetic; the two second sweeps do not.
+    That is the complex gradient of the real inner product
+    Re sum(conj(g) * u) (Pearlmutter's double backprop).  The first sweep
+    records g on the tape; one graph-free sweep, seeded with 1 at
+    s = sum(conj(g) * u), differentiates 2 Re s and so returns
+    2 d(Re s)/dz*, that complex gradient.
     """
     g = Tape()
     leaves = {name: g.leaf(t) for name, t in theta.items()}
     loss_id = loss_builder(g, leaves)
     _check_real_scalar(g, loss_id)
-    first = backward_graph(g, loss_id, seed=(0.5, 0.5))
-
-    def _second(channel_slot: int, vec_of) -> dict[str, CTensor]:
-        s = None
-        for name, leaf in leaves.items():
-            pair = first.get(leaf)
-            cid = None if pair is None else pair[channel_slot]
-            if cid is None:
-                continue
-            term = g_dot_const(g, g.smul(cid, 2.0), vec_of(name))
+    first = _sweep(g, g, loss_id, 0.5, False, None)
+    s = None
+    for name, leaf in leaves.items():
+        if leaf in first:
+            term = g_sum(g, g.mulc(g.const(u[name]), g.smul(first[leaf], 2.0)))
             s = term if s is None else g.add(s, term)
-        out: dict[str, CTensor] = {}
-        if s is None:
-            for name, t in theta.items():
-                out[name] = CTensor.zeros(t.shape)
-            return out
-        second = backward_values(g, s, seed=(1.0, None))
-        for name, leaf in leaves.items():
-            pair = second.get(leaf, (None, None))
-            if pair[0] is None:
-                out[name] = CTensor.zeros(theta[name].shape)
-            else:
-                out[name] = CTensor._wrap(pair[0].copy())
-        return out
-
-    # H_vv v: differentiate sum(g * v) along the value channel.
-    h_vv = _second(1, lambda name: v[name].numpy())
-    # H_cv v: differentiate sum(conj(g) * conj(v)) and conjugate the result.
-    h_cv_raw = _second(0, lambda name: np.conj(v[name].numpy()))
-    h_cv = {name: CTensor._wrap(np.conj(t.numpy())) for name, t in h_cv_raw.items()}
-    return h_vv, h_cv
+    second = {} if s is None else _sweep(g, _ArrayOps(g), s, 1.0, False, None)
+    return {name: CTensor._wrap(second[leaf]) if leaf in second else CTensor.zeros(theta[name].shape)
+            for name, leaf in leaves.items()}
 
 
 # ---------------------------------------------------------------------------

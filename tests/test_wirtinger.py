@@ -3,6 +3,8 @@ import inspect
 import numpy as np
 import pytest
 
+import camel.wirtinger
+
 from camel.ctensor import CTensor, ShapeMismatchError
 from camel.gradcheck import ABS_FLOOR, BROADCAST_PATTERNS, REL_TOL, default_cases
 from camel.wirtinger import (
@@ -25,6 +27,7 @@ from camel.wirtinger import (
     fd_wirtinger_pair,
     g_abs,
     g_abs2,
+    g_im,
     g_re,
     g_sum,
     hvp,
@@ -118,25 +121,15 @@ def test_backward_toy_matches_finite_differences():
 
 
 def test_backward_rejects_nonscalar_and_nonreal(rng):
-    g = Tape()
-    z = g.leaf(rand_complex(rng, 3))
-    with pytest.raises(NonScalarLossError):
-        backward(g, z)
-    g2 = Tape()
-    w = g2.leaf(np.asarray(0.3 + 0.4j, dtype=complex))
-    with pytest.raises(NonRealLossError):
-        backward(g2, g2.mul(w, w))
-
-
-def test_conjugate_symmetry_invariant(rng):
-    # messy non-holomorphic graph under a real loss
-    g = Tape()
-    z = g.leaf(rand_off_zero(rng, 3, 3))
-    w = g.leaf(rand_off_zero(rng, 3, 3))
-    t = g.mul(g.crelu(g.matmul(z, g.conj(w))), g.exp(g.smul(z, 0.3j)))
-    loss = g_re(g, g_sum(g, g.mul(t, g.conj(t))))
-    cots = backward(g, loss)
-    assert cots.max_conjugate_gap() <= 1e-12
+    for sweep in (backward, backward_values):
+        g = Tape()
+        z = g.leaf(rand_complex(rng, 3))
+        with pytest.raises(NonScalarLossError):
+            sweep(g, z)
+        g2 = Tape()
+        w = g2.leaf(np.asarray(0.3 + 0.4j, dtype=complex))
+        with pytest.raises(NonRealLossError):
+            sweep(g2, g2.mul(w, w))
 
 
 def test_complex_gradient_worked_cases(rng):
@@ -216,6 +209,9 @@ def test_sweeps_match_hand_derived_dual_pair(rng, seed, sweep):
     #   B = du/dz* = q conj(z) + r + w z / (2|z|)
     # with p = (m_re + m_im)/2, q = (m_re - m_im)/2, so the dual-channel
     # adjoints of a seed (sv, sc) are sv A + sc conj(B) and sv B + sc conj(A).
+    # A graph-free sweep takes a real loss only: it reads B and conj(A) from
+    # the real losses Re u and Im u, whose dL/dz* are (B + conj(A))/2 and
+    # (B - conj(A))/2i, and forms the seed's pair from them.
     z0 = rand_off_zero(rng, 6)
     w0 = rand_complex(rng, 6)
     mre, mim = (z0.real > 0) * 1.0, (z0.imag > 0) * 1.0
@@ -228,11 +224,16 @@ def test_sweeps_match_hand_derived_dual_pair(rng, seed, sweep):
     g = Tape()
     z = g.leaf(z0)
     out = _mixed_graph(g, z, g.const(w0))
-    pairs = (backward_graph if sweep == "graph" else backward_values)(g, out, seed=seed)
+    if sweep == "graph":
+        pairs = backward_graph(g, out, seed=seed)
+        got = [g.val[pairs[z][slot]] for slot in (0, 1)]
+    else:
+        re = backward_values(g, g_re(g, out))[z]
+        im = backward_values(g, g_im(g, out))[z]
+        b, ca = re + 1j * im, re - 1j * im
+        got = [sv * np.conj(ca) + sc * np.conj(b), sv * b + sc * ca]
     for slot in (0, 1):
-        got = pairs[z][slot]
-        got = g.val[got] if sweep == "graph" else got
-        assert np.max(np.abs(got - want[slot])) <= 1e-12 * np.max(np.abs(want[slot]))
+        assert np.max(np.abs(got[slot] - want[slot])) <= 1e-12 * np.max(np.abs(want[slot]))
 
 
 def test_real_seed_builds_the_value_channel_only_when_read(rng):
@@ -272,7 +273,7 @@ def test_backward_values_match_backward_graph_on_registry(case):
         leaves = {n: g.leaf(v) for n, v in case.make_inputs(rng).items()}
         loss = case.build_loss(g, leaves, rng)
         n = len(g)
-        values = backward_values(g, loss, seed=(0.5, 0.5))
+        values = backward_values(g, loss)
         assert len(g) == n
         assert set(values) <= set(leaves.values())
         graph = backward_graph(g, loss, seed=(0.5, 0.5))
@@ -288,7 +289,7 @@ def test_backward_values_resolve_numpy_integer_ids(rng, shape):
     b = g.leaf(rand_complex(rng, *shape))
     c = g.record("mul", [np.int64(a), np.int64(b)])
     loss = g_sum(g, g.record("mul", [np.int64(c), g.record("conj", [np.int64(c)])]))
-    values = backward_values(g, loss, seed=(0.5, 0.5))
+    values = backward_values(g, loss)
     graph = backward_graph(g, loss, seed=(0.5, 0.5))
     assert_same_adjoints(g, values, graph, [a, b])
 
@@ -301,18 +302,17 @@ def test_leaf_consumed_by_a_broadcast_gets_a_writable_gradient(rng, consumer):
     g = Tape()
     if consumer == "sum_to":
         x = g.leaf(rand_complex(rng, 2, 3))
-        loss = g.sum_to(x, ())
+        loss = g_re(g, g.sum_to(x, ()))
     else:
         x = g.leaf(rand_complex(rng, 3))
         w = g.const(rand_complex(rng, 2, 3))
         out = g.add(w, x) if consumer == "add" else g.expand(x, (2, 3))
-        loss = g_sum(g, g.mul(out, w))
-    got = backward_values(g, loss, seed=(0.5, 0.5))[x][1]
+        loss = g_re(g, g_sum(g, g.mul(out, w)))
+    got = backward_values(g, loss)[x]
     assert isinstance(got, np.ndarray) and got.shape == g.val[x].shape
     assert got.flags.writeable and got.flags.c_contiguous
     assert not any(np.shares_memory(got, v) for v in g.val)
-    assert_same_adjoints(g, backward_values(g, loss, seed=(0.5, 0.5)),
-                         backward_graph(g, loss, seed=(0.5, 0.5)), [x])
+    assert_same_adjoints(g, backward_values(g, loss), backward_graph(g, loss, seed=(0.5, 0.5)), [x])
 
 
 _PRODUCT_SHAPES = {
@@ -406,19 +406,19 @@ def test_second_order_matches_fd_of_gradient_on_registry(case):
             if leaf in first:
                 term = g_sum(g, g.mulc(g.smul(first[leaf][1], 2.0), g.const(u[n])))
                 phi = term if phi is None else g.add(phi, term)
-        second = backward_values(g, g_re(g, phi), seed=(0.5, 0.5))
+        second = backward_values(g, g_re(g, phi))
 
         def phi_at(name, arr):
             vals = dict(inputs)
             vals[name] = arr
             gg = Tape()
             lv = {m: gg.leaf(v) for m, v in vals.items()}
-            grads = backward_values(gg, case.build_loss(gg, lv, head_rng()), seed=(0.5, 0.5))
-            return sum(float(np.sum(np.conj(u[m]) * 2.0 * grads[lv[m]][1]).real)
+            grads = backward_values(gg, case.build_loss(gg, lv, head_rng()))
+            return sum(float(np.sum(np.conj(u[m]) * 2.0 * grads[lv[m]]).real)
                        for m in lv if lv[m] in grads)
 
         for n, leaf in leaves.items():
-            got = 2.0 * second[leaf][1] if leaf in second else np.zeros(np.shape(inputs[n]))
+            got = 2.0 * second[leaf] if leaf in second else np.zeros(np.shape(inputs[n]))
             fd = fd_complex_gradient(lambda arr, n=n: phi_at(n, arr), inputs[n])
             assert rel_error(got, fd, REL_TOL, ABS_FLOOR) <= REL_TOL, (case.name, k, n)
 
@@ -503,20 +503,20 @@ def _abs2_loss(g, leaves):
 
 
 def test_hvp_modulus_squared():
+    # L = |t|^2 has the gradient map 2t, so its derivative along u is 2u
     theta = {"t": CTensor.scalar(0.8 + 0.3j)}
-    h_vv, h_cv = hvp(_abs2_loss, theta, {"t": CTensor.scalar(1.0)})
-    assert abs(h_vv["t"].item() - 2.0) <= 1e-12
-    assert abs(h_cv["t"].item()) <= 1e-12
+    for u in (1.0, 0.6 - 1.7j):
+        got = hvp(_abs2_loss, theta, {"t": CTensor.scalar(u)})["t"].item()
+        assert abs(got - 2.0 * u) <= 1e-12
 
 
 def test_hvp_zero_direction_is_zero(rng):
     theta = {"t": CTensor(rand_complex(rng, 3))}
-    h_vv, h_cv = hvp(_abs2_loss, theta, {"t": CTensor.zeros((3,))})
-    assert np.max(np.abs(h_vv["t"].numpy())) == 0.0
-    assert np.max(np.abs(h_cv["t"].numpy())) == 0.0
+    h = hvp(_abs2_loss, theta, {"t": CTensor.zeros((3,))})
+    assert np.max(np.abs(h["t"].numpy())) == 0.0
 
 
-def test_hvp_matches_fd_of_gradient_map(rng):
+def _quadratic_loss(rng):
     # random three-parameter quadratic with non-holomorphic coupling
     a = rand_complex(rng, 3, 3)
     a = a + np.conj(a.T)  # Hermitian coupling keeps the loss real
@@ -530,25 +530,37 @@ def test_hvp_matches_fd_of_gradient_map(rng):
         anom = g_re(g, g.matmul(g.matmul(g.permute(col, (1, 0)), g.const(b)), col))
         return g_re(g, g.add(g_sum(g, quad), g_sum(g, anom)))
 
-    theta0 = rand_complex(rng, 3)
-    v = rand_complex(rng, 3)
-    h_vv, h_cv = hvp(loss, {"t": CTensor(theta0)}, {"t": CTensor(v)})
+    return loss
 
-    def grad_at(arr):
+
+def test_hvp_matches_fd_of_gradient_map(rng):
+    # the complex gradient of theta -> Re sum(conj(g(theta)) * u), with
+    # g(theta) the gradient map, by central differences
+    loss = _quadratic_loss(rng)
+    theta0 = rand_complex(rng, 3)
+    u = rand_complex(rng, 3)
+    h = hvp(loss, {"t": CTensor(theta0)}, {"t": CTensor(u)})
+
+    def phi(arr):
         g = Tape()
         leaves = {"t": g.leaf(arr)}
-        lid = loss(g, leaves)
-        pairs = backward_graph(g, lid, seed=(0.5, 0.5))
-        return 2.0 * g.val[pairs[leaves["t"]][1]].copy()
+        grad = 2.0 * backward_values(g, loss(g, leaves))[leaves["t"]]
+        return float(np.sum(np.conj(grad) * u).real)
 
-    h = 1e-6
-    d = np.conj(v)
-    d1 = (grad_at(theta0 + h * d) - grad_at(theta0 - h * d)) / (2 * h)
-    d2 = (grad_at(theta0 + h * 1j * d) - grad_at(theta0 - h * 1j * d)) / (2 * h)
-    want_vv = np.conj((d1 - 1j * d2) / 2)   # conj(J conj(v)) = H_vv v
-    want_cv = (d1 + 1j * d2) / 2            # K v = H_cv v
-    assert rel_error(h_vv["t"].numpy(), want_vv, rel=1e-4) <= 1e-4
-    assert rel_error(h_cv["t"].numpy(), want_cv, rel=1e-4) <= 1e-4
+    assert rel_error(h["t"].numpy(), fd_complex_gradient(phi, theta0), rel=1e-4) <= 1e-4
+
+
+def test_hvp_runs_one_recorded_and_one_graph_free_sweep(rng, monkeypatch):
+    sweeps = []
+    sweep = camel.wirtinger._sweep
+
+    def counting_sweep(g, ops, *args):
+        sweeps.append("recorded" if ops is g else "graph-free")
+        return sweep(g, ops, *args)
+
+    monkeypatch.setattr(camel.wirtinger, "_sweep", counting_sweep)
+    hvp(_quadratic_loss(rng), {"t": CTensor(rand_complex(rng, 3))}, {"t": CTensor(rand_complex(rng, 3))})
+    assert sweeps == ["recorded", "graph-free"]
 
 
 # ---------------------------------------------------------------------------
