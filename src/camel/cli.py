@@ -12,6 +12,11 @@ Commands (see README for the config key reference):
 
 Exit codes: 0 success, 1 validation failure, 2 non-finite loss in training
 or eval fine-tuning, 3 I/O or configuration error.
+
+Every key=value line, from a config file, a --set option, a flag
+(``--first-order`` is the line ``first_order=true``, read after every
+--set line) or a checkpoint header, goes through :func:`read_settings`
+and one key table built from the config dataclasses.
 """
 
 from __future__ import annotations
@@ -116,92 +121,89 @@ class RunConfig:
     arch: ArchConfig
     meta: MetaConfig
     data: DataConfig
-    seed: int = 0
     explicit: set = field(default_factory=set)
 
 
-_ARCH_FIELDS = {f.name: f.type for f in dataclasses.fields(ArchConfig)}
-_META_FIELDS = {f.name: f.type for f in dataclasses.fields(MetaConfig)
-                if f.name not in ("adaptive_beta", "seed")}
-_DATA_FIELDS = {f.name: f.type for f in dataclasses.fields(DataConfig)}
-_ADAPTIVE_KEYS = ("adaptive_grad_lipschitz", "adaptive_hess_lipschitz", "adaptive_probe_tasks")
+# config key -> (dataclass, field name, annotation); adaptive step size
+# fields take the adaptive_ prefix
+_KEYS = {prefix + f.name: (cls, f.name, str(f.type))
+         for cls, prefix in ((ArchConfig, ""), (MetaConfig, ""), (DataConfig, ""),
+                             (AdaptiveBetaConfig, "adaptive_"))
+         for f in dataclasses.fields(cls) if f.name != "adaptive_beta"}
+_ARCH_KEYS = {k: v for k, v in _KEYS.items() if v[0] is ArchConfig}
 
 
-def _coerce(key: str, ftype: str, value: str):
-    t = str(ftype)
-    try:
-        if "bool" in t:
-            return _parse_bool(value)
-        if "int" in t:
-            return int(value)
-        if "float" in t:
-            return float(value)
-        if "list" in t:
-            return [s.strip() for s in value.split(",") if s.strip()]
-        if "| None" in t or "Optional" in t:
-            return value or None
-        return value
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: {exc}") from exc
+def _coerce(ftype: str, value: str):
+    if "bool" in ftype:
+        return _parse_bool(value)
+    if "int" in ftype:
+        return int(value)
+    if "float" in ftype:
+        return float(value)
+    if "list" in ftype:
+        return [s.strip() for s in value.split(",") if s.strip()]
+    if "| None" in ftype:
+        return value or None
+    return value
 
 
-def parse_config(lines, source: str = "<config>") -> RunConfig:
-    """Parse key=value lines; '#' starts a comment, blank lines are skipped.
-    Unknown keys are errors naming the key and line."""
-    arch_kw: dict = {"n_classes": 5}
-    meta_kw: dict = {}
-    data_kw: dict = {}
-    adaptive_kw: dict = {}
-    seed = 0
-    explicit: set[str] = set()
+def read_settings(lines, source: str, keys=_KEYS) -> dict:
+    """Read key=value lines into key -> typed value; '#' starts a comment,
+    blank lines are skipped and a later line overrides an earlier one.
+    A malformed line, a key outside ``keys`` or a value of the wrong type
+    is a ConfigError naming the source, the line and the key."""
+    values: dict = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"{source}:{lineno}"
         if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected key=value, got {raw.strip()!r}")
+            raise ConfigError(f"{where}: expected key=value, got {raw.strip()!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        explicit.add(key)
-        if key == "seed":
-            seed = int(value)
-        elif key in _ARCH_FIELDS:
-            arch_kw[key] = _coerce(key, _ARCH_FIELDS[key], value)
-        elif key in _META_FIELDS:
-            meta_kw[key] = _coerce(key, _META_FIELDS[key], value)
-        elif key in _DATA_FIELDS:
-            data_kw[key] = _coerce(key, _DATA_FIELDS[key], value)
-        elif key in _ADAPTIVE_KEYS:
-            adaptive_kw[key.removeprefix("adaptive_")] = float(value) if "lipschitz" in key else int(value)
-        else:
-            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
+        if key not in keys:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        try:
+            values[key] = _coerce(keys[key][2], value)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: key {key!r}: {exc}") from exc
+    return values
+
+
+def parse_config(lines, source: str = "<config>") -> RunConfig:
+    """Parse key=value lines (see :func:`read_settings`) into a RunConfig."""
+    return _build_config(read_settings(lines, source), source)
+
+
+def _build_config(values: dict, source: str) -> RunConfig:
+    kw: dict[type, dict] = {ArchConfig: {"n_classes": 5}, MetaConfig: {}, DataConfig: {},
+                            AdaptiveBetaConfig: {}}
+    for key, value in values.items():
+        cls, name, _ = _KEYS[key]
+        kw[cls][name] = value
     try:
-        arch = ArchConfig(**arch_kw)
-        if adaptive_kw:
-            if "grad_lipschitz" not in adaptive_kw:
-                raise ConfigError("adaptive step size needs adaptive_grad_lipschitz")
-            meta_kw["adaptive_beta"] = AdaptiveBetaConfig(
-                grad_lipschitz=adaptive_kw["grad_lipschitz"],
-                hess_lipschitz=adaptive_kw.get("hess_lipschitz", 0.0),
-                probe_tasks=int(adaptive_kw.get("probe_tasks", 1)),
-            )
-        meta = MetaConfig(seed=seed, **meta_kw)
-        data = DataConfig(**data_kw)
+        if kw[AdaptiveBetaConfig]:
+            kw[MetaConfig]["adaptive_beta"] = AdaptiveBetaConfig(**kw[AdaptiveBetaConfig])
+        return RunConfig(arch=ArchConfig(**kw[ArchConfig]), meta=MetaConfig(**kw[MetaConfig]),
+                         data=DataConfig(**kw[DataConfig]), explicit=set(values))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{source}: {exc}") from exc
-    return RunConfig(arch=arch, meta=meta, data=data, seed=seed, explicit=explicit)
 
 
 def load_config(path: str | None, overrides: list[str] | None = None) -> RunConfig:
-    lines: list[str] = []
+    """The config file at ``path`` (none: every default), then the
+    ``overrides`` lines, which errors locate as "command line:N"."""
+    values: dict = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-        source = path
-    else:
-        source = "<defaults>"
-    for ov in overrides or []:
-        lines.append(ov + "\n")
-    return parse_config(lines, source)
+            values = read_settings(fh, path)
+    values.update(read_settings(overrides or [], "command line"))
+    return _build_config(values, path or "<defaults>")
+
+
+def _run_config(args) -> RunConfig:
+    """The config file, then every --set line, then every flag's line."""
+    return load_config(args.config, args.set + args.flags)
 
 
 # ---------------------------------------------------------------------------
@@ -231,16 +233,11 @@ def _arch_to_lines(arch: ArchConfig) -> str:
     return "\n".join(out)
 
 
-def _arch_from_lines(text: str) -> ArchConfig:
-    kw = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        key, value = line.split("=", 1)
-        if key not in _ARCH_FIELDS:
-            raise CheckpointError(f"checkpoint header has unknown architecture key {key!r}")
-        kw[key] = _coerce(key, _ARCH_FIELDS[key], value)
-    return ArchConfig(**kw)
+def _arch_from_lines(lines: list[str]) -> ArchConfig:
+    try:
+        return ArchConfig(**read_settings(lines, "checkpoint header", _ARCH_KEYS))
+    except (ValueError, TypeError) as exc:
+        raise CheckpointError(f"bad checkpoint architecture: {exc}") from exc
 
 
 def _rng_state_to_json(state: dict) -> str:
@@ -334,11 +331,11 @@ def load_checkpoint(path: str) -> Checkpoint:
                 iteration = int(line.split("=", 1)[1])
             elif line.startswith("rng_state="):
                 rng_state = _rng_state_from_json(line.split("=", 1)[1])
-            elif line.strip():
+            else:
                 arch_lines.append(line)
         if iteration is None or rng_state is None:
             raise CheckpointError("checkpoint header lacks iteration or rng_state")
-        arch = _arch_from_lines("\n".join(arch_lines))
+        arch = _arch_from_lines(arch_lines)
 
         (n_params,) = struct.unpack("<I", read(4, "parameter count"))
         tensors: dict[str, CTensor] = {}
@@ -491,8 +488,8 @@ def cmd_bench_lemma1(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    cfg = load_config(args.config, args.set)
-    rng = _rng(_streams(args.seed if args.seed is not None else cfg.seed)["data"])
+    cfg = _run_config(args)
+    rng = _rng(_streams(cfg.meta.seed)["data"])
     pool = generate_pool(cfg.data.schemes, cfg.data.snr_grid(), cfg.data.frames_per_cell,
                          cfg.arch.frame_len, cfg.data.sps, rng)
     save_frames(args.out, pool)
@@ -500,24 +497,9 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _apply_flag_overrides(cfg: RunConfig, args) -> None:
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-        cfg.meta.seed = args.seed
-    if getattr(args, "iterations", None) is not None:
-        cfg.meta.iterations = args.iterations
-    if getattr(args, "first_order", False):
-        cfg.meta.first_order = True
-    if getattr(args, "no_attention", False):
-        cfg.arch.use_attention = False
-    if getattr(args, "real_valued", False):
-        cfg.arch.real_input = True
-
-
 def cmd_train(args) -> int:
-    cfg = load_config(args.config, args.set)
-    _apply_flag_overrides(cfg, args)
-    streams = _streams(cfg.seed)
+    cfg = _run_config(args)
+    streams = _streams(cfg.meta.seed)
     train_pool, _ = _train_test_pools(cfg, streams)
 
     episode_rng = _rng(streams["episodes"])
@@ -571,18 +553,16 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = load_config(args.config, args.set)
-    _apply_flag_overrides(cfg, args)
+    cfg = _run_config(args)
     ckpt = load_checkpoint(args.checkpoint)
-    explicit_arch = {k for k in cfg.explicit if k in _ARCH_FIELDS}
-    for key in explicit_arch:
+    for key in sorted(cfg.explicit & _ARCH_KEYS.keys()):
         if getattr(cfg.arch, key) != getattr(ckpt.arch, key):
             raise ArchMismatchError(
                 f"config sets {key}={getattr(cfg.arch, key)!r} but the checkpoint "
                 f"was trained with {key}={getattr(ckpt.arch, key)!r}")
     cfg.arch = ckpt.arch
 
-    streams = _streams(cfg.seed)
+    streams = _streams(cfg.meta.seed)
     _, test_pool = _train_test_pools(cfg, streams)
     e_rng = _rng(streams["eval"].spawn(1)[0])
     n_episodes = args.episodes if args.episodes is not None else cfg.data.eval_episodes
@@ -617,7 +597,9 @@ def _add_config_args(p) -> None:
     p.add_argument("--config", default=None, help="key=value config file")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="override one config key (repeatable)")
-    p.add_argument("--seed", type=int, default=None)
+    # a flag stands for a config line, read after every --set line
+    p.add_argument("--seed", dest="flags", action="append", default=[], type="seed={}".format,
+                   metavar="N", help="same as --set seed=N")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -650,14 +632,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="episodic training")
     _add_config_args(p)
     p.add_argument("--out", default="run", help="output directory")
-    p.add_argument("--iterations", type=int, default=None)
+    p.add_argument("--iterations", dest="flags", action="append", type="iterations={}".format,
+                   metavar="N", help="same as --set iterations=N")
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
-    p.add_argument("--first-order", action="store_true", dest="first_order",
-                   help="drop both curvature terms of the outer gradient")
-    p.add_argument("--no-attention", action="store_true", dest="no_attention",
-                   help="ablation: skip the attention block")
-    p.add_argument("--real-valued", action="store_true", dest="real_valued",
-                   help="ablation: real weights over stacked I/Q channels")
+    p.add_argument("--first-order", dest="flags", action="append_const", const="first_order=true",
+                   help="drop both curvature terms of the outer gradient (first_order=true)")
+    p.add_argument("--no-attention", dest="flags", action="append_const",
+                   const="use_attention=false", help="ablation: skip the attention block "
+                   "(use_attention=false)")
+    p.add_argument("--real-valued", dest="flags", action="append_const", const="real_input=true",
+                   help="ablation: real weights over stacked I/Q channels (real_input=true)")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on held-out episodes")

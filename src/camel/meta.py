@@ -218,7 +218,7 @@ class AdaptiveBetaConfig:
     constants cannot be estimated from data and must be supplied."""
 
     grad_lipschitz: float
-    hess_lipschitz: float
+    hess_lipschitz: float = 0.0
     probe_tasks: int = 1
 
     def __post_init__(self):
@@ -260,8 +260,9 @@ class MetaConfig:
         for name in ("meta_batch", "inner_steps", "n_way", "k_shot", "q_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.finetune_steps < 0 or self.iterations < 0:
-            raise ValueError("step counts must be >= 0")
+        for name in ("finetune_steps", "iterations"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.outer_optimizer not in ("sgd", "adam"):
             raise ValueError(f"outer_optimizer must be sgd or adam, got {self.outer_optimizer!r}")
         if self.adaptive_beta is not None:
@@ -528,7 +529,7 @@ def train_meta(theta0: ParamSet, batch_source: Callable[[], Sequence[MetaTask]],
             lr = cfg.outer_lr
             if cfg.adaptive_beta is not None:
                 lr = adaptive_beta(state.theta, tasks, cfg.inner_lr, cfg.adaptive_beta)
-            theta_next = state.theta.add_scaled(grad, -lr)
+            theta_next = outer_update(state.theta, grad, lr)
         bad = any(not (np.all(np.isfinite(t.numpy().real)) and np.all(np.isfinite(t.numpy().imag)))
                   for t in theta_next.values())
         if bad:

@@ -8,6 +8,7 @@ episode, and file is bit-reproducible from a seed.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -108,12 +109,6 @@ class FramePool:
     schemes: list[str]
     frames: list[SignalFrame] = field(default_factory=list)
 
-    def by_label(self, label: int) -> list[SignalFrame]:
-        return [f for f in self.frames if f.label == label]
-
-    def filter_snr(self, lo: float = -math.inf, hi: float = math.inf) -> "FramePool":
-        return FramePool(self.schemes, [f for f in self.frames if lo <= f.snr_db <= hi])
-
 
 # ---------------------------------------------------------------------------
 # modulation
@@ -205,16 +200,11 @@ def generate_pool(schemes: Sequence[str], snr_grid: Sequence[float], frames_per_
 # ---------------------------------------------------------------------------
 
 def sample_episode(pool: FramePool, n_way: int, k_shot: int, q_size: int,
-                   rng: np.random.Generator,
-                   snr_range: tuple[float, float] | None = None) -> Episode:
+                   rng: np.random.Generator) -> Episode:
     """Draw n_way distinct schemes and disjoint support/query frames;
     labels are remapped to 0..n_way-1 in drawn order."""
-    frames = pool.frames
-    if snr_range is not None:
-        lo, hi = snr_range
-        frames = [f for f in frames if lo <= f.snr_db <= hi]
     per_label: dict[int, list[SignalFrame]] = {}
-    for f in frames:
+    for f in pool.frames:
         per_label.setdefault(f.label, []).append(f)
     eligible = [lab for lab, fs in per_label.items() if len(fs) >= k_shot + q_size]
     if len(eligible) < n_way:
@@ -232,11 +222,11 @@ def sample_episode(pool: FramePool, n_way: int, k_shot: int, q_size: int,
     return Episode(tuple(support), tuple(query), n_way=n_way, k_shot=k_shot)
 
 
-def episode_stream(pool_or_cfg, n_way: int, k_shot: int, q_size: int,
-                   rng: np.random.Generator, snr_range: tuple[float, float] | None = None):
+def episode_stream(pool: FramePool, n_way: int, k_shot: int, q_size: int,
+                   rng: np.random.Generator):
     """Infinite iterator of episodes sampled from a pool."""
     while True:
-        yield sample_episode(pool_or_cfg, n_way, k_shot, q_size, rng, snr_range)
+        yield sample_episode(pool, n_way, k_shot, q_size, rng)
 
 
 def scenario_split(pool: FramePool, kind: str, rng: np.random.Generator,
@@ -307,11 +297,11 @@ def save_frames(path: str, pool: FramePool) -> None:
 def read_exact(fh, n: int, what: str, source: str = "frame file",
                error: type[Exception] = TruncatedFileError) -> bytes:
     """``n`` bytes from ``fh``; raises ``error`` naming ``source`` and
-    ``what`` when the file ends first."""
-    raw = fh.read(n)
-    if len(raw) != n:
+    ``what`` when the file ends first.  A length read from the file is
+    checked against the bytes left before anything is allocated for it."""
+    if not 0 <= n <= os.fstat(fh.fileno()).st_size - fh.tell():
         raise error(f"{source} ended while reading {what}")
-    return raw
+    return fh.read(n)
 
 
 def load_frames(path: str) -> FramePool:

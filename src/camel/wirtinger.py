@@ -329,32 +329,6 @@ class Tape:
         return method(self, *inputs, **aux)
 
 
-_RECORDABLE: dict[str, Callable] = {
-    "add": Tape.add,
-    "sub": Tape.sub,
-    "neg": Tape.neg,
-    "mul": Tape.mul,
-    "mulc": Tape.mulc,
-    "div": Tape.div,
-    "smul": Tape.smul,
-    "conj": Tape.conj,
-    "exp": Tape.exp,
-    "log": Tape.log,
-    "sqrt": Tape.sqrt,
-    "cabs": Tape.cabs,
-    "mdiv": Tape.mdiv,
-    "crelu": Tape.crelu,
-    "matmul": Tape.matmul,
-    "bmm": Tape.bmm,
-    "reshape": Tape.reshape,
-    "permute": Tape.permute,
-    "sum_to": Tape.sum_to,
-    "expand": Tape.expand,
-    "take": Tape.take,
-    "scatter": Tape.scatter,
-}
-
-
 # ---------------------------------------------------------------------------
 # graph convenience builders
 # ---------------------------------------------------------------------------
@@ -380,10 +354,6 @@ def g_abs(g: Tape, x: int) -> int:
 def g_sum(g: Tape, x: int) -> int:
     """Sum of all elements, as a rank-0 node."""
     return g.sum_to(x, ())
-
-
-def g_mean(g: Tape, x: int) -> int:
-    return g.smul(g_sum(g, x), 1.0 / g.val[x].size)
 
 
 def g_dot_const(g: Tape, x: int, w) -> int:
@@ -608,6 +578,9 @@ _PULLBACKS: dict[str, Callable] = {
     "scatter": _pull_scatter,
 }
 
+# the ops :meth:`Tape.record` accepts by name: exactly those with a pullback
+_RECORDABLE: dict[str, Callable] = {k: getattr(Tape, k) for k in _PULLBACKS}
+
 
 # ---------------------------------------------------------------------------
 # backward sweeps
@@ -718,19 +691,21 @@ def evaluator() -> Tape:
 class _Pair:
     """(dL/dz, dL/dz*) of one node from its adjoints c1 and c2 in the
     sweeps of :func:`_paired` (c2 None after a real seed): c1 + i c2 and
-    conj(c1) + i conj(c2), each recorded on first read.  A pair holds the
-    tape, never the map it sits in, so a swept tape and its result are
-    freed by reference counting alone."""
+    conj(c1) + i conj(c2), each recorded on first read.  A naive pair has
+    no conj channel.  A pair holds the tape, never the map it sits in, so
+    a swept tape and its result are freed by reference counting alone."""
 
-    __slots__ = ("_g", "_c1", "_c2", "_built")
+    __slots__ = ("_g", "_c1", "_c2", "_naive", "_built")
 
-    def __init__(self, g: Tape, c1, c2):
-        self._g, self._c1, self._c2 = g, c1, c2
+    def __init__(self, g: Tape, c1, c2, naive: bool = False):
+        self._g, self._c1, self._c2, self._naive = g, c1, c2, naive
         self._built = [None, c1 if c2 is None else None]
 
     def __getitem__(self, slot: int):
         if slot not in (0, 1):
             raise IndexError(slot)
+        if slot == 1 and self._naive:
+            return None
         got = self._built[slot]
         if got is None:
             g = self._g
@@ -764,7 +739,7 @@ def _paired(g: Tape, out_id: int, seed, naive: bool, stop) -> dict:
     sv, sc = (0j if s is None else complex(s) for s in seed)
     if naive:
         cot = _sweep(g, g, out_id, sv.conjugate(), True, stop) if sv else {}
-        return {nid: (g.conj(c), None) for nid, c in cot.items()}
+        return {nid: _Pair(g, c, None, naive=True) for nid, c in cot.items()}
     a1, a2 = (sc + sv.conjugate()) / 2, (sc - sv.conjugate()) / 2j
     p1 = _sweep(g, g, out_id, a1, False, stop) if a1 else {}
     p2 = _sweep(g, g, out_id, a2, False, stop) if a2 else {}

@@ -173,6 +173,7 @@ def test_criterion_5_meta_gradient_exactness():
           f"family's closed form (<= 1e-10)")
 
 
+@pytest.mark.slow
 def test_criterion_6_desk_scale_few_shot():
     t0 = time.perf_counter()
     report, baseline, episodes = _desk_run(seed=1, iterations=1000, eval_episodes=200,
@@ -198,6 +199,7 @@ VARIANTS = {
 }
 
 
+@pytest.mark.slow
 def test_criterion_7_ablation_ordering():
     seeds = [1, 2, 3, 4, 5]
     accs = {name: [] for name in VARIANTS}

@@ -1,4 +1,5 @@
 import os
+import struct
 import subprocess
 import sys
 
@@ -9,6 +10,8 @@ from camel.cli import (
     Checkpoint,
     CheckpointError,
     ConfigError,
+    _run_config,
+    build_parser,
     load_checkpoint,
     load_config,
     main,
@@ -81,6 +84,46 @@ def test_adaptive_probe_batch_is_an_unknown_key(tmp_path, capsys):
     assert "adaptive_probe_batch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["seed", "adaptive_grad_lipschitz"])
+def test_bad_value_names_key_and_line(tmp_path, capsys, key):
+    with pytest.raises(ConfigError, match=rf"cfg:2: key '{key}'"):
+        parse_config(["n_classes=3", f"{key}=abc"], source="cfg")
+    p = tmp_path / "bad.cfg"
+    p.write_text(f"n_classes=3\n{key}=abc\n")
+    assert main(["gen", "--config", str(p), "--out", str(tmp_path / "pool.csig")]) == 3
+    assert f"bad.cfg:2: key '{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, line, other", [
+    (["--seed", "7"], "seed=7", "seed=8"),
+    (["--iterations", "3"], "iterations=3", "iterations=4"),
+    (["--first-order"], "first_order=true", "first_order=false"),
+    (["--no-attention"], "use_attention=false", "use_attention=true"),
+    (["--real-valued"], "real_input=true", "real_input=false"),
+], ids=["seed", "iterations", "first_order", "no_attention", "real_valued"])
+def test_each_flag_is_its_set_line(tiny_cfg_path, flag, line, other):
+    def run_config(*argv):
+        return _run_config(build_parser().parse_args(["train", "--config", tiny_cfg_path, *argv]))
+
+    by_flag = run_config(*flag)
+    assert by_flag == run_config("--set", line)
+    assert by_flag != run_config("--set", other)
+    # a flag is read after every --set line, wherever it stands
+    assert run_config(*flag, "--set", other) == by_flag
+
+
+@pytest.mark.parametrize("flag, value, message", [("--iterations", "-1", "iterations must be >= 0"),
+                                                 ("--iterations", "x",
+                                                  "command line:1: key 'iterations'"),
+                                                 ("--seed", "x", "command line:1: key 'seed'")],
+                         ids=["negative_iterations", "iterations_not_int", "seed_not_int"])
+def test_flags_pass_the_config_checks(tmp_path, tiny_cfg_path, capsys, flag, value, message):
+    out = tmp_path / "r"
+    assert main(["train", "--config", tiny_cfg_path, flag, value, "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(out / "checkpoint.caml")
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
@@ -136,6 +179,34 @@ def test_checkpoint_truncated(tmp_path, rng):
     p.write_bytes(p.read_bytes()[:-3])
     with pytest.raises(CheckpointError, match="ended"):
         load_checkpoint(str(p))
+
+
+def test_checkpoint_history_length_beyond_the_file_exits_3(tmp_path, rng, capsys):
+    ck = _checkpoint(rng)
+    p = tmp_path / "h.caml"
+    save_checkpoint(str(p), ck)
+    raw = bytearray(p.read_bytes())
+    at = len(raw) - len(metrics_csv(ck.history).encode("utf-8")) - 8
+    raw[at:at + 8] = struct.pack("<Q", 2**64 - 1)
+    p.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="ended while reading history"):
+        load_checkpoint(str(p))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(p), "--episodes", "1"]) == 3
+    assert "history" in capsys.readouterr().err
+
+
+def test_checkpoint_header_reads_through_the_config_reader(tmp_path, rng):
+    p = tmp_path / "hdr.caml"
+    save_checkpoint(str(p), _checkpoint(rng))
+    raw = p.read_bytes()
+    for old, new, message in [(b"frame_len=16", b"frame_len=1x", r"header:2: key 'frame_len'"),
+                              (b"n_heads=1", b"n_hoads=1", r"header:8: unknown key 'n_hoads'"),
+                              (b"n_heads=1", b"n_heads=3", "not divisible")]:
+        assert raw.count(old) == 1
+        p.write_bytes(raw.replace(old, new))
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(str(p))
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +489,7 @@ def test_train_and_eval_self_consistency(tmp_path):
     from camel.signals import sample_episode
 
     run_cfg = load_config(str(cfg))
-    streams = _streams(run_cfg.seed)
+    streams = _streams(run_cfg.meta.seed)
     _, test_pool = _train_test_pools(run_cfg, streams)
     e_rng = _rng(streams["eval"].spawn(1)[0])
     eps = [sample_episode(test_pool, run_cfg.meta.n_way, run_cfg.meta.k_shot,

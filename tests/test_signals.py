@@ -1,9 +1,11 @@
 import math
+import os
 import struct
 
 import numpy as np
 import pytest
 
+from camel import signals
 from camel.ctensor import CTensor
 from camel.signals import (
     BadMagicError,
@@ -263,3 +265,35 @@ def test_zero_frame_file_roundtrip(tmp_path):
     save_frames(str(p), pool)
     loaded = load_frames(str(p))
     assert loaded.schemes == ["BPSK"] and loaded.frames == []
+
+
+class _ReadRecorder:
+    """A binary file whose reads refuse to ask for more bytes than it holds."""
+
+    def __init__(self, path, mode):
+        self._fh = open(path, mode)
+        self._size = os.path.getsize(path)
+
+    def read(self, n=-1):
+        assert n <= self._size, f"read of {n} bytes from a {self._size}-byte file"
+        return self._fh.read(n)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def test_frame_length_beyond_the_file_is_a_truncation(tmp_path, monkeypatch):
+    # frame_len 2^32-1 asks for 32 GiB of samples from a 38-byte file
+    blob = b"CSIG" + struct.pack("<II", 1, 1) + struct.pack("<H", 4) + b"BPSK"
+    blob += struct.pack("<Q", 1) + struct.pack("<IfI", 0, 5.0, 2**32 - 1)
+    p = tmp_path / "huge.csig"
+    p.write_bytes(blob)
+    monkeypatch.setattr(signals, "open", _ReadRecorder, raising=False)
+    with pytest.raises(TruncatedFileError, match="frame 0 samples"):
+        load_frames(str(p))

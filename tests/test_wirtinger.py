@@ -249,6 +249,21 @@ def test_real_seed_builds_the_value_channel_only_when_read(rng):
     assert pairs[z][0] == vid and len(g) == n + 1
 
 
+def test_naive_sweep_builds_the_value_channel_only_when_read():
+    # the toy loss of camel toychain: the naive sweep records its own
+    # arithmetic and no conj node until a value slot is read
+    g = Tape()
+    x = g.leaf(np.asarray(0.5 + 0.5j, dtype=complex))
+    loss = _toy_loss(g, x)
+    n = len(g)
+    pairs = backward_graph(g, loss, seed=(1.0, None), naive=True)
+    assert len(g) == n + 9 and "conj" not in g.kind[n:]
+    assert x not in pairs
+    vid = pairs[loss][0]
+    assert len(g) == n + 10 and g.kind[vid] == "conj"
+    assert pairs[loss][0] == vid and pairs[loss][1] is None and len(g) == n + 10
+
+
 def test_naive_rule_gives_exact_zeros_behind_conj():
     # every path from the loss to x passes a conj, whose whole adjoint is
     # antiholomorphic: the naive rule reaches nothing, and has no conj channel
