@@ -11,7 +11,7 @@ Commands (see README for the config key reference):
     camel eval          fine-tune/classify held-out episodes from a checkpoint
 
 Exit codes: 0 success, 1 validation failure, 2 non-finite loss in training
-or eval fine-tuning, 3 I/O or configuration error.
+or eval fine-tuning, 3 I/O, configuration or command-line usage error.
 
 Every key=value line, from a config file, a --set option, a flag
 (``--first-order`` is the line ``first_order=true``, read after every
@@ -33,7 +33,6 @@ from functools import partial
 import numpy as np
 
 from .ctensor import CTensor
-from .gradcheck import default_cases, run_suite
 from .layers import ArchConfig, ConfigError, init_params
 from .meta import (
     AdaptiveBetaConfig,
@@ -233,9 +232,28 @@ def _arch_to_lines(arch: ArchConfig) -> str:
     return "\n".join(out)
 
 
-def _arch_from_lines(lines: list[str]) -> ArchConfig:
+# a checkpoint header: the arch lines, then the iteration and the episode
+# stream's rng state
+_HEADER_KEYS = {**_ARCH_KEYS, "iteration": (Checkpoint, "iteration", "int"),
+                "rng_state": (Checkpoint, "rng_state", "str")}
+
+
+def _read_header(lines: list[str], path: str) -> tuple[ArchConfig, int, dict]:
     try:
-        return ArchConfig(**read_settings(lines, "checkpoint header", _ARCH_KEYS))
+        values = read_settings(lines, f"checkpoint {path} header", _HEADER_KEYS)
+        iteration, rng_text = values.pop("iteration"), values.pop("rng_state")
+    except KeyError as exc:
+        raise CheckpointError(f"checkpoint {path} header lacks {exc}") from exc
+    except ConfigError as exc:
+        raise CheckpointError(str(exc)) from exc
+    try:
+        rng_state = _rng_state_from_json(rng_text)
+        if not isinstance(rng_state, dict):
+            raise ValueError("not a JSON object")
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint {path} header: key 'rng_state': {exc}") from exc
+    try:
+        return ArchConfig(**values), iteration, rng_state
     except (ValueError, TypeError) as exc:
         raise CheckpointError(f"bad checkpoint architecture: {exc}") from exc
 
@@ -325,17 +343,7 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise CheckpointError(f"unsupported checkpoint version {version}")
         (hlen,) = struct.unpack("<I", read(4, "header length"))
         header = read(hlen, "header").decode("utf-8")
-        arch_lines, iteration, rng_state = [], None, None
-        for line in header.splitlines():
-            if line.startswith("iteration="):
-                iteration = int(line.split("=", 1)[1])
-            elif line.startswith("rng_state="):
-                rng_state = _rng_state_from_json(line.split("=", 1)[1])
-            else:
-                arch_lines.append(line)
-        if iteration is None or rng_state is None:
-            raise CheckpointError("checkpoint header lacks iteration or rng_state")
-        arch = _arch_from_lines(arch_lines)
+        arch, iteration, rng_state = _read_header(header.splitlines(), path)
 
         (n_params,) = struct.unpack("<I", read(4, "parameter count"))
         tensors: dict[str, CTensor] = {}
@@ -352,9 +360,13 @@ def load_checkpoint(path: str) -> Checkpoint:
         (hlen2,) = struct.unpack("<Q", read(8, "history length"))
         hist_text = read(hlen2, "history").decode("utf-8")
         history = []
-        for line in hist_text.splitlines()[1:]:
-            it, loss, acc = line.split(",")
-            history.append(HistoryRow(int(it), float(loss), float(acc)))
+        for lineno, line in enumerate(hist_text.splitlines()[1:], start=2):
+            try:
+                it, loss, acc = line.split(",")
+                history.append(HistoryRow(int(it), float(loss), float(acc)))
+            except ValueError as exc:
+                raise CheckpointError(f"checkpoint {path}: history line {lineno} "
+                                      f"{line!r}: {exc}") from exc
         return Checkpoint(arch, ParamSet(tensors), iteration, rng_state, history)
 
 
@@ -398,6 +410,8 @@ def metrics_csv(history: list[HistoryRow]) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_gradcheck(args) -> int:
+    from .gradcheck import default_cases, run_suite  # only this command needs it
+
     cases = default_cases()
     results = run_suite(cases, instances=args.instances, seed=args.seed)
     width = max(len(r.name) for r in results)
@@ -602,9 +616,17 @@ def _add_config_args(p) -> None:
                    metavar="N", help="same as --set seed=N")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a ConfigError, which exits 3 like any bad input
+    (argparse's own exit code, 2, is the code of a non-finite loss).  The
+    subcommand parsers are built from the same class."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="camel",
-                                 description="complex-valued attentional meta-learning toolkit")
+    ap = _Parser(prog="camel", description="complex-valued attentional meta-learning toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gradcheck", help="finite-difference oracle suite")
@@ -654,8 +676,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (OSError, ValueError) as exc:
         # ConfigError, CheckpointError and FrameFormatError are ValueErrors

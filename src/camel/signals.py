@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ctensor import CTensor
+from .ctensor import CTensor, NonFiniteError
 from .meta import Episode
 
 _C = np.complex128
@@ -124,6 +124,44 @@ def _gfsk_pulse(sps: int) -> np.ndarray:
     return pulse / pulse.sum()
 
 
+def _scheme_spec(scheme: str, sps: int, frame_len: int) -> SchemeSpec:
+    spec = SCHEMES.get(scheme)
+    if spec is None:
+        raise ModulationError(f"unsupported scheme {scheme!r}; known: {', '.join(SCHEME_NAMES)}")
+    if sps < 1:
+        raise ModulationError(f"sps must be positive, got {sps}")
+    if frame_len % sps != 0:
+        raise ModulationError(f"frame_len {frame_len} must be a multiple of sps {sps}")
+    return spec
+
+
+def _modulate_rows(bits: np.ndarray, spec: SchemeSpec, sps: int, frame_len: int) -> np.ndarray:
+    """One frame of complex128 samples per row of ``bits`` (rows of
+    exactly the bits a frame needs).
+
+    Each row gets the arithmetic of a one-row call, so a frame does not
+    depend on the rows modulated beside it."""
+    rows, n_sym = bits.shape[0], frame_len // sps
+    if spec.kind == "constellation":
+        weights = 1 << np.arange(spec.bits_per_symbol)[::-1]
+        symbols = _CONSTELLATIONS[spec.name][bits.reshape(rows, n_sym, spec.bits_per_symbol) @ weights]
+        return np.repeat(symbols, sps, axis=1)
+    nrz = 1.0 - 2.0 * bits.astype(np.float64)  # bit 0 -> +1, bit 1 -> -1
+    if spec.name == "CPFSK":
+        freq = np.repeat(nrz / sps, sps, axis=1)
+    else:
+        # row by row: np.convolve sums through a BLAS dot, whose rounding a
+        # batched form need not reproduce
+        pulse = _gfsk_pulse(sps)
+        impulses = np.zeros((rows, frame_len))
+        impulses[:, ::sps] = nrz
+        freq = np.empty((rows, frame_len))
+        for r in range(rows):
+            freq[r] = np.convolve(impulses[r], pulse)[:frame_len]
+    phase = np.pi * CPFSK_MOD_INDEX * np.cumsum(freq, axis=1)
+    return np.exp(1j * phase)
+
+
 def modulate(bits: Sequence[int] | None, scheme: str, sps: int = 8,
              frame_len: int = 128, rng: np.random.Generator | None = None) -> SignalFrame:
     """Map bits onto one frame of complex samples at unit average power.
@@ -133,13 +171,8 @@ def modulate(bits: Sequence[int] | None, scheme: str, sps: int = 8,
     envelope stays on the unit circle.  When ``bits`` is None they are
     drawn from ``rng``.
     """
-    spec = SCHEMES.get(scheme)
-    if spec is None:
-        raise ModulationError(f"unsupported scheme {scheme!r}; known: {', '.join(SCHEME_NAMES)}")
-    if frame_len % sps != 0:
-        raise ModulationError(f"frame_len {frame_len} must be a multiple of sps {sps}")
-    n_sym = frame_len // sps
-    need = n_sym * spec.bits_per_symbol
+    spec = _scheme_spec(scheme, sps, frame_len)
+    need = frame_len // sps * spec.bits_per_symbol
     if bits is None:
         if rng is None:
             raise ModulationError("modulate needs bits or an rng to draw them")
@@ -147,51 +180,50 @@ def modulate(bits: Sequence[int] | None, scheme: str, sps: int = 8,
     bits = np.asarray(bits, dtype=np.int64)
     if bits.size < need:
         raise ModulationError(f"{scheme} frame needs {need} bits, got {bits.size}")
-    bits = bits[:need]
+    samples = _modulate_rows(bits[None, :need], spec, sps, frame_len)[0]
+    return SignalFrame(CTensor(samples), spec.id, math.inf)
 
-    if spec.kind == "constellation":
-        points = _CONSTELLATIONS[scheme]
-        weights = 1 << np.arange(spec.bits_per_symbol)[::-1]
-        symbols = points[bits.reshape(n_sym, spec.bits_per_symbol) @ weights]
-        samples = np.repeat(symbols, sps)
-    else:
-        nrz = 1.0 - 2.0 * bits.astype(np.float64)  # bit 0 -> +1, bit 1 -> -1
-        if scheme == "CPFSK":
-            freq = np.repeat(nrz / sps, sps)
-        else:
-            pulse = _gfsk_pulse(sps)
-            impulses = np.zeros(frame_len)
-            impulses[::sps] = nrz
-            freq = np.convolve(impulses, pulse)[: frame_len]
-        phase = np.pi * CPFSK_MOD_INDEX * np.cumsum(freq)
-        samples = np.exp(1j * phase)
 
-    return SignalFrame(CTensor(samples.astype(_C)), spec.id, math.inf)
+def _noise_scale(snr_db: float) -> float:
+    """Standard deviation of each of I and Q for a unit-power frame."""
+    return math.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)
 
 
 def add_awgn(frame: SignalFrame, snr_db: float, rng: np.random.Generator) -> SignalFrame:
     """Add circular complex Gaussian noise with per-sample variance
     10^(-snr_db/10) (the frame is unit power) and record the SNR tag."""
     n = frame.samples.size
-    sigma2 = 10.0 ** (-snr_db / 10.0)
-    scale = math.sqrt(sigma2 / 2.0)
-    noise = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    return SignalFrame(CTensor._wrap(frame.samples.numpy() + noise), frame.label, float(snr_db))
+    noise = _noise_scale(snr_db) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return SignalFrame(CTensor(frame.samples.numpy() + noise), frame.label, float(snr_db))
 
 
 def generate_pool(schemes: Sequence[str], snr_grid: Sequence[float], frames_per_cell: int,
                   frame_len: int, sps: int, rng: np.random.Generator) -> FramePool:
-    """Pool with ``frames_per_cell`` noisy frames per (scheme, SNR) cell."""
-    for s in schemes:
-        if s not in SCHEMES:
-            raise ModulationError(f"unsupported scheme {s!r}")
+    """Pool with ``frames_per_cell`` noisy frames per (scheme, SNR) cell.
+
+    Built one cell at a time from the draws of a per-frame
+    :func:`modulate` then :func:`add_awgn` loop, in the same order, so a
+    seed gives the same pool bytes as that loop.  Each cell's frames are
+    read-only rows of one checked block."""
+    specs = [_scheme_spec(s, sps, frame_len) for s in schemes]
+    if frames_per_cell < 0:
+        raise ModulationError(f"frames_per_cell must be >= 0, got {frames_per_cell}")
     pool = FramePool(schemes=list(schemes))
-    for name in schemes:
+    for name, spec in zip(schemes, specs):
+        label = pool.schemes.index(name)
+        need = frame_len // sps * spec.bits_per_symbol
         for snr in snr_grid:
-            for _ in range(frames_per_cell):
-                clean = modulate(None, name, sps, frame_len, rng)
-                noisy = add_awgn(clean, snr, rng)
-                pool.frames.append(SignalFrame(noisy.samples, pool.schemes.index(name), noisy.snr_db))
+            bits = np.empty((frames_per_cell, need), dtype=np.int64)
+            noise = np.empty((frames_per_cell, 2, frame_len))
+            for i in range(frames_per_cell):
+                bits[i] = rng.integers(0, 2, size=need)
+                rng.standard_normal(out=noise[i])  # the real parts, then the imaginary parts
+            block = (_modulate_rows(bits, spec, sps, frame_len)
+                     + _noise_scale(snr) * (noise[:, 0] + 1j * noise[:, 1]))
+            if not np.isfinite(block).all():
+                raise NonFiniteError(f"{name} frames at {snr} dB SNR are not finite")
+            block.flags.writeable = False
+            pool.frames.extend(SignalFrame(CTensor._wrap(row), label, float(snr)) for row in block)
     return pool
 
 

@@ -209,6 +209,39 @@ def test_checkpoint_header_reads_through_the_config_reader(tmp_path, rng):
             load_checkpoint(str(p))
 
 
+@pytest.mark.parametrize("old, new, where", [(b"iteration=2", b"iteration=x",
+                                               r"header:\d+: key 'iteration'"),
+                                              (b"rng_state={", b"rng_state=[", "key 'rng_state'"),
+                                              (b"\n0,1.25,0.5\n", b"\n0,1.2x,0.5\n",
+                                               "history line 2 '0,1.2x,0.5'"),
+                                              (b"\n0,1.25,0.5\n", b"\n0;1.25,0.5\n",
+                                               "history line 2 '0;1.25,0.5'")],
+                         ids=["iteration", "rng-json", "history-value", "history-fields"])
+def test_checkpoint_bad_iteration_or_history_row_names_the_line(tmp_path, rng, capsys,
+                                                                 old, new, where):
+    p = tmp_path / "bad.caml"
+    save_checkpoint(str(p), _checkpoint(rng))
+    raw = p.read_bytes()
+    assert raw.count(old) == 1
+    p.write_bytes(raw.replace(old, new))
+    with pytest.raises(CheckpointError, match=where) as info:
+        load_checkpoint(str(p))
+    assert str(p) in str(info.value)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(p), "--episodes", "1"]) == 3
+    err = capsys.readouterr().err
+    assert str(p) in err and len(err.strip().splitlines()) == 1
+
+
+def test_checkpoint_rng_state_must_be_a_json_object(tmp_path, rng):
+    ck = _checkpoint(rng)
+    ck.rng_state = [1, 2]
+    p = tmp_path / "rng.caml"
+    save_checkpoint(str(p), ck)
+    with pytest.raises(CheckpointError, match="key 'rng_state': not a JSON object"):
+        load_checkpoint(str(p))
+
+
 # ---------------------------------------------------------------------------
 # toychain and gradcheck internals
 # ---------------------------------------------------------------------------
@@ -444,6 +477,24 @@ def test_nonfinite_train_and_eval_print_no_numpy_warnings(tmp_path, tiny_cfg_pat
                                         "--set", "outer_optimizer=sgd", "--set", "outer_lr=1e9",
                                         "--set", "iterations=50", "--out", str(tmp_path / "div"))
     assert code == 2 and "RuntimeWarning" not in err and "training diverged" in err
+
+
+@pytest.mark.parametrize("argv, message", [(["eval"], "camel eval: the following arguments "
+                                                     "are required: --checkpoint"),
+                                           (["gradcheck", "--seed", "x"],
+                                            "camel gradcheck: argument --seed: invalid int value"),
+                                           (["bogus"], "camel: argument command: invalid choice")])
+def test_usage_errors_exit_3(capsys, argv, message):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert message in err and len(err.strip().splitlines()) == 1
+
+
+def test_usage_error_and_help_exit_codes_in_a_fresh_process():
+    code, err = _camel_in_fresh_process("eval")
+    assert code == 3 and "--checkpoint" in err
+    code, err = _camel_in_fresh_process("--help")
+    assert code == 0 and err == ""
 
 
 def test_cmd_train_bad_frames_file_exits_3(tmp_path, tiny_cfg_path):

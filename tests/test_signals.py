@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import struct
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from camel import signals
-from camel.ctensor import CTensor
+from camel.ctensor import CTensor, NonFiniteError
 from camel.signals import (
     BadMagicError,
     FramePool,
@@ -105,6 +106,70 @@ def test_empirical_snr_within_half_db(rng, snr_db):
         den += np.mean(np.abs(noisy.samples.numpy() - clean.samples.numpy()) ** 2)
     measured = 10.0 * math.log10(num / den)
     assert abs(measured - snr_db) <= 0.5
+
+
+# ---------------------------------------------------------------------------
+# pool
+# ---------------------------------------------------------------------------
+
+def _reference_pool(schemes, snr_grid, frames_per_cell, frame_len, sps, rng):
+    """The per-frame loop: modulate, then add_awgn, frame after frame."""
+    frames = []
+    for name in schemes:
+        for snr in snr_grid:
+            for _ in range(frames_per_cell):
+                noisy = add_awgn(modulate(None, name, sps, frame_len, rng), snr, rng)
+                frames.append((noisy.samples.numpy().tobytes(), schemes.index(name), noisy.snr_db))
+    return frames
+
+
+@pytest.mark.parametrize("sps", [1, 2, 4, 8])
+@pytest.mark.parametrize("frame_len", [32, 64, 128])
+def test_generate_pool_matches_the_per_frame_loop(frame_len, sps):
+    snrs = [-10.0, 0.0, 18.0]
+    for frames_per_cell in (1, 40):
+        seed = 1000 * frame_len + 10 * sps + frames_per_cell
+        pool = generate_pool(ALL_SCHEMES, snrs, frames_per_cell, frame_len, sps,
+                             np.random.Generator(np.random.Philox(seed)))
+        want = _reference_pool(ALL_SCHEMES, snrs, frames_per_cell, frame_len, sps,
+                               np.random.Generator(np.random.Philox(seed)))
+        assert len(pool.frames) == len(want) == len(ALL_SCHEMES) * len(snrs) * frames_per_cell
+        for f, (raw, label, snr) in zip(pool.frames, want):
+            a = f.samples.numpy()
+            assert a.tobytes() == raw and f.label == label and f.snr_db == snr
+            assert f.samples.rank == 1 and a.shape == (frame_len,) and not a.flags.writeable
+
+
+def test_generate_pool_keeps_the_pool_of_a_seed():
+    """The 1400-frame pool of perfbench and criteria 6/7 (frame_len 64, sps 4,
+    SNR 10-18 dB, Philox from the first child of seed 1) keeps its bytes."""
+    data = np.random.SeedSequence(1).spawn(4)[0]
+    pool = generate_pool(["BPSK", "QPSK", "8PSK", "PAM4", "QAM16", "CPFSK", "GFSK"],
+                         [10.0, 12.0, 14.0, 16.0, 18.0], 40, 64, 4,
+                         np.random.Generator(np.random.Philox(data)))
+    h = hashlib.sha256()
+    for f in pool.frames:
+        h.update(f.samples.numpy().tobytes())
+        h.update(f"{f.label},{f.snr_db!r};".encode())
+    assert h.hexdigest() == "6e0e5f2cbdc865a67f8e3c7c881b0328ff735435bf6e45064725606e6e6506aa"
+
+
+@pytest.mark.parametrize("schemes, frames_per_cell, frame_len, sps",
+                         [(["BPSK", "WBFM"], 2, 32, 4), (ALL_SCHEMES, 2, 30, 4),
+                          (ALL_SCHEMES, 2, 32, 0), (ALL_SCHEMES, -1, 32, 4)])
+def test_generate_pool_rejects_bad_input_before_drawing(schemes, frames_per_cell, frame_len, sps):
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    with pytest.raises(ModulationError):
+        generate_pool(schemes, [0.0], frames_per_cell, frame_len, sps, rng)
+    assert rng.bit_generator.state == before
+
+
+def test_non_finite_frames_are_rejected(rng):
+    with pytest.raises(NonFiniteError, match="QPSK"):
+        generate_pool(["QPSK"], [float("nan")], 2, 32, 4, rng)
+    with pytest.raises(NonFiniteError):
+        add_awgn(modulate(None, "QPSK", 4, 32, rng), float("nan"), rng)
 
 
 # ---------------------------------------------------------------------------
