@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import struct
@@ -50,7 +51,6 @@ from .signals import (
     generate_pool,
     load_frames,
     read_exact,
-    sample_episode,
     save_frames,
     scenario_split,
 )
@@ -580,8 +580,8 @@ def cmd_eval(args) -> int:
     _, test_pool = _train_test_pools(cfg, streams)
     e_rng = _rng(streams["eval"].spawn(1)[0])
     n_episodes = args.episodes if args.episodes is not None else cfg.data.eval_episodes
-    episodes = [sample_episode(test_pool, cfg.meta.n_way, cfg.meta.k_shot, cfg.meta.q_size, e_rng)
-                for _ in range(n_episodes)]
+    episodes = list(itertools.islice(
+        episode_stream(test_pool, cfg.meta.n_way, cfg.meta.k_shot, cfg.meta.q_size, e_rng), n_episodes))
     try:
         # evaluate raises FloatingPointError on a non-finite loss or log-prob
         with np.errstate(all="ignore"):

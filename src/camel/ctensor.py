@@ -117,21 +117,6 @@ def cmul(a: CTensor, b: CTensor) -> CTensor:
     return CTensor._wrap((ar * br - ai * bi) + 1j * (ar * bi + ai * br))
 
 
-def cadd(a: CTensor, b: CTensor) -> CTensor:
-    _check_same_shape("cadd", a, b)
-    return CTensor._wrap(a._a + b._a)
-
-
-def csub(a: CTensor, b: CTensor) -> CTensor:
-    _check_same_shape("csub", a, b)
-    return CTensor._wrap(a._a - b._a)
-
-
-def scale(a: CTensor, c: complex) -> CTensor:
-    """Multiply every element by the fixed scalar c."""
-    return CTensor._wrap(a._a * np.complex128(c))
-
-
 def cmatmul(a: CTensor, b: CTensor) -> CTensor:
     """Matrix product over the complex field for rank-2 operands."""
     if a.rank != 2 or b.rank != 2:
@@ -146,12 +131,6 @@ def conj(a: CTensor) -> CTensor:
     return CTensor._wrap(np.conj(a._a))
 
 
-def transpose(a: CTensor) -> CTensor:
-    if a.rank != 2:
-        raise ShapeMismatchError(f"transpose needs a rank-2 tensor, got rank {a.rank}")
-    return CTensor._wrap(np.ascontiguousarray(a._a.T))
-
-
 def hermitian(a: CTensor) -> CTensor:
     """Conjugate transpose of a rank-2 tensor."""
     if a.rank != 2:
@@ -161,10 +140,6 @@ def hermitian(a: CTensor) -> CTensor:
 
 def eye(n: int) -> CTensor:
     return CTensor._wrap(np.eye(n, dtype=np.complex128))
-
-
-def allclose(a: CTensor, b: CTensor, tol: float = 1e-12) -> bool:
-    return a.shape == b.shape and bool(np.max(np.abs(a._a - b._a), initial=0.0) <= tol)
 
 
 def max_abs_diff(a: CTensor, b: CTensor) -> float:

@@ -153,7 +153,8 @@ def _conv_case() -> GradCase:
 
     return GradCase(
         "cconv1d",
-        lambda rng: {"x": _rand(rng, 2, 2, 8), "A": _rand(rng, 3, 2, 3), "b": _rand(rng, 3)},
+        # x is drawn as (N, C_in, T) and read time-major, (N, T, C_in)
+        lambda rng: {"x": _rand(rng, 2, 2, 8).swapaxes(1, 2), "A": _rand(rng, 3, 2, 3), "b": _rand(rng, 3)},
         build,
     )
 
@@ -245,6 +246,24 @@ def _product_case(op: str, adj, sa, sb) -> GradCase:
                     lambda g, lv, rng: _head(g, getattr(g, op)(lv["x0"], lv["x1"], adj), rng))
 
 
+WINDOW_PATTERNS = ((3, 1), (3, 3), (3, 4), (1, 1))
+"""(k, stride) of the window cases: overlapping, touching and gapped
+windows, and single taps."""
+
+
+def _window_case(k: int, stride: int) -> GradCase:
+    return GradCase(f"window[k={k},stride={stride}]",
+                    lambda rng: {"x0": _rand(rng, 2, 9, 2)},
+                    lambda g, lv, rng: _head(g, g.window(lv["x0"], k, stride), rng))
+
+
+def _unwindow_case(k: int, stride: int) -> GradCase:
+    rows = 2 * ((9 - k) // stride + 1)
+    return GradCase(f"unwindow[k={k},stride={stride}]",
+                    lambda rng: {"x0": _rand(rng, rows, 2 * k)},
+                    lambda g, lv, rng: _head(g, g.unwindow(lv["x0"], 9, k, stride), rng))
+
+
 def default_cases() -> list[GradCase]:
     cases = [
         *(_elementwise_case(op, fn, off_zero=op in ("div", "mdiv"), n_inputs=2)
@@ -270,12 +289,8 @@ def default_cases() -> list[GradCase]:
         _elementwise_case("btranspose", lambda g, a: g.permute(g.reshape(a, (1, 2, 3)), (0, 2, 1))),
         _elementwise_case("sum_to", lambda g, a: g.sum_to(a, (1, 3))),
         _elementwise_case("expand", lambda g, a: g.expand(g.reshape(a, (2, 1, 3)), (2, 4, 3))),
-        GradCase("take",
-                 lambda rng: {"x0": _rand(rng, 6)},
-                 lambda g, lv, rng: _head(g, g.take(lv["x0"], np.array([0, 2, 2, 5, 1], dtype=np.intp), (5,)), rng)),
-        GradCase("scatter",
-                 lambda rng: {"x0": _rand(rng, 5)},
-                 lambda g, lv, rng: _head(g, g.scatter(lv["x0"], np.array([0, 2, 2, 3, 1], dtype=np.intp), (4,)), rng)),
+        *(_window_case(k, stride) for k, stride in WINDOW_PATTERNS),
+        *(_unwindow_case(k, stride) for k, stride in WINDOW_PATTERNS),
         _conv_case(),
         _fc_case(),
         _softmax_case("abs"),

@@ -7,10 +7,11 @@ a tape (used by training), and a small eager wrapper with the public
 CTensor signature (used by callers and by the numerical checkers), which
 runs the same builder on a ``wirtinger.evaluator`` and so records nothing.
 
-Inside the network, features are time-major rows (N*T, C) from the
-embedding to the FC block: biases, norm statistics and scales broadcast
-over the rows, multi-head attention moves heads with ``permute``, and the
-convolution's patch gather is the only index map.
+Inside the network, features are time-major from the input block to the
+FC block: every convolution reads (N, T, C) and reads its patch rows with
+``window``, and the rows (N*T, C) between layers let biases, norm
+statistics and scales broadcast; multi-head attention moves heads with
+``permute``.  No layer builds an index map.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .ctensor import CTensor, ShapeMismatchError
-from .wirtinger import Tape, _cached_idx, evaluator, g_abs, g_abs2, g_im, g_re, g_sum
+from .wirtinger import Tape, evaluator, g_abs, g_abs2, g_im, g_re, g_sum
 
 _C = np.complex128
 
@@ -101,27 +102,6 @@ class MhaParams:
 
 
 # ---------------------------------------------------------------------------
-# index maps (in the tape's cache; they only depend on shapes)
-# ---------------------------------------------------------------------------
-
-def _conv_patch_idx(n: int, ci: int, t: int, k: int, stride: int, channels_last: bool):
-    """Gather map from an (n, ci, t) input, or an (n, t, ci) one when
-    ``channels_last``, to the (n*to, ci*k) patch matrix: row n*to + j holds
-    input channel c at times j*stride .. j*stride + k - 1 in column c*k + kk."""
-    to = (t - k) // stride + 1
-
-    def build():
-        sc, st = (1, ci) if channels_last else (t, 1)
-        nn, jj = np.meshgrid(np.arange(n), np.arange(to), indexing="ij")
-        row_src = (nn * ci * t + jj * stride * st).reshape(-1)  # (n*to,)
-        cc, kk = np.meshgrid(np.arange(ci), np.arange(k), indexing="ij")
-        col_src = (cc * sc + kk * st).reshape(-1)  # (ci*k,)
-        return (row_src[:, None] + col_src[None, :]).reshape(-1).astype(np.intp)
-
-    return _cached_idx(("convpatch", n, ci, t, k, stride, channels_last), build), to
-
-
-# ---------------------------------------------------------------------------
 # graph builders
 # ---------------------------------------------------------------------------
 
@@ -161,17 +141,13 @@ def build_log_softmax_last(g: Tape, x: int, lift: str) -> int:
     return g.sub(z, g.log(_sum_last(g, g.exp(z))))
 
 
-def build_cconv1d(g: Tape, x3: int, a: int, b: int | None, stride: int = 1,
-                  channels_last: bool = False) -> int:
-    """Valid 1-d complex convolution.
+def build_cconv1d(g: Tape, x3: int, a: int, b: int | None, stride: int = 1) -> int:
+    """Valid 1-d complex convolution of time-major input.
 
-    x3: (N, C_in, T), or (N, T, C_in) with ``channels_last``; a: (C_out,
-    C_in, K); b: (C_out,) or None.  Returns time-major rows (N*T_out, C_out).
+    x3: (N, T, C_in); a: (C_out, C_in, K); b: (C_out,) or None.  Returns
+    time-major rows (N*T_out, C_out).
     """
-    if channels_last:
-        n, t, ci = g.raw(x3).shape
-    else:
-        n, ci, t = g.raw(x3).shape
+    n, t, ci = g.raw(x3).shape
     co, cia, k = g.raw(a).shape
     if cia != ci:
         raise ShapeMismatchError(f"cconv1d: input has {ci} channels, kernel expects {cia}")
@@ -179,8 +155,7 @@ def build_cconv1d(g: Tape, x3: int, a: int, b: int | None, stride: int = 1,
         raise ShapeMismatchError(f"cconv1d: kernel length {k} exceeds input length {t}")
     if stride < 1:
         raise ConfigError("cconv1d: stride must be >= 1")
-    idx, to = _conv_patch_idx(n, ci, t, k, stride, channels_last)
-    patches = g.take(x3, idx, (n * to, ci * k))
+    patches = g.window(x3, k, stride)
     out = g.matmul(patches, g.reshape(g.permute(a, (1, 2, 0)), (ci * k, co)))
     if b is not None:
         if g.raw(b).shape != (co,):
@@ -309,23 +284,24 @@ def build_cross_entropy(g: Tape, logprobs: int, labels: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 def frames_to_input(frames: Sequence[CTensor], arch: ArchConfig) -> np.ndarray:
-    """Stack frames into the network input block (N, C_in, frame_len).
+    """Stack frames into the time-major network input block (N, frame_len,
+    C_in).
 
     Complex mode feeds one complex channel; real mode feeds two real
     channels (real and imaginary parts) so parameter counts stay
     comparable between the two variants.
     """
     n = len(frames)
-    out = np.zeros((n, arch.in_channels, arch.frame_len), dtype=_C)
+    out = np.zeros((n, arch.frame_len, arch.in_channels), dtype=_C)
     for i, f in enumerate(frames):
         s = f.numpy().reshape(-1)
         if s.size != arch.frame_len:
             raise ShapeMismatchError(f"frame {i} has {s.size} samples, expected {arch.frame_len}")
         if arch.real_input:
-            out[i, 0] = s.real
-            out[i, 1] = s.imag
+            out[i, :, 0] = s.real
+            out[i, :, 1] = s.imag
         else:
-            out[i, 0] = s
+            out[i, :, 0] = s
     return out
 
 
@@ -347,7 +323,7 @@ def build_network(g: Tape, x3: int, params: Mapping[str, int], arch: ArchConfig)
     for i in range(arch.conv_blocks):
         name = f"conv{i}"
         feats = build_cconv1d(g, g.reshape(feats, (n, t, c)), params[f"{name}.A"], params[f"{name}.b"],
-                              stride=arch.conv_stride, channels_last=True)
+                              stride=arch.conv_stride)
         t = (t - arch.conv_kernel) // arch.conv_stride + 1
         feats = build_norm(g, feats, params[f"{name}.gamma"], params[f"{name}.kappa"], arch.norm_eps)
         feats = build_act(g, feats, arch.activation)
@@ -434,8 +410,7 @@ def cconv1d(x: CTensor, a: CTensor, b: CTensor, stride: int = 1) -> CTensor:
     if x.rank != 2 or a.rank != 3:
         raise ShapeMismatchError(f"cconv1d: need x rank-2 and A rank-3, got {x.rank} and {a.rank}")
     g = evaluator()
-    ci, t = x.shape
-    x3 = g.reshape(g.const(x), (1, ci, t))
+    x3 = g.const(x.numpy().T[None])
     out = build_cconv1d(g, x3, g.const(a), None if b is None else g.const(b), stride)
     return g.value(g.permute(out, (1, 0)))
 

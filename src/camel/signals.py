@@ -233,7 +233,14 @@ def generate_pool(schemes: Sequence[str], snr_grid: Sequence[float], frames_per_
 
 def sample_episode(pool: FramePool, n_way: int, k_shot: int, q_size: int,
                    rng: np.random.Generator) -> Episode:
-    """Draw n_way distinct schemes and disjoint support/query frames;
+    """One episode: the first of :func:`episode_stream`, by the same draws."""
+    return next(episode_stream(pool, n_way, k_shot, q_size, rng))
+
+
+def episode_stream(pool: FramePool, n_way: int, k_shot: int, q_size: int,
+                   rng: np.random.Generator):
+    """Infinite iterator of episodes from a pool, grouped by label once.
+    Each draws n_way distinct schemes and disjoint support/query frames;
     labels are remapped to 0..n_way-1 in drawn order."""
     per_label: dict[int, list[SignalFrame]] = {}
     for f in pool.frames:
@@ -242,23 +249,17 @@ def sample_episode(pool: FramePool, n_way: int, k_shot: int, q_size: int,
     if len(eligible) < n_way:
         raise ValueError(f"pool has {len(eligible)} schemes with >= {k_shot + q_size} frames, "
                          f"needs {n_way}")
-    chosen = rng.choice(np.array(sorted(eligible)), size=n_way, replace=False)
-    support, query = [], []
-    for new_label, lab in enumerate(chosen):
-        fs = per_label[int(lab)]
-        idx = rng.choice(len(fs), size=k_shot + q_size, replace=False)
-        for i in idx[:k_shot]:
-            support.append((fs[int(i)].samples, new_label))
-        for i in idx[k_shot:]:
-            query.append((fs[int(i)].samples, new_label))
-    return Episode(tuple(support), tuple(query), n_way=n_way, k_shot=k_shot)
-
-
-def episode_stream(pool: FramePool, n_way: int, k_shot: int, q_size: int,
-                   rng: np.random.Generator):
-    """Infinite iterator of episodes sampled from a pool."""
+    labels = np.array(sorted(eligible))
     while True:
-        yield sample_episode(pool, n_way, k_shot, q_size, rng)
+        support, query = [], []
+        for new_label, lab in enumerate(rng.choice(labels, size=n_way, replace=False)):
+            fs = per_label[int(lab)]
+            idx = rng.choice(len(fs), size=k_shot + q_size, replace=False)
+            for i in idx[:k_shot]:
+                support.append((fs[int(i)].samples, new_label))
+            for i in idx[k_shot:]:
+                query.append((fs[int(i)].samples, new_label))
+        yield Episode(tuple(support), tuple(query), n_way=n_way, k_shot=k_shot)
 
 
 def scenario_split(pool: FramePool, kind: str, rng: np.random.Generator,

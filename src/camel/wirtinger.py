@@ -18,8 +18,8 @@ nodes of their own.  ``mulc(a, b) = a * conj(b)`` and the ``adj`` flag of
 products: the adjoint of a @ b is c @ b^H, one node.  Binary elementwise
 ops broadcast as numpy does, and their pullbacks reduce over the broadcast
 axes with ``sum_to``, whose adjoint is ``expand``; ``permute`` moves axes.
-Only fixed gathers with no regular structure (the convolution's patch
-matrix) use ``take``/``scatter`` and a cached index map.
+``window`` copies the convolution's patch rows out as strided slices, and
+its adjoint ``unwindow`` adds them back; no op needs an index map.
 
 A real scalar loss reads as (L + L*)/2, so its sweep starts from the real
 seed 1/2: :func:`backward` and :func:`backward_values` return one adjoint
@@ -90,27 +90,23 @@ def _as_node_value(x) -> np.ndarray:
     return np.ascontiguousarray(v) if v.ndim else v.copy()
 
 
-# ---------------------------------------------------------------------------
-# index maps for gather/scatter (cached; they only depend on shapes)
-# ---------------------------------------------------------------------------
-
-_IDX_CACHE: dict[tuple, np.ndarray] = {}
-
-
-def _cached_idx(key: tuple, build: Callable[[], np.ndarray]) -> np.ndarray:
-    """The index map stored under ``key``, built on first use."""
-    idx = _IDX_CACHE.get(key)
-    if idx is None:
-        idx = build()
-        _IDX_CACHE[key] = idx
-    return idx
-
-
 def _broadcasts(src: tuple[int, ...], dst: tuple[int, ...]) -> bool:
     """True iff shape ``src`` broadcasts to exactly ``dst``."""
     if len(src) > len(dst):
         return False
     return all(s == d or s == 1 for s, d in zip(src[::-1], dst[::-1]))
+
+
+def _window_len(op: str, t: int, k: int, stride: int) -> int:
+    """Number of windows of length k, stride ``stride``, over t steps."""
+    if not 1 <= k <= t or stride < 1:
+        raise ShapeMismatchError(f"{op}: need 1 <= k <= T = {t} and stride >= 1, got k={k}, stride={stride}")
+    return (t - k) // stride + 1
+
+
+def _tap(kk: int, to: int, stride: int) -> slice:
+    """The times that tap kk of each of ``to`` windows reads."""
+    return slice(kk, kk + (to - 1) * stride + 1, stride)
 
 
 ADJOINT_FLAGS = (None, "a", "b")
@@ -303,18 +299,34 @@ class Tape:
             raise ShapeMismatchError(f"expand: {va.shape} does not broadcast to {shape}")
         return self._push("expand", (a,), np.broadcast_to(va, shape))
 
-    def take(self, a: int, idx: np.ndarray, out_shape: Sequence[int]) -> int:
-        """Gather: out.flat[i] = a.flat[idx[i]].  idx is a fixed index map."""
-        out_shape = tuple(out_shape)
-        out = self.val[a].ravel()[idx].reshape(out_shape)
-        return self._push("take", (a,), out, idx)
+    def window(self, a: int, k: int, stride: int) -> int:
+        """Patch rows of an (N, T, C) input: row n*T_out + j holds channel c
+        at times j*stride .. j*stride + k - 1 in columns c*k .. c*k + k - 1,
+        with T_out = (T - k) // stride + 1.  Copied as k strided slices."""
+        va = self.val[a]
+        if va.ndim != 3:
+            raise ShapeMismatchError(f"window needs an (N, T, C) input, got shape {va.shape}")
+        n, t, c = va.shape
+        to = _window_len("window", t, k, stride)
+        out = np.empty((n, to, c, k), dtype=_C)
+        for kk in range(k):
+            out[..., kk] = va[:, _tap(kk, to, stride)]
+        return self._push("window", (a,), out.reshape(n * to, c * k), (k, stride))
 
-    def scatter(self, a: int, idx: np.ndarray, out_shape: Sequence[int]) -> int:
-        """Scatter-add: out.flat[idx[i]] += a.flat[i].  Adjoint of take."""
-        out_shape = tuple(out_shape)
-        buf = np.zeros(max(1, int(np.prod(out_shape, dtype=np.int64))), dtype=_C)
-        np.add.at(buf, idx, self.val[a].ravel())
-        return self._push("scatter", (a,), buf.reshape(out_shape), idx)
+    def unwindow(self, a: int, t: int, k: int, stride: int) -> int:
+        """Overlap-add of (N*T_out, C*k) patch rows into (N, t, C): the
+        adjoint of window.  Taps are added from the last to the first, so
+        each sum runs in the order of a scatter-add over the patch rows."""
+        va = self.val[a]
+        to = _window_len("unwindow", t, k, stride)
+        if va.ndim != 2 or va.shape[0] % to or va.shape[1] % k:
+            raise ShapeMismatchError(f"unwindow: {va.shape} are not rows of windows with T_out = {to}, k = {k}")
+        n, c = va.shape[0] // to, va.shape[1] // k
+        patches = va.reshape(n, to, c, k)
+        out = np.zeros((n, t, c), dtype=_C)
+        for kk in range(k - 1, -1, -1):
+            out[:, _tap(kk, to, stride)] += patches[..., kk]
+        return self._push("unwindow", (a,), out, (k, stride))
 
     # -- generic recording -------------------------------------------------
 
@@ -425,16 +437,21 @@ def _pull_mulc(g, nid, c, naive):
     return out
 
 
-def _pull_div(g, nid, c, naive):
+def _pull_quotient(g, nid, c, naive, quot):
+    # u = a / b through ``quot`` (div or the masked mdiv): du/da = 1/b and
+    # du/db = -u/b, both holomorphic
     a, b = g.inputs[nid]
     cb = g.conj(b)
     out = []
     if g.needs[a]:
-        out.append((a, _fit(g, g.div(c, cb), a)))
+        out.append((a, _fit(g, quot(c, cb), a)))
     if g.needs[b]:
-        # d(a/b)/db = -u/b with u the node value
-        out.append((b, g.neg(_fit(g, g.div(g.mulc(c, nid), cb), b))))
+        out.append((b, g.neg(_fit(g, quot(g.mulc(c, nid), cb), b))))
     return out
+
+
+def _pull_div(g, nid, c, naive):
+    return _pull_quotient(g, nid, c, naive, g.div)
 
 
 def _pull_smul(g, nid, c, naive):
@@ -467,14 +484,7 @@ def _pull_cabs(g, nid, c, naive):
 
 
 def _pull_mdiv(g, nid, c, naive):
-    a, b = g.inputs[nid]
-    cb = g.conj(b)
-    out = []
-    if g.needs[a]:
-        out.append((a, _fit(g, g.mdiv(c, cb), a)))
-    if g.needs[b]:
-        out.append((b, g.neg(_fit(g, g.mdiv(g.mulc(c, nid), cb), b))))
-    return out
+    return _pull_quotient(g, nid, c, naive, g.mdiv)
 
 
 def _pull_crelu(g, nid, c, naive):
@@ -543,14 +553,14 @@ def _pull_expand(g, nid, c, naive):
     return [(a, g.sum_to(c, g.val[a].shape))]
 
 
-def _pull_take(g, nid, c, naive):
+def _pull_window(g, nid, c, naive):
     (a,) = g.inputs[nid]
-    return [(a, g.scatter(c, g.aux[nid], g.val[a].shape))]
+    return [(a, g.unwindow(c, g.val[a].shape[1], *g.aux[nid]))]
 
 
-def _pull_scatter(g, nid, c, naive):
+def _pull_unwindow(g, nid, c, naive):
     (a,) = g.inputs[nid]
-    return [(a, g.take(c, g.aux[nid], g.val[a].shape))]
+    return [(a, g.window(c, *g.aux[nid]))]
 
 
 _PULLBACKS: dict[str, Callable] = {
@@ -574,8 +584,8 @@ _PULLBACKS: dict[str, Callable] = {
     "permute": _pull_permute,
     "sum_to": _pull_sum_to,
     "expand": _pull_expand,
-    "take": _pull_take,
-    "scatter": _pull_scatter,
+    "window": _pull_window,
+    "unwindow": _pull_unwindow,
 }
 
 # the ops :meth:`Tape.record` accepts by name: exactly those with a pullback

@@ -311,7 +311,7 @@ def test_real_input_mode_stays_real(rng):
     params = init_params(arch, rng)
     assert all(np.max(np.abs(t.numpy().imag)) == 0.0 for t in params.values())
     x = frames_to_input([CTensor(rand_complex(rng, arch.frame_len))], arch)
-    assert x.shape == (1, 2, arch.frame_len)
+    assert x.shape == (1, arch.frame_len, 2)
     assert np.max(np.abs(x.imag)) == 0.0
 
 

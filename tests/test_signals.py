@@ -19,6 +19,7 @@ from camel.signals import (
     UnknownSchemeError,
     _CONSTELLATIONS,
     add_awgn,
+    episode_stream,
     generate_pool,
     load_frames,
     modulate,
@@ -198,6 +199,18 @@ def test_sample_episode_seed_determinism(rng):
     for (f1, y1), (f2, y2) in zip(e1.support + e1.query, e2.support + e2.query):
         assert y1 == y2
         assert np.array_equal(f1.numpy(), f2.numpy())
+
+
+def test_episode_stream_draws_what_sample_episode_draws(rng):
+    pool = _pool(rng)
+    stream = episode_stream(pool, 5, 1, 2, np.random.default_rng(7))
+    calls_rng = np.random.default_rng(7)
+    for _ in range(20):
+        e1, e2 = next(stream), sample_episode(pool, 5, 1, 2, calls_rng)
+        assert len(e1.support + e1.query) == len(e2.support + e2.query)
+        for (f1, y1), (f2, y2) in zip(e1.support + e1.query, e2.support + e2.query):
+            assert y1 == y2
+            assert f1.numpy().tobytes() == f2.numpy().tobytes()
 
 
 def test_sample_episode_insufficient_pool(rng):

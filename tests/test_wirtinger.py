@@ -6,7 +6,7 @@ import pytest
 import camel.wirtinger
 
 from camel.ctensor import CTensor, ShapeMismatchError
-from camel.gradcheck import ABS_FLOOR, BROADCAST_PATTERNS, REL_TOL, default_cases
+from camel.gradcheck import ABS_FLOOR, BROADCAST_PATTERNS, REL_TOL, WINDOW_PATTERNS, default_cases
 from camel.wirtinger import (
     ADJOINT_FLAGS,
     _PULLBACKS,
@@ -77,6 +77,69 @@ def test_record_unknown_op_and_bad_input():
         g.record("frobnicate", [a])
     with pytest.raises(UnknownOpError):
         g.record("neg", [a + 5])
+
+
+# ---------------------------------------------------------------------------
+# window / unwindow: the convolution's patch rows and their overlap-add
+# ---------------------------------------------------------------------------
+
+_WINDOWS = [*WINDOW_PATTERNS, (5, 1)]
+"""(k, stride): the gradcheck patterns (overlapping, touching, gapped as at
+the desk arch's k 3 and stride 4, single taps) and a longer overlap."""
+
+
+def _loop_patches(x, k, stride):
+    n, t, c = x.shape
+    to = (t - k) // stride + 1
+    out = np.zeros((n * to, c * k), dtype=complex)
+    for b in range(n):
+        for j in range(to):
+            for ch in range(c):
+                for kk in range(k):
+                    out[b * to + j, ch * k + kk] = x[b, j * stride + kk, ch]
+    return out
+
+
+def _loop_overlap_add(p, t, k, stride):
+    to = (t - k) // stride + 1
+    n, c = p.shape[0] // to, p.shape[1] // k
+    out = np.zeros((n, t, c), dtype=complex)
+    for b in range(n):
+        for j in range(to):
+            for ch in range(c):
+                for kk in range(k):
+                    out[b, j * stride + kk, ch] += p[b * to + j, ch * k + kk]
+    return out
+
+
+@pytest.mark.parametrize("k,stride", _WINDOWS)
+def test_window_and_unwindow_match_python_loops(rng, k, stride):
+    t = 11
+    x = rand_complex(rng, 2, t, 3)
+    g = Tape()
+    w = g.record("window", [g.leaf(x)], k=k, stride=stride)
+    assert np.array_equal(g.raw(w), _loop_patches(x, k, stride))
+    p = rand_complex(rng, *g.raw(w).shape)
+    u = g.record("unwindow", [g.leaf(p)], t=t, k=k, stride=stride)
+    assert np.array_equal(g.raw(u), _loop_overlap_add(p, t, k, stride))
+
+
+@pytest.mark.parametrize("op,shape,aux", [
+    ("window", (2, 5), dict(k=3, stride=1)),
+    ("window", (2, 5, 1), dict(k=0, stride=1)),
+    ("window", (2, 5, 1), dict(k=6, stride=1)),
+    ("window", (2, 5, 1), dict(k=3, stride=0)),
+    ("unwindow", (2, 5, 3), dict(t=5, k=3, stride=1)),
+    ("unwindow", (6, 3), dict(t=5, k=3, stride=0)),
+    ("unwindow", (6, 3), dict(t=5, k=6, stride=1)),
+    ("unwindow", (5, 3), dict(t=5, k=3, stride=1)),
+    ("unwindow", (6, 4), dict(t=5, k=3, stride=1)),
+], ids=["window-rank2", "window-k0", "window-k-over-T", "window-stride0", "unwindow-rank3",
+        "unwindow-stride0", "unwindow-k-over-T", "unwindow-rows", "unwindow-columns"])
+def test_window_ops_reject_bad_arguments(op, shape, aux):
+    g = Tape()
+    with pytest.raises(ShapeMismatchError):
+        g.record(op, [g.leaf(np.zeros(shape, dtype=complex))], **aux)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +419,7 @@ def test_product_adjoints_record_no_conjugation_or_transposition(rng, name):
             loss = g_sum(g, g.add(g_sum(g, first[a][1]), g_sum(g, first[b][1])))
             n = len(g)
             backward_graph(g, loss, seed=(0.5, 0.5))
-        assert not {"conj", "permute", "take", "scatter"} & set(g.kind[n:])
+        assert not {"conj", "permute", "window", "unwindow"} & set(g.kind[n:])
 
 
 def _registry_tapes():
