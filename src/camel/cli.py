@@ -25,6 +25,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import math
 import os
 import struct
 import sys
@@ -138,7 +139,10 @@ def _coerce(ftype: str, value: str):
     if "int" in ftype:
         return int(value)
     if "float" in ftype:
-        return float(value)
+        number = float(value)
+        if not math.isfinite(number):
+            raise ValueError(f"expected a finite number, got {value!r}")
+        return number
     if "list" in ftype:
         return [s.strip() for s in value.split(",") if s.strip()]
     if "| None" in ftype:
@@ -250,7 +254,8 @@ def _read_header(lines: list[str], path: str) -> tuple[ArchConfig, int, dict]:
         rng_state = _rng_state_from_json(rng_text)
         if not isinstance(rng_state, dict):
             raise ValueError("not a JSON object")
-    except ValueError as exc:
+        np.random.Philox(0).state = rng_state  # it must fit the episode stream's generator
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint {path} header: key 'rng_state': {exc}") from exc
     try:
         return ArchConfig(**values), iteration, rng_state
@@ -275,7 +280,10 @@ def _rng_state_from_json(text: str) -> dict:
     def restore(obj):
         if isinstance(obj, dict):
             if "__nd__" in obj:
-                return np.array(obj["data"], dtype=np.dtype(obj["__nd__"]))
+                # Philox keeps its state in uint64 arrays; np.dtype must not parse other text
+                if obj["__nd__"] != "<u8":
+                    raise ValueError(f"array type {obj['__nd__']!r} is not '<u8'")
+                return np.array(obj["data"], dtype="<u8")
             return {k: restore(v) for k, v in obj.items()}
         return obj
 
@@ -313,7 +321,7 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
 
 def _check_params(arch: ArchConfig, tensors: dict[str, CTensor]) -> None:
     """The tensors must be exactly the parameters of ``arch``, by name and
-    shape, and hold finite values."""
+    shape."""
     want = init_params(arch, np.random.default_rng(0))
     missing = [k for k in want if k not in tensors]
     if missing:
@@ -326,9 +334,6 @@ def _check_params(arch: ArchConfig, tensors: dict[str, CTensor]) -> None:
         if t.shape != want[name].shape:
             raise CheckpointError(f"parameter {name} has shape {t.shape}, "
                                   f"the architecture needs {want[name].shape}")
-        arr = t.numpy()
-        if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
-            raise CheckpointError(f"parameter {name} holds non-finite values")
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -342,23 +347,27 @@ def load_checkpoint(path: str) -> Checkpoint:
         if version != CAML_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
         (hlen,) = struct.unpack("<I", read(4, "header length"))
-        header = read(hlen, "header").decode("utf-8")
+        header = read(hlen, "header").decode("utf-8", "replace")
         arch, iteration, rng_state = _read_header(header.splitlines(), path)
 
         (n_params,) = struct.unpack("<I", read(4, "parameter count"))
         tensors: dict[str, CTensor] = {}
         for _ in range(n_params):
             (nlen,) = struct.unpack("<H", read(2, "parameter name length"))
-            name = read(nlen, "parameter name").decode("utf-8")
+            name = read(nlen, "parameter name").decode("utf-8", "replace")
             (rank,) = struct.unpack("<I", read(4, "parameter rank"))
+            if rank > 3:  # no parameter of the network has more axes than a conv kernel
+                raise CheckpointError(f"checkpoint {path}: parameter {name} has rank {rank}")
             dims = struct.unpack(f"<{rank}I", read(4 * rank, "parameter dims"))
             size = int(np.prod(dims, dtype=np.int64)) if rank else 1
             inter = np.frombuffer(read(16 * size, f"parameter {name}"), dtype="<f8")
+            if not np.all(np.isfinite(inter)):
+                raise CheckpointError(f"parameter {name} holds non-finite values")
             arr = (inter[0::2] + 1j * inter[1::2]).reshape(dims)
             tensors[name] = CTensor._wrap(arr.astype(_C))
         _check_params(arch, tensors)
         (hlen2,) = struct.unpack("<Q", read(8, "history length"))
-        hist_text = read(hlen2, "history").decode("utf-8")
+        hist_text = read(hlen2, "history").decode("utf-8", "replace")
         history = []
         for lineno, line in enumerate(hist_text.splitlines()[1:], start=2):
             try:

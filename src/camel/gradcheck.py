@@ -177,13 +177,14 @@ def _attention_case() -> GradCase:
 
 def _mha_case() -> GradCase:
     def build(g, lv, rng):
-        out = build_mha(g, lv["x"], lv["x"], lv["x"], lv["wq"], lv["wk"], lv["wv"], lv["wo"],
+        out = build_mha(g, lv["x"], lv["x"], lv["x"], 2, lv["wq"], lv["wk"], lv["wv"], lv["wo"],
                         n_heads=2, lift="abs")
         return _head(g, out, rng)
 
     return GradCase(
         "c_mha",
-        lambda rng: {"x": _rand(rng, 2, 3, 4), "wq": _rand(rng, 4, 4), "wk": _rand(rng, 4, 4),
+        # two sequences of length 3, held as rows
+        lambda rng: {"x": _rand(rng, 6, 4), "wq": _rand(rng, 4, 4), "wk": _rand(rng, 4, 4),
                      "wv": _rand(rng, 4, 4), "wo": _rand(rng, 4, 4)},
         build,
     )
@@ -239,11 +240,11 @@ def _broadcast_case(op: str, pattern: str) -> GradCase:
                     lambda g, lv, rng: _head(g, _BINARY[op](g, lv["x0"], lv["x1"]), rng))
 
 
-def _product_case(op: str, adj, sa, sb) -> GradCase:
-    name = op if adj is None else f"{op}[adj={adj}]"
-    return GradCase(name,
+def _matmul_case(adj, sa, sb) -> GradCase:
+    tags = ",".join([f"adj={adj}"] * (adj is not None) + [f"rank={len(sa)}"] * (len(sa) > 2))
+    return GradCase(f"matmul[{tags}]" if tags else "matmul",
                     lambda rng: {"x0": _rand(rng, *sa), "x1": _rand(rng, *sb)},
-                    lambda g, lv, rng: _head(g, getattr(g, op)(lv["x0"], lv["x1"], adj), rng))
+                    lambda g, lv, rng: _head(g, g.matmul(lv["x0"], lv["x1"], adj), rng))
 
 
 WINDOW_PATTERNS = ((3, 1), (3, 3), (3, 4), (1, 1))
@@ -277,16 +278,16 @@ def default_cases() -> list[GradCase]:
         _elementwise_case("cabs", Tape.cabs, off_zero=True),
         _elementwise_case("crelu", Tape.crelu, off_zero=True),
         *(_broadcast_case(op, pattern) for op in _BINARY for pattern in BROADCAST_PATTERNS),
-        _product_case("matmul", None, (2, 3), (3, 4)),
-        _product_case("matmul", "a", (3, 2), (3, 4)),
-        _product_case("matmul", "b", (2, 3), (4, 3)),
-        _product_case("bmm", None, (2, 2, 3), (2, 3, 2)),
-        _product_case("bmm", "a", (2, 3, 2), (2, 3, 4)),
-        _product_case("bmm", "b", (2, 2, 3), (2, 4, 3)),
+        _matmul_case(None, (2, 3), (3, 4)),
+        _matmul_case("a", (3, 2), (3, 4)),
+        _matmul_case("b", (2, 3), (4, 3)),
+        _matmul_case(None, (2, 2, 3), (2, 3, 2)),
+        _matmul_case("a", (2, 3, 2), (2, 3, 4)),
+        _matmul_case("b", (2, 2, 3), (2, 4, 3)),
         _elementwise_case("reshape", lambda g, a: g.reshape(a, (3, 2))),
         _elementwise_case("permute", lambda g, a: g.permute(g.reshape(a, (1, 2, 3)), (2, 0, 1))),
-        _elementwise_case("transpose", lambda g, a: g.permute(a, (1, 0))),
-        _elementwise_case("btranspose", lambda g, a: g.permute(g.reshape(a, (1, 2, 3)), (0, 2, 1))),
+        _elementwise_case("permute[axes=1,0]", lambda g, a: g.permute(a, (1, 0))),
+        _elementwise_case("permute[axes=0,2,1]", lambda g, a: g.permute(g.reshape(a, (1, 2, 3)), (0, 2, 1))),
         _elementwise_case("sum_to", lambda g, a: g.sum_to(a, (1, 3))),
         _elementwise_case("expand", lambda g, a: g.expand(g.reshape(a, (2, 1, 3)), (2, 4, 3))),
         *(_window_case(k, stride) for k, stride in WINDOW_PATTERNS),

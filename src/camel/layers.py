@@ -10,8 +10,10 @@ runs the same builder on a ``wirtinger.evaluator`` and so records nothing.
 Inside the network, features are time-major from the input block to the
 FC block: every convolution reads (N, T, C) and reads its patch rows with
 ``window``, and the rows (N*T, C) between layers let biases, norm
-statistics and scales broadcast; multi-head attention moves heads with
-``permute``.  No layer builds an index map.
+statistics and scales broadcast.  ``build_mha`` reads those rows as N
+sequences and moves heads with ``permute``; ``build_attention`` reads only
+trailing axes, so one sequence (L, d) and a stack (B, L, d) take the same
+path.  No layer builds an index map.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ class ArchConfig:
             raise ConfigError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
         if self.norm_eps < 0:
             raise ConfigError("norm_eps must be non-negative")
+        self.conv_out_len()  # the conv blocks must fit in the frame
 
     @property
     def in_channels(self) -> int:
@@ -178,54 +181,44 @@ def build_cfc(g: Tape, x2: int, w: int, b: int | None) -> int:
     return out
 
 
-def _attend(g: Tape, q3: int, kt3: int, v3: int, lift: str) -> tuple[int, int]:
-    """Attention of (B, Lq, d) queries, already scaled by 1/sqrt(d), over
-    (B, d, Lk) transposed keys and (B, Lk, dv) values; returns (output,
+def _attend(g: Tape, q: int, kt: int, v: int, lift: str) -> tuple[int, int]:
+    """Attention of (..., Lq, d) queries, already scaled by 1/sqrt(d), over
+    (..., d, Lk) transposed keys and (..., Lk, dv) values; returns (output,
     weights).  No local name holds the scores or their lift, so an evaluator
     frees each as soon as the next op has read it."""
-    weights = _normalize_rows(g, g.exp(_minus_row_max(g, build_lift(g, g.bmm(q3, kt3), lift))))
-    return g.bmm(weights, v3), weights
+    weights = _normalize_rows(g, g.exp(_minus_row_max(g, build_lift(g, g.matmul(q, kt), lift))))
+    return g.matmul(weights, v), weights
 
 
-def build_attention(g: Tape, q3: int, k3: int, v3: int, lift: str = "abs") -> tuple[int, int]:
-    """Scaled dot-product attention over (N, L, d) stacks.
+def build_attention(g: Tape, q: int, k: int, v: int, lift: str = "abs") -> tuple[int, int]:
+    """Scaled dot-product attention of Q (..., Lq, d) over K (..., Lk, d)
+    and V (..., Lk, dv): one sequence (rank 2) or a (B, L, d) stack.
 
     Scores are Q K^T / sqrt(d); the softmax runs on the lifted (real)
     scores and the resulting real weights mix V.  Returns (output, weights).
     """
-    nq, lq, d = g.raw(q3).shape
-    nk, lk, dk = g.raw(k3).shape
-    nv, lv, dv = g.raw(v3).shape
-    if d != dk:
-        raise ShapeMismatchError(f"attention: Q feature dim {d} != K feature dim {dk}")
-    if lk != lv or nk != nv or nq != nk:
-        raise ShapeMismatchError(
-            f"attention: K length/batch {(nk, lk)} does not match V {(nv, lv)}"
-        )
-    return _attend(g, g.smul(q3, 1.0 / np.sqrt(d)), g.permute(k3, (0, 2, 1)), v3, lift)
+    sq, sk, sv = g.raw(q).shape, g.raw(k).shape, g.raw(v).shape
+    if sq[-1] != sk[-1]:
+        raise ShapeMismatchError(f"attention: Q feature dim {sq[-1]} != K feature dim {sk[-1]}")
+    if sk[:-1] != sv[:-1] or sq[:-2] != sk[:-2]:
+        raise ShapeMismatchError(f"attention: Q {sq}, K {sk} and V {sv} disagree in batch or length")
+    swap = (*range(len(sk) - 2), len(sk) - 1, len(sk) - 2)
+    return _attend(g, g.smul(q, 1.0 / np.sqrt(sq[-1])), g.permute(k, swap), v, lift)
 
 
-def build_mha(g: Tape, q3: int, k3: int, v3: int, wq: int, wk: int, wv: int, wo: int,
+def build_mha(g: Tape, q2: int, k2: int, v2: int, n: int, wq: int, wk: int, wv: int, wo: int,
               n_heads: int, lift: str = "abs") -> int:
-    """Multi-head attention over (N, L, d) stacks: projections, attention
-    of all heads as one batch of n_heads * N, concat, W^O."""
-    n, lq, d = g.raw(q3).shape
-    lk = g.raw(k3).shape[1]
-    q2 = g.reshape(q3, (n * lq, d))
-    k2 = q2 if k3 is q3 else g.reshape(k3, (n * lk, d))
-    v2 = k2 if v3 is k3 else g.reshape(v3, (n * lk, d))
-    return g.reshape(_mha_rows(g, q2, k2, v2, n, wq, wk, wv, wo, n_heads, lift), (n, lq, d))
-
-
-def _mha_rows(g: Tape, q2: int, k2: int, v2: int, n: int, wq: int, wk: int, wv: int, wo: int,
-              n_heads: int, lift: str) -> int:
-    """:func:`build_mha` on (N*L, d) rows, returning (N*Lq, d) rows."""
-    lq, lk, d = g.raw(q2).shape[0] // n, g.raw(k2).shape[0] // n, g.raw(q2).shape[1]
+    """Multi-head attention within each of N sequences held as (N*L, d)
+    rows: projections, attention of all heads as one batch of n_heads * N,
+    concat, W^O.  Returns (N*Lq, d) rows."""
+    (mq, d), sk, sv = g.raw(q2).shape, g.raw(k2).shape, g.raw(v2).shape
+    if mq % n or sk[0] % n or sk != (sk[0], d) or sv != sk:
+        raise ShapeMismatchError(f"mha: Q rows {mq}, K {sk} and V {sv} are not {n} sequences of width {d}")
     if g.raw(wq).shape != (d, d) or g.raw(wk).shape != (d, d) or g.raw(wv).shape != (d, d):
         raise ShapeMismatchError("mha: projection matrices must be (d, d)")
     if d % n_heads != 0:
         raise ShapeMismatchError(f"mha: feature dim {d} not divisible by n_heads {n_heads}")
-    h, dh = n_heads, d // n_heads
+    lq, lk, h, dh = mq // n, sk[0] // n, n_heads, d // n_heads
 
     def heads(x2: int, w: int, l: int, axes: tuple[int, ...]) -> int:
         # (n*l, d) @ W, split into (n, l, h, dh) and moved to head-major
@@ -331,7 +324,7 @@ def build_network(g: Tape, x3: int, params: Mapping[str, int], arch: ArchConfig)
     if arch.use_attention:
         d = arch.attn_dim
         rows = build_cfc(g, feats, params["attn_in.W"], params["attn_in.b"])
-        attn = _mha_rows(g, rows, rows, rows, n,
+        attn = build_mha(g, rows, rows, rows, n,
                          params["attn.wq"], params["attn.wk"], params["attn.wv"],
                          params["attn.wo"], arch.n_heads, arch.softmax_lift)
         h = g.reshape(attn, (n, t * d))
@@ -443,28 +436,18 @@ def c_attention(q: CTensor, k: CTensor, v: CTensor, lift: str = "abs",
     if q.rank != 2 or k.rank != 2 or v.rank != 2:
         raise ShapeMismatchError("c_attention: Q, K, V must be rank-2")
     g = evaluator()
-    q3 = g.reshape(g.const(q), (1,) + q.shape)
-    k3 = g.reshape(g.const(k), (1,) + k.shape)
-    v3 = g.reshape(g.const(v), (1,) + v.shape)
-    out, w = build_attention(g, q3, k3, v3, lift)
-    out_t = g.value(out).reshape((q.shape[0], v.shape[1]))
-    if return_weights:
-        return out_t, g.value(w).reshape((q.shape[0], k.shape[0]))
-    return out_t
+    out, w = build_attention(g, g.const(q), g.const(k), g.const(v), lift)
+    return (g.value(out), g.value(w)) if return_weights else g.value(out)
 
 
 def c_mha(q: CTensor, k: CTensor, v: CTensor, params: MhaParams, lift: str = "abs") -> CTensor:
     """Multi-head attention over rank-2 Q, K, V of feature width d."""
-    d = q.shape[1]
-    if d % params.n_heads != 0:
-        raise ShapeMismatchError(f"c_mha: feature dim {d} not divisible by {params.n_heads} heads")
+    if q.rank != 2 or k.rank != 2 or v.rank != 2:
+        raise ShapeMismatchError("c_mha: Q, K, V must be rank-2")
     g = evaluator()
-    q3 = g.reshape(g.const(q), (1,) + q.shape)
-    k3 = g.reshape(g.const(k), (1,) + k.shape)
-    v3 = g.reshape(g.const(v), (1,) + v.shape)
-    out = build_mha(g, q3, k3, v3, g.const(params.wq), g.const(params.wk),
+    out = build_mha(g, g.const(q), g.const(k), g.const(v), 1, g.const(params.wq), g.const(params.wk),
                     g.const(params.wv), g.const(params.wo), params.n_heads, lift)
-    return g.value(out).reshape((q.shape[0], d))
+    return g.value(out)
 
 
 def c_norm(x: CTensor, gamma: CTensor, kappa: CTensor, eps: float = 1e-5) -> CTensor:

@@ -257,7 +257,7 @@ class MetaConfig:
             raise ValueError("inner_lr must be >= 0")
         if self.outer_lr <= 0:
             raise ValueError("outer_lr must be positive")
-        for name in ("meta_batch", "inner_steps", "n_way", "k_shot", "q_size"):
+        for name in ("meta_batch", "inner_steps", "n_way", "k_shot", "q_size", "plateau_patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         for name in ("finetune_steps", "iterations"):
@@ -493,6 +493,27 @@ class _Adam:
         return ParamSet(out)
 
 
+class _Plateau:
+    """The early-stopping rule: the mean of the last ``patience`` meta-losses
+    has not improved on its best by ``tol`` for ``patience`` iterations."""
+
+    def __init__(self, patience: int, tol: float):
+        self.patience, self.tol = patience, tol
+        self.recent: list[float] = []
+        self.best, self.since_best = math.inf, 0
+
+    def stalled(self, meta_loss: float) -> bool:
+        """Take one iteration's meta-loss; True once the run should stop."""
+        self.recent.append(meta_loss)
+        del self.recent[:-self.patience]
+        smoothed = float(np.mean(self.recent))
+        if smoothed < self.best - self.tol:
+            self.best, self.since_best = smoothed, 0
+        else:
+            self.since_best += 1
+        return self.since_best >= self.patience
+
+
 def train_meta(theta0: ParamSet, batch_source: Callable[[], Sequence[MetaTask]],
                cfg: MetaConfig, state: TrainState | None = None,
                on_iteration: Callable[[TrainState], None] | None = None) -> TrainState:
@@ -507,9 +528,11 @@ def train_meta(theta0: ParamSet, batch_source: Callable[[], Sequence[MetaTask]],
     if state is None:
         state = TrainState(theta=theta0)
     adam = _Adam(cfg.outer_lr) if cfg.outer_optimizer == "adam" else None
-    recent: list[float] = []
-    best_smoothed = math.inf
-    since_best = 0
+    plateau = _Plateau(cfg.plateau_patience, cfg.plateau_tol)
+    # a resumed run replays its history into the plateau window, so it
+    # stops where an unbroken run stops, and trains no further if it had
+    if cfg.early_stop and any(plateau.stalled(row.meta_loss) for row in state.history):
+        return state
 
     while state.iteration < cfg.iterations:
         tasks = list(batch_source())
@@ -541,18 +564,8 @@ def train_meta(theta0: ParamSet, batch_source: Callable[[], Sequence[MetaTask]],
         if on_iteration is not None:
             on_iteration(state)
 
-        if cfg.early_stop:
-            recent.append(meta_loss)
-            if len(recent) > cfg.plateau_patience:
-                recent.pop(0)
-            smoothed = float(np.mean(recent))
-            if smoothed < best_smoothed - cfg.plateau_tol:
-                best_smoothed = smoothed
-                since_best = 0
-            else:
-                since_best += 1
-                if since_best >= cfg.plateau_patience:
-                    break
+        if cfg.early_stop and plateau.stalled(meta_loss):
+            break
     return state
 
 

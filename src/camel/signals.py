@@ -340,8 +340,9 @@ def read_exact(fh, n: int, what: str, source: str = "frame file",
 def load_frames(path: str) -> FramePool:
     """Load a frame file; I/Q float pairs become complex samples.
 
-    Raises :class:`BadMagicError`, :class:`TruncatedFileError`, or
-    :class:`UnknownSchemeError` on malformed input.
+    Raises :class:`BadMagicError`, :class:`TruncatedFileError`,
+    :class:`UnknownSchemeError`, or :class:`FrameFormatError` itself (a bad
+    version, scheme id or sample) on malformed input.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -353,7 +354,7 @@ def load_frames(path: str) -> FramePool:
         schemes = []
         for _ in range(n_schemes):
             (ln,) = struct.unpack("<H", read_exact(fh, 2, "scheme name length"))
-            name = read_exact(fh, ln, "scheme name").decode("utf-8")
+            name = read_exact(fh, ln, "scheme name").decode("utf-8", "replace")
             if name not in SCHEMES:
                 raise UnknownSchemeError(f"unknown scheme name {name!r} in frame file")
             schemes.append(name)
@@ -365,6 +366,8 @@ def load_frames(path: str) -> FramePool:
                 raise FrameFormatError(f"frame {k} references scheme id {label} "
                                        f"outside the {len(schemes)}-entry table")
             iq = np.frombuffer(read_exact(fh, 8 * flen, f"frame {k} samples"), dtype="<f4")
+            if not np.all(np.isfinite(iq)):
+                raise FrameFormatError(f"frame {k} holds non-finite samples")
             samples = iq[0::2].astype(np.float64) + 1j * iq[1::2].astype(np.float64)
             pool.frames.append(SignalFrame(CTensor(samples), int(label), float(snr)))
         return pool

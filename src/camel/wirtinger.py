@@ -14,8 +14,10 @@ is ``2 * dL/dz*``, which is what :func:`complex_gradient` returns.
 
 The op set is chosen so that adjoints need no conjugation or transposition
 nodes of their own.  ``mulc(a, b) = a * conj(b)`` and the ``adj`` flag of
-``matmul``/``bmm`` (a^H @ b or a @ b^H, BLAS op 'C') are the conjugate-aware
-products: the adjoint of a @ b is c @ b^H, one node.  Binary elementwise
+``matmul`` (a^H @ b or a @ b^H, BLAS op 'C') are the conjugate-aware
+products: the adjoint of a @ b is c @ b^H, one node.  ``matmul`` multiplies
+over the last two axes of operands of one rank >= 2 with equal leading
+axes, so one op serves matrices and stacks of them.  Binary elementwise
 ops broadcast as numpy does, and their pullbacks reduce over the broadcast
 axes with ``sum_to``, whose adjoint is ``expand``; ``permute`` moves axes.
 ``window`` copies the convolution's patch rows out as strided slices, and
@@ -110,7 +112,7 @@ def _tap(kk: int, to: int, stride: int) -> slice:
 
 
 ADJOINT_FLAGS = (None, "a", "b")
-"""The ``adj`` flags of matmul and bmm: a @ b, a^H @ b and a @ b^H."""
+"""The ``adj`` flags of matmul: a @ b, a^H @ b and a @ b^H."""
 
 
 class Tape:
@@ -243,28 +245,22 @@ class Tape:
 
     # -- linear algebra ----------------------------------------------------
 
-    def _product(self, kind: str, rank: int, a: int, b: int, adj) -> int:
+    def matmul(self, a: int, b: int, adj: str | None = None) -> int:
+        """a @ b over the last two axes of operands of one rank >= 2 with
+        equal leading axes; ``adj="a"`` gives a^H @ b and ``adj="b"`` gives
+        a @ b^H, as BLAS does with op 'C'."""
         va, vb = self.val[a], self.val[b]
-        if va.ndim != rank or vb.ndim != rank:
-            raise ShapeMismatchError(f"{kind} needs rank-{rank} operands, got ranks {va.ndim} and {vb.ndim}")
+        if va.ndim < 2 or va.ndim != vb.ndim:
+            raise ShapeMismatchError(f"matmul needs operands of one rank >= 2, got {va.ndim} and {vb.ndim}")
         if adj not in ADJOINT_FLAGS:
-            raise UnknownOpError(f"{kind}: adj must be one of {ADJOINT_FLAGS}, got {adj!r}")
+            raise UnknownOpError(f"matmul: adj must be one of {ADJOINT_FLAGS}, got {adj!r}")
         if adj == "a":
             va = np.swapaxes(np.conj(va), -1, -2)
         elif adj == "b":
             vb = np.swapaxes(np.conj(vb), -1, -2)
         if va.shape[:-2] != vb.shape[:-2] or va.shape[-1] != vb.shape[-2]:
-            raise ShapeMismatchError(f"{kind}: shapes disagree, {va.shape} x {vb.shape} (adj={adj!r})")
-        return self._push(kind, (a, b), va @ vb, adj)
-
-    def matmul(self, a: int, b: int, adj: str | None = None) -> int:
-        """a @ b of rank-2 operands; ``adj="a"`` gives a^H @ b and
-        ``adj="b"`` gives a @ b^H, as BLAS does with op 'C'."""
-        return self._product("matmul", 2, a, b, adj)
-
-    def bmm(self, a: int, b: int, adj: str | None = None) -> int:
-        """Batched matmul of rank-3 operands, with the same ``adj`` flag."""
-        return self._product("bmm", 3, a, b, adj)
+            raise ShapeMismatchError(f"matmul: shapes disagree, {va.shape} x {vb.shape} (adj={adj!r})")
+        return self._push("matmul", (a, b), va @ vb, adj)
 
     # -- structure ---------------------------------------------------------
 
@@ -380,7 +376,7 @@ def g_dot_const(g: Tape, x: int, w) -> int:
 # Each pullback takes the adjoint c of node u and returns (input_id, dL/dz*)
 # pairs: the holomorphic term c * conj(du/dz) plus the antiholomorphic term
 # conj(c) * du/dz*.  Only conj, cabs, crelu, mulc's second factor and the
-# ^H factor of matmul/bmm have the second term, and ``naive`` drops it,
+# ^H factor of matmul have the second term, and ``naive`` drops it,
 # which leaves the classical, holomorphic-only rule.  A binary elementwise
 # op that broadcast an input sums that input's adjoint back to its shape.
 
@@ -500,7 +496,7 @@ def _pull_crelu(g, nid, c, naive):
     return [(a, g.add(hol, g.mul(g.conj(c), g.const((mre - mim) * 0.5))))]
 
 
-def _pull_product(g, nid, c, naive, prod):
+def _pull_matmul(g, nid, c, naive):
     # u = op(a) op(b) with op the identity or ^H.  The adjoint of a plain
     # factor is c times the other factor's ^H; a factor under ^H enters
     # antiholomorphically, and its adjoint is the ^H of that product.
@@ -509,27 +505,19 @@ def _pull_product(g, nid, c, naive, prod):
     out = []
     if g.needs[a]:
         if adj is None:
-            out.append((a, prod(c, b, "b")))
+            out.append((a, g.matmul(c, b, "b")))
         elif adj == "b":
-            out.append((a, prod(c, b)))
+            out.append((a, g.matmul(c, b)))
         elif not naive:
-            out.append((a, prod(b, c, "b")))
+            out.append((a, g.matmul(b, c, "b")))
     if g.needs[b]:
         if adj is None:
-            out.append((b, prod(a, c, "a")))
+            out.append((b, g.matmul(a, c, "a")))
         elif adj == "a":
-            out.append((b, prod(a, c)))
+            out.append((b, g.matmul(a, c)))
         elif not naive:
-            out.append((b, prod(c, a, "a")))
+            out.append((b, g.matmul(c, a, "a")))
     return out
-
-
-def _pull_matmul(g, nid, c, naive):
-    return _pull_product(g, nid, c, naive, g.matmul)
-
-
-def _pull_bmm(g, nid, c, naive):
-    return _pull_product(g, nid, c, naive, g.bmm)
 
 
 def _pull_reshape(g, nid, c, naive):
@@ -579,7 +567,6 @@ _PULLBACKS: dict[str, Callable] = {
     "mdiv": _pull_mdiv,
     "crelu": _pull_crelu,
     "matmul": _pull_matmul,
-    "bmm": _pull_bmm,
     "reshape": _pull_reshape,
     "permute": _pull_permute,
     "sum_to": _pull_sum_to,

@@ -94,6 +94,15 @@ def test_bad_value_names_key_and_line(tmp_path, capsys, key):
     assert f"bad.cfg:2: key '{key}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+def test_non_finite_float_values_are_config_errors(tmp_path, capsys, value):
+    # an infinite snr_hi would make the SNR grid endless
+    with pytest.raises(ConfigError, match="cfg:1: key 'snr_hi': expected a finite number"):
+        parse_config([f"snr_hi={value}"], source="cfg")
+    assert main(["gen", "--set", f"snr_hi={value}", "--out", str(tmp_path / "pool.csig")]) == 3
+    assert "command line:1: key 'snr_hi'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, line, other", [
     (["--seed", "7"], "seed=7", "seed=8"),
     (["--iterations", "3"], "iterations=3", "iterations=4"),
@@ -202,7 +211,9 @@ def test_checkpoint_header_reads_through_the_config_reader(tmp_path, rng):
     raw = p.read_bytes()
     for old, new, message in [(b"frame_len=16", b"frame_len=1x", r"header:2: key 'frame_len'"),
                               (b"n_heads=1", b"n_hoads=1", r"header:8: unknown key 'n_hoads'"),
-                              (b"n_heads=1", b"n_heads=3", "not divisible")]:
+                              (b"n_heads=1", b"n_heads=3", "not divisible"),
+                              (b"frame_len=16", b"frame_len=02", "longer than input length"),
+                              (b"frame_len=16", b"frame_len=\xff6", r"header:2: key 'frame_len'")]:
         assert raw.count(old) == 1
         p.write_bytes(raw.replace(old, new))
         with pytest.raises(CheckpointError, match=message):
@@ -212,11 +223,12 @@ def test_checkpoint_header_reads_through_the_config_reader(tmp_path, rng):
 @pytest.mark.parametrize("old, new, where", [(b"iteration=2", b"iteration=x",
                                                r"header:\d+: key 'iteration'"),
                                               (b"rng_state={", b"rng_state=[", "key 'rng_state'"),
+                                              (b'"buffer_pos"', b'"buffer_pas"', "key 'rng_state'"),
                                               (b"\n0,1.25,0.5\n", b"\n0,1.2x,0.5\n",
                                                "history line 2 '0,1.2x,0.5'"),
                                               (b"\n0,1.25,0.5\n", b"\n0;1.25,0.5\n",
                                                "history line 2 '0;1.25,0.5'")],
-                         ids=["iteration", "rng-json", "history-value", "history-fields"])
+                         ids=["iteration", "rng-json", "rng-philox", "history-value", "history-fields"])
 def test_checkpoint_bad_iteration_or_history_row_names_the_line(tmp_path, rng, capsys,
                                                                  old, new, where):
     p = tmp_path / "bad.caml"
@@ -233,12 +245,38 @@ def test_checkpoint_bad_iteration_or_history_row_names_the_line(tmp_path, rng, c
     assert str(p) in err and len(err.strip().splitlines()) == 1
 
 
+def test_checkpoint_parameter_rank_beyond_a_kernel_is_a_checkpoint_error(tmp_path, rng):
+    p = tmp_path / "rank.caml"
+    save_checkpoint(str(p), _checkpoint(rng))
+    raw = p.read_bytes()
+    old = struct.pack("<H", 7) + b"embed.A" + struct.pack("<I", 3)
+    assert raw.count(old) == 1
+    p.write_bytes(raw.replace(old, struct.pack("<H", 7) + b"embed.A" + struct.pack("<I", 257)))
+    with pytest.raises(CheckpointError, match="parameter embed.A has rank 257"):
+        load_checkpoint(str(p))
+
+
 def test_checkpoint_rng_state_must_be_a_json_object(tmp_path, rng):
     ck = _checkpoint(rng)
     ck.rng_state = [1, 2]
     p = tmp_path / "rng.caml"
     save_checkpoint(str(p), ck)
     with pytest.raises(CheckpointError, match="key 'rng_state': not a JSON object"):
+        load_checkpoint(str(p))
+
+
+@pytest.mark.parametrize("state", [
+    {"bit_generator": "PCG64"},
+    {"bit_generator": "Philox", "buffer": {"__nd__": "<u8", "data": [10 ** 30]}},
+    {"bit_generator": "Philox", "buffer": {"__nd__": "<u8"}},
+    {"bit_generator": "Philox", "buffer": {"__nd__": "<u,", "data": [1]}},
+], ids=["other-generator", "overflow", "no-data", "dtype-text"])
+def test_checkpoint_rng_state_must_fit_the_episode_generator(tmp_path, rng, state):
+    ck = _checkpoint(rng)
+    ck.rng_state = state
+    p = tmp_path / "rng.caml"
+    save_checkpoint(str(p), ck)
+    with pytest.raises(CheckpointError, match="key 'rng_state'"):
         load_checkpoint(str(p))
 
 
@@ -381,6 +419,22 @@ def test_cmd_train_sgd_resume_bitwise(tmp_path, tiny_cfg_path):
     assert (a / "checkpoint.caml").read_bytes() == (c / "checkpoint.caml").read_bytes()
 
 
+@pytest.mark.parametrize("split", [2, 4, 6, 9])
+def test_cmd_train_sgd_resume_with_early_stop_bitwise(tmp_path, tiny_cfg_path, split):
+    # the straight run stops early at iteration 6; split before it, at it
+    # and after it, the resumed run stops there too and writes the same files
+    args = ["--config", tiny_cfg_path, "--set", "outer_optimizer=sgd", "--set", "outer_lr=0.01",
+            "--set", "early_stop=true", "--set", "plateau_patience=2", "--set", "plateau_tol=0.01",
+            "--iterations", "12"]
+    a, b, c = (tmp_path / n for n in ("straight", "h1", "h2"))
+    assert main(["train", *args, "--out", str(a)]) == 0
+    assert load_checkpoint(str(a / "checkpoint.caml")).iteration == 6
+    assert main(["train", *args, "--iterations", str(split), "--out", str(b)]) == 0
+    assert main(["train", *args, "--resume", str(b / "checkpoint.caml"), "--out", str(c)]) == 0
+    for name in ("checkpoint.caml", "metrics.csv"):
+        assert (a / name).read_bytes() == (c / name).read_bytes(), name
+
+
 def test_cmd_eval_arch_mismatch_exits_3(tmp_path, tiny_cfg_path):
     out = tmp_path / "run"
     assert main(["train", "--config", tiny_cfg_path, "--iterations", "1",
@@ -413,9 +467,18 @@ def _nan_param(params):
     return params
 
 
+def _inf_param(params):
+    arr = params["fc0.W"].numpy().copy()
+    arr[0, 0] = complex(0.0, np.inf)  # must be refused before 1j * inf warns
+    params["fc0.W"] = CTensor._wrap(arr)
+    return params
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("damage, message", [(_drop_head_b, "lacks parameter"),
-                                             (_nan_param, "non-finite")],
-                         ids=["missing_head_b", "nan_param"])
+                                             (_nan_param, "non-finite"),
+                                             (_inf_param, "non-finite")],
+                         ids=["missing_head_b", "nan_param", "inf_param"])
 def test_cmd_eval_and_resume_reject_damaged_checkpoint(tmp_path, tiny_cfg_path, capsys,
                                                        damage, message):
     path = _damaged_checkpoint(tmp_path, tiny_cfg_path, damage)

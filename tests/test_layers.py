@@ -6,6 +6,8 @@ from camel.layers import (
     ArchConfig,
     ConfigError,
     MhaParams,
+    build_attention,
+    build_mha,
     c_act,
     c_attention,
     c_mha,
@@ -18,7 +20,7 @@ from camel.layers import (
     init_params,
     param_count,
 )
-from camel.wirtinger import cr_check
+from camel.wirtinger import cr_check, evaluator
 
 from conftest import assert_close, rand_complex, rand_off_zero
 
@@ -174,6 +176,18 @@ def test_attention_permuted_keys_values(rng):
     assert np.max(np.abs(out1.numpy() - out2.numpy())) <= 1e-12
 
 
+def test_attention_on_a_stack_equals_one_call_per_sequence(rng):
+    b, lq, lk, d, dv = 3, 2, 4, 3, 5
+    q, k, v = rand_complex(rng, b, lq, d), rand_complex(rng, b, lk, d), rand_complex(rng, b, lk, dv)
+    g = evaluator()
+    out, w = build_attention(g, g.const(q), g.const(k), g.const(v))
+    assert g.raw(out).shape == (b, lq, dv) and g.raw(w).shape == (b, lq, lk)
+    for i in range(b):
+        want_out, want_w = c_attention(CTensor(q[i]), CTensor(k[i]), CTensor(v[i]), return_weights=True)
+        assert_close(g.raw(out)[i], want_out.numpy(), rel=1e-12, floor=1e-14)
+        assert_close(g.raw(w)[i], want_w.numpy(), rel=1e-12, floor=1e-14)
+
+
 def test_attention_length_mismatch(rng):
     with pytest.raises(ShapeMismatchError):
         c_attention(CTensor(rand_complex(rng, 3, 2)), CTensor(rand_complex(rng, 4, 2)),
@@ -215,6 +229,20 @@ def test_mha_matches_manual_two_head_evaluation(rng):
                                  CTensor(x @ wv[:, sl])).numpy())
     want = np.concatenate(heads, axis=1) @ wo
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_mha_on_rows_keeps_sequences_apart(rng):
+    # three sequences stacked as rows: heads attend within a sequence only
+    n, length, d = 3, 4, 4
+    x = rand_complex(rng, n * length, d)
+    ws = [rand_complex(rng, d, d) for _ in range(4)]
+    g = evaluator()
+    out = g.raw(build_mha(g, g.const(x), g.const(x), g.const(x), n, *(g.const(w) for w in ws), n_heads=2))
+    params = MhaParams(*(CTensor(w) for w in ws), n_heads=2)
+    for i in range(n):
+        seq = CTensor(x[i * length:(i + 1) * length])
+        assert_close(out[i * length:(i + 1) * length], c_mha(seq, seq, seq, params).numpy(),
+                     rel=1e-12, floor=1e-14)
 
 
 def test_mha_head_divisibility_error(rng):

@@ -389,6 +389,8 @@ def test_meta_config_validation():
         MetaConfig(outer_lr=0.0)
     with pytest.raises(ValueError):
         MetaConfig(meta_batch=0)
+    with pytest.raises(ValueError, match="plateau_patience"):
+        MetaConfig(plateau_patience=0)
     with pytest.raises(ValueError):
         MetaConfig(outer_optimizer="lbfgs")
     with pytest.raises(ValueError):
@@ -416,6 +418,34 @@ def test_train_quadratic_converges_to_center_mean():
     assert abs(state.theta["t"].item() - theta_star) <= 1e-6
     losses = [r.meta_loss for r in state.history[:20]]
     assert all(b < a + 1e-15 for a, b in zip(losses, losses[1:]))
+
+
+_EARLY_STOP = dict(inner_lr=ALPHA, outer_lr=0.05, inner_steps=1, iterations=200, early_stop=True,
+                   plateau_patience=5, plateau_tol=0.05)
+
+
+def test_train_resume_with_early_stop_matches_the_unbroken_run():
+    # the plateau window is rebuilt from the history, so a run split at any
+    # iteration stops where the unbroken run stops, with the same values
+    full = train_meta(theta_scalar(), quad_tasks, MetaConfig(**_EARLY_STOP))
+    assert 5 < full.iteration < 200
+    for split in (1, 3, 5, full.iteration - 1, full.iteration, full.iteration + 7):
+        half = train_meta(theta_scalar(), quad_tasks, MetaConfig(**{**_EARLY_STOP, "iterations": split}))
+        assert half.iteration == min(split, full.iteration)
+        rest = train_meta(theta_scalar(), quad_tasks, MetaConfig(**_EARLY_STOP), state=half)
+        assert rest.iteration == full.iteration, split
+        assert repr(rest.history) == repr(full.history)
+        assert rest.theta["t"].numpy().tobytes() == full.theta["t"].numpy().tobytes()
+
+
+def test_train_resumed_from_a_stopped_state_trains_no_further():
+    full = train_meta(theta_scalar(), quad_tasks, MetaConfig(**_EARLY_STOP))
+
+    def no_batches():
+        raise AssertionError("a stopped run drew another batch")
+
+    rest = train_meta(theta_scalar(), no_batches, MetaConfig(**_EARLY_STOP), state=full)
+    assert rest.iteration == full.iteration
 
 
 def test_train_divergence_aborts_with_last_good():

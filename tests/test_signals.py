@@ -10,6 +10,7 @@ from camel import signals
 from camel.ctensor import CTensor, NonFiniteError
 from camel.signals import (
     BadMagicError,
+    FrameFormatError,
     FramePool,
     ModulationError,
     SCHEME_NAMES,
@@ -306,6 +307,18 @@ def test_truncated_file(tmp_path, rng):
     raw = p.read_bytes()
     p.write_bytes(raw[: len(raw) - 5])
     with pytest.raises(TruncatedFileError):
+        load_frames(str(p))
+
+
+def test_frame_file_with_bad_bytes_raises_a_frame_format_error(tmp_path):
+    blob = b"CSIG" + struct.pack("<II", 1, 1) + struct.pack("<H", 4) + b"BPSK"
+    blob += struct.pack("<Q", 1) + struct.pack("<IfI", 0, 5.0, 2) + struct.pack("<4f", 1.0, 0.0, np.nan, 1.0)
+    p = tmp_path / "nan.csig"
+    p.write_bytes(blob)
+    with pytest.raises(FrameFormatError, match="frame 0 holds non-finite samples"):
+        load_frames(str(p))
+    p.write_bytes(blob.replace(b"BPSK", b"BP\xffK"))
+    with pytest.raises(UnknownSchemeError):
         load_frames(str(p))
 
 

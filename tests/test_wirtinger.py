@@ -142,6 +142,34 @@ def test_window_ops_reject_bad_arguments(op, shape, aux):
         g.record(op, [g.leaf(np.zeros(shape, dtype=complex))], **aux)
 
 
+@pytest.mark.parametrize("sa, sb, adj", [
+    ((3,), (3, 2), None),
+    ((2, 3), (3,), None),
+    ((2, 3), (1, 3, 2), None),
+    ((2, 2, 3), (3, 3, 2), None),
+    ((2, 3), (4, 2), None),
+    ((2, 3), (3, 4), "a"),
+    ((2, 3), (4, 2), "b"),
+    ((2, 2, 3), (2, 4, 2), None),
+    ((2, 3, 2), (2, 4, 2), "a"),
+    ((2, 2, 3), (2, 2, 4), "b"),
+], ids=["rank1-a", "rank1-b", "rank2-vs-3", "leading-axes", "inner", "inner-adj=a", "inner-adj=b",
+        "inner-rank3", "inner-rank3-adj=a", "inner-rank3-adj=b"])
+def test_matmul_rejects_bad_shapes(sa, sb, adj):
+    g = Tape()
+    a, b = g.leaf(np.zeros(sa, dtype=complex)), g.leaf(np.zeros(sb, dtype=complex))
+    with pytest.raises(ShapeMismatchError):
+        g.record("matmul", [a, b], adj=adj)
+    assert len(g) == 2
+
+
+def test_matmul_rejects_an_unknown_adj_flag():
+    g = Tape()
+    a, b = g.leaf(np.zeros((2, 2), dtype=complex)), g.leaf(np.zeros((2, 2), dtype=complex))
+    with pytest.raises(UnknownOpError):
+        g.record("matmul", [a, b], adj="c")
+
+
 # ---------------------------------------------------------------------------
 # backward: worked values and contracts
 # ---------------------------------------------------------------------------
@@ -394,15 +422,17 @@ def test_leaf_consumed_by_a_broadcast_gets_a_writable_gradient(rng, consumer):
 
 
 _PRODUCT_SHAPES = {
-    "matmul": {None: ((2, 3), (3, 4)), "a": ((3, 2), (3, 4)), "b": ((2, 3), (4, 3))},
-    "bmm": {None: ((2, 2, 3), (2, 3, 4)), "a": ((2, 3, 2), (2, 3, 4)), "b": ((2, 2, 3), (2, 4, 3))},
+    (None, 2): ((2, 3), (3, 4)), ("a", 2): ((3, 2), (3, 4)), ("b", 2): ((2, 3), (4, 3)),
+    (None, 3): ((2, 2, 3), (2, 3, 4)), ("a", 3): ((2, 3, 2), (2, 3, 4)), ("b", 3): ((2, 2, 3), (2, 4, 3)),
 }
+"""Operand shapes of matmul per (adj flag, rank)."""
 _PRODUCTS = {
     "mul": ((2, 3), (2, 3), lambda g, a, b: g.mul(a, b)),
     "mulc": ((2, 3), (2, 3), lambda g, a, b: g.mulc(a, b)),
     "abs2": ((2, 3), (2, 3), lambda g, a, b: g.mul(g_abs2(g, a), b)),
-    **{f"{op}[adj={adj}]": (*shapes, lambda g, a, b, op=op, adj=adj: getattr(g, op)(a, b, adj))
-       for op, flags in _PRODUCT_SHAPES.items() for adj, shapes in flags.items()},
+    **{f"matmul[adj={adj}{'' if rank == 2 else f',rank={rank}'}]":
+       (*shapes, lambda g, a, b, adj=adj: g.matmul(a, b, adj))
+       for (adj, rank), shapes in _PRODUCT_SHAPES.items()},
 }
 
 
@@ -442,8 +472,11 @@ def test_registry_covers_every_op_adjoint_flag_and_broadcast_pattern():
         if "adj" not in inspect.signature(method).parameters:
             continue
         for adj in ADJOINT_FLAGS:
-            g = tapes[op if adj is None else f"{op}[adj={adj}]"]
-            assert any(k == op and aux == adj for k, aux in zip(g.kind, g.aux)), (op, adj)
+            for rank in (2, 3):
+                tags = ",".join([f"adj={adj}"] * (adj is not None) + [f"rank={rank}"] * (rank > 2))
+                g = tapes[f"{op}[{tags}]" if tags else op]
+                assert any(k == op and aux == adj and g.val[ins[0]].ndim == rank
+                           for k, aux, ins in zip(g.kind, g.aux, g.inputs)), (op, adj, rank)
     # an op that records a broadcast of its two operands needs a case per pattern
     probe = Tape()
     x, r = probe.leaf(np.ones((2, 3), dtype=complex)), probe.leaf(np.ones(3, dtype=complex))
