@@ -90,6 +90,12 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"expected a boolean, got {s!r}")
 
 
+MAX_SNR_POINTS = 10_000
+"""The most SNR values a grid may have: 10k cells of each scheme's frames
+are far more than any pool needs, and the bound stops a step too small to
+reach snr_hi from exhausting memory."""
+
+
 @dataclass
 class DataConfig:
     """Episode-source settings: either a frame file or on-the-fly synthesis."""
@@ -105,14 +111,26 @@ class DataConfig:
     scenario: str | None = None
     eval_episodes: int = 200
 
+    def __post_init__(self):
+        self.snr_grid()
+
     def snr_grid(self) -> list[float]:
+        """snr_lo, snr_lo + snr_step, ... up to snr_hi, at most
+        ``MAX_SNR_POINTS`` of them; a step that leaves the SNR where it was
+        is a ConfigError."""
         if self.snr_step <= 0:
             raise ConfigError("snr_step must be positive")
         grid = []
         snr = self.snr_lo
         while snr <= self.snr_hi + 1e-9:
+            if len(grid) == MAX_SNR_POINTS:
+                raise ConfigError(f"snr_lo={self.snr_lo!r} to snr_hi={self.snr_hi!r} in steps of "
+                                  f"{self.snr_step!r} gives more than {MAX_SNR_POINTS} SNR points")
             grid.append(round(snr, 9))
-            snr += self.snr_step
+            nxt = snr + self.snr_step
+            if nxt == snr:
+                raise ConfigError(f"snr_step={self.snr_step!r} does not advance the SNR from {snr!r}")
+            snr = nxt
         return grid
 
 

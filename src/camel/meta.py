@@ -354,7 +354,8 @@ def _unrolled_task_gradient(theta: ParamSet, task: MetaTask, inner_lr: float, st
 
     The inner steps' sweeps record their arithmetic, because the final
     sweep from the query loss differentiates them again; the final sweep
-    itself records nothing."""
+    itself records nothing.  After each step the tape releases the values
+    that no recorded pullback reads, keeping the adapted parameters."""
     g = Tape()
     leaves = {k: g.leaf(v) for k, v in theta.items()}
     cur = dict(leaves)
@@ -371,6 +372,7 @@ def _unrolled_task_gradient(theta: ParamSet, task: MetaTask, inner_lr: float, st
             else:
                 nxt[name] = g.sub(nid, g.smul(pair[1], 2.0 * inner_lr))
         cur = nxt
+        g.release(keep=cur.values())
     q_id, acc = _query_loss(task, g, cur)
     q_loss = float(g.raw(q_id).real)
     return _leaf_gradients(backward_values(g, q_id), leaves, theta), q_loss, acc

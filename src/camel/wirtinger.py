@@ -37,6 +37,14 @@ differentiates the first gradient.  :func:`backward_values` records
 nothing and keeps only the adjoints of leaves, for the last sweep of a
 gradient, which nothing differentiates again.
 
+A tape keeps each node's shape, and each op's pullback reads the values
+``_READS`` names and only shapes and ``aux`` otherwise.  So
+:meth:`Tape.release` can drop every value that no recorded pullback reads,
+and :func:`backward_values` consumes the tape up to its loss: it releases
+those values first and drops each node's value once it has pulled that
+node back.  Leaves, consts and the loss keep theirs; reading a released
+value raises :class:`ReleasedValueError`.
+
 Recording sweeps: :func:`backward` (and so :class:`Cotangents`), the first
 sweep of :func:`hvp`, and each inner-step sweep of the unrolled
 meta-gradient in ``meta``.  Graph-free sweeps: the second sweep of
@@ -54,7 +62,7 @@ eager layer wrappers of ``layers``, and the finite-difference losses of
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -79,6 +87,14 @@ class NonRealLossError(ValueError):
 
 class NonAnalyticChainError(ValueError):
     """Raised when an operation-count comparison meets a non-analytic stage."""
+
+
+class ReleasedValueError(ValueError):
+    """Raised when reading the value of a node that the tape has released."""
+
+    def __init__(self, nid: int, kind: str):
+        super().__init__(f"node {nid} ({kind}) was released: no recorded pullback reads its value")
+        self.nid, self.kind = nid, kind
 
 
 def _val(x) -> np.ndarray:
@@ -121,16 +137,21 @@ class Tape:
     Node ids are list indices, so inputs always refer to earlier nodes and
     the tape is topologically ordered by construction.  A tape serves one
     forward pass; backward sweeps append their arithmetic to the same tape.
+    A released node's value is None; its shape stays.
     """
 
-    __slots__ = ("kind", "inputs", "val", "aux", "needs")
+    __slots__ = ("kind", "inputs", "val", "shape", "aux", "needs", "_read", "_released", "_kept")
 
     def __init__(self):
         self.kind: list[str] = []
         self.inputs: list[tuple[int, ...]] = []
-        self.val: list[np.ndarray] = []
+        self.val: list[np.ndarray | None] = []
+        self.shape: list[tuple[int, ...]] = []
         self.aux: list = []
         self.needs: list[bool] = []
+        self._read = bytearray()  # node -> read by a recorded pullback, for the nodes marked so far
+        self._released = 0        # nodes before this one were considered by release()
+        self._kept: list[int] = []  # nodes release() kept only because they were in ``keep``
 
     def __len__(self) -> int:
         return len(self.kind)
@@ -144,6 +165,7 @@ class Tape:
         self.kind.append(kind)
         self.inputs.append(inputs)
         self.val.append(val)
+        self.shape.append(val.shape)
         self.aux.append(aux)
         self.needs.append(needs)
         return len(self.kind) - 1
@@ -152,10 +174,47 @@ class Tape:
 
     def value(self, nid: int) -> CTensor:
         """Forward value of a node as a CTensor."""
-        return CTensor._wrap(self.val[nid])
+        return CTensor._wrap(self.raw(nid))
 
     def raw(self, nid: int) -> np.ndarray:
-        return self.val[nid]
+        v = self.val[nid]
+        if v is None:
+            raise ReleasedValueError(nid, self.kind[nid])
+        return v
+
+    # -- memory ------------------------------------------------------------
+
+    def release(self, keep: Iterable[int] = (), end: int | None = None) -> None:
+        """Drop the value of every node before ``end`` (default: every node)
+        that no recorded pullback reads, except leaves, consts and ``keep``.
+        A released node can no longer be an operand of a new op.
+
+        Each call marks the reads of the nodes recorded since the last one
+        and looks only at nodes it has not looked at before, and at those an
+        earlier call kept only because they were in its ``keep``."""
+        n = len(self.kind)
+        read = self._read
+        for nid in range(len(read), n):
+            read.append(0)
+            reads = _READS.get(self.kind[nid]) if self.needs[nid] else None
+            if reads is not None:
+                ins, own = reads
+                for pos in ins:
+                    read[self.inputs[nid][pos]] = 1
+                if own:
+                    read[nid] = 1
+        end = n if end is None else end
+        keep = set(keep)
+        todo = [nid for nid in self._kept if nid < end] + list(range(self._released, end))
+        self._kept = [nid for nid in self._kept if nid >= end]
+        self._released = max(self._released, end)
+        for nid in todo:
+            if read[nid] or self.kind[nid] in ("leaf", "const"):
+                continue
+            if nid in keep:
+                self._kept.append(nid)
+            else:
+                self.val[nid] = None
 
     # -- terminals -------------------------------------------------------
 
@@ -383,8 +442,8 @@ def g_dot_const(g: Tape, x: int, w) -> int:
 def _fit(g, p, x):
     """Adjoint ``p`` summed down to the shape of input ``x``, which the
     node broadcast."""
-    shape = g.val[x].shape
-    return p if g.val[p].shape == shape else g.sum_to(p, shape)
+    shape = g.shape[x]
+    return p if g.shape[p] == shape else g.sum_to(p, shape)
 
 
 def _pull_add(g, nid, c, naive):
@@ -487,7 +546,7 @@ def _pull_crelu(g, nid, c, naive):
     # du/dz = (m_re + m_im)/2 and du/dz* = (m_re - m_im)/2 with the two
     # half-plane masks; both are real, so conjugations drop out.
     (a,) = g.inputs[nid]
-    v = g.val[a]
+    v = g.raw(a)
     mre = (v.real > 0).astype(_C)
     mim = (v.imag > 0).astype(_C)
     hol = g.mul(c, g.const((mre + mim) * 0.5))
@@ -533,17 +592,17 @@ def _pull_permute(g, nid, c, naive):
 
 def _pull_sum_to(g, nid, c, naive):
     (a,) = g.inputs[nid]
-    return [(a, g.expand(c, g.val[a].shape))]
+    return [(a, g.expand(c, g.shape[a]))]
 
 
 def _pull_expand(g, nid, c, naive):
     (a,) = g.inputs[nid]
-    return [(a, g.sum_to(c, g.val[a].shape))]
+    return [(a, g.sum_to(c, g.shape[a]))]
 
 
 def _pull_window(g, nid, c, naive):
     (a,) = g.inputs[nid]
-    return [(a, g.unwindow(c, g.val[a].shape[1], *g.aux[nid]))]
+    return [(a, g.unwindow(c, g.shape[a][1], *g.aux[nid]))]
 
 
 def _pull_unwindow(g, nid, c, naive):
@@ -575,6 +634,23 @@ _PULLBACKS: dict[str, Callable] = {
     "unwindow": _pull_unwindow,
 }
 
+# The forward values each pullback reads, as (input positions, own value);
+# every other pullback reads only shapes, ``aux`` and its adjoint.  A value
+# missing here is released before its pullback runs, and reading it raises
+# ReleasedValueError.
+_READS: dict[str, tuple[tuple[int, ...], bool]] = {
+    "mul": ((0, 1), False),
+    "mulc": ((0, 1), False),
+    "matmul": ((0, 1), False),
+    "div": ((1,), True),
+    "mdiv": ((1,), True),
+    "exp": ((), True),
+    "sqrt": ((), True),
+    "cabs": ((0,), True),
+    "log": ((0,), False),
+    "crelu": ((0,), False),
+}
+
 # the ops :meth:`Tape.record` accepts by name: exactly those with a pullback
 _RECORDABLE: dict[str, Callable] = {k: getattr(Tape, k) for k in _PULLBACKS}
 
@@ -597,8 +673,8 @@ class Cotangents:
     def wrt_conj(self, nid: int) -> CTensor:
         cid = self._adj.get(nid)
         if cid is None:
-            return CTensor.zeros(self._tape.val[nid].shape)
-        return CTensor._wrap(self._tape.val[cid])
+            return CTensor.zeros(self._tape.shape[nid])
+        return CTensor._wrap(self._tape.raw(cid))
 
     def wrt_value(self, nid: int) -> CTensor:
         """dL/dz, the conjugate of dL/dz* for a real loss."""
@@ -634,9 +710,14 @@ def backward_values(g: Tape, loss_id: int) -> dict[int, np.ndarray]:
     so the tape keeps its length and its result cannot be differentiated
     again.
 
-    Each adjoint is dropped once it has been propagated.  Returns a map
-    leaf id -> dL/dz* for the leaves the sweep reached.  The arrays equal
-    the values of the nodes :func:`backward` records.
+    The sweep consumes the tape up to ``loss_id``: it first releases the
+    values there that no pullback reads (see :meth:`Tape.release`), and
+    drops each node's value once it has pulled that node back, so no node
+    it reached can be swept again.  Leaves, consts, the loss and the nodes
+    recorded after the loss keep their values.  Each adjoint is dropped
+    once it has been propagated.  Returns a map leaf id -> dL/dz* for the
+    leaves the sweep reached.  The arrays equal the values of the nodes
+    :func:`backward` records.
     """
     _check_real_scalar(g, loss_id)
     return _sweep(g, _ArrayOps(g), loss_id, 0.5, False, None)
@@ -645,16 +726,32 @@ def backward_values(g: Tape, loss_id: int) -> dict[int, np.ndarray]:
 class _Resolved:
     """Operand lookup of :class:`_ArrayOps`: an integer (Python or numpy,
     as :meth:`Tape.record` accepts either) is a node id and resolves to the
-    tape's forward value; anything else is a value already.  Values are not
-    all arrays: arithmetic on rank-0 arrays yields numpy scalars."""
+    tape's forward value, or raises :class:`ReleasedValueError` if the tape
+    released it; anything else is a value already.  Values are not all
+    arrays: arithmetic on rank-0 arrays yields numpy scalars."""
 
-    __slots__ = ("_val",)
+    __slots__ = ("_items", "_kind")
 
-    def __init__(self, val: list[np.ndarray]):
-        self._val = val
+    def __init__(self, items: list, kind: list[str]):
+        self._items, self._kind = items, kind
 
     def __getitem__(self, x):
-        return self._val[x] if isinstance(x, (int, np.integer)) else x
+        if not isinstance(x, (int, np.integer)):
+            return x
+        v = self._items[x]
+        if v is None:
+            raise ReleasedValueError(int(x), self._kind[x])
+        return v
+
+
+class _Shapes(_Resolved):
+    """Shape lookup of :class:`_ArrayOps`: a node id resolves to the tape's
+    shape of that node, a value to its own shape."""
+
+    __slots__ = ()
+
+    def __getitem__(self, x):
+        return self._items[x] if isinstance(x, (int, np.integer)) else np.shape(x)
 
 
 class _ArrayOps(Tape):
@@ -668,7 +765,8 @@ class _ArrayOps(Tape):
 
     def __init__(self, g: Tape):
         self.kind, self.inputs, self.aux, self.needs = g.kind, g.inputs, g.aux, g.needs
-        self.val = _Resolved(g.val)
+        self.val = _Resolved(g.val, g.kind)
+        self.shape = _Shapes(g.shape, g.kind)
 
     def _push(self, kind, inputs, val, aux=None):
         return val
@@ -746,10 +844,13 @@ def _paired(g: Tape, out_id: int, seed, naive: bool, stop) -> dict:
 def _sweep(g: Tape, ops: Tape, out_id: int, seed: complex, naive: bool, stop) -> dict:
     """Reverse sweep over ``g`` from the adjoint ``seed`` at ``out_id``,
     whose adjoint arithmetic runs on ``ops``: ``g`` itself records it, an
-    :class:`_ArrayOps` over ``g`` does not and keeps only the adjoints of
-    leaves (and of ``stop`` nodes, if given).  Returns node id -> c."""
+    :class:`_ArrayOps` over ``g`` does not, keeps only the adjoints of
+    leaves (and of ``stop`` nodes, if given) and consumes ``g`` up to
+    ``out_id`` (see :func:`backward_values`).  Returns node id -> c."""
     keep_all = ops is g
-    cot: dict = {out_id: ops.const(np.full(g.val[out_id].shape, _C(seed)))}
+    if not keep_all:
+        g.release(keep=(out_id,), end=out_id + 1)
+    cot: dict = {out_id: ops.const(np.full(g.shape[out_id], _C(seed)))}
     heap = [-out_id]
     while heap:
         nid = -heapq.heappop(heap)
@@ -768,6 +869,8 @@ def _sweep(g: Tape, ops: Tape, out_id: int, seed: complex, naive: bool, stop) ->
                 heapq.heappush(heap, -inp)
             else:
                 cot[inp] = ops.add(prev, p)
+        if not keep_all and nid != out_id:
+            g.val[nid] = None
     if not keep_all:
         # a leaf's adjoint may be a broadcast view (from expand) or a
         # numpy scalar: hand out a writable array of the leaf's shape
@@ -778,7 +881,7 @@ def _sweep(g: Tape, ops: Tape, out_id: int, seed: complex, naive: bool, stop) ->
 
 
 def _check_real_scalar(g: Tape, loss_id: int) -> None:
-    v = g.val[loss_id]
+    v = g.raw(loss_id)
     if v.size != 1:
         raise NonScalarLossError(f"loss node must be scalar, got shape {v.shape}")
     im = abs(float(v.reshape(-1)[0].imag))

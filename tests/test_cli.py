@@ -2,11 +2,13 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from camel.cli import (
+    MAX_SNR_POINTS,
     Checkpoint,
     CheckpointError,
     ConfigError,
@@ -101,6 +103,46 @@ def test_non_finite_float_values_are_config_errors(tmp_path, capsys, value):
         parse_config([f"snr_hi={value}"], source="cfg")
     assert main(["gen", "--set", f"snr_hi={value}", "--out", str(tmp_path / "pool.csig")]) == 3
     assert "command line:1: key 'snr_hi'" in capsys.readouterr().err
+
+
+def _old_snr_grid(lo, hi, step):
+    # the grid loop as it was before it checked its step
+    grid, snr = [], lo
+    while snr <= hi + 1e-9:
+        grid.append(round(snr, 9))
+        snr += step
+    return grid
+
+
+@pytest.mark.parametrize("lo, hi, step", [(10.0, 18.0, 2.0), (0.0, 1.0, 0.1), (-20.0, 30.0, 0.7),
+                                          (5.0, 5.0, 1.0), (5.0, 4.0, 1.0), (0.0, 9999.0, 1.0)])
+def test_snr_grid_is_unchanged_where_it_terminated(lo, hi, step):
+    grid = parse_config([f"snr_lo={lo!r}", f"snr_hi={hi!r}", f"snr_step={step!r}"]).data.snr_grid()
+    assert repr(grid) == repr(_old_snr_grid(lo, hi, step))
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["snr_step=1e-300"], "does not advance the SNR from 10.0"),
+    # the step moves snr_lo but not the SNR two units of the last place past it
+    (["snr_lo=9007199254740991", "snr_hi=9007199254741002", "snr_step=0.75"],
+     "does not advance the SNR from 9007199254740992.0"),
+    (["snr_step=1e-6"], f"more than {MAX_SNR_POINTS} SNR points"),
+    (["snr_lo=0", f"snr_hi={MAX_SNR_POINTS}", "snr_step=1"], f"more than {MAX_SNR_POINTS} SNR points"),
+], ids=["below_float_spacing", "stalls_past_lo", "too_many_points", "one_too_many"])
+def test_snr_grid_that_would_not_end_is_a_config_error(tmp_path, capsys, lines, message):
+    # each case would fill memory if the grid were built; tracemalloc shows it never is
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=message):
+            parse_config(lines, source="cfg")
+        assert main(["gen", *(a for line in lines for a in ("--set", line)),
+                     "--out", str(tmp_path / "pool.csig")]) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "pool.csig").exists()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("flag, line, other", [

@@ -10,10 +10,12 @@ from camel.gradcheck import ABS_FLOOR, BROADCAST_PATTERNS, REL_TOL, WINDOW_PATTE
 from camel.wirtinger import (
     ADJOINT_FLAGS,
     _PULLBACKS,
+    _READS,
     _RECORDABLE,
     NonAnalyticChainError,
     NonRealLossError,
     NonScalarLossError,
+    ReleasedValueError,
     AnalyticChain,
     Tape,
     UnknownOpError,
@@ -312,14 +314,20 @@ def test_sweeps_match_hand_derived_dual_pair(rng, seed, sweep):
     sv, sc = (0.0 if s is None else s for s in seed)
     want = (sv * a + sc * np.conj(b), sv * b + sc * np.conj(a))
 
-    g = Tape()
-    z = g.leaf(z0)
-    out = _mixed_graph(g, z, g.const(w0))
+    def record():
+        g = Tape()
+        z = g.leaf(z0)
+        return g, z, _mixed_graph(g, z, g.const(w0))
+
     if sweep == "graph":
+        g, z, out = record()
         pairs = backward_graph(g, out, seed=seed)
         got = [g.val[pairs[z][slot]] for slot in (0, 1)]
     else:
+        # a graph-free sweep consumes its tape: one tape per real loss
+        g, z, out = record()
         re = backward_values(g, g_re(g, out))[z]
+        g, z, out = record()
         im = backward_values(g, g_im(g, out))[z]
         b, ca = re + 1j * im, re - 1j * im
         got = [sv * np.conj(ca) + sc * np.conj(b), sv * b + sc * ca]
@@ -373,29 +381,39 @@ def test_naive_rule_gives_exact_zeros_behind_conj():
 
 @pytest.mark.parametrize("case", default_cases(), ids=lambda c: c.name)
 def test_backward_values_match_backward_graph_on_registry(case):
+    # a graph-free sweep consumes its tape, so each sweep gets its own tape,
+    # recorded from the same draws
     for k in range(3):
-        rng = np.random.default_rng(np.random.SeedSequence((7, k)))
-        g = Tape()
-        leaves = {n: g.leaf(v) for n, v in case.make_inputs(rng).items()}
-        loss = case.build_loss(g, leaves, rng)
+        tapes = []
+        for _ in range(2):
+            rng = np.random.default_rng(np.random.SeedSequence((7, k)))
+            g = Tape()
+            leaves = {n: g.leaf(v) for n, v in case.make_inputs(rng).items()}
+            tapes.append((g, leaves, case.build_loss(g, leaves, rng)))
+        (g, leaves, loss), (gg, _, gloss) = tapes
         n = len(g)
         values = backward_values(g, loss)
         assert len(g) == n
         assert set(values) <= set(leaves.values())
-        graph = backward_graph(g, loss, seed=(0.5, 0.5))
-        assert_same_adjoints(g, values, graph, leaves.values())
+        graph = backward_graph(gg, gloss, seed=(0.5, 0.5))
+        assert_same_adjoints(gg, values, graph, leaves.values())
 
 
 @pytest.mark.parametrize("shape", [(), (3,)])
 def test_backward_values_resolve_numpy_integer_ids(rng, shape):
     # record() accepts numpy integer ids and stores them as given; the
     # graph-free sweep must read them as nodes, not as adjoint values.
-    g = Tape()
-    a = g.leaf(rand_complex(rng, *shape))
-    b = g.leaf(rand_complex(rng, *shape))
-    c = g.record("mul", [np.int64(a), np.int64(b)])
-    loss = g_sum(g, g.record("mul", [np.int64(c), g.record("conj", [np.int64(c)])]))
+    za, zb = rand_complex(rng, *shape), rand_complex(rng, *shape)
+
+    def record():
+        g = Tape()
+        a, b = g.leaf(za), g.leaf(zb)
+        c = g.record("mul", [np.int64(a), np.int64(b)])
+        return g, a, b, g_sum(g, g.record("mul", [np.int64(c), g.record("conj", [np.int64(c)])]))
+
+    g, a, b, loss = record()
     values = backward_values(g, loss)
+    g, a, b, loss = record()
     graph = backward_graph(g, loss, seed=(0.5, 0.5))
     assert_same_adjoints(g, values, graph, [a, b])
 
@@ -405,20 +423,122 @@ def test_leaf_consumed_by_a_broadcast_gets_a_writable_gradient(rng, consumer):
     # the adjoint of a broadcast is a reduction and the adjoint of a
     # reduction is a broadcast view; a graph-free sweep hands out neither
     # a view nor a scalar, but an array of the leaf's own
-    g = Tape()
-    if consumer == "sum_to":
-        x = g.leaf(rand_complex(rng, 2, 3))
-        loss = g_re(g, g.sum_to(x, ()))
-    else:
-        x = g.leaf(rand_complex(rng, 3))
-        w = g.const(rand_complex(rng, 2, 3))
+    x0 = rand_complex(rng, 2, 3) if consumer == "sum_to" else rand_complex(rng, 3)
+    w0 = rand_complex(rng, 2, 3)
+
+    def record():
+        g = Tape()
+        x = g.leaf(x0)
+        if consumer == "sum_to":
+            return g, x, g_re(g, g.sum_to(x, ()))
+        w = g.const(w0)
         out = g.add(w, x) if consumer == "add" else g.expand(x, (2, 3))
-        loss = g_re(g, g_sum(g, g.mul(out, w)))
+        return g, x, g_re(g, g_sum(g, g.mul(out, w)))
+
+    g, x, loss = record()
     got = backward_values(g, loss)[x]
     assert isinstance(got, np.ndarray) and got.shape == g.val[x].shape
     assert got.flags.writeable and got.flags.c_contiguous
-    assert not any(np.shares_memory(got, v) for v in g.val)
-    assert_same_adjoints(g, backward_values(g, loss), backward_graph(g, loss, seed=(0.5, 0.5)), [x])
+    assert not any(np.shares_memory(got, v) for v in g.val if v is not None)
+    gg, _, gloss = record()
+    assert_same_adjoints(gg, {x: got}, backward_graph(gg, gloss, seed=(0.5, 0.5)), [x])
+
+
+# ---------------------------------------------------------------------------
+# released values
+# ---------------------------------------------------------------------------
+
+def _registry_tape(case, k=0):
+    rng = np.random.default_rng(np.random.SeedSequence((13, k)))
+    g = Tape()
+    leaves = {n: g.leaf(v) for n, v in case.make_inputs(rng).items()}
+    return g, leaves, case.build_loss(g, leaves, rng)
+
+
+def _pulled_back_reads(g, nid):
+    """The forward values the pullback of ``nid`` reads, per ``_READS``."""
+    ins, own = _READS.get(g.kind[nid], ((), False))
+    return {g.inputs[nid][pos] for pos in ins} | ({nid} if own else set())
+
+
+def test_reads_table_names_only_ops_with_a_pullback():
+    assert set(_READS) <= set(_PULLBACKS)
+    for kind, (ins, own) in _READS.items():
+        arity = 1 if kind in ("exp", "log", "sqrt", "cabs", "crelu") else 2
+        assert all(0 <= pos < arity for pos in ins) and isinstance(own, bool), kind
+
+
+@pytest.mark.parametrize("case", default_cases(), ids=lambda c: c.name)
+def test_release_keeps_leaves_consts_keep_nodes_and_read_values(case):
+    g, leaves, loss = _registry_tape(case)
+    backward_graph(g, loss, seed=(0.5, 0.5))
+    read = set()
+    for nid in range(len(g)):
+        if g.needs[nid]:
+            read |= _pulled_back_reads(g, nid)
+    keep = {loss, len(g) - 1}
+    before = list(g.val)
+    g.release(keep=keep)
+    for nid, v in enumerate(g.val):
+        kept = nid in read or nid in keep or g.kind[nid] in ("leaf", "const")
+        assert (v is before[nid]) if kept else (v is None), (nid, g.kind[nid])
+        assert g.shape[nid] == before[nid].shape
+    # a second call with nothing kept drops the nodes the first one kept for
+    # its keep set, and nothing else
+    g.release()
+    for nid in keep - read:
+        if g.kind[nid] not in ("leaf", "const"):
+            assert g.val[nid] is None
+
+
+@pytest.mark.parametrize("case", default_cases(), ids=lambda c: c.name)
+def test_backward_values_consumes_the_tape_up_to_its_loss(case):
+    def record():
+        g, leaves, loss = _registry_tape(case)
+        later = g.mul(loss, g.conj(loss))
+        return g, leaves, loss, g_re(g, g_sum(g, g.exp(g.smul(later, 0.1))))
+
+    g, leaves, loss, tail = record()
+    n = len(g)
+    before = list(g.val)
+    backward_values(g, loss)
+    assert len(g) == n
+    for nid in range(loss):
+        if g.kind[nid] in ("leaf", "const"):
+            assert g.val[nid] is before[nid]
+    assert g.raw(loss) is before[loss]
+    assert all(g.val[nid] is before[nid] for nid in range(loss + 1, n))
+    # sweeping the consumed nodes again either fails at a released value or
+    # reads only values that were kept, and then equals a sweep of a twin
+    twin, _, _, twin_tail = record()
+    want = backward_values(twin, twin_tail)
+    try:
+        got = backward_values(g, tail)
+    except ReleasedValueError:
+        return
+    assert set(got) == set(want)
+    assert all(np.array_equal(got[nid], want[nid]) for nid in want)
+
+
+def test_released_value_reads_raise_a_typed_error(rng, monkeypatch):
+    g = Tape()
+    x = g.leaf(rand_off_zero(rng, 3))
+    s = g.sub(x, g.const(rand_complex(rng, 3)))
+    loss = g_re(g, g_sum(g, g.exp(s)))
+    g.release(keep=(loss,))
+    for read in (g.raw, g.value):
+        with pytest.raises(ReleasedValueError, match=rf"node {s} \(sub\)") as info:
+            read(s)
+        assert (info.value.nid, info.value.kind) == (s, "sub")
+    assert isinstance(info.value, ValueError)
+    # a pullback that reads a value its _READS entry does not name fails at
+    # the operand lookup, not on stale data
+    monkeypatch.setitem(camel.wirtinger._READS, "exp", ((), False))
+    g = Tape()
+    x = g.leaf(rand_off_zero(rng, 3))
+    e = g.exp(g.smul(x, 0.5))
+    with pytest.raises(ReleasedValueError, match=rf"node {e} \(exp\)"):
+        backward_values(g, g_re(g, g_sum(g, e)))
 
 
 _PRODUCT_SHAPES = {
