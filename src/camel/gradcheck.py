@@ -15,6 +15,7 @@ import numpy as np
 
 from .ctensor import CTensor
 from .layers import (
+    LIFTS,
     ArchConfig,
     build_act,
     build_attention,
@@ -171,7 +172,17 @@ def _attention_case() -> GradCase:
     return GradCase(
         "c_attention",
         lambda rng: {"q": _rand(rng, 2, 3, 2), "k": _rand(rng, 2, 3, 2), "v": _rand(rng, 2, 3, 2)},
-        lambda g, lv, rng: _head(g, build_attention(g, lv["q"], lv["k"], lv["v"], "abs")[0], rng),
+        lambda g, lv, rng: _head(g, build_attention(g, lv["q"], lv["k"], lv["v"], "abs"), rng),
+    )
+
+
+def _attend_case(lift: str) -> GradCase:
+    # three (2 x 4) score blocks: enough for three chunks when each chunk
+    # holds one block
+    return GradCase(
+        f"attend[lift={lift}]",
+        lambda rng: {"q": _rand(rng, 3, 2, 3), "kt": _rand(rng, 3, 3, 4), "v": _rand(rng, 3, 4, 2)},
+        lambda g, lv, rng: _head(g, g.attend(lv["q"], lv["kt"], lv["v"], lift), rng),
     )
 
 
@@ -297,6 +308,7 @@ def default_cases() -> list[GradCase]:
         _softmax_case("abs"),
         _softmax_case("re"),
         _softmax_case("im"),
+        *(_attend_case(lift) for lift in LIFTS),
         _attention_case(),
         _mha_case(),
         _norm_case(),

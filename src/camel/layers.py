@@ -13,7 +13,9 @@ FC block: every convolution reads (N, T, C) and reads its patch rows with
 statistics and scales broadcast.  ``build_mha`` reads those rows as N
 sequences and moves heads with ``permute``; ``build_attention`` reads only
 trailing axes, so one sequence (L, d) and a stack (B, L, d) take the same
-path.  No layer builds an index map.
+path.  Both hand the whole batch of sequences and heads to one
+``attend`` op, which runs it one chunk at a time.  No layer builds an
+index map.
 """
 
 from __future__ import annotations
@@ -24,11 +26,22 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .ctensor import CTensor, ShapeMismatchError
-from .wirtinger import Tape, evaluator, g_abs, g_abs2, g_im, g_re, g_sum
+from .wirtinger import (
+    LIFTS,
+    Tape,
+    evaluator,
+    g_abs2,
+    g_im,
+    g_lift,
+    g_minus_row_max,
+    g_re,
+    g_softmax_last,
+    g_sum,
+    g_sum_last,
+)
 
 _C = np.complex128
 
-LIFTS = ("abs", "re", "im")
 ACTIVATIONS = ("crelu", "ctanh", "csigmoid")
 
 
@@ -108,40 +121,12 @@ class MhaParams:
 # graph builders
 # ---------------------------------------------------------------------------
 
-def build_lift(g: Tape, x: int, lift: str) -> int:
-    if lift == "abs":
-        return g_abs(g, x)
-    if lift == "re":
-        return g_re(g, x)
-    if lift == "im":
-        return g_im(g, x)
-    raise ConfigError(f"unknown lift {lift!r}")
-
-
-def _sum_last(g: Tape, x: int) -> int:
-    """Sum over the last axis, kept as an axis of length 1."""
-    shape = g.raw(x).shape
-    return g.sum_to(x, shape[:-1] + (1,))
-
-
-def _minus_row_max(g: Tape, lifted: int) -> int:
-    """The lifted input minus its row maximum, held as a detached constant:
-    softmax is shift invariant, so gradients are unaffected."""
-    return g.sub(lifted, g.const(g.raw(lifted).real.max(axis=-1, keepdims=True)))
-
-
-def _normalize_rows(g: Tape, e: int) -> int:
-    return g.div(e, _sum_last(g, e))
-
-
-def build_softmax_last(g: Tape, x: int, lift: str) -> int:
-    """Real softmax over the last axis of the lifted input."""
-    return _normalize_rows(g, g.exp(_minus_row_max(g, build_lift(g, x, lift))))
+build_softmax_last = g_softmax_last
 
 
 def build_log_softmax_last(g: Tape, x: int, lift: str) -> int:
-    z = _minus_row_max(g, build_lift(g, x, lift))
-    return g.sub(z, g.log(_sum_last(g, g.exp(z))))
+    z = g_minus_row_max(g, g_lift(g, x, lift))
+    return g.sub(z, g.log(g_sum_last(g, g.exp(z))))
 
 
 def build_cconv1d(g: Tape, x3: int, a: int, b: int | None, stride: int = 1) -> int:
@@ -181,29 +166,32 @@ def build_cfc(g: Tape, x2: int, w: int, b: int | None) -> int:
     return out
 
 
-def _attend(g: Tape, q: int, kt: int, v: int, lift: str) -> tuple[int, int]:
-    """Attention of (..., Lq, d) queries, already scaled by 1/sqrt(d), over
-    (..., d, Lk) transposed keys and (..., Lk, dv) values; returns (output,
-    weights).  No local name holds the scores or their lift, so an evaluator
-    frees each as soon as the next op has read it."""
-    weights = _normalize_rows(g, g.exp(_minus_row_max(g, build_lift(g, g.matmul(q, kt), lift))))
-    return g.matmul(weights, v), weights
-
-
-def build_attention(g: Tape, q: int, k: int, v: int, lift: str = "abs") -> tuple[int, int]:
-    """Scaled dot-product attention of Q (..., Lq, d) over K (..., Lk, d)
-    and V (..., Lk, dv): one sequence (rank 2) or a (B, L, d) stack.
-
-    Scores are Q K^T / sqrt(d); the softmax runs on the lifted (real)
-    scores and the resulting real weights mix V.  Returns (output, weights).
-    """
-    sq, sk, sv = g.raw(q).shape, g.raw(k).shape, g.raw(v).shape
+def _queries_and_keys(g: Tape, q: int, k: int, v: int) -> tuple[int, int]:
+    """Q (..., Lq, d) scaled by 1/sqrt(d), and K (..., Lk, d) transposed to
+    (..., d, Lk), once their shapes agree with V (..., Lk, dv)."""
+    sq, sk, sv = g.shape[q], g.shape[k], g.shape[v]
     if sq[-1] != sk[-1]:
         raise ShapeMismatchError(f"attention: Q feature dim {sq[-1]} != K feature dim {sk[-1]}")
     if sk[:-1] != sv[:-1] or sq[:-2] != sk[:-2]:
         raise ShapeMismatchError(f"attention: Q {sq}, K {sk} and V {sv} disagree in batch or length")
     swap = (*range(len(sk) - 2), len(sk) - 1, len(sk) - 2)
-    return _attend(g, g.smul(q, 1.0 / np.sqrt(sq[-1])), g.permute(k, swap), v, lift)
+    return g.smul(q, 1.0 / np.sqrt(sq[-1])), g.permute(k, swap)
+
+
+def build_attention(g: Tape, q: int, k: int, v: int, lift: str = "abs") -> int:
+    """Scaled dot-product attention of Q (..., Lq, d) over K (..., Lk, d)
+    and V (..., Lk, dv): one sequence (rank 2) or a stack of them.
+
+    Scores are Q K^T / sqrt(d); the softmax runs on the lifted (real)
+    scores and the resulting real weights mix V.  The leading axes run as
+    the batch of one ``attend`` op."""
+    qs, kt = _queries_and_keys(g, q, k, v)
+    lead = g.shape[q][:-2]
+    if len(lead) == 1:
+        return g.attend(qs, kt, v, lift)
+    b = int(np.prod(lead))
+    out = g.attend(*(g.reshape(x, (b,) + g.shape[x][-2:]) for x in (qs, kt, v)), lift)
+    return g.reshape(out, lead + g.shape[out][1:])
 
 
 def build_mha(g: Tape, q2: int, k2: int, v2: int, n: int, wq: int, wk: int, wv: int, wo: int,
@@ -227,7 +215,7 @@ def build_mha(g: Tape, q2: int, k2: int, v2: int, n: int, wq: int, wk: int, wv: 
         return g.reshape(p, (h * n,) + g.raw(p).shape[2:])
 
     qh = g.smul(heads(q2, wq, lq, (2, 0, 1, 3)), 1.0 / np.sqrt(dh))
-    out, _ = _attend(g, qh, heads(k2, wk, lk, (2, 0, 3, 1)), heads(v2, wv, lk, (2, 0, 1, 3)), lift)
+    out = g.attend(qh, heads(k2, wk, lk, (2, 0, 3, 1)), heads(v2, wv, lk, (2, 0, 1, 3)), lift)
     merged = g.permute(g.reshape(out, (h, n, lq, dh)), (1, 2, 0, 3))
     return g.matmul(g.reshape(merged, (n * lq, d)), wo)
 
@@ -436,8 +424,11 @@ def c_attention(q: CTensor, k: CTensor, v: CTensor, lift: str = "abs",
     if q.rank != 2 or k.rank != 2 or v.rank != 2:
         raise ShapeMismatchError("c_attention: Q, K, V must be rank-2")
     g = evaluator()
-    out, w = build_attention(g, g.const(q), g.const(k), g.const(v), lift)
-    return (g.value(out), g.value(w)) if return_weights else g.value(out)
+    q, k, v = g.const(q), g.const(k), g.const(v)
+    out = g.value(build_attention(g, q, k, v, lift))
+    if not return_weights:
+        return out
+    return out, g.value(g_softmax_last(g, g.matmul(*_queries_and_keys(g, q, k, v)), lift))
 
 
 def c_mha(q: CTensor, k: CTensor, v: CTensor, params: MhaParams, lift: str = "abs") -> CTensor:

@@ -303,8 +303,8 @@ def inner_update(theta: ParamSet, task: MetaTask, inner_lr: float, steps: int) -
         raise ValueError("inner_update needs steps >= 1")
     cur = theta
     for _ in range(steps):
-        grad, _ = _support_gradient(cur, task)
-        cur = cur.add_scaled(grad, -inner_lr)
+        # no name holds a step's gradient into the next step's sweep
+        cur = cur.add_scaled(_support_gradient(cur, task)[0], -inner_lr)
     return cur
 
 

@@ -23,6 +23,20 @@ axes with ``sum_to``, whose adjoint is ``expand``; ``permute`` moves axes.
 ``window`` copies the convolution's patch rows out as strided slices, and
 its adjoint ``unwindow`` adds them back; no op needs an index map.
 
+``attend`` is softmax attention as one op: (B, Lq, d) scaled queries over
+(B, d, Lk) keys mix (B, Lk, dv) values.  It runs :func:`g_attention`, the
+chain of primitive ops (matmul, lift, minus the row maximum, exp, row
+normalisation, matmul), which is written once and also serves the softmax
+layers.  The batch runs in chunks of as many rows as fit one (rows, Lq,
+Lk) complex block in :data:`ATTEND_CHUNK_BYTES`, 256 KiB, so no
+(B, Lq, Lk) array outlives its chunk; every op of the chain acts per matrix
+or per row, so chunks change no bit.  The pullback keeps nothing from the
+forward pass: it rematerialises the chain from q, kt and v and sweeps it
+(Chen et al., arXiv:1604.06174).  A recording sweep records the chain on
+the tape and runs a nested sweep from the op's adjoint that stops at the
+three inputs, so a later sweep differentiates it again; a graph-free sweep
+records each chunk on a scratch tape and sweeps that graph-free.
+
 A real scalar loss reads as (L + L*)/2, so its sweep starts from the real
 seed 1/2: :func:`backward` and :func:`backward_values` return one adjoint
 per node, dL/dz*, and :class:`Cotangents` reads dL/dz as its conjugate.
@@ -42,8 +56,9 @@ A tape keeps each node's shape, and each op's pullback reads the values
 :meth:`Tape.release` can drop every value that no recorded pullback reads,
 and :func:`backward_values` consumes the tape up to its loss: it releases
 those values first and drops each node's value once it has pulled that
-node back.  Leaves, consts and the loss keep theirs; reading a released
-value raises :class:`ReleasedValueError`.
+node back.  Leaves, consts and the loss keep theirs.  Reading a released
+value, directly or as the operand of a new op, raises
+:class:`ReleasedValueError`.
 
 Recording sweeps: :func:`backward` (and so :class:`Cotangents`), the first
 sweep of :func:`hvp`, and each inner-step sweep of the unrolled
@@ -112,7 +127,23 @@ def _broadcasts(src: tuple[int, ...], dst: tuple[int, ...]) -> bool:
     """True iff shape ``src`` broadcasts to exactly ``dst``."""
     if len(src) > len(dst):
         return False
-    return all(s == d or s == 1 for s, d in zip(src[::-1], dst[::-1]))
+    for s, d in zip(src[::-1], dst[::-1]):
+        if s != d and s != 1:
+            return False
+    return True
+
+
+def _joint_shape(op: str, sa: tuple[int, ...], sb: tuple[int, ...]) -> tuple[int, ...]:
+    """The shape two operands broadcast to, as numpy broadcasts them."""
+    if sa == sb:
+        return sa
+    n = max(len(sa), len(sb))
+    out = []
+    for x, y in zip((1,) * (n - len(sa)) + sa, (1,) * (n - len(sb)) + sb):
+        if x != y and x != 1 and y != 1:
+            raise ShapeMismatchError(f"{op}: operand shapes do not broadcast, {sa} vs {sb}")
+        out.append(y if x == 1 else x)
+    return tuple(out)
 
 
 def _window_len(op: str, t: int, k: int, stride: int) -> int:
@@ -193,14 +224,21 @@ class Tape:
         and looks only at nodes it has not looked at before, and at those an
         earlier call kept only because they were in its ``keep``."""
         n = len(self.kind)
-        read = self._read
+        read, needs = self._read, self.needs
         for nid in range(len(read), n):
             read.append(0)
-            reads = _READS.get(self.kind[nid]) if self.needs[nid] else None
+            reads = _READS.get(self.kind[nid]) if needs[nid] else None
             if reads is not None:
-                ins, own = reads
+                ins, own, cross = reads
+                inputs = self.inputs[nid]
                 for pos in ins:
-                    read[self.inputs[nid][pos]] = 1
+                    read[inputs[pos]] = 1
+                if cross:
+                    a, b = inputs
+                    if needs[b]:
+                        read[a] = 1
+                    if needs[a]:
+                        read[b] = 1
                 if own:
                     read[nid] = 1
         end = n if end is None else end
@@ -230,59 +268,58 @@ class Tape:
 
     # -- elementwise -----------------------------------------------------
 
-    def _check_broadcast(self, op: str, a: int, b: int) -> None:
-        """Binary elementwise ops broadcast their operands as numpy does."""
-        sa, sb = self.val[a].shape, self.val[b].shape
-        if sa != sb:
-            try:
-                np.broadcast_shapes(sa, sb)
-            except ValueError:
-                raise ShapeMismatchError(f"{op}: operand shapes do not broadcast, {sa} vs {sb}") from None
+    def _operands(self, op: str, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+        """The values of a binary elementwise op's operands, which broadcast
+        as numpy does."""
+        va, vb = self.raw(a), self.raw(b)
+        if va.shape != vb.shape:
+            _joint_shape(op, va.shape, vb.shape)
+        return va, vb
 
     def add(self, a: int, b: int) -> int:
-        self._check_broadcast("add", a, b)
-        return self._push("add", (a, b), self.val[a] + self.val[b])
+        va, vb = self._operands("add", a, b)
+        return self._push("add", (a, b), va + vb)
 
     def sub(self, a: int, b: int) -> int:
-        self._check_broadcast("sub", a, b)
-        return self._push("sub", (a, b), self.val[a] - self.val[b])
+        va, vb = self._operands("sub", a, b)
+        return self._push("sub", (a, b), va - vb)
 
     def neg(self, a: int) -> int:
-        return self._push("neg", (a,), -self.val[a])
+        return self._push("neg", (a,), -self.raw(a))
 
     def mul(self, a: int, b: int) -> int:
-        self._check_broadcast("mul", a, b)
-        return self._push("mul", (a, b), self.val[a] * self.val[b])
+        va, vb = self._operands("mul", a, b)
+        return self._push("mul", (a, b), va * vb)
 
     def mulc(self, a: int, b: int) -> int:
         """a * conj(b): holomorphic in a, antiholomorphic in b."""
-        self._check_broadcast("mulc", a, b)
-        return self._push("mulc", (a, b), self.val[a] * np.conj(self.val[b]))
+        va, vb = self._operands("mulc", a, b)
+        return self._push("mulc", (a, b), va * np.conj(vb))
 
     def div(self, a: int, b: int) -> int:
-        self._check_broadcast("div", a, b)
-        return self._push("div", (a, b), self.val[a] / self.val[b])
+        va, vb = self._operands("div", a, b)
+        return self._push("div", (a, b), va / vb)
 
     def smul(self, a: int, c: complex) -> int:
         """Multiply by a fixed (non-differentiable) complex scalar."""
         c = complex(c)
-        return self._push("smul", (a,), self.val[a] * _C(c), c)
+        return self._push("smul", (a,), self.raw(a) * _C(c), c)
 
     def conj(self, a: int) -> int:
-        return self._push("conj", (a,), np.conj(self.val[a]))
+        return self._push("conj", (a,), np.conj(self.raw(a)))
 
     def exp(self, a: int) -> int:
-        return self._push("exp", (a,), np.exp(self.val[a]))
+        return self._push("exp", (a,), np.exp(self.raw(a)))
 
     def log(self, a: int) -> int:
-        return self._push("log", (a,), np.log(self.val[a]))
+        return self._push("log", (a,), np.log(self.raw(a)))
 
     def sqrt(self, a: int) -> int:
-        return self._push("sqrt", (a,), np.sqrt(self.val[a]))
+        return self._push("sqrt", (a,), np.sqrt(self.raw(a)))
 
     def cabs(self, a: int) -> int:
         """Elementwise modulus |z| (real-carrying); derivative 0 at z = 0."""
-        v = self.val[a]
+        v = self.raw(a)
         out = np.zeros(v.shape, dtype=_C)
         np.abs(v, out=out.real)
         return self._push("cabs", (a,), out)
@@ -290,15 +327,14 @@ class Tape:
     def mdiv(self, a: int, b: int) -> int:
         """Masked divide: a/b where b != 0, else 0.  Supports the modulus
         pullback, which must stay finite at exact zeros."""
-        self._check_broadcast("mdiv", a, b)
-        va, vb = self.val[a], self.val[b]
-        out = np.zeros(np.broadcast_shapes(va.shape, vb.shape), dtype=_C)
+        va, vb = self.raw(a), self.raw(b)
+        out = np.zeros(_joint_shape("mdiv", va.shape, vb.shape), dtype=_C)
         np.divide(va, vb, out=out, where=vb != 0)
         return self._push("mdiv", (a, b), out)
 
     def crelu(self, a: int) -> int:
         """relu on the real part plus j times relu on the imaginary part."""
-        v = self.val[a]
+        v = self.raw(a)
         out = np.maximum(v.real, 0.0) + 1j * np.maximum(v.imag, 0.0)
         return self._push("crelu", (a,), out)
 
@@ -308,29 +344,49 @@ class Tape:
         """a @ b over the last two axes of operands of one rank >= 2 with
         equal leading axes; ``adj="a"`` gives a^H @ b and ``adj="b"`` gives
         a @ b^H, as BLAS does with op 'C'."""
-        va, vb = self.val[a], self.val[b]
+        va, vb = self.raw(a), self.raw(b)
         if va.ndim < 2 or va.ndim != vb.ndim:
             raise ShapeMismatchError(f"matmul needs operands of one rank >= 2, got {va.ndim} and {vb.ndim}")
         if adj not in ADJOINT_FLAGS:
             raise UnknownOpError(f"matmul: adj must be one of {ADJOINT_FLAGS}, got {adj!r}")
         if adj == "a":
-            va = np.swapaxes(np.conj(va), -1, -2)
+            va = np.conj(va).swapaxes(-1, -2)
         elif adj == "b":
-            vb = np.swapaxes(np.conj(vb), -1, -2)
+            vb = np.conj(vb).swapaxes(-1, -2)
         if va.shape[:-2] != vb.shape[:-2] or va.shape[-1] != vb.shape[-2]:
             raise ShapeMismatchError(f"matmul: shapes disagree, {va.shape} x {vb.shape} (adj={adj!r})")
         return self._push("matmul", (a, b), va @ vb, adj)
+
+    def attend(self, q: int, kt: int, v: int, lift: str) -> int:
+        """Attention of (B, Lq, d) scaled queries over (B, d, Lk) keys and
+        (B, Lk, dv) values, (B, Lq, dv): the chain of :func:`g_attention`,
+        evaluated one chunk of the batch at a time (see
+        :func:`_attend_chunks`), so no (B, Lq, Lk) array outlives its chunk.
+        Its pullback rematerialises the chain instead of keeping it."""
+        vq, vk, vv = self.raw(q), self.raw(kt), self.raw(v)
+        if not (vq.ndim == vk.ndim == vv.ndim == 3 and vq.shape[0] == vk.shape[0] == vv.shape[0]
+                and vq.shape[2] == vk.shape[1] and vk.shape[2] == vv.shape[1]):
+            raise ShapeMismatchError(f"attend: need (B, Lq, d), (B, d, Lk) and (B, Lk, dv), "
+                                     f"got {vq.shape}, {vk.shape} and {vv.shape}")
+        if lift not in LIFTS:
+            raise UnknownOpError(f"attend: lift must be one of {LIFTS}, got {lift!r}")
+        out = np.empty(vq.shape[:2] + vv.shape[2:], dtype=_C)
+        ev = evaluator()
+        for s in _attend_chunks(vq.shape[0], vq.shape[1], vk.shape[2]):
+            out[s] = g_attention(ev, vq[s], vk[s], vv[s], lift)
+        return self._push("attend", (q, kt, v), out, lift)
 
     # -- structure ---------------------------------------------------------
 
     def reshape(self, a: int, shape: Sequence[int]) -> int:
         shape = tuple(shape)
-        return self._push("reshape", (a,), self.val[a].reshape(shape), self.val[a].shape)
+        va = self.raw(a)
+        return self._push("reshape", (a,), va.reshape(shape), va.shape)
 
     def permute(self, a: int, axes: Sequence[int]) -> int:
         """Axis permutation: out.shape[i] = a.shape[axes[i]]."""
         axes = tuple(axes)
-        va = self.val[a]
+        va = self.raw(a)
         if sorted(axes) != list(range(va.ndim)):
             raise ShapeMismatchError(f"permute: {axes} is not a permutation of the {va.ndim} axes")
         return self._push("permute", (a,), np.ascontiguousarray(np.transpose(va, axes)), axes)
@@ -339,17 +395,17 @@ class Tape:
         """Sum over the axes along which ``shape`` broadcasts to a's shape:
         the adjoint of broadcasting.  ``()`` sums everything."""
         shape = tuple(shape)
-        va = self.val[a]
+        va = self.raw(a)
         if not _broadcasts(shape, va.shape):
             raise ShapeMismatchError(f"sum_to: {shape} does not broadcast to {va.shape}")
         lead = va.ndim - len(shape)
         axes = tuple(range(lead)) + tuple(lead + i for i, n in enumerate(shape) if n != va.shape[lead + i])
-        return self._push("sum_to", (a,), np.sum(va, axis=axes, keepdims=True).reshape(shape))
+        return self._push("sum_to", (a,), np.add.reduce(va, axis=axes, keepdims=True).reshape(shape))
 
     def expand(self, a: int, shape: Sequence[int]) -> int:
         """Broadcast to ``shape``, as a read-only view; adjoint of sum_to."""
         shape = tuple(shape)
-        va = self.val[a]
+        va = self.raw(a)
         if not _broadcasts(va.shape, shape):
             raise ShapeMismatchError(f"expand: {va.shape} does not broadcast to {shape}")
         return self._push("expand", (a,), np.broadcast_to(va, shape))
@@ -358,7 +414,7 @@ class Tape:
         """Patch rows of an (N, T, C) input: row n*T_out + j holds channel c
         at times j*stride .. j*stride + k - 1 in columns c*k .. c*k + k - 1,
         with T_out = (T - k) // stride + 1.  Copied as k strided slices."""
-        va = self.val[a]
+        va = self.raw(a)
         if va.ndim != 3:
             raise ShapeMismatchError(f"window needs an (N, T, C) input, got shape {va.shape}")
         n, t, c = va.shape
@@ -372,7 +428,7 @@ class Tape:
         """Overlap-add of (N*T_out, C*k) patch rows into (N, t, C): the
         adjoint of window.  Taps are added from the last to the first, so
         each sum runs in the order of a scatter-add over the patch rows."""
-        va = self.val[a]
+        va = self.raw(a)
         to = _window_len("unwindow", t, k, stride)
         if va.ndim != 2 or va.shape[0] % to or va.shape[1] % k:
             raise ShapeMismatchError(f"unwindow: {va.shape} are not rows of windows with T_out = {to}, k = {k}")
@@ -426,6 +482,62 @@ def g_sum(g: Tape, x: int) -> int:
 def g_dot_const(g: Tape, x: int, w) -> int:
     """sum(x * w) for a fixed coefficient tensor w, as a rank-0 node."""
     return g_sum(g, g.mul(x, g.const(w)))
+
+
+LIFTS = ("abs", "re", "im")
+"""The real lifts a softmax reads its complex input through."""
+
+
+def g_lift(g: Tape, x: int, lift: str) -> int:
+    if lift == "abs":
+        return g_abs(g, x)
+    if lift == "re":
+        return g_re(g, x)
+    if lift == "im":
+        return g_im(g, x)
+    raise UnknownOpError(f"unknown lift {lift!r}")
+
+
+def g_sum_last(g: Tape, x: int) -> int:
+    """Sum over the last axis, kept as an axis of length 1."""
+    return g.sum_to(x, g.shape[x][:-1] + (1,))
+
+
+def g_minus_row_max(g: Tape, x: int) -> int:
+    """x minus its row maximum, held as a detached constant: softmax is
+    shift invariant, so gradients are unaffected."""
+    return g.sub(x, g.const(g.raw(x).real.max(axis=-1, keepdims=True)))
+
+
+def g_softmax_last(g: Tape, x: int, lift: str) -> int:
+    """Real softmax over the last axis of the lifted input.  ``x`` is
+    rebound at each step, so an evaluator frees each intermediate as soon
+    as the next op has read it."""
+    x = g_lift(g, x, lift)
+    x = g_minus_row_max(g, x)
+    x = g.exp(x)
+    return g.div(x, g_sum_last(g, x))
+
+
+def g_attention(g: Tape, q: int, kt: int, v: int, lift: str) -> int:
+    """The attention chain: the softmax weights of scaled queries q over
+    transposed keys kt mix the values v.  :meth:`Tape.attend` runs it and
+    its pullback differentiates it.  No local name holds the scores, so an
+    evaluator frees them as soon as the lift has read them."""
+    return g.matmul(g_softmax_last(g, g.matmul(q, kt), lift), v)
+
+
+ATTEND_CHUNK_BYTES = 256 * 2**10
+"""The most bytes that one (rows, Lq, Lk) complex block of a chunk of
+:meth:`Tape.attend`, or of its pullback, takes.  A chunk has at least one
+row, so one (Lq, Lk) matrix larger than this runs alone."""
+
+
+def _attend_chunks(b: int, lq: int, lk: int) -> list[slice]:
+    """Slices of a batch of b attention rows, as many rows per chunk as
+    fit an (Lq, Lk) block in :data:`ATTEND_CHUNK_BYTES`."""
+    rows = max(1, ATTEND_CHUNK_BYTES // (lq * lk * np.dtype(_C).itemsize))
+    return [slice(i, i + rows) for i in range(0, b, rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -579,6 +691,28 @@ def _pull_matmul(g, nid, c, naive):
     return out
 
 
+def _pull_attend(g, nid, c, naive):
+    # the adjoint of the chain itself, rematerialised from q, kt and v: a
+    # recording sweep records it on g and sweeps it, stopping at the
+    # inputs; a graph-free sweep records each chunk on a scratch tape
+    inputs = dict.fromkeys(g.inputs[nid])
+    q, kt, v = g.inputs[nid]
+    lift = g.aux[nid]
+    if not isinstance(g, _ArrayOps):
+        cot = _sweep(g, g, g_attention(g, q, kt, v, lift), c, naive, inputs)
+        return [(i, cot[i]) for i in inputs if i in cot]
+    vals = {i: g.raw(i) for i in inputs}
+    grads = {i: np.zeros(vals[i].shape, dtype=_C) for i in inputs if g.needs[i]}
+    for s in _attend_chunks(g.shape[q][0], g.shape[q][1], g.shape[kt][2]):
+        t = Tape()
+        ids = {i: t.leaf(x[s]) if i in grads else t.const(x[s]) for i, x in vals.items()}
+        cot = _sweep(t, _ArrayOps(t), g_attention(t, ids[q], ids[kt], ids[v], lift), c[s], naive, None)
+        for i, grad in grads.items():
+            if ids[i] in cot:
+                grad[s] = cot[ids[i]]
+    return list(grads.items())
+
+
 def _pull_reshape(g, nid, c, naive):
     (a,) = g.inputs[nid]
     return [(a, g.reshape(c, g.aux[nid]))]
@@ -626,6 +760,7 @@ _PULLBACKS: dict[str, Callable] = {
     "mdiv": _pull_mdiv,
     "crelu": _pull_crelu,
     "matmul": _pull_matmul,
+    "attend": _pull_attend,
     "reshape": _pull_reshape,
     "permute": _pull_permute,
     "sum_to": _pull_sum_to,
@@ -634,21 +769,23 @@ _PULLBACKS: dict[str, Callable] = {
     "unwindow": _pull_unwindow,
 }
 
-# The forward values each pullback reads, as (input positions, own value);
-# every other pullback reads only shapes, ``aux`` and its adjoint.  A value
-# missing here is released before its pullback runs, and reading it raises
-# ReleasedValueError.
-_READS: dict[str, tuple[tuple[int, ...], bool]] = {
-    "mul": ((0, 1), False),
-    "mulc": ((0, 1), False),
-    "matmul": ((0, 1), False),
-    "div": ((1,), True),
-    "mdiv": ((1,), True),
-    "exp": ((), True),
-    "sqrt": ((), True),
-    "cabs": ((0,), True),
-    "log": ((0,), False),
-    "crelu": ((0,), False),
+# The forward values each pullback reads, as (input positions, own value,
+# cross): with ``cross`` a product's pullback reads each of its two inputs
+# only when the other one needs a gradient.  Every other pullback reads only
+# shapes, ``aux`` and its adjoint.  A value missing here is released before
+# its pullback runs, and reading it raises ReleasedValueError.
+_READS: dict[str, tuple[tuple[int, ...], bool, bool]] = {
+    "mul": ((), False, True),
+    "mulc": ((), False, True),
+    "matmul": ((), False, True),
+    "div": ((1,), True, False),
+    "mdiv": ((1,), True, False),
+    "exp": ((), True, False),
+    "sqrt": ((), True, False),
+    "cabs": ((0,), True, False),
+    "log": ((0,), False, False),
+    "crelu": ((0,), False, False),
+    "attend": ((0, 1, 2), False, False),
 }
 
 # the ops :meth:`Tape.record` accepts by name: exactly those with a pullback
@@ -723,50 +860,43 @@ def backward_values(g: Tape, loss_id: int) -> dict[int, np.ndarray]:
     return _sweep(g, _ArrayOps(g), loss_id, 0.5, False, None)
 
 
-class _Resolved:
-    """Operand lookup of :class:`_ArrayOps`: an integer (Python or numpy,
-    as :meth:`Tape.record` accepts either) is a node id and resolves to the
-    tape's forward value, or raises :class:`ReleasedValueError` if the tape
-    released it; anything else is a value already.  Values are not all
-    arrays: arithmetic on rank-0 arrays yields numpy scalars."""
-
-    __slots__ = ("_items", "_kind")
-
-    def __init__(self, items: list, kind: list[str]):
-        self._items, self._kind = items, kind
-
-    def __getitem__(self, x):
-        if not isinstance(x, (int, np.integer)):
-            return x
-        v = self._items[x]
-        if v is None:
-            raise ReleasedValueError(int(x), self._kind[x])
-        return v
-
-
-class _Shapes(_Resolved):
+class _Shapes:
     """Shape lookup of :class:`_ArrayOps`: a node id resolves to the tape's
     shape of that node, a value to its own shape."""
 
-    __slots__ = ()
+    __slots__ = ("_shapes",)
+
+    def __init__(self, shapes: list):
+        self._shapes = shapes
 
     def __getitem__(self, x):
-        return self._items[x] if isinstance(x, (int, np.integer)) else np.shape(x)
+        return self._shapes[x] if isinstance(x, (int, np.integer)) else x.shape
 
 
 class _ArrayOps(Tape):
     """The ops of a tape, evaluated on arrays without recording.
 
-    Every op method returns its value instead of a new node id, and reads
-    its operands through :class:`_Resolved`.  The pullbacks run against it
-    unchanged, so they stay the only definition of each op's adjoint."""
+    Every op method returns its value instead of a new node id.  An operand
+    that is an integer (Python or numpy, as :meth:`Tape.record` accepts
+    either) is a node id and resolves to the tape's forward value, or raises
+    :class:`ReleasedValueError` if the tape released it; anything else is a
+    value already.  Values are not all arrays: arithmetic on rank-0 arrays
+    yields numpy scalars.  The pullbacks run against it unchanged, so they
+    stay the only definition of each op's adjoint."""
 
     __slots__ = ()
 
     def __init__(self, g: Tape):
-        self.kind, self.inputs, self.aux, self.needs = g.kind, g.inputs, g.aux, g.needs
-        self.val = _Resolved(g.val, g.kind)
-        self.shape = _Shapes(g.shape, g.kind)
+        self.kind, self.inputs, self.aux, self.needs, self.val = g.kind, g.inputs, g.aux, g.needs, g.val
+        self.shape = _Shapes(g.shape)
+
+    def raw(self, x):
+        if not isinstance(x, (int, np.integer)):
+            return x
+        v = self.val[x]
+        if v is None:
+            raise ReleasedValueError(int(x), self.kind[x])
+        return v
 
     def _push(self, kind, inputs, val, aux=None):
         return val
@@ -841,16 +971,21 @@ def _paired(g: Tape, out_id: int, seed, naive: bool, stop) -> dict:
     return {nid: _Pair(g, p1.get(nid), p2.get(nid)) for nid in dict.fromkeys([*p1, *p2])}
 
 
-def _sweep(g: Tape, ops: Tape, out_id: int, seed: complex, naive: bool, stop) -> dict:
+def _sweep(g: Tape, ops: Tape, out_id: int, seed, naive: bool, stop) -> dict:
     """Reverse sweep over ``g`` from the adjoint ``seed`` at ``out_id``,
     whose adjoint arithmetic runs on ``ops``: ``g`` itself records it, an
     :class:`_ArrayOps` over ``g`` does not, keeps only the adjoints of
     leaves (and of ``stop`` nodes, if given) and consumes ``g`` up to
-    ``out_id`` (see :func:`backward_values`).  Returns node id -> c."""
+    ``out_id`` (see :func:`backward_values`).  ``seed`` is a number, the
+    adjoint of every element of ``out_id``, or an adjoint as ``ops`` holds
+    it: a node id when ``g`` records, an array when not.  Returns node id
+    -> c."""
     keep_all = ops is g
     if not keep_all:
         g.release(keep=(out_id,), end=out_id + 1)
-    cot: dict = {out_id: ops.const(np.full(g.shape[out_id], _C(seed)))}
+    if isinstance(seed, (float, complex)):
+        seed = ops.const(np.full(g.shape[out_id], _C(seed)))
+    cot: dict = {out_id: seed}
     heap = [-out_id]
     while heap:
         nid = -heapq.heappop(heap)

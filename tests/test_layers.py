@@ -3,6 +3,7 @@ import pytest
 
 from camel.ctensor import CTensor, ShapeMismatchError
 from camel.layers import (
+    LIFTS,
     ArchConfig,
     ConfigError,
     MhaParams,
@@ -20,7 +21,7 @@ from camel.layers import (
     init_params,
     param_count,
 )
-from camel.wirtinger import cr_check, evaluator
+from camel.wirtinger import cr_check, evaluator, g_lift
 
 from conftest import assert_close, rand_complex, rand_off_zero
 
@@ -180,12 +181,26 @@ def test_attention_on_a_stack_equals_one_call_per_sequence(rng):
     b, lq, lk, d, dv = 3, 2, 4, 3, 5
     q, k, v = rand_complex(rng, b, lq, d), rand_complex(rng, b, lk, d), rand_complex(rng, b, lk, dv)
     g = evaluator()
-    out, w = build_attention(g, g.const(q), g.const(k), g.const(v))
-    assert g.raw(out).shape == (b, lq, dv) and g.raw(w).shape == (b, lq, lk)
+    out = g.raw(build_attention(g, g.const(q), g.const(k), g.const(v)))
+    assert out.shape == (b, lq, dv)
     for i in range(b):
-        want_out, want_w = c_attention(CTensor(q[i]), CTensor(k[i]), CTensor(v[i]), return_weights=True)
-        assert_close(g.raw(out)[i], want_out.numpy(), rel=1e-12, floor=1e-14)
-        assert_close(g.raw(w)[i], want_w.numpy(), rel=1e-12, floor=1e-14)
+        want = c_attention(CTensor(q[i]), CTensor(k[i]), CTensor(v[i]))
+        assert_close(out[i], want.numpy(), rel=1e-12, floor=1e-14)
+
+
+@pytest.mark.parametrize("lift", LIFTS)
+def test_attention_output_and_weights_are_the_bytes_of_the_primitive_chain(rng, lift):
+    # one sequence, written out op by op at rank 2: the output comes from
+    # the attend op over a batch of one, the weights from the chain itself
+    q, k, v = rand_complex(rng, 3, 2), rand_complex(rng, 4, 2), rand_complex(rng, 4, 5)
+    out, w = c_attention(CTensor(q), CTensor(k), CTensor(v), lift, return_weights=True)
+    ev = evaluator()
+    scores = ev.matmul(ev.smul(ev.const(q), 1.0 / np.sqrt(2)), ev.permute(ev.const(k), (1, 0)))
+    lifted = g_lift(ev, scores, lift)
+    e = ev.exp(ev.sub(lifted, ev.const(ev.raw(lifted).real.max(axis=-1, keepdims=True))))
+    want_w = ev.div(e, ev.sum_to(e, (3, 1)))
+    assert w.numpy().tobytes() == want_w.tobytes()
+    assert out.numpy().tobytes() == ev.matmul(want_w, ev.const(v)).tobytes()
 
 
 def test_attention_length_mismatch(rng):

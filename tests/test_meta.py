@@ -248,9 +248,11 @@ def _desk_tasks(rng, n=2):
 
 
 def test_single_channel_sweeps_at_desk_scale(rng):
-    # one adjoint per node, conjugate-aware products and broadcasting ops: a
-    # desk support forward takes 99 nodes and its recorded backward 138
-    # (143 and 262 with conj/transpose nodes and index-map gathers);
+    # one adjoint per node, conjugate-aware products, broadcasting ops and
+    # one attend node: a desk support forward takes 92 nodes and its
+    # recorded backward 146, 8 of which rematerialise the attention chain
+    # (99 and 138 with the chain on the forward tape, 143 and 262 with
+    # conj/transpose nodes and index-map gathers);
     # test_released_tape_peak_at_desk_scale bounds the traced peak tighter
     theta, (task,) = _desk_tasks(rng, 1)
     g = Tape()
@@ -360,10 +362,17 @@ def test_evaluator_forward_equals_recorded_forward(rng, arch, q_per_class):
     assert ev.raw(task.support_loss(ev, {k: ev.const(v) for k, v in theta.items()})) == loss
 
 
+WIDE_SCORE_BLOCK = 100 * 63 * 63 * 16
+"""Bytes of one complex (100, 63, 63) attention score block: 4 heads of a
+25-frame wide query set, 63 steps each."""
+
+
 def test_query_predictions_memory_at_wide_scale(rng):
     # a query forward recorded on a tape keeps the values of all its nodes,
     # 81 MB of traced allocations; the evaluator frees each once it is read
-    # and peaks near 16 MB, with every head's scores in one batch
+    # and peaked at 14.6 MB with every head's scores in one batch, and at
+    # 5.5 MB with the scores one attention chunk at a time: less than one
+    # whole score block
     theta = ParamSet(init_params(WIDE_ARCH, rng))
     task = EpisodeTask(toy_episode(rng, WIDE_ARCH, n_way=5, k_shot=1, q_per_class=5), WIDE_ARCH)
     tracemalloc.start()
@@ -372,7 +381,23 @@ def test_query_predictions_memory_at_wide_scale(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 30 * 2**20
+    assert peak < WIDE_SCORE_BLOCK
+
+
+def test_evaluate_memory_at_wide_scale(rng):
+    # fine-tuning sweeps and the query forward hold one attention chunk at a
+    # time: a 2-episode wide evaluate peaked at 6.7 MB of traced allocations,
+    # and at 15.8 MB with whole score blocks on the tape and the evaluator
+    theta = ParamSet(init_params(WIDE_ARCH, rng))
+    episodes = [toy_episode(rng, WIDE_ARCH, n_way=5, k_shot=1, q_per_class=5) for _ in range(2)]
+    cfg = MetaConfig(inner_lr=0.1, finetune_steps=10, n_way=5, k_shot=1, q_size=5)
+    tracemalloc.start()
+    try:
+        evaluate(theta, episodes, cfg, WIDE_ARCH)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_query_predictions_refuse_nonfinite_logprobs(rng):

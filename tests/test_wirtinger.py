@@ -25,10 +25,12 @@ from camel.wirtinger import (
     complex_gradient,
     cr_check,
     evaluator,
+    LIFTS,
     fd_complex_gradient,
     fd_wirtinger_pair,
     g_abs,
     g_abs2,
+    g_attention,
     g_im,
     g_re,
     g_sum,
@@ -39,6 +41,13 @@ from camel.wirtinger import (
 )
 
 from conftest import assert_close, assert_same_adjoints, rand_complex, rand_off_zero
+
+
+@pytest.fixture(autouse=True)
+def one_attention_block_per_chunk(monkeypatch):
+    """Every ``attend`` here runs one (Lq, Lk) block per chunk, so the
+    registry's attention cases cross chunk boundaries."""
+    monkeypatch.setattr(camel.wirtinger, "ATTEND_CHUNK_BYTES", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -457,15 +466,25 @@ def _registry_tape(case, k=0):
 
 def _pulled_back_reads(g, nid):
     """The forward values the pullback of ``nid`` reads, per ``_READS``."""
-    ins, own = _READS.get(g.kind[nid], ((), False))
-    return {g.inputs[nid][pos] for pos in ins} | ({nid} if own else set())
+    ins, own, cross = _READS.get(g.kind[nid], ((), False, False))
+    inputs = g.inputs[nid]
+    read = {inputs[pos] for pos in ins} | ({nid} if own else set())
+    if cross:
+        a, b = inputs
+        read |= {x for x, other in ((a, b), (b, a)) if g.needs[other]}
+    return read
 
 
 def test_reads_table_names_only_ops_with_a_pullback():
     assert set(_READS) <= set(_PULLBACKS)
-    for kind, (ins, own) in _READS.items():
-        arity = 1 if kind in ("exp", "log", "sqrt", "cabs", "crelu") else 2
-        assert all(0 <= pos < arity for pos in ins) and isinstance(own, bool), kind
+    arity = {}
+    for g in _registry_tapes().values():
+        for kind, ins in zip(g.kind, g.inputs):
+            arity.setdefault(kind, set()).add(len(ins))
+    for kind, (ins, own, cross) in _READS.items():
+        (n,) = arity[kind]
+        assert all(0 <= pos < n for pos in ins) and isinstance(own, bool), kind
+        assert cross is False or (cross is True and n == 2), kind
 
 
 @pytest.mark.parametrize("case", default_cases(), ids=lambda c: c.name)
@@ -533,12 +552,87 @@ def test_released_value_reads_raise_a_typed_error(rng, monkeypatch):
     assert isinstance(info.value, ValueError)
     # a pullback that reads a value its _READS entry does not name fails at
     # the operand lookup, not on stale data
-    monkeypatch.setitem(camel.wirtinger._READS, "exp", ((), False))
+    monkeypatch.setitem(camel.wirtinger._READS, "exp", ((), False, False))
     g = Tape()
     x = g.leaf(rand_off_zero(rng, 3))
     e = g.exp(g.smul(x, 0.5))
     with pytest.raises(ReleasedValueError, match=rf"node {e} \(exp\)"):
         backward_values(g, g_re(g, g_sum(g, e)))
+
+
+_RELEASED_OPERANDS = {"add": 2, "sub": 2, "mul": 2, "mulc": 2, "div": 2, "mdiv": 2, "matmul": 2, "attend": 3}
+"""Operand count of every op that takes more than one node."""
+_NON_NODE_ARGS = {"smul": (0.5,), "reshape": ((8,),), "permute": ((2, 1, 0),), "sum_to": ((),),
+                  "expand": ((2, 2, 2),), "window": (1, 1), "unwindow": (2, 1, 1), "attend": ("abs",)}
+
+
+def test_recording_on_a_released_node_raises_a_typed_error(rng):
+    g = Tape()
+    x = g.leaf(rand_off_zero(rng, 2, 2, 2))
+    r = g.neg(x)  # exp reads only its own value, so r is released
+    loss = g_re(g, g_sum(g, g.exp(r)))
+    g.release(keep=(loss,))
+    assert g.val[r] is None
+    for op, method in _RECORDABLE.items():
+        n = _RELEASED_OPERANDS.get(op, 1)
+        for pos in range(n):
+            ids = [x] * n
+            ids[pos] = r
+            with pytest.raises(ReleasedValueError, match=rf"node {r} \(neg\)"):
+                method(g, *ids, *_NON_NODE_ARGS.get(op, ()))
+
+
+@pytest.mark.parametrize("sweep", [backward, lambda g, loss: backward_graph(g, loss, seed=(0.5, 0.5))],
+                         ids=["backward", "backward_graph"])
+def test_recorded_sweep_over_a_consumed_tape_raises_a_typed_error(rng, sweep):
+    # the recorded pullbacks of log and attend read an input that the
+    # graph-free sweep dropped once it had pulled that input back
+    for build, kind in ((lambda g, x: g.log(g.neg(x)), "neg"),
+                        (lambda g, x: g.attend(g.neg(x), x, x, "abs"), "neg")):
+        g = Tape()
+        x = g.leaf(rand_off_zero(rng, 2, 2, 2))
+        loss = g_re(g, g_sum(g, build(g, x)))
+        backward_values(g, loss)
+        with pytest.raises(ReleasedValueError, match=rf"\({kind}\)"):
+            sweep(g, loss)
+
+
+@pytest.mark.parametrize("lift", LIFTS)
+def test_attend_equals_a_tape_of_the_primitive_chain_across_chunks(rng, monkeypatch, lift):
+    # five (3 x 4) score blocks, two to a chunk: chunks of 2, 2 and 1 rows
+    monkeypatch.setattr(camel.wirtinger, "ATTEND_CHUNK_BYTES", 2 * 3 * 4 * 16)
+    inputs = [rand_complex(rng, 5, 3, 2), rand_complex(rng, 5, 2, 4), rand_complex(rng, 5, 4, 3)]
+    w = rand_complex(rng, 5, 3, 3)
+
+    def record(attend):
+        g = Tape()
+        leaves = [g.leaf(x) for x in inputs]
+        out = attend(g, *leaves, lift)
+        return g, leaves, out, g_re(g, g_sum(g, g.mul(out, g.const(w))))
+
+    (g, leaves, out, loss), (gc, chain_leaves, chain_out, chain_loss) = record(Tape.attend), record(g_attention)
+    assert g.kind[out] == "attend" and "attend" not in gc.kind
+    assert g.raw(out).tobytes() == gc.raw(chain_out).tobytes()
+    assert evaluator().attend(*inputs, lift).tobytes() == gc.raw(chain_out).tobytes()
+    got, want = backward_values(g, loss), backward_values(gc, chain_loss)
+    for a, b in zip(leaves, chain_leaves):
+        assert got[a].tobytes() == want[b].tobytes()
+    # the recorded sweep differentiates the same chain, over the whole batch
+    (g, leaves, _, loss), (gc, chain_leaves, _, chain_loss) = record(Tape.attend), record(g_attention)
+    got, want = backward_graph(g, loss, seed=(0.5, 0.5)), backward_graph(gc, chain_loss, seed=(0.5, 0.5))
+    for a, b in zip(leaves, chain_leaves):
+        assert g.raw(got[a][1]).tobytes() == gc.raw(want[b][1]).tobytes()
+
+
+def test_attend_rejects_bad_shapes_and_lifts(rng):
+    g = Tape()
+    q, kt, v = g.leaf(rand_complex(rng, 2, 3, 2)), g.leaf(rand_complex(rng, 2, 2, 4)), g.leaf(rand_complex(rng, 2, 4, 3))
+    for args in ((kt, kt, v), (q, kt, q), (q, g.leaf(rand_complex(rng, 1, 2, 4)), v),
+                 (g.leaf(rand_complex(rng, 3, 2)), kt, v)):
+        with pytest.raises(ShapeMismatchError, match="attend"):
+            g.attend(*args, "abs")
+    with pytest.raises(UnknownOpError, match="lift"):
+        g.attend(q, kt, v, "angle")
 
 
 _PRODUCT_SHAPES = {
