@@ -8,6 +8,7 @@ experiments.
 """
 
 from .ctensor import CTensor, cmatmul, cmul, conj, hermitian
+from .gradcheck import cr_check, opcount_compare
 from .layers import (
     ArchConfig,
     MhaParams,
@@ -49,13 +50,6 @@ from .signals import (
     save_frames,
     scenario_split,
 )
-from .wirtinger import (
-    Tape,
-    backward,
-    complex_gradient,
-    cr_check,
-    hvp,
-    opcount_compare,
-)
+from .wirtinger import Tape, backward, complex_gradient, hvp
 
 __version__ = "0.1.0"

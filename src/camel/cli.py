@@ -35,6 +35,7 @@ from functools import partial
 import numpy as np
 
 from .ctensor import CTensor
+from .gradcheck import default_cases, make_analytic_chain, opcount_compare, run_suite
 from .layers import ArchConfig, ConfigError, init_params
 from .meta import (
     AdaptiveBetaConfig,
@@ -55,13 +56,7 @@ from .signals import (
     save_frames,
     scenario_split,
 )
-from .wirtinger import (
-    Tape,
-    backward_graph,
-    g_abs,
-    make_analytic_chain,
-    opcount_compare,
-)
+from .wirtinger import Tape, backward_graph, g_abs
 
 _C = np.complex128
 
@@ -112,6 +107,8 @@ class DataConfig:
     eval_episodes: int = 200
 
     def __post_init__(self):
+        if self.eval_episodes < 1:
+            raise ConfigError(f"eval_episodes must be at least 1, got {self.eval_episodes}")
         self.snr_grid()
 
     def snr_grid(self) -> list[float]:
@@ -437,8 +434,6 @@ def metrics_csv(history: list[HistoryRow]) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_gradcheck(args) -> int:
-    from .gradcheck import default_cases, run_suite  # only this command needs it
-
     cases = default_cases()
     results = run_suite(cases, instances=args.instances, seed=args.seed)
     width = max(len(r.name) for r in results)
@@ -492,9 +487,6 @@ def toychain_run(steps: int, lr: float, x0: complex = 0.5 + 0.5j):
 
 
 def cmd_toychain(args) -> int:
-    if args.lr <= 0:
-        print("toychain: lr must be positive", file=sys.stderr)
-        return 3
     rows = toychain_run(args.steps, args.lr)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -606,9 +598,9 @@ def cmd_eval(args) -> int:
     streams = _streams(cfg.meta.seed)
     _, test_pool = _train_test_pools(cfg, streams)
     e_rng = _rng(streams["eval"].spawn(1)[0])
-    n_episodes = args.episodes if args.episodes is not None else cfg.data.eval_episodes
     episodes = list(itertools.islice(
-        episode_stream(test_pool, cfg.meta.n_way, cfg.meta.k_shot, cfg.meta.q_size, e_rng), n_episodes))
+        episode_stream(test_pool, cfg.meta.n_way, cfg.meta.k_shot, cfg.meta.q_size, e_rng),
+        cfg.data.eval_episodes))
     try:
         # evaluate raises FloatingPointError on a non-finite loss or log-prob
         with np.errstate(all="ignore"):
@@ -643,6 +635,21 @@ def _add_config_args(p) -> None:
                    metavar="N", help="same as --set seed=N")
 
 
+def _number(kind: type, low, strict: bool = False):
+    """An argparse type: a finite ``kind`` (int or float) >= ``low``, or
+    > ``low`` if ``strict``."""
+    def number(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not ((value > low if strict else value >= low) and value < math.inf):  # nan fails both
+            raise argparse.ArgumentTypeError(f"expected {'an integer' if kind is int else 'a finite number'} "
+                                             f"{'>' if strict else '>='} {low}, got {text!r}")
+        return value
+    return number
+
+
 class _Parser(argparse.ArgumentParser):
     """A usage error is a ConfigError, which exits 3 like any bad input
     (argparse's own exit code, 2, is the code of a non-finite loss).  The
@@ -657,19 +664,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gradcheck", help="finite-difference oracle suite")
-    p.add_argument("--instances", type=int, default=20)
+    p.add_argument("--instances", type=_number(int, 1), default=20)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("toychain", help="two-term vs single-term chain rule on the toy map")
-    p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--lr", type=float, default=0.05)
+    p.add_argument("--steps", type=_number(int, 0), default=200)
+    p.add_argument("--lr", type=_number(float, 0, strict=True), default=0.05)
     p.add_argument("--out", default=None, help="CSV path for both loss trajectories")
     p.set_defaults(fn=cmd_toychain)
 
     p = sub.add_parser("bench-lemma1", help="derivative cost of the two differentiation routes")
-    p.add_argument("--m", type=int, default=8)
-    p.add_argument("--depth", type=int, default=1)
+    p.add_argument("--m", type=_number(int, 1), default=8)
+    p.add_argument("--depth", type=_number(int, 1), default=1)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_bench_lemma1)
 
@@ -696,7 +703,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on held-out episodes")
     _add_config_args(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--episodes", type=int, default=None)
+    p.add_argument("--episodes", dest="flags", action="append", type="eval_episodes={}".format,
+                   metavar="N", help="same as --set eval_episodes=N")
     p.add_argument("--out", default=None, help="directory for the confusion matrix CSV")
     p.set_defaults(fn=cmd_eval)
     return ap

@@ -1,19 +1,28 @@
-"""Finite-difference oracle suite over every tape primitive and layer.
+"""Numerical oracles for the tape, and the oracle suite over every tape
+primitive and layer.
 
-Each case builds a real scalar loss from leaf inputs, differentiates it on
-the tape, and compares the steepest-ascent direction against central
+The oracles check ``wirtinger`` from outside it: central differences
+(:func:`fd_complex_gradient`) and the Cauchy-Riemann checker
+(:func:`cr_check`), which read one central-difference loop
+(:func:`fd_jacobians`), and the derivative cost comparison of Lemma 1
+(:func:`opcount_compare`).
+
+Each suite case builds a real scalar loss from leaf inputs, differentiates
+it on the tape, and compares the steepest-ascent direction against central
 differences on the real and imaginary parts of every input element.  The
-differenced losses are only evaluated, so they run on an evaluator.
+differenced losses are only evaluated, so they run on an evaluator.  A
+non-finite gradient or difference fails its case with error ``inf``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .ctensor import CTensor
+from .ctensor import CTensor, ShapeMismatchError
 from .layers import (
     LIFTS,
     ArchConfig,
@@ -29,13 +38,207 @@ from .layers import (
     frames_to_input,
     init_params,
 )
-from .wirtinger import Tape, backward, evaluator, fd_complex_gradient, g_re, g_sum, rel_error
+from .wirtinger import Tape, backward, evaluator, g_re, g_sum
 
 _C = np.complex128
 
+FD_STEP = 1e-6
 REL_TOL = 1e-5
 ABS_FLOOR = 1e-8
 
+
+class NonAnalyticChainError(ValueError):
+    """Raised when an operation-count comparison meets a non-analytic stage."""
+
+
+# ---------------------------------------------------------------------------
+# finite differences
+# ---------------------------------------------------------------------------
+
+def fd_jacobians(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float = FD_STEP):
+    """Central-difference Jacobians of ``fn`` at ``x``: the complex d/dRe x
+    and d/dIm x of every output element, each shaped (outputs, elements).
+    Column j is (fn(x + s e_j) - fn(x - s e_j)) / 2h with the step s = h,
+    then s = ih.  A non-finite output raises FloatingPointError."""
+    x = np.asarray(x, dtype=_C)
+    flat = x.ravel()
+    jac = np.zeros((2, 0, 0), dtype=_C)  # sized at the first output
+    for j in range(flat.size):
+        for k, step in enumerate((h, 1j * h)):
+            xp = flat.copy()
+            xm = flat.copy()
+            xp[j] += step
+            xm[j] -= step
+            yp = np.asarray(fn(xp.reshape(x.shape)), dtype=_C).ravel()
+            ym = np.asarray(fn(xm.reshape(x.shape)), dtype=_C).ravel()
+            if not (np.all(np.isfinite(yp)) and np.all(np.isfinite(ym))):
+                raise FloatingPointError("finite differences: the function gave a non-finite output")
+            if not jac.size:
+                jac = np.zeros((2, yp.size, flat.size), dtype=_C)
+            jac[k, :, j] = (yp - ym) / (2.0 * h)
+    return jac[0], jac[1]
+
+
+def fd_real_loss_partials(f: Callable[[np.ndarray], float], x: np.ndarray, h: float = FD_STEP):
+    """Central-difference partials of a real scalar f wrt Re(x) and Im(x)."""
+    shape = np.shape(x)
+    dre, dim = fd_jacobians(f, x, h)
+    return dre.real.reshape(shape), dim.real.reshape(shape)
+
+
+def fd_complex_gradient(f, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
+    """Finite-difference estimate of the steepest-ascent direction 2 dL/dz*."""
+    dre, dim = fd_real_loss_partials(f, x, h)
+    return dre + 1j * dim
+
+
+def fd_wirtinger_pair(f, x: np.ndarray, h: float = FD_STEP):
+    """Finite-difference estimates of (dL/dz, dL/dz*) for a real loss."""
+    dre, dim = fd_real_loss_partials(f, x, h)
+    return (dre - 1j * dim) / 2.0, (dre + 1j * dim) / 2.0
+
+
+def rel_error(got: np.ndarray, want: np.ndarray, rel: float = REL_TOL, floor: float = ABS_FLOOR) -> float:
+    """Largest elementwise error, scaled so that a return value <= ``rel``
+    is exactly the acceptance test |got - want| <= max(rel*|want|, floor).
+    A non-finite element on either side gives ``inf``."""
+    got = np.asarray(got)
+    want = np.asarray(want)
+    denom = np.maximum(np.abs(want), floor / rel)
+    err = float(np.max(np.abs(got - want) / denom, initial=0.0))
+    return err if math.isfinite(err) else math.inf
+
+
+# ---------------------------------------------------------------------------
+# Cauchy-Riemann checking
+# ---------------------------------------------------------------------------
+
+def cr_jacobian_blocks(fn: Callable[[CTensor], CTensor], point: CTensor, h: float = FD_STEP):
+    """Central-difference estimates of the four real Jacobian blocks
+    (dRe f/dRe x, dIm f/dIm x, dRe f/dIm x, dIm f/dRe x)."""
+    dre, dim = fd_jacobians(lambda x: fn(CTensor._wrap(x)).numpy(), point.numpy(), h)
+    return dre.real, dim.imag, dim.real, dre.imag
+
+
+def cr_check(fn: Callable[[CTensor], CTensor], point: CTensor, tol: float, h: float = FD_STEP) -> bool:
+    """True iff fn satisfies the Cauchy-Riemann equalities at ``point``:
+    dRe f/dRe x == dIm f/dIm x and dRe f/dIm x == -dIm f/dRe x, elementwise
+    within ``tol``."""
+    drr, dii, dri, dir_ = cr_jacobian_blocks(fn, point, h)
+    return bool(np.max(np.abs(drr - dii), initial=0.0) <= tol
+                and np.max(np.abs(dri + dir_), initial=0.0) <= tol)
+
+
+# ---------------------------------------------------------------------------
+# derivative cost comparison: single-term complex chain vs stacked-real chain
+# ---------------------------------------------------------------------------
+
+class AnalyticChain:
+    """Composite of elementwise analytic stages acting on an m-vector.
+
+    Stage kinds: ("affine", a, b) computes a*z + b; ("square",) computes
+    z**2; ("conj",) is deliberately non-analytic and only exists so that
+    rejection can be exercised.
+    """
+
+    def __init__(self, m: int, stages: list[tuple]):
+        self.m = m
+        self.stages = stages
+
+    @property
+    def analytic(self) -> bool:
+        return all(s[0] != "conj" for s in self.stages)
+
+    def forward(self, x: np.ndarray) -> list[np.ndarray]:
+        """Stage inputs, one per stage (last entry feeds the final stage)."""
+        zs = [x]
+        z = x
+        for s in self.stages:
+            if s[0] == "affine":
+                z = s[1] * z + s[2]
+            elif s[0] == "square":
+                z = z * z
+            elif s[0] == "conj":
+                z = np.conj(z)
+            else:
+                raise NonAnalyticChainError(f"unknown stage {s[0]!r}")
+            zs.append(z)
+        return zs[:-1]
+
+    def local_derivative(self, k: int, z_in: np.ndarray) -> np.ndarray:
+        s = self.stages[k]
+        if s[0] == "affine":
+            return np.broadcast_to(s[1], z_in.shape).astype(_C)
+        if s[0] == "square":
+            return 2.0 * z_in
+        raise NonAnalyticChainError("derivative of a non-analytic stage")
+
+
+def make_analytic_chain(m: int, depth: int, rng: np.random.Generator) -> AnalyticChain:
+    """Chain with ``depth`` derivative compositions (depth + 1 stages)."""
+    stages: list[tuple] = []
+    for k in range(depth + 1):
+        if k % 2 == 1:
+            stages.append(("square",))
+        else:
+            a = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            b = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            stages.append(("affine", a * 0.5, b * 0.1))
+    return AnalyticChain(m, stages)
+
+
+def opcount_compare(chain: AnalyticChain, m: int, x: np.ndarray | None = None):
+    """Count scalar multiply-accumulates for both derivative routes.
+
+    Route one composes the diagonal complex derivatives with the
+    single-term chain rule (4 MACs per element per composition).  Route
+    two stacks real and imaginary parts and composes 2x2 real Jacobian
+    blocks (8 MACs per element per composition).  Returns
+    (count_cd, count_iq, deriv_cd, deriv_iq) where the derivative vectors
+    must agree for analytic chains.
+    """
+    if m != chain.m:
+        raise ShapeMismatchError(f"opcount_compare: chain is over m={chain.m}, got m={m}")
+    if not chain.analytic:
+        raise NonAnalyticChainError("opcount_compare requires an analytic chain")
+    if x is None:
+        x = np.full(m, 0.3 + 0.2j, dtype=_C)
+    stage_in = chain.forward(x)
+    locs = [chain.local_derivative(k, stage_in[k]) for k in range(len(chain.stages))]
+
+    count_cd = 0
+    d = locs[0].copy()
+    for loc in locs[1:]:
+        for i in range(m):
+            a, b = d[i].real, d[i].imag
+            c, s = loc[i].real, loc[i].imag
+            re = c * a - s * b
+            im = c * b + s * a
+            count_cd += 4
+            d[i] = re + 1j * im
+
+    count_iq = 0
+    blocks = np.zeros((m, 2, 2))
+    for i in range(m):
+        c, s = locs[0][i].real, locs[0][i].imag
+        blocks[i] = [[c, s], [-s, c]]
+    for loc in locs[1:]:
+        for i in range(m):
+            c, s = loc[i].real, loc[i].imag
+            jk = np.array([[c, s], [-s, c]])
+            prod = np.zeros((2, 2))
+            for r in range(2):
+                for col in range(2):
+                    prod[r, col] = jk[r, 0] * blocks[i][0, col] + jk[r, 1] * blocks[i][1, col]
+                    count_iq += 2
+            blocks[i] = prod
+    d_iq = blocks[:, 0, 0] + 1j * blocks[:, 0, 1]
+    return count_cd, count_iq, d, d_iq
+
+
+# ---------------------------------------------------------------------------
+# the oracle suite
+# ---------------------------------------------------------------------------
 
 @dataclass
 class GradCase:
@@ -108,8 +311,11 @@ def run_case(case: GradCase, instances: int = 20, seed: int = 0) -> CaseResult:
                 hr = np.random.default_rng(np.random.SeedSequence((seed, k, 1)))
                 return float(ev.raw(case.build_loss(ev, consts, hr)).real)
 
-            fd = fd_complex_gradient(f, inputs[n])
-            worst = max(worst, rel_error(got, fd, REL_TOL, ABS_FLOOR))
+            try:
+                err = rel_error(got, fd_complex_gradient(f, inputs[n]), REL_TOL, ABS_FLOOR)
+            except FloatingPointError:  # the loss is not finite at a differenced point
+                err = math.inf
+            worst = max(worst, err)
     return CaseResult(case.name, worst, instances)
 
 

@@ -33,8 +33,8 @@ Lk) complex block in :data:`ATTEND_CHUNK_BYTES`, 256 KiB, so no
 or per row, so chunks change no bit.  The pullback keeps nothing from the
 forward pass: it rematerialises the chain from q, kt and v and sweeps it
 (Chen et al., arXiv:1604.06174).  A recording sweep records the chain on
-the tape and runs a nested sweep from the op's adjoint that stops at the
-three inputs, so a later sweep differentiates it again; a graph-free sweep
+the tape and hands it the op's adjoint, so the running sweep pulls it back
+next and a later sweep differentiates it again; a graph-free sweep
 records each chunk on a scratch tape and sweeps that graph-free.
 
 A real scalar loss reads as (L + L*)/2, so its sweep starts from the real
@@ -72,6 +72,8 @@ its last consumer has run: ``EpisodeTask.query_predictions`` (evaluation)
 and the query losses of ``meta.meta_objective``, the
 eager layer wrappers of ``layers``, and the finite-difference losses of
 ``gradcheck``.
+
+The numerical oracles that check this engine live in ``gradcheck``.
 """
 
 from __future__ import annotations
@@ -98,10 +100,6 @@ class NonScalarLossError(ValueError):
 
 class NonRealLossError(ValueError):
     """Raised when backward is seeded from a loss with an imaginary part."""
-
-
-class NonAnalyticChainError(ValueError):
-    """Raised when an operation-count comparison meets a non-analytic stage."""
 
 
 class ReleasedValueError(ValueError):
@@ -692,17 +690,15 @@ def _pull_matmul(g, nid, c, naive):
 
 
 def _pull_attend(g, nid, c, naive):
-    # the adjoint of the chain itself, rematerialised from q, kt and v: a
-    # recording sweep records it on g and sweeps it, stopping at the
-    # inputs; a graph-free sweep records each chunk on a scratch tape
-    inputs = dict.fromkeys(g.inputs[nid])
+    # the adjoint of the chain itself, rematerialised from q, kt and v: the
+    # running sweep pulls a recorded chain back next (its ids are the
+    # largest); a graph-free sweep records each chunk on a scratch tape
     q, kt, v = g.inputs[nid]
     lift = g.aux[nid]
     if not isinstance(g, _ArrayOps):
-        cot = _sweep(g, g, g_attention(g, q, kt, v, lift), c, naive, inputs)
-        return [(i, cot[i]) for i in inputs if i in cot]
-    vals = {i: g.raw(i) for i in inputs}
-    grads = {i: np.zeros(vals[i].shape, dtype=_C) for i in inputs if g.needs[i]}
+        return [(g_attention(g, q, kt, v, lift), c)]
+    vals = {i: g.raw(i) for i in dict.fromkeys(g.inputs[nid])}
+    grads = {i: np.zeros(x.shape, dtype=_C) for i, x in vals.items() if g.needs[i]}
     for s in _attend_chunks(g.shape[q][0], g.shape[q][1], g.shape[kt][2]):
         t = Tape()
         ids = {i: t.leaf(x[s]) if i in grads else t.const(x[s]) for i, x in vals.items()}
@@ -1075,197 +1071,3 @@ def hvp(
     second = {} if s is None else _sweep(g, _ArrayOps(g), s, 1.0, False, None)
     return {name: CTensor._wrap(second[leaf]) if leaf in second else CTensor.zeros(theta[name].shape)
             for name, leaf in leaves.items()}
-
-
-# ---------------------------------------------------------------------------
-# finite-difference oracles
-# ---------------------------------------------------------------------------
-
-FD_STEP = 1e-6
-
-
-def fd_real_loss_partials(f: Callable[[np.ndarray], float], x: np.ndarray, h: float = FD_STEP):
-    """Central-difference partials of a real scalar f wrt Re(x) and Im(x)."""
-    x = np.asarray(x, dtype=_C)
-    dre = np.zeros(x.shape, dtype=np.float64)
-    dim = np.zeros(x.shape, dtype=np.float64)
-    flat = x.ravel()
-    for i in range(flat.size):
-        for step, out in ((h, dre), (1j * h, dim)):
-            xp = flat.copy()
-            xm = flat.copy()
-            xp[i] += step
-            xm[i] -= step
-            fp = float(f(xp.reshape(x.shape)))
-            fm = float(f(xm.reshape(x.shape)))
-            out.ravel()[i] = (fp - fm) / (2.0 * h)
-    return dre, dim
-
-
-def fd_complex_gradient(f, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
-    """Finite-difference estimate of the steepest-ascent direction 2 dL/dz*."""
-    dre, dim = fd_real_loss_partials(f, x, h)
-    return dre + 1j * dim
-
-
-def fd_wirtinger_pair(f, x: np.ndarray, h: float = FD_STEP):
-    """Finite-difference estimates of (dL/dz, dL/dz*) for a real loss."""
-    dre, dim = fd_real_loss_partials(f, x, h)
-    return (dre - 1j * dim) / 2.0, (dre + 1j * dim) / 2.0
-
-
-def rel_error(got: np.ndarray, want: np.ndarray, rel: float = 1e-5, floor: float = 1e-8) -> float:
-    """Largest elementwise error, scaled so that a return value <= ``rel``
-    is exactly the acceptance test |got - want| <= max(rel*|want|, floor)."""
-    got = np.asarray(got)
-    want = np.asarray(want)
-    denom = np.maximum(np.abs(want), floor / rel)
-    return float(np.max(np.abs(got - want) / denom, initial=0.0))
-
-
-# ---------------------------------------------------------------------------
-# Cauchy-Riemann checking
-# ---------------------------------------------------------------------------
-
-def cr_jacobian_blocks(fn: Callable[[CTensor], CTensor], point: CTensor, h: float = FD_STEP):
-    """Central-difference estimates of the four real Jacobian blocks
-    (dRe f/dRe x, dIm f/dIm x, dRe f/dIm x, dIm f/dRe x)."""
-    x = point.numpy()
-    n = x.size
-    y0 = fn(point).numpy()
-    m = y0.size
-    drr = np.zeros((m, n))
-    dii = np.zeros((m, n))
-    dri = np.zeros((m, n))
-    dir_ = np.zeros((m, n))
-    flat = x.ravel()
-    for j in range(n):
-        for step, re_block, im_block in ((h, drr, dir_), (1j * h, dri, dii)):
-            xp = flat.copy()
-            xm = flat.copy()
-            xp[j] += step
-            xm[j] -= step
-            yp = fn(CTensor._wrap(xp.reshape(x.shape))).numpy().ravel()
-            ym = fn(CTensor._wrap(xm.reshape(x.shape))).numpy().ravel()
-            if not (np.all(np.isfinite(yp.view(np.float64))) and np.all(np.isfinite(ym.view(np.float64)))):
-                raise FloatingPointError("cr_check: function produced non-finite output")
-            d = (yp - ym) / (2.0 * h)
-            re_block[:, j] = d.real
-            im_block[:, j] = d.imag
-    return drr, dii, dri, dir_
-
-
-def cr_check(fn: Callable[[CTensor], CTensor], point: CTensor, tol: float, h: float = FD_STEP) -> bool:
-    """True iff fn satisfies the Cauchy-Riemann equalities at ``point``:
-    dRe f/dRe x == dIm f/dIm x and dRe f/dIm x == -dIm f/dRe x, elementwise
-    within ``tol``."""
-    drr, dii, dri, dir_ = cr_jacobian_blocks(fn, point, h)
-    return bool(np.max(np.abs(drr - dii), initial=0.0) <= tol
-                and np.max(np.abs(dri + dir_), initial=0.0) <= tol)
-
-
-# ---------------------------------------------------------------------------
-# derivative cost comparison: single-term complex chain vs stacked-real chain
-# ---------------------------------------------------------------------------
-
-class AnalyticChain:
-    """Composite of elementwise analytic stages acting on an m-vector.
-
-    Stage kinds: ("affine", a, b) computes a*z + b; ("square",) computes
-    z**2; ("conj",) is deliberately non-analytic and only exists so that
-    rejection can be exercised.
-    """
-
-    def __init__(self, m: int, stages: list[tuple]):
-        self.m = m
-        self.stages = stages
-
-    @property
-    def analytic(self) -> bool:
-        return all(s[0] != "conj" for s in self.stages)
-
-    def forward(self, x: np.ndarray) -> list[np.ndarray]:
-        """Stage inputs, one per stage (last entry feeds the final stage)."""
-        zs = [x]
-        z = x
-        for s in self.stages:
-            if s[0] == "affine":
-                z = s[1] * z + s[2]
-            elif s[0] == "square":
-                z = z * z
-            elif s[0] == "conj":
-                z = np.conj(z)
-            else:
-                raise NonAnalyticChainError(f"unknown stage {s[0]!r}")
-            zs.append(z)
-        return zs[:-1]
-
-    def local_derivative(self, k: int, z_in: np.ndarray) -> np.ndarray:
-        s = self.stages[k]
-        if s[0] == "affine":
-            return np.broadcast_to(s[1], z_in.shape).astype(_C)
-        if s[0] == "square":
-            return 2.0 * z_in
-        raise NonAnalyticChainError("derivative of a non-analytic stage")
-
-
-def make_analytic_chain(m: int, depth: int, rng: np.random.Generator) -> AnalyticChain:
-    """Chain with ``depth`` derivative compositions (depth + 1 stages)."""
-    stages: list[tuple] = []
-    for k in range(depth + 1):
-        if k % 2 == 1:
-            stages.append(("square",))
-        else:
-            a = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-            b = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-            stages.append(("affine", a * 0.5, b * 0.1))
-    return AnalyticChain(m, stages)
-
-
-def opcount_compare(chain: AnalyticChain, m: int, x: np.ndarray | None = None):
-    """Count scalar multiply-accumulates for both derivative routes.
-
-    Route one composes the diagonal complex derivatives with the
-    single-term chain rule (4 MACs per element per composition).  Route
-    two stacks real and imaginary parts and composes 2x2 real Jacobian
-    blocks (8 MACs per element per composition).  Returns
-    (count_cd, count_iq, deriv_cd, deriv_iq) where the derivative vectors
-    must agree for analytic chains.
-    """
-    if m != chain.m:
-        raise ShapeMismatchError(f"opcount_compare: chain is over m={chain.m}, got m={m}")
-    if not chain.analytic:
-        raise NonAnalyticChainError("opcount_compare requires an analytic chain")
-    if x is None:
-        x = np.full(m, 0.3 + 0.2j, dtype=_C)
-    stage_in = chain.forward(x)
-    locs = [chain.local_derivative(k, stage_in[k]) for k in range(len(chain.stages))]
-
-    count_cd = 0
-    d = locs[0].copy()
-    for loc in locs[1:]:
-        for i in range(m):
-            a, b = d[i].real, d[i].imag
-            c, s = loc[i].real, loc[i].imag
-            re = c * a - s * b
-            im = c * b + s * a
-            count_cd += 4
-            d[i] = re + 1j * im
-
-    count_iq = 0
-    blocks = np.zeros((m, 2, 2))
-    for i in range(m):
-        c, s = locs[0][i].real, locs[0][i].imag
-        blocks[i] = [[c, s], [-s, c]]
-    for loc in locs[1:]:
-        for i in range(m):
-            c, s = loc[i].real, loc[i].imag
-            jk = np.array([[c, s], [-s, c]])
-            prod = np.zeros((2, 2))
-            for r in range(2):
-                for col in range(2):
-                    prod[r, col] = jk[r, 0] * blocks[i][0, col] + jk[r, 1] * blocks[i][1, col]
-                    count_iq += 2
-            blocks[i] = prod
-    d_iq = blocks[:, 0, 0] + 1j * blocks[:, 0, 1]
-    return count_cd, count_iq, d, d_iq

@@ -34,7 +34,7 @@ from camel.signals import (
     save_frames,
     episode_stream,
 )
-from camel.wirtinger import cr_check, make_analytic_chain, opcount_compare
+from camel.gradcheck import cr_check, make_analytic_chain, opcount_compare
 
 from conftest import rand_complex, rand_off_zero
 

@@ -1,3 +1,4 @@
+import math
 import os
 import struct
 import subprocess
@@ -23,7 +24,7 @@ from camel.cli import (
     toychain_run,
 )
 from camel.ctensor import CTensor
-from camel.gradcheck import GradCase, run_suite
+from camel.gradcheck import FD_STEP, GradCase, run_case, run_suite
 import camel
 from camel import layers
 from camel.layers import ArchConfig, init_params
@@ -342,20 +343,30 @@ def test_gradcheck_negative_control_flags_corrupted_adjoint(rng):
     case = GradCase("conj-user", inputs, loss)
     assert run_suite([case], instances=2, seed=0)[0].ok
 
-    # corrupt the conjugation adjoint rule and expect the suite to flag it
+    # corrupt the conjugation adjoint rule, by a scale and by nan, and
+    # expect the suite to flag it
     import camel.wirtinger as w
 
     original = w._PULLBACKS["conj"]
+    for factor, max_err in ((1.001, pytest.approx(1e-3, rel=0.01)), (math.nan, math.inf)):
+        def crooked(g, nid, c, naive):
+            return [(i, g.smul(p, factor)) for i, p in original(g, nid, c, naive)]
 
-    def crooked(g, nid, c, naive):
-        return [(i, g.smul(p, 1.001)) for i, p in original(g, nid, c, naive)]
+        w._PULLBACKS["conj"] = crooked
+        try:
+            res = run_suite([GradCase("conj-corrupted", inputs, loss)], instances=2, seed=0)
+            assert not res[0].ok and res[0].max_err == max_err
+        finally:
+            w._PULLBACKS["conj"] = original
 
-    w._PULLBACKS["conj"] = crooked
-    try:
-        res = run_suite([GradCase("conj-corrupted", inputs, loss)], instances=2, seed=0)
-        assert not res[0].ok
-    finally:
-        w._PULLBACKS["conj"] = original
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_gradcheck_case_fails_where_the_loss_is_not_finite_at_a_differenced_point():
+    # Re sum(1/x) at x = FD_STEP: the step to x - FD_STEP divides by zero
+    inputs = lambda r: {"x0": np.full(2, FD_STEP + 0j)}
+    loss = lambda g, lv, r: g_re(g, g_sum(g, g.div(g.const(np.ones(2)), lv["x0"])))
+    res = run_case(GradCase("pole", inputs, loss), instances=1)
+    assert res.max_err == math.inf and not res.ok
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +497,21 @@ def test_cmd_eval_arch_mismatch_exits_3(tmp_path, tiny_cfg_path):
     assert code == 3
 
 
+def test_episodes_flag_is_its_set_line(tmp_path, tiny_cfg_path, capsys):
+    out = tmp_path / "run"
+    assert main(["train", "--config", tiny_cfg_path, "--iterations", "1", "--out", str(out)]) == 0
+    evaluate = ["eval", "--config", tiny_cfg_path, "--checkpoint", str(out / "checkpoint.caml")]
+    capsys.readouterr()
+    reports = []
+    for argv in (["--episodes", "3"], ["--set", "eval_episodes=3"]):
+        assert main([*evaluate, *argv]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1] and "over 3 episodes" in reports[0]
+    for value in ("x", "0"):
+        assert main([*evaluate, "--episodes", value]) == 3
+        assert "eval_episodes" in capsys.readouterr().err
+
+
 def _damaged_checkpoint(tmp_path, tiny_cfg_path, damage) -> str:
     out = tmp_path / "run"
     assert main(["train", "--config", tiny_cfg_path, "--iterations", "2",
@@ -593,6 +619,24 @@ def test_usage_errors_exit_3(capsys, argv, message):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert message in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["toychain", "--steps", "-1"],
+    ["toychain", "--lr", "nan"],
+    ["toychain", "--lr", "inf"],
+    ["toychain", "--lr", "0"],
+    ["bench-lemma1", "--m", "0"],
+    ["bench-lemma1", "--depth", "0"],
+    ["bench-lemma1", "--depth", "-1"],
+    ["gradcheck", "--instances", "0"],
+    ["gradcheck", "--instances", "-1"],
+], ids=lambda argv: "".join(argv[1:]))
+def test_numeric_options_out_of_range_exit_3(capsys, argv):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"camel {argv[0]}: argument {argv[1]}: expected" in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
 def test_usage_error_and_help_exit_codes_in_a_fresh_process():

@@ -1,5 +1,6 @@
 """Fuzz of everything camel reads from outside: config and --set lines,
-CAML checkpoints and CSIG frame files.
+the numeric options of the validation commands, CAML checkpoints and CSIG
+frame files.
 
 Each input must give a value or a typed error (ConfigError, CheckpointError,
 FrameFormatError), and through ``main`` an exit code of 0, 2 or 3: never a
@@ -102,6 +103,34 @@ def test_fuzz_config_and_set_lines_through_main_exit_3(tmp_path, file_lines, set
     for line in set_lines:
         argv += ["--set", line]
     assert _quiet(argv) == 3
+
+
+# ---------------------------------------------------------------------------
+# numeric options of the validation commands
+# ---------------------------------------------------------------------------
+
+def _option(most: int):
+    """An option value: any text, but none that reads as an integer above
+    ``most``, so that every run stays small."""
+    def small(text: str) -> bool:
+        try:
+            return int(text) <= most
+        except ValueError:
+            return True
+
+    return st.one_of(_VALUES, st.integers(-3, most).map(str)).filter(small)
+
+
+@FUZZ_MAIN
+@given(steps=_option(20), lr=_VALUES)
+def test_fuzz_toychain_options_through_main(steps, lr):
+    assert _quiet(["toychain", f"--steps={steps}", f"--lr={lr}"]) in (0, 3)
+
+
+@FUZZ_MAIN
+@given(m=_option(16), depth=_option(4))
+def test_fuzz_bench_lemma1_options_through_main(m, depth):
+    assert _quiet(["bench-lemma1", f"--m={m}", f"--depth={depth}"]) in (0, 3)
 
 
 # ---------------------------------------------------------------------------

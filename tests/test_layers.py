@@ -21,7 +21,8 @@ from camel.layers import (
     init_params,
     param_count,
 )
-from camel.wirtinger import cr_check, evaluator, g_lift
+from camel.gradcheck import cr_check
+from camel.wirtinger import evaluator, g_lift
 
 from conftest import assert_close, rand_complex, rand_off_zero
 

@@ -1,3 +1,4 @@
+import ast
 import inspect
 
 import numpy as np
@@ -6,28 +7,38 @@ import pytest
 import camel.wirtinger
 
 from camel.ctensor import CTensor, ShapeMismatchError
-from camel.gradcheck import ABS_FLOOR, BROADCAST_PATTERNS, REL_TOL, WINDOW_PATTERNS, default_cases
+from camel.gradcheck import (
+    ABS_FLOOR,
+    BROADCAST_PATTERNS,
+    REL_TOL,
+    WINDOW_PATTERNS,
+    AnalyticChain,
+    NonAnalyticChainError,
+    cr_check,
+    cr_jacobian_blocks,
+    default_cases,
+    fd_complex_gradient,
+    fd_wirtinger_pair,
+    make_analytic_chain,
+    opcount_compare,
+    rel_error,
+)
 from camel.wirtinger import (
     ADJOINT_FLAGS,
     _PULLBACKS,
     _READS,
     _RECORDABLE,
-    NonAnalyticChainError,
     NonRealLossError,
     NonScalarLossError,
     ReleasedValueError,
-    AnalyticChain,
     Tape,
     UnknownOpError,
     backward,
     backward_graph,
     backward_values,
     complex_gradient,
-    cr_check,
     evaluator,
     LIFTS,
-    fd_complex_gradient,
-    fd_wirtinger_pair,
     g_abs,
     g_abs2,
     g_attention,
@@ -35,9 +46,6 @@ from camel.wirtinger import (
     g_re,
     g_sum,
     hvp,
-    make_analytic_chain,
-    opcount_compare,
-    rel_error,
 )
 
 from conftest import assert_close, assert_same_adjoints, rand_complex, rand_off_zero
@@ -913,3 +921,48 @@ def test_opcount_m_mismatch(rng):
     chain = make_analytic_chain(4, 2, rng)
     with pytest.raises(ShapeMismatchError):
         opcount_compare(chain, 8)
+
+
+def test_cr_blocks_take_four_calls_per_input_element(rng):
+    calls = []
+    w = rand_complex(rng, 2, 3)
+
+    def fn(t):
+        calls.append(t)
+        return CTensor._wrap(w @ t.numpy())
+
+    blocks = cr_jacobian_blocks(fn, CTensor(rand_complex(rng, 3)))
+    assert len(calls) == 4 * 3
+    assert all(b.shape == (2, 3) for b in blocks)
+    drr, dii, dri, dir_ = blocks
+    assert_close(drr, w.real)
+    assert_close(dir_, w.imag)
+
+
+# ---------------------------------------------------------------------------
+# module boundary: wirtinger is the engine, the oracles live in gradcheck
+# ---------------------------------------------------------------------------
+
+MOVED_TO_GRADCHECK = ("FD_STEP", "fd_real_loss_partials", "fd_complex_gradient", "fd_wirtinger_pair",
+                      "rel_error", "cr_jacobian_blocks", "cr_check", "AnalyticChain",
+                      "make_analytic_chain", "opcount_compare", "NonAnalyticChainError")
+
+
+def test_wirtinger_imports_only_ctensor_and_defines_no_oracle():
+    import camel.gradcheck
+
+    tree = ast.parse(inspect.getsource(camel.wirtinger))
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("camel")):
+            package.add("camel." + node.module if node.level else node.module)
+        elif isinstance(node, ast.Import):
+            package.update(a.name for a in node.names if a.name.startswith("camel"))
+    assert package == {"camel.ctensor"}
+    defined = {t.id for n in tree.body if isinstance(n, (ast.Assign, ast.AnnAssign))
+               for t in (n.targets if isinstance(n, ast.Assign) else [n.target]) if isinstance(t, ast.Name)}
+    defined |= {n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    assert not defined & set(MOVED_TO_GRADCHECK)
+    assert all(hasattr(camel.gradcheck, name) for name in MOVED_TO_GRADCHECK)
+    assert camel.cr_check is camel.gradcheck.cr_check
+    assert camel.opcount_compare is camel.gradcheck.opcount_compare
