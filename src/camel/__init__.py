@@ -8,7 +8,6 @@ experiments.
 """
 
 from .ctensor import CTensor, cmatmul, cmul, conj, hermitian
-from .gradcheck import cr_check, opcount_compare
 from .layers import (
     ArchConfig,
     MhaParams,
@@ -53,3 +52,12 @@ from .signals import (
 from .wirtinger import Tape, backward, complex_gradient, hvp
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # the oracles load on first use: training and evaluation never need them
+    if name in ("cr_check", "opcount_compare"):
+        from . import gradcheck
+
+        return getattr(gradcheck, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

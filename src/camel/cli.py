@@ -11,7 +11,8 @@ Commands (see README for the config key reference):
     camel eval          fine-tune/classify held-out episodes from a checkpoint
 
 Exit codes: 0 success, 1 validation failure, 2 non-finite loss in training
-or eval fine-tuning, 3 I/O, configuration or command-line usage error.
+or eval fine-tuning, or a non-finite toychain trajectory, 3 I/O,
+configuration or command-line usage error.
 
 Every key=value line, from a config file, a --set option, a flag
 (``--first-order`` is the line ``first_order=true``, read after every
@@ -35,7 +36,6 @@ from functools import partial
 import numpy as np
 
 from .ctensor import CTensor
-from .gradcheck import default_cases, make_analytic_chain, opcount_compare, run_suite
 from .layers import ArchConfig, ConfigError, init_params
 from .meta import (
     AdaptiveBetaConfig,
@@ -434,6 +434,8 @@ def metrics_csv(history: list[HistoryRow]) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_gradcheck(args) -> int:
+    from .gradcheck import default_cases, run_suite  # the oracles load only for the commands that run them
+
     cases = default_cases()
     results = run_suite(cases, instances=args.instances, seed=args.seed)
     width = max(len(r.name) for r in results)
@@ -457,7 +459,9 @@ def _toy_loss(g: Tape, x: int) -> int:
 def toychain_run(steps: int, lr: float, x0: complex = 0.5 + 0.5j):
     """Gradient descent on the toy map with the two-term chain rule versus
     the single-term (holomorphic-only) rule.  Returns per-step rows
-    (step, J_complex, J_naive, |naive gradient|)."""
+    (step, J_complex, J_naive, |naive gradient|).  Raises
+    FloatingPointError, naming the rule and the step, where a loss or a
+    gradient is not finite."""
     rows = []
     xc = complex(x0)
     xn = complex(x0)
@@ -480,6 +484,9 @@ def toychain_run(steps: int, lr: float, x0: complex = 0.5 + 0.5j):
         pv = pairs_n.get(xln, (None, None))[0]
         grad_n = 2.0 * complex(np.conj(gn.val[pv].reshape(-1)[0])) if pv is not None else 0.0 + 0.0j
 
+        for rule, j, grad in (("two-term", jc_val, grad_c), ("single-term", jn_val, grad_n)):
+            if not (math.isfinite(j) and math.isfinite(abs(grad))):
+                raise FloatingPointError(f"the {rule} trajectory is not finite at step {step}")
         rows.append((step, jc_val, jn_val, abs(grad_n)))
         xc -= lr * grad_c
         xn -= lr * grad_n
@@ -487,7 +494,12 @@ def toychain_run(steps: int, lr: float, x0: complex = 0.5 + 0.5j):
 
 
 def cmd_toychain(args) -> int:
-    rows = toychain_run(args.steps, args.lr)
+    try:
+        with np.errstate(all="ignore"):
+            rows = toychain_run(args.steps, args.lr)
+    except FloatingPointError as exc:
+        print(f"toychain failed: {exc}", file=sys.stderr)
+        return 2
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("step,loss_complex_rule,loss_naive_rule,naive_grad_norm\n")
@@ -507,6 +519,8 @@ def cmd_toychain(args) -> int:
 
 
 def cmd_bench_lemma1(args) -> int:
+    from .gradcheck import make_analytic_chain, opcount_compare
+
     rng = np.random.default_rng(args.seed)
     chain = make_analytic_chain(args.m, args.depth, rng)
     count_cd, count_iq, d_cd, d_iq = opcount_compare(chain, args.m)
@@ -665,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference oracle suite")
     p.add_argument("--instances", type=_number(int, 1), default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_number(int, 0), default=0)
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("toychain", help="two-term vs single-term chain rule on the toy map")
@@ -677,7 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench-lemma1", help="derivative cost of the two differentiation routes")
     p.add_argument("--m", type=_number(int, 1), default=8)
     p.add_argument("--depth", type=_number(int, 1), default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_number(int, 0), default=0)
     p.set_defaults(fn=cmd_bench_lemma1)
 
     p = sub.add_parser("gen", help="write a synthetic frame file")

@@ -38,7 +38,7 @@ from .layers import (
     frames_to_input,
     init_params,
 )
-from .wirtinger import Tape, backward, evaluator, g_re, g_sum
+from .wirtinger import Tape, backward, evaluator, g_sum
 
 _C = np.complex128
 
@@ -273,7 +273,7 @@ def _rand_off_zero(rng, *shape) -> np.ndarray:
 def _head(g: Tape, out: int, rng: np.random.Generator) -> int:
     """Real scalar readout that exercises both output channels."""
     c = g.const(_rand(rng, *g.raw(out).shape))
-    return g_re(g, g_sum(g, g.mul(c, out)))
+    return g.re(g_sum(g, g.mul(c, out)))
 
 
 def _elementwise_case(name, op, shape=(2, 3), off_zero=False, n_inputs=1):
@@ -457,6 +457,18 @@ def _broadcast_case(op: str, pattern: str) -> GradCase:
                     lambda g, lv, rng: _head(g, _BINARY[op](g, lv["x0"], lv["x1"]), rng))
 
 
+def _real_operands_case() -> GradCase:
+    # real nodes meet complex ones in mul, add and a matmul under ^H, so
+    # the sweep takes the real part of what each real input gets
+    def build(g, lv, rng):
+        r, s = g.re(lv["x0"]), g.im(lv["x1"])
+        m = g.matmul(g.matmul(r, lv["x1"], "b"), g.mul(s, lv["x0"]))
+        q = g.div(g.exp(r), g.add(g.mul(s, s), g.const(1.0)))
+        return _head(g, g.add(m, q), rng)
+
+    return GradCase("real_operands", lambda rng: {"x0": _rand(rng, 2, 3), "x1": _rand(rng, 2, 3)}, build)
+
+
 def _matmul_case(adj, sa, sb) -> GradCase:
     tags = ",".join([f"adj={adj}"] * (adj is not None) + [f"rank={len(sa)}"] * (len(sa) > 2))
     return GradCase(f"matmul[{tags}]" if tags else "matmul",
@@ -489,6 +501,9 @@ def default_cases() -> list[GradCase]:
         _elementwise_case("neg", Tape.neg),
         _elementwise_case("smul", lambda g, a: g.smul(a, 0.7 - 0.4j)),
         _elementwise_case("conj", Tape.conj),
+        _elementwise_case("re", Tape.re),
+        _elementwise_case("im", Tape.im),
+        _real_operands_case(),
         _elementwise_case("exp", Tape.exp),
         _elementwise_case("log", Tape.log, off_zero=True),
         _elementwise_case("sqrt", Tape.sqrt, off_zero=True),

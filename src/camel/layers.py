@@ -31,10 +31,8 @@ from .wirtinger import (
     Tape,
     evaluator,
     g_abs2,
-    g_im,
     g_lift,
     g_minus_row_max,
-    g_re,
     g_softmax_last,
     g_sum,
     g_sum_last,
@@ -248,13 +246,13 @@ def build_act(g: Tape, x: int, kind: str) -> int:
         e = g.exp(g.smul(u, 2.0))  # tanh(u) = (e^{2u} - 1) / (e^{2u} + 1)
         return g.div(g.sub(e, one), g.add(e, one))
 
-    return g.add(real_af(g_re(g, x)), g.smul(real_af(g_im(g, x)), 1j))
+    return g.add(real_af(g.re(x)), g.smul(real_af(g.im(x)), 1j))
 
 
 def build_cross_entropy(g: Tape, logprobs: int, labels: Sequence[int]) -> int:
     """Mean negative log-likelihood of integer labels under (N, C) log-probs."""
     n, c = g.raw(logprobs).shape
-    onehot = np.zeros((n, c), dtype=_C)
+    onehot = np.zeros((n, c))
     onehot[np.arange(n), list(labels)] = 1.0
     picked = g_sum(g, g.mul(logprobs, g.const(onehot)))
     return g.smul(picked, -1.0 / n)

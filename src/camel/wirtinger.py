@@ -7,10 +7,28 @@ The chain rule for a non-holomorphic map u(z) has two terms,
 and for a real-valued loss dL/du = conj(dL/du*) at every node: the two
 Wirtinger channels are conjugate mirrors.  So a sweep propagates one
 adjoint per node, c = dL/du*, as c * conj(du/dz) + conj(c) * du/dz*.  Only
-conj, cabs, crelu and the conjugated factor of the conjugate-aware products
-have the second, antiholomorphic term; the naive rule drops it, which
-leaves the classical holomorphic-only rule.  The steepest-ascent direction
-is ``2 * dL/dz*``, which is what :func:`complex_gradient` returns.
+conj, re, im, cabs, crelu and the conjugated factor of the conjugate-aware
+products have the second, antiholomorphic term; the naive rule drops it,
+which leaves the classical holomorphic-only rule.  The steepest-ascent
+direction is ``2 * dL/dz*``, which is what :func:`complex_gradient` returns.
+
+A node that is real for every input holds its value in float64, and
+``Tape.real`` flags it.  Its op makes it so: cabs, re and im always; a const
+built from real data; and add, sub, neg, mul, mulc, div, mdiv, exp, crelu,
+matmul, attend, smul by a real scalar and the structural ops when every
+operand is real (log and sqrt too, where no entry is negative).  Mixed
+operands promote as numpy does.  A real node's adjoint is float64 as well:
+since u* = u, the chain rule through u reads c conj(du/dz) + conj(c) du/dz*
+= 2 Re(c) du/dz*, so only Re c reaches a leaf.  The sweep takes that real
+part where a pullback hands a real input a complex adjoint, which happens
+where a real node meets a complex one (the softmax weights times V, say),
+in recorded and graph-free sweeps alike.  The naive rule is the exception:
+without the antiholomorphic term the imaginary part does reach the leaves,
+so a naive sweep keeps complex adjoints, as ``camel toychain`` shows.
+Leaves, and every value handed out (``Tape.value``, :class:`Cotangents`,
+:func:`complex_gradient` and the leaf adjoints of :func:`backward_values`),
+are complex128.  The softmax chain and the log-softmax head run in float64,
+where numpy's exp is an order of magnitude cheaper than on complex128.
 
 The op set is chosen so that adjoints need no conjugation or transposition
 nodes of their own.  ``mulc(a, b) = a * conj(b)`` and the ``adj`` flag of
@@ -86,6 +104,7 @@ import numpy as np
 from .ctensor import CTensor, ShapeMismatchError
 
 _C = np.complex128
+_R = np.float64
 
 REAL_LOSS_TOL = 1e-12
 
@@ -110,15 +129,28 @@ class ReleasedValueError(ValueError):
         self.nid, self.kind = nid, kind
 
 
-def _val(x) -> np.ndarray:
-    if isinstance(x, CTensor):
-        return x.numpy()
-    return np.asarray(x, dtype=_C)
-
-
-def _as_node_value(x) -> np.ndarray:
-    v = _val(x)
+def _as_node_value(x, dtype=None) -> np.ndarray:
+    """``x`` as a node value: ``dtype``, or float64 for real data and
+    complex128 otherwise."""
+    v = x.numpy() if isinstance(x, CTensor) else np.asarray(x)
+    v = v.astype(dtype or (_C if np.iscomplexobj(v) else _R), copy=False)
     return np.ascontiguousarray(v) if v.ndim else v.copy()
+
+
+def _complex(v):
+    """A value in complex storage, as every public return hands it out."""
+    return v if v.dtype == _C else v.astype(_C)
+
+
+def _conj(v):
+    """np.conj, without a copy for real values."""
+    return v if v.dtype != _C else np.conj(v)
+
+
+def _principal(v):
+    """The operand of log and sqrt: a real value with a negative entry is
+    taken to complex storage, where the principal branch is complex."""
+    return v.astype(_C) if v.dtype != _C and np.any(v < 0) else v
 
 
 def _broadcasts(src: tuple[int, ...], dst: tuple[int, ...]) -> bool:
@@ -166,16 +198,17 @@ class Tape:
     Node ids are list indices, so inputs always refer to earlier nodes and
     the tape is topologically ordered by construction.  A tape serves one
     forward pass; backward sweeps append their arithmetic to the same tape.
-    A released node's value is None; its shape stays.
+    A released node's value is None; its shape and its real flag stay.
     """
 
-    __slots__ = ("kind", "inputs", "val", "shape", "aux", "needs", "_read", "_released", "_kept")
+    __slots__ = ("kind", "inputs", "val", "shape", "real", "aux", "needs", "_read", "_released", "_kept")
 
     def __init__(self):
         self.kind: list[str] = []
         self.inputs: list[tuple[int, ...]] = []
         self.val: list[np.ndarray | None] = []
         self.shape: list[tuple[int, ...]] = []
+        self.real: list[bool] = []  # node -> value held in float64
         self.aux: list = []
         self.needs: list[bool] = []
         self._read = bytearray()  # node -> read by a recorded pullback, for the nodes marked so far
@@ -195,15 +228,20 @@ class Tape:
         self.inputs.append(inputs)
         self.val.append(val)
         self.shape.append(val.shape)
+        self.real.append(val.dtype != _C)
         self.aux.append(aux)
         self.needs.append(needs)
         return len(self.kind) - 1
 
+    def _keep(self, a: int, va: np.ndarray) -> int:
+        """The result of an op that leaves its operand as it is: the node."""
+        return a
+
     # -- introspection ---------------------------------------------------
 
     def value(self, nid: int) -> CTensor:
-        """Forward value of a node as a CTensor."""
-        return CTensor._wrap(self.raw(nid))
+        """Forward value of a node as a CTensor (complex storage)."""
+        return CTensor._wrap(_complex(self.raw(nid)))
 
     def raw(self, nid: int) -> np.ndarray:
         v = self.val[nid]
@@ -255,13 +293,13 @@ class Tape:
     # -- terminals -------------------------------------------------------
 
     def leaf(self, value) -> int:
-        """Differentiable input node."""
-        nid = self._push("leaf", (), _as_node_value(value))
+        """Differentiable input node, always in complex storage."""
+        nid = self._push("leaf", (), _as_node_value(value, _C))
         self.needs[nid] = True
         return nid
 
     def const(self, value) -> int:
-        """Non-differentiable constant node."""
+        """Non-differentiable constant node; real data stays real."""
         return self._push("const", (), _as_node_value(value))
 
     # -- elementwise -----------------------------------------------------
@@ -292,49 +330,63 @@ class Tape:
     def mulc(self, a: int, b: int) -> int:
         """a * conj(b): holomorphic in a, antiholomorphic in b."""
         va, vb = self._operands("mulc", a, b)
-        return self._push("mulc", (a, b), va * np.conj(vb))
+        return self._push("mulc", (a, b), va * _conj(vb))
 
     def div(self, a: int, b: int) -> int:
         va, vb = self._operands("div", a, b)
         return self._push("div", (a, b), va / vb)
 
     def smul(self, a: int, c: complex) -> int:
-        """Multiply by a fixed (non-differentiable) complex scalar."""
+        """Multiply by a fixed (non-differentiable) complex scalar; a real
+        scalar keeps a real node real."""
         c = complex(c)
-        return self._push("smul", (a,), self.raw(a) * _C(c), c)
+        va = self.raw(a)
+        return self._push("smul", (a,), va * (c.real if c.imag == 0 and va.dtype != _C else _C(c)), c)
 
     def conj(self, a: int) -> int:
-        return self._push("conj", (a,), np.conj(self.raw(a)))
+        """Complex conjugate; the conjugate of a real node is the node."""
+        va = self.raw(a)
+        return self._keep(a, va) if va.dtype != _C else self._push("conj", (a,), np.conj(va))
+
+    def re(self, a: int) -> int:
+        """Real part, in real storage; the real part of a real node is the node."""
+        va = self.raw(a)
+        return self._keep(a, va) if va.dtype != _C else self._push("re", (a,), va.real.copy())
+
+    def im(self, a: int) -> int:
+        """Imaginary part, in real storage."""
+        va = self.raw(a)
+        return self._push("im", (a,), va.imag.copy() if va.dtype == _C else np.zeros_like(va))
 
     def exp(self, a: int) -> int:
         return self._push("exp", (a,), np.exp(self.raw(a)))
 
     def log(self, a: int) -> int:
-        return self._push("log", (a,), np.log(self.raw(a)))
+        """Principal logarithm; real on a real node with no negative entry."""
+        return self._push("log", (a,), np.log(_principal(self.raw(a))))
 
     def sqrt(self, a: int) -> int:
-        return self._push("sqrt", (a,), np.sqrt(self.raw(a)))
+        """Principal square root; real on a real node with no negative entry."""
+        return self._push("sqrt", (a,), np.sqrt(_principal(self.raw(a))))
 
     def cabs(self, a: int) -> int:
-        """Elementwise modulus |z| (real-carrying); derivative 0 at z = 0."""
-        v = self.raw(a)
-        out = np.zeros(v.shape, dtype=_C)
-        np.abs(v, out=out.real)
-        return self._push("cabs", (a,), out)
+        """Elementwise modulus |z|, in real storage; derivative 0 at z = 0."""
+        return self._push("cabs", (a,), np.abs(self.raw(a)))
 
     def mdiv(self, a: int, b: int) -> int:
         """Masked divide: a/b where b != 0, else 0.  Supports the modulus
         pullback, which must stay finite at exact zeros."""
         va, vb = self.raw(a), self.raw(b)
-        out = np.zeros(_joint_shape("mdiv", va.shape, vb.shape), dtype=_C)
+        out = np.zeros(_joint_shape("mdiv", va.shape, vb.shape), dtype=np.result_type(va, vb))
         np.divide(va, vb, out=out, where=vb != 0)
         return self._push("mdiv", (a, b), out)
 
     def crelu(self, a: int) -> int:
         """relu on the real part plus j times relu on the imaginary part."""
         v = self.raw(a)
-        out = np.maximum(v.real, 0.0) + 1j * np.maximum(v.imag, 0.0)
-        return self._push("crelu", (a,), out)
+        if v.dtype != _C:
+            return self._push("crelu", (a,), np.maximum(v, 0.0))
+        return self._push("crelu", (a,), np.maximum(v.real, 0.0) + 1j * np.maximum(v.imag, 0.0))
 
     # -- linear algebra ----------------------------------------------------
 
@@ -348,9 +400,9 @@ class Tape:
         if adj not in ADJOINT_FLAGS:
             raise UnknownOpError(f"matmul: adj must be one of {ADJOINT_FLAGS}, got {adj!r}")
         if adj == "a":
-            va = np.conj(va).swapaxes(-1, -2)
+            va = _conj(va).swapaxes(-1, -2)
         elif adj == "b":
-            vb = np.conj(vb).swapaxes(-1, -2)
+            vb = _conj(vb).swapaxes(-1, -2)
         if va.shape[:-2] != vb.shape[:-2] or va.shape[-1] != vb.shape[-2]:
             raise ShapeMismatchError(f"matmul: shapes disagree, {va.shape} x {vb.shape} (adj={adj!r})")
         return self._push("matmul", (a, b), va @ vb, adj)
@@ -368,7 +420,7 @@ class Tape:
                                      f"got {vq.shape}, {vk.shape} and {vv.shape}")
         if lift not in LIFTS:
             raise UnknownOpError(f"attend: lift must be one of {LIFTS}, got {lift!r}")
-        out = np.empty(vq.shape[:2] + vv.shape[2:], dtype=_C)
+        out = np.empty(vq.shape[:2] + vv.shape[2:], dtype=vv.dtype)  # the weights are real
         ev = evaluator()
         for s in _attend_chunks(vq.shape[0], vq.shape[1], vk.shape[2]):
             out[s] = g_attention(ev, vq[s], vk[s], vv[s], lift)
@@ -417,7 +469,7 @@ class Tape:
             raise ShapeMismatchError(f"window needs an (N, T, C) input, got shape {va.shape}")
         n, t, c = va.shape
         to = _window_len("window", t, k, stride)
-        out = np.empty((n, to, c, k), dtype=_C)
+        out = np.empty((n, to, c, k), dtype=va.dtype)
         for kk in range(k):
             out[..., kk] = va[:, _tap(kk, to, stride)]
         return self._push("window", (a,), out.reshape(n * to, c * k), (k, stride))
@@ -432,7 +484,7 @@ class Tape:
             raise ShapeMismatchError(f"unwindow: {va.shape} are not rows of windows with T_out = {to}, k = {k}")
         n, c = va.shape[0] // to, va.shape[1] // k
         patches = va.reshape(n, to, c, k)
-        out = np.zeros((n, t, c), dtype=_C)
+        out = np.zeros((n, t, c), dtype=va.dtype)
         for kk in range(k - 1, -1, -1):
             out[:, _tap(kk, to, stride)] += patches[..., kk]
         return self._push("unwindow", (a,), out, (k, stride))
@@ -453,16 +505,6 @@ class Tape:
 # ---------------------------------------------------------------------------
 # graph convenience builders
 # ---------------------------------------------------------------------------
-
-def g_re(g: Tape, x: int) -> int:
-    """(x + x*) / 2, the real part kept in complex storage."""
-    return g.smul(g.add(x, g.conj(x)), 0.5)
-
-
-def g_im(g: Tape, x: int) -> int:
-    """(x - x*) / 2j, the imaginary part kept in complex storage."""
-    return g.smul(g.sub(x, g.conj(x)), -0.5j)
-
 
 def g_abs2(g: Tape, x: int) -> int:
     return g.mulc(x, x)
@@ -490,9 +532,9 @@ def g_lift(g: Tape, x: int, lift: str) -> int:
     if lift == "abs":
         return g_abs(g, x)
     if lift == "re":
-        return g_re(g, x)
+        return g.re(x)
     if lift == "im":
-        return g_im(g, x)
+        return g.im(x)
     raise UnknownOpError(f"unknown lift {lift!r}")
 
 
@@ -544,10 +586,11 @@ def _attend_chunks(b: int, lq: int, lk: int) -> list[slice]:
 #
 # Each pullback takes the adjoint c of node u and returns (input_id, dL/dz*)
 # pairs: the holomorphic term c * conj(du/dz) plus the antiholomorphic term
-# conj(c) * du/dz*.  Only conj, cabs, crelu, mulc's second factor and the
-# ^H factor of matmul have the second term, and ``naive`` drops it,
+# conj(c) * du/dz*.  Only conj, re, im, cabs, crelu, mulc's second factor
+# and the ^H factor of matmul have the second term, and ``naive`` drops it,
 # which leaves the classical, holomorphic-only rule.  A binary elementwise
 # op that broadcast an input sums that input's adjoint back to its shape.
+# The sweep, not the pullback, takes the real part of what a real input gets.
 
 def _fit(g, p, x):
     """Adjoint ``p`` summed down to the shape of input ``x``, which the
@@ -619,6 +662,20 @@ def _pull_div(g, nid, c, naive):
     return _pull_quotient(g, nid, c, naive, g.div)
 
 
+def _pull_re(g, nid, c, naive):
+    # u = (a + a*)/2: du/da = du/da* = 1/2, so the adjoint is Re c, which is
+    # c itself on a real node, and c/2 under the naive rule
+    (a,) = g.inputs[nid]
+    return [(a, g.smul(c, 0.5) if naive else g.re(c))]
+
+
+def _pull_im(g, nid, c, naive):
+    # u = (a - a*)/2i: du/da = -i/2 and du/da* = i/2, so the adjoint is
+    # i Re c, and i c/2 under the naive rule
+    (a,) = g.inputs[nid]
+    return [(a, g.smul(c, 0.5j) if naive else g.smul(g.re(c), 1j))]
+
+
 def _pull_smul(g, nid, c, naive):
     (a,) = g.inputs[nid]
     return [(a, g.smul(c, g.aux[nid].conjugate()))]
@@ -657,8 +714,8 @@ def _pull_crelu(g, nid, c, naive):
     # half-plane masks; both are real, so conjugations drop out.
     (a,) = g.inputs[nid]
     v = g.raw(a)
-    mre = (v.real > 0).astype(_C)
-    mim = (v.imag > 0).astype(_C)
+    mre = (v.real > 0).astype(_R)
+    mim = (v.imag > 0).astype(_R)
     hol = g.mul(c, g.const((mre + mim) * 0.5))
     if naive:
         return [(a, hol)]
@@ -749,6 +806,8 @@ _PULLBACKS: dict[str, Callable] = {
     "div": _pull_div,
     "smul": _pull_smul,
     "conj": _pull_conj,
+    "re": _pull_re,
+    "im": _pull_im,
     "exp": _pull_exp,
     "log": _pull_log,
     "sqrt": _pull_sqrt,
@@ -807,7 +866,7 @@ class Cotangents:
         cid = self._adj.get(nid)
         if cid is None:
             return CTensor.zeros(self._tape.shape[nid])
-        return CTensor._wrap(self._tape.raw(cid))
+        return CTensor._wrap(_complex(self._tape.raw(cid)))
 
     def wrt_value(self, nid: int) -> CTensor:
         """dL/dz, the conjugate of dL/dz* for a real loss."""
@@ -884,6 +943,7 @@ class _ArrayOps(Tape):
 
     def __init__(self, g: Tape):
         self.kind, self.inputs, self.aux, self.needs, self.val = g.kind, g.inputs, g.aux, g.needs, g.val
+        self.real = g.real
         self.shape = _Shapes(g.shape)
 
     def raw(self, x):
@@ -896,6 +956,9 @@ class _ArrayOps(Tape):
 
     def _push(self, kind, inputs, val, aux=None):
         return val
+
+    def _keep(self, a, va):
+        return va
 
     def leaf(self, value):
         raise TypeError("an evaluator records nothing to differentiate; use const for its inputs")
@@ -953,18 +1016,28 @@ def _paired(g: Tape, out_id: int, seed, naive: bool, stop) -> dict:
         conj channel  = P(a1) + i P(a2),
         value channel = conj(P(a1)) + i conj(P(a2)),
 
-    with P(a) the sweep seeded with a.  The naive rule has no
-    antiholomorphic term, so with sc dropped the two sweeps reduce to one
-    seeded with conj(sv), whose conjugate is the value channel.
+    with P(a) the sweep seeded with a.  On a real output only Re a
+    reaches a leaf, so a2 is dropped when its real part is 0.  The naive
+    rule has no antiholomorphic term, so with sc dropped the two sweeps
+    reduce to one seeded with conj(sv), whose conjugate is the value
+    channel.
     """
     sv, sc = (0j if s is None else complex(s) for s in seed)
     if naive:
         cot = _sweep(g, g, out_id, sv.conjugate(), True, stop) if sv else {}
         return {nid: _Pair(g, c, None, naive=True) for nid, c in cot.items()}
     a1, a2 = (sc + sv.conjugate()) / 2, (sc - sv.conjugate()) / 2j
+    if g.real[out_id]:
+        a1, a2 = a1.real, a2.real
     p1 = _sweep(g, g, out_id, a1, False, stop) if a1 else {}
     p2 = _sweep(g, g, out_id, a2, False, stop) if a2 else {}
     return {nid: _Pair(g, p1.get(nid), p2.get(nid)) for nid in dict.fromkeys([*p1, *p2])}
+
+
+def _real_part(ops: Tape, p):
+    """What a real input keeps of an adjoint ``p`` that a pullback hands it:
+    Re p, which is all of it that reaches a leaf under the two-term rule."""
+    return ops.re(p)
 
 
 def _sweep(g: Tape, ops: Tape, out_id: int, seed, naive: bool, stop) -> dict:
@@ -975,12 +1048,18 @@ def _sweep(g: Tape, ops: Tape, out_id: int, seed, naive: bool, stop) -> dict:
     ``out_id`` (see :func:`backward_values`).  ``seed`` is a number, the
     adjoint of every element of ``out_id``, or an adjoint as ``ops`` holds
     it: a node id when ``g`` records, an array when not.  Returns node id
-    -> c."""
+    -> c.
+
+    A real node holds a real adjoint: under the two-term rule only its real
+    part reaches a leaf, so the sweep keeps the real part of what each
+    pullback hands a real input, and a number seeds a real output with its
+    real part.  The naive rule keeps complex adjoints everywhere."""
     keep_all = ops is g
     if not keep_all:
         g.release(keep=(out_id,), end=out_id + 1)
+    real = g.real
     if isinstance(seed, (float, complex)):
-        seed = ops.const(np.full(g.shape[out_id], _C(seed)))
+        seed = ops.const(np.full(g.shape[out_id], seed.real if real[out_id] and not naive else _C(seed)))
     cot: dict = {out_id: seed}
     heap = [-out_id]
     while heap:
@@ -994,6 +1073,8 @@ def _sweep(g: Tape, ops: Tape, out_id: int, seed, naive: bool, stop) -> dict:
         if not g.needs[nid]:
             continue
         for inp, p in _PULLBACKS[kind](ops, nid, c, naive):
+            if real[inp] and not naive:
+                p = _real_part(ops, p)
             prev = cot.get(inp)
             if prev is None:
                 cot[inp] = p
@@ -1003,10 +1084,10 @@ def _sweep(g: Tape, ops: Tape, out_id: int, seed, naive: bool, stop) -> dict:
         if not keep_all and nid != out_id:
             g.val[nid] = None
     if not keep_all:
-        # a leaf's adjoint may be a broadcast view (from expand) or a
-        # numpy scalar: hand out a writable array of the leaf's shape
+        # a leaf's adjoint may be a broadcast view (from expand), a numpy
+        # scalar or real: hand out a writable complex array of its shape
         for nid, c in cot.items():
-            if not (isinstance(c, np.ndarray) and c.flags.writeable):
+            if not (isinstance(c, np.ndarray) and c.flags.writeable and c.dtype == _C):
                 cot[nid] = np.array(c, dtype=_C)
     return cot
 

@@ -200,7 +200,9 @@ def test_attention_output_and_weights_are_the_bytes_of_the_primitive_chain(rng, 
     lifted = g_lift(ev, scores, lift)
     e = ev.exp(ev.sub(lifted, ev.const(ev.raw(lifted).real.max(axis=-1, keepdims=True))))
     want_w = ev.div(e, ev.sum_to(e, (3, 1)))
-    assert w.numpy().tobytes() == want_w.tobytes()
+    # the weights are real: float64 on the evaluator, complex in the public CTensor
+    assert want_w.dtype == np.float64
+    assert w.numpy().tobytes() == want_w.astype(complex).tobytes()
     assert out.numpy().tobytes() == ev.matmul(want_w, ev.const(v)).tobytes()
 
 

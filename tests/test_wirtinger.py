@@ -7,12 +7,14 @@ import pytest
 import camel.wirtinger
 
 from camel.ctensor import CTensor, ShapeMismatchError
+from camel.layers import ArchConfig, build_cross_entropy, build_network, frames_to_input, init_params
 from camel.gradcheck import (
     ABS_FLOOR,
     BROADCAST_PATTERNS,
     REL_TOL,
     WINDOW_PATTERNS,
     AnalyticChain,
+    GradCase,
     NonAnalyticChainError,
     cr_check,
     cr_jacobian_blocks,
@@ -42,8 +44,6 @@ from camel.wirtinger import (
     g_abs,
     g_abs2,
     g_attention,
-    g_im,
-    g_re,
     g_sum,
     hvp,
 )
@@ -196,7 +196,7 @@ def test_matmul_rejects_an_unknown_adj_flag():
 def test_backward_real_part():
     g = Tape()
     z = g.leaf(np.asarray(3 + 4j, dtype=complex))
-    cots = backward(g, g_re(g, z))
+    cots = backward(g, g.re(z))
     assert cots.wrt_value(z).item() == 0.5
     assert cots.wrt_conj(z).item() == 0.5
 
@@ -250,17 +250,17 @@ def test_complex_gradient_worked_cases(rng):
 
     g = Tape()
     z = g.leaf(np.asarray(0.7 - 0.2j, dtype=complex))
-    assert complex_gradient(g, g_re(g, z), z).item() == 1.0
+    assert complex_gradient(g, g.re(z), z).item() == 1.0
 
     g = Tape()
     z = g.leaf(np.asarray(0.7 - 0.2j, dtype=complex))
-    loss = g_re(g, g.const(np.asarray(2.5, dtype=complex)))
+    loss = g.re(g.const(np.asarray(2.5, dtype=complex)))
     assert complex_gradient(g, loss, z).item() == 0.0
 
     g = Tape()
     z = g.leaf(np.asarray(1.0 + 0j))
     with pytest.raises(UnknownOpError):
-        complex_gradient(g, g_re(g, z), 10 ** 6)
+        complex_gradient(g, g.re(z), 10 ** 6)
 
 
 def test_gradient_matches_fd_on_composite(rng):
@@ -268,7 +268,7 @@ def test_gradient_matches_fd_on_composite(rng):
 
     def build(g, x):
         t = g.crelu(g.mul(x, g.conj(g.exp(g.smul(x, 0.5)))))
-        return g_re(g, g_sum(g, g.mul(t, g.conj(t))))
+        return g.re(g_sum(g, g.mul(t, g.conj(t))))
 
     g = Tape()
     x = g.leaf(x0)
@@ -343,9 +343,9 @@ def test_sweeps_match_hand_derived_dual_pair(rng, seed, sweep):
     else:
         # a graph-free sweep consumes its tape: one tape per real loss
         g, z, out = record()
-        re = backward_values(g, g_re(g, out))[z]
+        re = backward_values(g, g.re(out))[z]
         g, z, out = record()
-        im = backward_values(g, g_im(g, out))[z]
+        im = backward_values(g, g.im(out))[z]
         b, ca = re + 1j * im, re - 1j * im
         got = [sv * np.conj(ca) + sc * np.conj(b), sv * b + sc * ca]
     for slot in (0, 1):
@@ -447,10 +447,10 @@ def test_leaf_consumed_by_a_broadcast_gets_a_writable_gradient(rng, consumer):
         g = Tape()
         x = g.leaf(x0)
         if consumer == "sum_to":
-            return g, x, g_re(g, g.sum_to(x, ()))
+            return g, x, g.re(g.sum_to(x, ()))
         w = g.const(w0)
         out = g.add(w, x) if consumer == "add" else g.expand(x, (2, 3))
-        return g, x, g_re(g, g_sum(g, g.mul(out, w)))
+        return g, x, g.re(g_sum(g, g.mul(out, w)))
 
     g, x, loss = record()
     got = backward_values(g, loss)[x]
@@ -523,7 +523,7 @@ def test_backward_values_consumes_the_tape_up_to_its_loss(case):
     def record():
         g, leaves, loss = _registry_tape(case)
         later = g.mul(loss, g.conj(loss))
-        return g, leaves, loss, g_re(g, g_sum(g, g.exp(g.smul(later, 0.1))))
+        return g, leaves, loss, g.re(g_sum(g, g.exp(g.smul(later, 0.1))))
 
     g, leaves, loss, tail = record()
     n = len(g)
@@ -551,7 +551,7 @@ def test_released_value_reads_raise_a_typed_error(rng, monkeypatch):
     g = Tape()
     x = g.leaf(rand_off_zero(rng, 3))
     s = g.sub(x, g.const(rand_complex(rng, 3)))
-    loss = g_re(g, g_sum(g, g.exp(s)))
+    loss = g.re(g_sum(g, g.exp(s)))
     g.release(keep=(loss,))
     for read in (g.raw, g.value):
         with pytest.raises(ReleasedValueError, match=rf"node {s} \(sub\)") as info:
@@ -565,7 +565,7 @@ def test_released_value_reads_raise_a_typed_error(rng, monkeypatch):
     x = g.leaf(rand_off_zero(rng, 3))
     e = g.exp(g.smul(x, 0.5))
     with pytest.raises(ReleasedValueError, match=rf"node {e} \(exp\)"):
-        backward_values(g, g_re(g, g_sum(g, e)))
+        backward_values(g, g.re(g_sum(g, e)))
 
 
 _RELEASED_OPERANDS = {"add": 2, "sub": 2, "mul": 2, "mulc": 2, "div": 2, "mdiv": 2, "matmul": 2, "attend": 3}
@@ -578,7 +578,7 @@ def test_recording_on_a_released_node_raises_a_typed_error(rng):
     g = Tape()
     x = g.leaf(rand_off_zero(rng, 2, 2, 2))
     r = g.neg(x)  # exp reads only its own value, so r is released
-    loss = g_re(g, g_sum(g, g.exp(r)))
+    loss = g.re(g_sum(g, g.exp(r)))
     g.release(keep=(loss,))
     assert g.val[r] is None
     for op, method in _RECORDABLE.items():
@@ -599,7 +599,7 @@ def test_recorded_sweep_over_a_consumed_tape_raises_a_typed_error(rng, sweep):
                         (lambda g, x: g.attend(g.neg(x), x, x, "abs"), "neg")):
         g = Tape()
         x = g.leaf(rand_off_zero(rng, 2, 2, 2))
-        loss = g_re(g, g_sum(g, build(g, x)))
+        loss = g.re(g_sum(g, build(g, x)))
         backward_values(g, loss)
         with pytest.raises(ReleasedValueError, match=rf"\({kind}\)"):
             sweep(g, loss)
@@ -616,7 +616,7 @@ def test_attend_equals_a_tape_of_the_primitive_chain_across_chunks(rng, monkeypa
         g = Tape()
         leaves = [g.leaf(x) for x in inputs]
         out = attend(g, *leaves, lift)
-        return g, leaves, out, g_re(g, g_sum(g, g.mul(out, g.const(w))))
+        return g, leaves, out, g.re(g_sum(g, g.mul(out, g.const(w))))
 
     (g, leaves, out, loss), (gc, chain_leaves, chain_out, chain_loss) = record(Tape.attend), record(g_attention)
     assert g.kind[out] == "attend" and "attend" not in gc.kind
@@ -739,7 +739,7 @@ def test_second_order_matches_fd_of_gradient_on_registry(case):
             if leaf in first:
                 term = g_sum(g, g.mulc(g.smul(first[leaf][1], 2.0), g.const(u[n])))
                 phi = term if phi is None else g.add(phi, term)
-        second = backward_values(g, g_re(g, phi))
+        second = backward_values(g, g.re(phi))
 
         def phi_at(name, arr):
             vals = dict(inputs)
@@ -754,6 +754,104 @@ def test_second_order_matches_fd_of_gradient_on_registry(case):
             got = 2.0 * second[leaf] if leaf in second else np.zeros(np.shape(inputs[n]))
             fd = fd_complex_gradient(lambda arr, n=n: phi_at(n, arr), inputs[n])
             assert rel_error(got, fd, REL_TOL, ABS_FLOOR) <= REL_TOL, (case.name, k, n)
+
+
+# ---------------------------------------------------------------------------
+# real nodes in real storage
+# ---------------------------------------------------------------------------
+
+_DESK_ARCH = ArchConfig(n_classes=5, frame_len=64, conv_channels=8, conv_stride=4,
+                        attn_dim=8, n_heads=2, fc_hidden=32)
+
+
+def _desk_case():
+    # the desk network of acceptance criteria 6/7 on 5 support frames
+    def make_inputs(rng):
+        return {n: t.numpy().copy() for n, t in init_params(_DESK_ARCH, rng).items()}
+
+    def build(g, lv, rng):
+        frames = [CTensor(rand_complex(rng, _DESK_ARCH.frame_len)) for _ in range(5)]
+        lp = build_network(g, g.const(frames_to_input(frames, _DESK_ARCH)), lv, _DESK_ARCH)
+        return build_cross_entropy(g, lp, range(5))
+
+    return GradCase("desk_network", make_inputs, build)
+
+
+def _real_by_construction(g):
+    """The nodes real in math: a cabs, re or im, and every op whose operands
+    are all such nodes or real consts (a smul only by a real scalar)."""
+    real = set()
+    for nid, (kind, ins) in enumerate(zip(g.kind, g.inputs)):
+        if kind in ("cabs", "re", "im") or (
+                ins and all(i in real or (g.kind[i] == "const" and g.val[i].dtype == np.float64) for i in ins)
+                and (kind != "smul" or g.aux[nid].imag == 0)):
+            real.add(nid)
+    return real
+
+
+def _spy_on_adjoints(monkeypatch):
+    """(node is real, dtype of its adjoint) of every node a sweep pulls back,
+    on any tape, a scratch tape of attend's pullback too."""
+    seen = []
+    for kind, pull in list(_PULLBACKS.items()):
+        def spy(g, nid, c, naive, pull=pull):
+            value = c if isinstance(g, camel.wirtinger._ArrayOps) else g.raw(c)
+            seen.append((g.real[nid], np.asarray(value).dtype))
+            return pull(g, nid, c, naive)
+        monkeypatch.setitem(_PULLBACKS, kind, spy)
+    return seen
+
+
+def _check_real_storage(case, monkeypatch):
+    """Real nodes hold float64 values and receive float64 adjoints from a
+    recorded and a graph-free sweep; leaf adjoints stay complex128.
+    Returns the kinds of the real nodes met."""
+    seen = _spy_on_adjoints(monkeypatch)
+    kinds = set()
+    for sweep in ("graph", "values"):
+        g, leaves, loss = _registry_tape(case)
+        if sweep == "graph":
+            cots = backward(g, loss)
+            grads = [cots.wrt_conj(leaf).numpy() for leaf in leaves.values()]
+        else:
+            grads = list(backward_values(g, loss).values())
+        assert all(x.dtype == np.complex128 for x in grads), case.name
+        for nid in _real_by_construction(g):
+            assert g.real[nid], (case.name, sweep, nid, g.kind[nid])
+            if g.val[nid] is not None:
+                assert g.val[nid].dtype == np.float64, (case.name, sweep, nid, g.kind[nid])
+            kinds.add(g.kind[nid])
+    assert seen and all(dtype == np.float64 for real, dtype in seen if real), \
+        f"{case.name}: a real node got a complex adjoint"
+    return kinds
+
+
+@pytest.mark.parametrize("case", [*default_cases(), _desk_case()], ids=lambda c: c.name)
+def test_real_nodes_hold_real_values_and_adjoints(case, monkeypatch):
+    kinds = _check_real_storage(case, monkeypatch)
+    if case.name == "desk_network":
+        # the lift, the softmax chain of attention and the log-softmax head
+        assert {"cabs", "sub", "exp", "sum_to", "div", "log", "mul", "smul"} <= kinds
+
+
+def test_real_storage_check_fails_when_a_real_node_gets_a_complex_adjoint(monkeypatch):
+    # a planted fault: the sweep hands real inputs what their pullbacks give
+    # them, so the attention weights get the complex adjoint c @ v^H
+    monkeypatch.setattr(camel.wirtinger, "_real_part", lambda ops, p: p)
+    with pytest.raises(AssertionError, match="a real node got a complex adjoint"):
+        _check_real_storage(_desk_case(), monkeypatch)
+
+
+def test_naive_sweep_keeps_complex_adjoints_at_real_nodes(monkeypatch):
+    # the single-term rule drops the antiholomorphic term, so the imaginary
+    # part of a real node's adjoint is not dead there, and nothing discards it
+    seen = _spy_on_adjoints(monkeypatch)
+    g = Tape()
+    x = g.leaf(np.asarray(0.5 + 0.5j))
+    loss = _toy_loss(g, x)
+    assert g.real[loss]
+    backward_graph(g, loss, seed=(1.0, None), naive=True)
+    assert seen and all(dtype == np.complex128 for _, dtype in seen)
 
 
 # ---------------------------------------------------------------------------
@@ -860,8 +958,8 @@ def _quadratic_loss(rng):
         th = leaves["t"]
         col = g.reshape(th, (3, 1))
         quad = g.matmul(g.matmul(col, g.const(a), "a"), col)
-        anom = g_re(g, g.matmul(g.matmul(g.permute(col, (1, 0)), g.const(b)), col))
-        return g_re(g, g.add(g_sum(g, quad), g_sum(g, anom)))
+        anom = g.re(g.matmul(g.matmul(g.permute(col, (1, 0)), g.const(b)), col))
+        return g.re(g.add(g_sum(g, quad), g_sum(g, anom)))
 
     return loss
 
