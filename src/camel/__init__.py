@@ -7,7 +7,7 @@ meta-learner, and synthetic modulated-signal data for desk-scale
 experiments.
 """
 
-from .ctensor import CTensor, cmatmul, cmul, conj, hermitian
+from .ctensor import CTensor
 from .layers import (
     ArchConfig,
     MhaParams,

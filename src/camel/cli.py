@@ -56,7 +56,7 @@ from .signals import (
     save_frames,
     scenario_split,
 )
-from .wirtinger import Tape, backward_graph, g_abs
+from .wirtinger import Tape, backward, g_abs
 
 _C = np.complex128
 
@@ -374,8 +374,8 @@ def load_checkpoint(path: str) -> Checkpoint:
             if rank > 3:  # no parameter of the network has more axes than a conv kernel
                 raise CheckpointError(f"checkpoint {path}: parameter {name} has rank {rank}")
             dims = struct.unpack(f"<{rank}I", read(4 * rank, "parameter dims"))
-            size = int(np.prod(dims, dtype=np.int64)) if rank else 1
-            inter = np.frombuffer(read(16 * size, f"parameter {name}"), dtype="<f8")
+            # math.prod does not wrap, so dims too large for the file fail in read
+            inter = np.frombuffer(read(16 * math.prod(dims), f"parameter {name}"), dtype="<f8")
             if not np.all(np.isfinite(inter)):
                 raise CheckpointError(f"parameter {name} holds non-finite values")
             arr = (inter[0::2] + 1j * inter[1::2]).reshape(dims)
@@ -409,7 +409,13 @@ def _streams(seed: int) -> dict[str, np.random.SeedSequence]:
 
 def build_pool(cfg: RunConfig, rng: np.random.Generator) -> FramePool:
     if cfg.data.frames:
-        return load_frames(cfg.data.frames)
+        pool = load_frames(cfg.data.frames)
+        n = cfg.arch.frame_len
+        for k, frame in enumerate(pool.frames):
+            if frame.samples.size != n:
+                raise ConfigError(f"frame file {cfg.data.frames}: frame {k} has {frame.samples.size} "
+                                  f"samples, expected frame_len = {n}")
+        return pool
     return generate_pool(cfg.data.schemes, cfg.data.snr_grid(), cfg.data.frames_per_cell,
                          cfg.arch.frame_len, cfg.data.sps, rng)
 
@@ -476,13 +482,11 @@ def toychain_run(steps: int, lr: float, x0: complex = 0.5 + 0.5j):
         jn = _toy_loss(gn, xln)
         jn_val = float(gn.raw(jn).real)
 
-        pairs = backward_graph(g, jc, seed=(0.5, 0.5))
-        pc = pairs.get(xl, (None, None))[1]
+        pc = backward(g, jc).get(xl)
         grad_c = 2.0 * complex(g.val[pc].reshape(-1)[0]) if pc is not None else 0.0
 
-        pairs_n = backward_graph(gn, jn, seed=(1.0, None), naive=True)
-        pv = pairs_n.get(xln, (None, None))[0]
-        grad_n = 2.0 * complex(np.conj(gn.val[pv].reshape(-1)[0])) if pv is not None else 0.0 + 0.0j
+        pn = backward(gn, jn, naive=True).get(xln)
+        grad_n = 2.0 * complex(gn.val[pn].reshape(-1)[0]) if pn is not None else 0.0 + 0.0j
 
         for rule, j, grad in (("two-term", jc_val, grad_c), ("single-term", jn_val, grad_n)):
             if not (math.isfinite(j) and math.isfinite(abs(grad))):

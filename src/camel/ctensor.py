@@ -1,4 +1,4 @@
-"""Dense complex tensor type with exact elementwise and matrix primitives.
+"""Dense complex tensor type.
 
 CTensor is the value type every other module trades in: a row-major,
 immutable array of complex128 scalars.  There is no broadcasting and no
@@ -98,50 +98,3 @@ class CTensor:
 
     def __repr__(self) -> str:
         return f"CTensor(shape={self.shape}, data={np.array2string(self._a, precision=6)})"
-
-
-def _check_same_shape(op: str, a: CTensor, b: CTensor) -> None:
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"{op}: operand shapes differ, {a.shape} vs {b.shape}")
-
-
-def cmul(a: CTensor, b: CTensor) -> CTensor:
-    """Elementwise complex product: (Re a Re b - Im a Im b) + j(Re a Im b + Im a Re b).
-
-    Evaluated with the explicit real formula so results agree bit-for-bit
-    with per-scalar evaluation (vectorized complex multiplication may
-    contract the products differently)."""
-    _check_same_shape("cmul", a, b)
-    ar, ai = a._a.real, a._a.imag
-    br, bi = b._a.real, b._a.imag
-    return CTensor._wrap((ar * br - ai * bi) + 1j * (ar * bi + ai * br))
-
-
-def cmatmul(a: CTensor, b: CTensor) -> CTensor:
-    """Matrix product over the complex field for rank-2 operands."""
-    if a.rank != 2 or b.rank != 2:
-        raise ShapeMismatchError(f"cmatmul needs rank-2 operands, got ranks {a.rank} and {b.rank}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatchError(f"cmatmul: inner dimensions disagree, {a.shape} x {b.shape}")
-    return CTensor._wrap(a._a @ b._a)
-
-
-def conj(a: CTensor) -> CTensor:
-    """Elementwise complex conjugate."""
-    return CTensor._wrap(np.conj(a._a))
-
-
-def hermitian(a: CTensor) -> CTensor:
-    """Conjugate transpose of a rank-2 tensor."""
-    if a.rank != 2:
-        raise ShapeMismatchError(f"hermitian needs a rank-2 tensor, got rank {a.rank}")
-    return CTensor._wrap(np.ascontiguousarray(np.conj(a._a.T)))
-
-
-def eye(n: int) -> CTensor:
-    return CTensor._wrap(np.eye(n, dtype=np.complex128))
-
-
-def max_abs_diff(a: CTensor, b: CTensor) -> float:
-    _check_same_shape("max_abs_diff", a, b)
-    return float(np.max(np.abs(a._a - b._a), initial=0.0))

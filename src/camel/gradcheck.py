@@ -34,11 +34,10 @@ from .layers import (
     build_mha,
     build_network,
     build_norm,
-    build_softmax_last,
     frames_to_input,
     init_params,
 )
-from .wirtinger import Tape, backward, evaluator, g_sum
+from .wirtinger import Tape, backward, complex_gradient, evaluator, g_softmax_last, g_sum
 
 _C = np.complex128
 
@@ -301,7 +300,7 @@ def run_case(case: GradCase, instances: int = 20, seed: int = 0) -> CaseResult:
         cots = backward(g, loss_id)
 
         for n, leaf in leaves.items():
-            got = 2.0 * cots.wrt_conj(leaf).numpy()
+            got = complex_gradient(g, loss_id, leaf, cots).numpy()
 
             def f(arr, n=n):
                 vals = dict(inputs)
@@ -336,7 +335,7 @@ def _softmax_case(lift: str) -> GradCase:
     return GradCase(
         f"c_softmax[{lift}]",
         lambda rng: {"x": _rand_off_zero(rng, 2, 4)},
-        lambda g, lv, rng: _head(g, build_softmax_last(g, lv["x"], lift), rng),
+        lambda g, lv, rng: _head(g, g_softmax_last(g, lv["x"], lift), rng),
     )
 
 

@@ -3,9 +3,11 @@ multi-head attention, normalization, activations, and the full recognition
 network (embedding -> conv block -> attention block -> FC block -> head).
 
 Each layer exists twice: a ``build_*`` function that records the layer onto
-a tape (used by training), and a small eager wrapper with the public
-CTensor signature (used by callers and by the numerical checkers), which
-runs the same builder on a ``wirtinger.evaluator`` and so records nothing.
+a tape (used by training and by the ``gradcheck`` registry), and a small
+eager wrapper with the public CTensor signature, which runs the same
+builder on a ``wirtinger.evaluator`` and so records nothing.  The wrappers
+serve callers of the package; criterion 3's Cauchy-Riemann checks
+(``gradcheck.cr_check``) call ``cconv1d``, ``cfc`` and ``c_act``.
 
 Inside the network, features are time-major from the input block to the
 FC block: every convolution reads (N, T, C) and reads its patch rows with
@@ -118,9 +120,6 @@ class MhaParams:
 # ---------------------------------------------------------------------------
 # graph builders
 # ---------------------------------------------------------------------------
-
-build_softmax_last = g_softmax_last
-
 
 def build_log_softmax_last(g: Tape, x: int, lift: str) -> int:
     z = g_minus_row_max(g, g_lift(g, x, lift))
@@ -413,7 +412,7 @@ def c_softmax(x: CTensor, lift: str = "abs") -> CTensor:
     if x.rank not in (1, 2):
         raise ShapeMismatchError(f"c_softmax: need rank-1 or rank-2 input, got rank {x.rank}")
     g = evaluator()
-    return g.value(build_softmax_last(g, g.const(x), lift))
+    return g.value(g_softmax_last(g, g.const(x), lift))
 
 
 def c_attention(q: CTensor, k: CTensor, v: CTensor, lift: str = "abs",

@@ -28,7 +28,7 @@ import numpy as np
 
 from .ctensor import CTensor, ShapeMismatchError
 from .layers import ArchConfig, build_cross_entropy, build_network, frames_to_input, init_params
-from .wirtinger import Tape, backward_graph, backward_values, evaluator, g_abs2, g_sum
+from .wirtinger import Tape, backward, backward_values, evaluator, g_abs2, g_sum
 
 _C = np.complex128
 
@@ -363,15 +363,9 @@ def _unrolled_task_gradient(theta: ParamSet, task: MetaTask, inner_lr: float, st
         loss_id = task.support_loss(g, cur)
         if not math.isfinite(float(g.raw(loss_id).real)):
             raise FloatingPointError("support loss is not finite")
-        pairs = backward_graph(g, loss_id, seed=(0.5, 0.5), stop=set(cur.values()))
-        nxt = {}
-        for name, nid in cur.items():
-            pair = pairs.get(nid, (None, None))
-            if pair[1] is None:
-                nxt[name] = nid
-            else:
-                nxt[name] = g.sub(nid, g.smul(pair[1], 2.0 * inner_lr))
-        cur = nxt
+        cots = backward(g, loss_id, stop=set(cur.values()))
+        cur = {name: nid if nid not in cots else g.sub(nid, g.smul(cots[nid], 2.0 * inner_lr))
+               for name, nid in cur.items()}
         g.release(keep=cur.values())
     q_id, acc = _query_loss(task, g, cur)
     q_loss = float(g.raw(q_id).real)

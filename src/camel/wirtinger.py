@@ -25,10 +25,10 @@ where a real node meets a complex one (the softmax weights times V, say),
 in recorded and graph-free sweeps alike.  The naive rule is the exception:
 without the antiholomorphic term the imaginary part does reach the leaves,
 so a naive sweep keeps complex adjoints, as ``camel toychain`` shows.
-Leaves, and every value handed out (``Tape.value``, :class:`Cotangents`,
-:func:`complex_gradient` and the leaf adjoints of :func:`backward_values`),
-are complex128.  The softmax chain and the log-softmax head run in float64,
-where numpy's exp is an order of magnitude cheaper than on complex128.
+Leaves, and every value handed out (``Tape.value``, :func:`complex_gradient`
+and the leaf adjoints of :func:`backward_values`), are complex128.  The
+softmax chain and the log-softmax head run in float64, where numpy's exp is
+an order of magnitude cheaper than on complex128.
 
 The op set is chosen so that adjoints need no conjugation or transposition
 nodes of their own.  ``mulc(a, b) = a * conj(b)`` and the ``adj`` flag of
@@ -56,18 +56,21 @@ next and a later sweep differentiates it again; a graph-free sweep
 records each chunk on a scratch tape and sweeps that graph-free.
 
 A real scalar loss reads as (L + L*)/2, so its sweep starts from the real
-seed 1/2: :func:`backward` and :func:`backward_values` return one adjoint
-per node, dL/dz*, and :class:`Cotangents` reads dL/dz as its conjugate.
-:func:`backward_graph` takes a (value, conj) seed pair and returns
-(dL/dz, dL/dz*) pairs; a seed that is not real runs as two real-seeded
-sweeps (see :func:`_paired`).
+seed 1/2.  :func:`backward` returns one adjoint per node, dL/dz*, as a map
+node id -> the node that holds it; :func:`complex_gradient` reads that map.
+The naive rule has no mirror channel, so its sweep seeds 1.  Nodes in
+``stop`` are free variables: they collect adjoints and are not swept
+through, as an inner step of the meta-gradient needs.
+:func:`backward_graph` keeps the older (value, conj) pair API for
+``perfbench``'s traced run only; a seed pair that is not real runs as two
+real-seeded sweeps.
 
-Both kinds of sweep run the same pullbacks.  :func:`backward_graph`
-records its own arithmetic on the same tape, which is what makes exact
-second derivatives possible: a second sweep over the extended tape
-differentiates the first gradient.  :func:`backward_values` records
-nothing and keeps only the adjoints of leaves, for the last sweep of a
-gradient, which nothing differentiates again.
+Both kinds of sweep run the same pullbacks.  :func:`backward` records its
+own arithmetic on the same tape, which is what makes exact second
+derivatives possible: a second sweep over the extended tape differentiates
+the first gradient.  :func:`backward_values` records nothing and keeps
+only the adjoints of leaves, for the last sweep of a gradient, which
+nothing differentiates again.
 
 A tape keeps each node's shape, and each op's pullback reads the values
 ``_READS`` names and only shapes and ``aux`` otherwise.  So
@@ -78,9 +81,9 @@ node back.  Leaves, consts and the loss keep theirs.  Reading a released
 value, directly or as the operand of a new op, raises
 :class:`ReleasedValueError`.
 
-Recording sweeps: :func:`backward` (and so :class:`Cotangents`), the first
-sweep of :func:`hvp`, and each inner-step sweep of the unrolled
-meta-gradient in ``meta``.  Graph-free sweeps: the second sweep of
+Recording sweeps: :func:`backward`, and so the first sweep of :func:`hvp`,
+each inner-step sweep of the unrolled meta-gradient in ``meta`` and both
+rules of ``camel toychain``.  Graph-free sweeps: the second sweep of
 :func:`hvp`, and in ``meta`` every support and query gradient and the
 final sweep of each exact meta-gradient.
 
@@ -97,7 +100,7 @@ The numerical oracles that check this engine live in ``gradcheck``.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Container, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -851,52 +854,6 @@ _RECORDABLE: dict[str, Callable] = {k: getattr(Tape, k) for k in _PULLBACKS}
 # backward sweeps
 # ---------------------------------------------------------------------------
 
-class Cotangents:
-    """Result of :func:`backward`: the adjoint dL/dz* of each node.
-
-    Nodes that do not influence the loss have zero cotangents; they are
-    materialized lazily.
-    """
-
-    def __init__(self, tape: Tape, adjoints: dict[int, int]):
-        self._tape = tape
-        self._adj = adjoints
-
-    def wrt_conj(self, nid: int) -> CTensor:
-        cid = self._adj.get(nid)
-        if cid is None:
-            return CTensor.zeros(self._tape.shape[nid])
-        return CTensor._wrap(_complex(self._tape.raw(cid)))
-
-    def wrt_value(self, nid: int) -> CTensor:
-        """dL/dz, the conjugate of dL/dz* for a real loss."""
-        return CTensor._wrap(np.conj(self.wrt_conj(nid).numpy()))
-
-
-def backward_graph(
-    g: Tape,
-    out_id: int,
-    seed: tuple[complex | None, complex | None] = (1.0, None),
-    naive: bool = False,
-    stop: frozenset[int] | set[int] | None = None,
-) -> dict[int, Sequence[int | None]]:
-    """Sweep the tape in reverse from ``out_id``, recording the adjoint
-    arithmetic on the same tape.
-
-    ``seed`` gives the (value, conjugate) adjoints of the output node; None
-    means a structural zero.  With ``naive=True`` the conjugate seed and
-    every antiholomorphic term are dropped (the classical, holomorphic-only
-    rule), and so is the conj channel.  Nodes in ``stop`` are treated as
-    free variables: they accumulate adjoints but are not differentiated
-    through.
-
-    Returns a map node id -> (value-channel node id, conj-channel node id).
-    Node ids are processed in descending order, so every adjoint is fully
-    accumulated before it is propagated.
-    """
-    return _paired(g, out_id, seed, naive, stop)
-
-
 def backward_values(g: Tape, loss_id: int) -> dict[int, np.ndarray]:
     """The sweep of :func:`backward`, run on arrays: it records nothing,
     so the tape keeps its length and its result cannot be differentiated
@@ -972,68 +929,6 @@ def evaluator() -> Tape:
     return _ArrayOps(Tape())
 
 
-class _Pair:
-    """(dL/dz, dL/dz*) of one node from its adjoints c1 and c2 in the
-    sweeps of :func:`_paired` (c2 None after a real seed): c1 + i c2 and
-    conj(c1) + i conj(c2), each recorded on first read.  A naive pair has
-    no conj channel.  A pair holds the tape, never the map it sits in, so
-    a swept tape and its result are freed by reference counting alone."""
-
-    __slots__ = ("_g", "_c1", "_c2", "_naive", "_built")
-
-    def __init__(self, g: Tape, c1, c2, naive: bool = False):
-        self._g, self._c1, self._c2, self._naive = g, c1, c2, naive
-        self._built = [None, c1 if c2 is None else None]
-
-    def __getitem__(self, slot: int):
-        if slot not in (0, 1):
-            raise IndexError(slot)
-        if slot == 1 and self._naive:
-            return None
-        got = self._built[slot]
-        if got is None:
-            g = self._g
-            lift = g.conj if slot == 0 else (lambda c: c)
-            terms = [] if self._c1 is None else [lift(self._c1)]
-            if self._c2 is not None:
-                terms.append(g.smul(lift(self._c2), 1j))
-            got = terms[0] if len(terms) == 1 else g.add(*terms)
-            self._built[slot] = got
-        return got
-
-
-def _paired(g: Tape, out_id: int, seed, naive: bool, stop) -> dict:
-    """Run the recorded sweeps a (value, conj) seed needs and pair their
-    adjoints.
-
-    A sweep propagates one adjoint, c = dL/du*, which stands for the pair
-    (conj(c), c): the two channels of a real loss are conjugate mirrors.
-    A seed (sv, sc) with sv == conj(sc) is real and runs one sweep, seeded
-    with sc.  Any other seed is the sum of two real ones, because the
-    two-channel chain rule is linear over C in the seed pair:
-
-        a1 = (sc + conj(sv)) / 2,   a2 = (sc - conj(sv)) / 2i,
-        conj channel  = P(a1) + i P(a2),
-        value channel = conj(P(a1)) + i conj(P(a2)),
-
-    with P(a) the sweep seeded with a.  On a real output only Re a
-    reaches a leaf, so a2 is dropped when its real part is 0.  The naive
-    rule has no antiholomorphic term, so with sc dropped the two sweeps
-    reduce to one seeded with conj(sv), whose conjugate is the value
-    channel.
-    """
-    sv, sc = (0j if s is None else complex(s) for s in seed)
-    if naive:
-        cot = _sweep(g, g, out_id, sv.conjugate(), True, stop) if sv else {}
-        return {nid: _Pair(g, c, None, naive=True) for nid, c in cot.items()}
-    a1, a2 = (sc + sv.conjugate()) / 2, (sc - sv.conjugate()) / 2j
-    if g.real[out_id]:
-        a1, a2 = a1.real, a2.real
-    p1 = _sweep(g, g, out_id, a1, False, stop) if a1 else {}
-    p2 = _sweep(g, g, out_id, a2, False, stop) if a2 else {}
-    return {nid: _Pair(g, p1.get(nid), p2.get(nid)) for nid in dict.fromkeys([*p1, *p2])}
-
-
 def _real_part(ops: Tape, p):
     """What a real input keeps of an adjoint ``p`` that a pullback hands it:
     Re p, which is all of it that reaches a leaf under the two-term rule."""
@@ -1101,24 +996,91 @@ def _check_real_scalar(g: Tape, loss_id: int) -> None:
         raise NonRealLossError(f"loss has imaginary part {im:.3e} above tolerance {REAL_LOSS_TOL}")
 
 
-def backward(g: Tape, loss_id: int) -> Cotangents:
+def backward(g: Tape, loss_id: int, naive: bool = False, stop: Container[int] | None = None) -> dict[int, int]:
     """Reverse sweep from a real-valued scalar loss, recorded on the tape.
+    Returns node id -> the node that holds dL/dz*; a node the loss does not
+    reach is absent.
 
     The loss node is seeded with 1/2: a real scalar reads as (L + L*)/2,
     which splits the unit adjoint evenly across the two conjugate-mirror
-    channels, so one sweep propagates dL/dz*.
+    channels, so one sweep propagates dL/dz*.  With ``naive=True`` every
+    antiholomorphic term is dropped (the classical, holomorphic-only rule),
+    which has no mirror channel, so the seed is 1.  Nodes in ``stop`` are
+    treated as free variables: they accumulate adjoints but are not
+    differentiated through.  Node ids are processed in descending order,
+    so every adjoint is fully accumulated before it is propagated.
     """
     _check_real_scalar(g, loss_id)
-    return Cotangents(g, _sweep(g, g, loss_id, 0.5, False, None))
+    return _sweep(g, g, loss_id, 1.0 if naive else 0.5, naive, stop)
 
 
-def complex_gradient(g: Tape, loss_id: int, param_id: int, cots: Cotangents | None = None) -> CTensor:
-    """Steepest-ascent direction 2 * dL/dz* of a real loss at a node."""
+def complex_gradient(g: Tape, loss_id: int, param_id: int, cots: Mapping[int, int] | None = None) -> CTensor:
+    """Steepest-ascent direction 2 * dL/dz* of a real loss at a node, read
+    from the map of :func:`backward` (swept here if not given)."""
     if not 0 <= param_id < len(g):
         raise UnknownOpError(f"param node {param_id} is not on the tape")
     if cots is None:
         cots = backward(g, loss_id)
-    return CTensor._wrap(2.0 * cots.wrt_conj(param_id).numpy())
+    cid = cots.get(param_id)
+    if cid is None:
+        return CTensor.zeros(g.shape[param_id])
+    return CTensor._wrap(2.0 * _complex(g.raw(cid)))
+
+
+def backward_graph(g: Tape, out_id: int, seed: tuple[complex | None, complex | None]) -> dict[int, "_Pair"]:
+    """Recorded sweeps from a (value, conj) seed pair at ``out_id``; None
+    in the seed is a structural zero.  Returns node id -> the pair
+    (dL/dz, dL/dz*) as recorded node ids.  Only ``perfbench`` still reads
+    pairs; camel itself calls :func:`backward`.
+
+    A sweep propagates one adjoint, c = dL/du*, which stands for the pair
+    (conj(c), c): the two channels of a real loss are conjugate mirrors.
+    A seed (sv, sc) with sv == conj(sc) is real and runs one sweep, seeded
+    with sc.  Any other seed is the sum of two real ones, because the
+    two-channel chain rule is linear over C in the seed pair:
+
+        a1 = (sc + conj(sv)) / 2,   a2 = (sc - conj(sv)) / 2i,
+        conj channel  = P(a1) + i P(a2),
+        value channel = conj(P(a1)) + i conj(P(a2)),
+
+    with P(a) the sweep seeded with a.  On a real output only Re a
+    reaches a leaf, so a2 is dropped when its real part is 0.
+    """
+    sv, sc = (0j if s is None else complex(s) for s in seed)
+    a1, a2 = (sc + sv.conjugate()) / 2, (sc - sv.conjugate()) / 2j
+    if g.real[out_id]:
+        a1, a2 = a1.real, a2.real
+    p1 = _sweep(g, g, out_id, a1, False, None) if a1 else {}
+    p2 = _sweep(g, g, out_id, a2, False, None) if a2 else {}
+    return {nid: _Pair(g, p1.get(nid), p2.get(nid)) for nid in dict.fromkeys([*p1, *p2])}
+
+
+class _Pair:
+    """(dL/dz, dL/dz*) of one node from its adjoints c1 and c2 in the
+    sweeps of :func:`backward_graph` (c2 None after a real seed): c1 + i c2
+    and conj(c1) + i conj(c2), each recorded on first read.  A pair holds
+    the tape, never the map it sits in, so a swept tape and its result are
+    freed by reference counting alone."""
+
+    __slots__ = ("_g", "_c1", "_c2", "_built")
+
+    def __init__(self, g: Tape, c1, c2):
+        self._g, self._c1, self._c2 = g, c1, c2
+        self._built = [None, c1 if c2 is None else None]
+
+    def __getitem__(self, slot: int):
+        if slot not in (0, 1):
+            raise IndexError(slot)
+        got = self._built[slot]
+        if got is None:
+            g = self._g
+            lift = g.conj if slot == 0 else (lambda c: c)
+            terms = [] if self._c1 is None else [lift(self._c1)]
+            if self._c2 is not None:
+                terms.append(g.smul(lift(self._c2), 1j))
+            got = terms[0] if len(terms) == 1 else g.add(*terms)
+            self._built[slot] = got
+        return got
 
 
 # ---------------------------------------------------------------------------
@@ -1142,8 +1104,7 @@ def hvp(
     g = Tape()
     leaves = {name: g.leaf(t) for name, t in theta.items()}
     loss_id = loss_builder(g, leaves)
-    _check_real_scalar(g, loss_id)
-    first = _sweep(g, g, loss_id, 0.5, False, None)
+    first = backward(g, loss_id)
     s = None
     for name, leaf in leaves.items():
         if leaf in first:

@@ -22,12 +22,12 @@ def assert_close(got, want, rel=1e-5, floor=1e-8, label=""):
                              f"got  {got}\nwant {want}")
 
 
-def assert_same_adjoints(g, values, graph, nids):
-    """The dL/dz* arrays of a graph-free sweep equal the conj-channel nodes
-    recorded by backward_graph, to 1e-12 relative."""
+def assert_same_adjoints(g, values, cots, nids):
+    """The dL/dz* arrays of a graph-free sweep equal the nodes that
+    backward records for them, to 1e-12 relative."""
     for nid in nids:
         got = values.get(nid)
-        cid = graph.get(nid, (None, None))[1]
+        cid = cots.get(nid)
         assert (got is None) == (cid is None), f"node {nid}"
         if cid is not None:
             want = g.val[cid]

@@ -29,6 +29,7 @@ import camel
 from camel import layers
 from camel.layers import ArchConfig, init_params
 from camel.meta import HistoryRow, ParamSet
+from camel.signals import generate_pool, save_frames
 from camel.wirtinger import g_sum
 
 from conftest import rand_complex
@@ -297,6 +298,22 @@ def test_checkpoint_parameter_rank_beyond_a_kernel_is_a_checkpoint_error(tmp_pat
     p.write_bytes(raw.replace(old, struct.pack("<H", 7) + b"embed.A" + struct.pack("<I", 257)))
     with pytest.raises(CheckpointError, match="parameter embed.A has rank 257"):
         load_checkpoint(str(p))
+
+
+def test_checkpoint_parameter_dims_past_int64_are_a_checkpoint_error(tmp_path, rng, capsys):
+    # 2^31 * 2^31 * 4 elements wrap to 0 in int64; counted exactly, they
+    # are more than the file holds
+    p = tmp_path / "dims.caml"
+    save_checkpoint(str(p), _checkpoint(rng))
+    raw = p.read_bytes()
+    head = struct.pack("<H", 7) + b"embed.A" + struct.pack("<I", 3)
+    at = raw.index(head) + len(head)
+    p.write_bytes(raw[:at] + struct.pack("<3I", 2**31, 2**31, 4) + raw[at + 12:])
+    with pytest.raises(CheckpointError, match="ended while reading parameter embed.A"):
+        load_checkpoint(str(p))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(p), "--episodes", "1"]) == 3
+    assert "parameter embed.A" in capsys.readouterr().err
 
 
 def test_checkpoint_rng_state_must_be_a_json_object(tmp_path, rng):
@@ -674,6 +691,21 @@ def test_cmd_train_bad_frames_file_exits_3(tmp_path, tiny_cfg_path):
     code = main(["train", "--config", tiny_cfg_path, "--set", f"frames={bad}",
                  "--out", str(tmp_path / "r")])
     assert code == 3
+
+
+def test_cmd_train_frames_of_the_wrong_length_name_the_file_exits_3(tmp_path, tiny_cfg_path, capsys):
+    # the first bad frame is frame 3 of the file, whichever frame an
+    # episode would have drawn first
+    pool = generate_pool(["BPSK", "QPSK"], [10.0], 3, 128, 4, np.random.default_rng(0))
+    short = generate_pool(["BPSK"], [10.0], 1, 64, 4, np.random.default_rng(1)).frames[0]
+    pool.frames[3] = short
+    p = tmp_path / "p.csig"
+    save_frames(str(p), pool)
+    capsys.readouterr()
+    code = main(["train", "--config", tiny_cfg_path, "--set", f"frames={p}", "--set", "frame_len=128",
+                 "--out", str(tmp_path / "r")])
+    assert code == 3
+    assert f"error: frame file {p}: frame 3 has 64 samples, expected frame_len = 128" in capsys.readouterr().err
 
 
 def test_cmd_train_divergence_exits_2(tmp_path, tiny_cfg_path):

@@ -1,98 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from camel.ctensor import (
-    CTensor,
-    NonFiniteError,
-    ShapeMismatchError,
-    cmatmul,
-    cmul,
-    conj,
-    eye,
-    hermitian,
-    max_abs_diff,
-)
-
-from conftest import rand_complex
-
-
-def test_cmul_conjugate_pair():
-    a = CTensor.scalar(1 + 1j)
-    b = CTensor.scalar(1 - 1j)
-    assert cmul(a, b).item() == 2 + 0j
-
-
-def test_cmul_j_squared():
-    j = CTensor.scalar(1j)
-    assert cmul(j, j).item() == -1 + 0j
-
-
-def test_cmul_matches_scalar_formula_exactly(rng):
-    # (a+bj)(c+dj) = (ac - bd) + (ad + bc)j, bit for bit
-    for _ in range(100):
-        x = rand_complex(rng, 4)
-        y = rand_complex(rng, 4)
-        got = cmul(CTensor(x), CTensor(y)).numpy()
-        want = (x.real * y.real - x.imag * y.imag) + 1j * (x.real * y.imag + x.imag * y.real)
-        assert np.array_equal(got, want)
-
-
-def test_cmul_shape_mismatch_names_both_shapes():
-    with pytest.raises(ShapeMismatchError, match=r"\(2,\).*\(3,\)"):
-        cmul(CTensor(np.zeros(2)), CTensor(np.zeros(3)))
-
-
-def test_cmatmul_identity_exact(rng):
-    b = CTensor(rand_complex(rng, 2, 3))
-    assert np.array_equal(cmatmul(eye(2), b).numpy(), b.numpy())
-    a = CTensor(rand_complex(rng, 3, 2))
-    assert np.array_equal(cmatmul(a, eye(2)).numpy(), a.numpy())
-
-
-def test_cmatmul_1x1_equals_cmul(rng):
-    a = rand_complex(rng, 1, 1)
-    b = rand_complex(rng, 1, 1)
-    got = cmatmul(CTensor(a), CTensor(b)).numpy()
-    want = cmul(CTensor(a), CTensor(b)).numpy()
-    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-
-
-def test_cmatmul_matches_triple_loop(rng):
-    a = rand_complex(rng, 3, 3)
-    b = rand_complex(rng, 3, 3)
-    want = np.zeros((3, 3), dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                want[i, j] += a[i, k] * b[k, j]
-    got = cmatmul(CTensor(a), CTensor(b)).numpy()
-    assert np.max(np.abs(got - want)) <= 1e-12
-
-
-def test_cmatmul_dimension_errors():
-    with pytest.raises(ShapeMismatchError):
-        cmatmul(CTensor(np.zeros((2, 3))), CTensor(np.zeros((2, 3))))
-    with pytest.raises(ShapeMismatchError):
-        cmatmul(CTensor(np.zeros(3)), CTensor(np.zeros((3, 2))))
-
-
-def test_conj_basics():
-    assert conj(CTensor.scalar(1 + 2j)).item() == 1 - 2j
-
-
-def test_hermitian_elementwise(rng):
-    a = rand_complex(rng, 2, 2)
-    h = hermitian(CTensor(a)).numpy()
-    for i in range(2):
-        for j in range(2):
-            assert h[i, j] == np.conj(a[j, i])
-
-
-def test_hermitian_rank_error():
-    with pytest.raises(ShapeMismatchError):
-        hermitian(CTensor(np.zeros(3)))
+from camel.ctensor import CTensor, NonFiniteError
 
 
 def test_rank0_and_shape_invariant():
@@ -107,30 +16,3 @@ def test_nonfinite_rejected():
         CTensor(np.array([1.0, np.nan]))
     with pytest.raises(NonFiniteError):
         CTensor(np.array([np.inf + 0j]))
-
-
-unit_complex = st.complex_numbers(min_magnitude=0, max_magnitude=1.0,
-                                  allow_nan=False, allow_infinity=False)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(unit_complex, min_size=1, max_size=6),
-       st.lists(unit_complex, min_size=1, max_size=6),
-       st.lists(unit_complex, min_size=1, max_size=6))
-def test_cmul_commutative_associative(xs, ys, zs):
-    n = min(len(xs), len(ys), len(zs))
-    a, b, c = (CTensor(np.array(v[:n])) for v in (xs, ys, zs))
-    assert max_abs_diff(cmul(a, b), cmul(b, a)) <= 1e-12
-    assert max_abs_diff(cmul(cmul(a, b), c), cmul(a, cmul(b, c))) <= 1e-12
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(unit_complex, min_size=1, max_size=8))
-def test_conj_involution(xs):
-    t = CTensor(np.array(xs))
-    assert np.array_equal(conj(conj(t)).numpy(), t.numpy())
-
-
-def test_hermitian_involution(rng):
-    a = CTensor(rand_complex(rng, 3, 2))
-    assert np.array_equal(hermitian(hermitian(a)).numpy(), a.numpy())

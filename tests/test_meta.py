@@ -162,11 +162,13 @@ def test_first_order_differs_by_curvature_factor():
 
 
 def test_first_order_never_calls_backward_graph(monkeypatch):
+    # neither recorded sweep: the pair API nor the one-adjoint backward
     def recording_sweep(*args, **kwargs):
         raise AssertionError("first-order meta-gradient recorded a backward sweep")
 
     monkeypatch.setattr(camel.wirtinger, "backward_graph", recording_sweep)
-    monkeypatch.setattr(camel.meta, "backward_graph", recording_sweep)
+    monkeypatch.setattr(camel.wirtinger, "backward", recording_sweep)
+    monkeypatch.setattr(camel.meta, "backward", recording_sweep)
     first_order_meta_gradient(theta_scalar(), quad_tasks(), ALPHA, 3)
 
 
@@ -219,8 +221,7 @@ def test_backward_values_match_backward_graph_on_network(rng):
     n = len(g)
     values = backward_values(g, loss)
     assert len(g) == n
-    graph = backward_graph(gg, gloss, seed=(0.5, 0.5))
-    assert_same_adjoints(gg, values, graph, leaves.values())
+    assert_same_adjoints(gg, values, backward(gg, gloss), leaves.values())
 
 
 DESK_ARCH = ArchConfig(n_classes=5, frame_len=64, conv_channels=8, conv_stride=4,
@@ -247,27 +248,38 @@ def _desk_tasks(rng, n=2):
                    for _ in range(n)]
 
 
-def test_single_channel_sweeps_at_desk_scale(rng):
+def test_single_channel_sweeps_at_desk_scale(rng, monkeypatch):
     # one adjoint per node, conjugate-aware products, broadcasting ops and
     # one attend node: a desk support forward takes 92 nodes and its
     # recorded backward 143, 8 of which rematerialise the attention chain
     # (146 with real nodes in complex storage, 99 and 138 with the chain on
     # the forward tape, 143 and 262 with conj/transpose nodes and index-map
-    # gathers); test_released_tape_peak_at_desk_scale bounds the traced
-    # peak tighter
+    # gathers).  The counts are pinned exactly, so a sweep that records one
+    # node more fails here without any timing.  One task's unrolled tape
+    # holds 345 nodes at its final sweep after 1 inner step, 1357 after 5.
+    # test_released_tape_peak_at_desk_scale bounds the traced peak tighter
     theta, (task,) = _desk_tasks(rng, 1)
     g = Tape()
     loss = task.support_loss(g, {k: g.leaf(v) for k, v in theta.items()})
     n = len(g)
-    assert n <= 92
-    backward_graph(g, loss, seed=(0.5, 0.5))
-    assert len(g) - n <= 146
+    assert n == 92
+    backward(g, loss)
+    assert len(g) - n == 143
+    lengths = []
+
+    def final_sweep(g, loss_id):
+        lengths.append(len(g))
+        return backward_values(g, loss_id)
+
+    monkeypatch.setattr(camel.meta, "backward_values", final_sweep)
+    meta_gradient(theta, [task], ALPHA, 1)
     tracemalloc.start()
     try:
         meta_gradient(theta, [task], ALPHA, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert lengths == [345, 1357]
     assert peak < 14.1 * 2**20
 
 
@@ -280,9 +292,9 @@ def _reference_meta_gradient(theta, tasks, inner_lr, steps):
         leaves = {k: g.leaf(v) for k, v in theta.items()}
         cur = dict(leaves)
         for _ in range(steps):
-            pairs = backward_graph(g, task.support_loss(g, cur), seed=(0.5, 0.5), stop=set(cur.values()))
-            cur = {k: nid if pairs.get(nid, (None, None))[1] is None
-                   else g.sub(nid, g.smul(pairs[nid][1], 2.0 * inner_lr)) for k, nid in cur.items()}
+            cots = backward(g, task.support_loss(g, cur), stop=set(cur.values()))
+            cur = {k: nid if nid not in cots else g.sub(nid, g.smul(cots[nid], 2.0 * inner_lr))
+                   for k, nid in cur.items()}
         q_loss = task.query_loss(g, cur)
         cots = backward(g, q_loss)
         grad = {k: complex_gradient(g, q_loss, nid, cots).numpy() for k, nid in leaves.items()}

@@ -196,17 +196,17 @@ def test_matmul_rejects_an_unknown_adj_flag():
 def test_backward_real_part():
     g = Tape()
     z = g.leaf(np.asarray(3 + 4j, dtype=complex))
-    cots = backward(g, g.re(z))
-    assert cots.wrt_value(z).item() == 0.5
-    assert cots.wrt_conj(z).item() == 0.5
+    dzc = complex(g.val[backward(g, g.re(z))[z]])
+    assert dzc.conjugate() == 0.5
+    assert dzc == 0.5
 
 
 def test_backward_modulus_squared():
     g = Tape()
     z = g.leaf(np.asarray(1 + 1j, dtype=complex))
-    cots = backward(g, g.mul(z, g.conj(z)))
-    assert cots.wrt_conj(z).item() == 1 + 1j
-    assert cots.wrt_value(z).item() == 1 - 1j
+    dzc = complex(g.val[backward(g, g.mul(z, g.conj(z)))[z]])
+    assert dzc == 1 + 1j
+    assert dzc.conjugate() == 1 - 1j
 
 
 def _toy_loss(g, x):
@@ -219,15 +219,15 @@ def test_backward_toy_matches_finite_differences():
     x0 = np.asarray(0.3 + 0.2j, dtype=complex)
     g = Tape()
     x = g.leaf(x0)
-    cots = backward(g, _toy_loss(g, x))
+    dzc = g.val[backward(g, _toy_loss(g, x))[x]]
 
     def f(arr):
         gg = Tape()
         return float(gg.raw(_toy_loss(gg, gg.leaf(arr))).real)
 
-    dz, dzc = fd_wirtinger_pair(f, x0)
-    assert_close(cots.wrt_value(x).numpy(), dz, rel=1e-5, label="value channel")
-    assert_close(cots.wrt_conj(x).numpy(), dzc, rel=1e-5, label="conj channel")
+    dz, dzc_fd = fd_wirtinger_pair(f, x0)
+    assert_close(np.conj(dzc), dz, rel=1e-5, label="dL/dz")
+    assert_close(dzc, dzc_fd, rel=1e-5, label="dL/dz*")
 
 
 def test_backward_rejects_nonscalar_and_nonreal(rng):
@@ -297,12 +297,15 @@ def test_analytic_graph_has_zero_conjugate_channel(rng):
 
 
 def test_naive_rule_kills_conjugate_entry_point():
+    # the toy loss of camel toychain: the naive sweep records its own
+    # arithmetic, no conj node among it, and never reaches x
     g = Tape()
     x = g.leaf(np.asarray(0.5 + 0.5j, dtype=complex))
     loss = _toy_loss(g, x)
-    pairs = backward_graph(g, loss, seed=(1.0, None), naive=True)
-    pv, _ = pairs.get(x, (None, None))
-    assert pv is None or np.max(np.abs(g.val[pv])) == 0.0
+    n = len(g)
+    cots = backward(g, loss, naive=True)
+    assert len(g) == n + 9 and "conj" not in g.kind[n:]
+    assert x not in cots
 
 
 def _mixed_graph(g, z, w):
@@ -365,31 +368,15 @@ def test_real_seed_builds_the_value_channel_only_when_read(rng):
     assert pairs[z][0] == vid and len(g) == n + 1
 
 
-def test_naive_sweep_builds_the_value_channel_only_when_read():
-    # the toy loss of camel toychain: the naive sweep records its own
-    # arithmetic and no conj node until a value slot is read
-    g = Tape()
-    x = g.leaf(np.asarray(0.5 + 0.5j, dtype=complex))
-    loss = _toy_loss(g, x)
-    n = len(g)
-    pairs = backward_graph(g, loss, seed=(1.0, None), naive=True)
-    assert len(g) == n + 9 and "conj" not in g.kind[n:]
-    assert x not in pairs
-    vid = pairs[loss][0]
-    assert len(g) == n + 10 and g.kind[vid] == "conj"
-    assert pairs[loss][0] == vid and pairs[loss][1] is None and len(g) == n + 10
-
-
 def test_naive_rule_gives_exact_zeros_behind_conj():
     # every path from the loss to x passes a conj, whose whole adjoint is
-    # antiholomorphic: the naive rule reaches nothing, and has no conj channel
+    # antiholomorphic: the naive rule reaches nothing behind it
     g = Tape()
     x = g.leaf(np.asarray([0.5 + 0.5j, -0.3 + 0.8j]))
     u = g.conj(x)
-    loss = g_sum(g, g.mul(g.cabs(u), g.crelu(u)))
-    pairs = backward_graph(g, loss, seed=(1.0, None), naive=True)
-    assert x not in pairs
-    assert all(p[1] is None for p in pairs.values())
+    loss = g.re(g_sum(g, g.mul(g.cabs(u), g.crelu(u))))
+    cots = backward(g, loss, naive=True)
+    assert x not in cots and u in cots
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +399,7 @@ def test_backward_values_match_backward_graph_on_registry(case):
         values = backward_values(g, loss)
         assert len(g) == n
         assert set(values) <= set(leaves.values())
-        graph = backward_graph(gg, gloss, seed=(0.5, 0.5))
-        assert_same_adjoints(gg, values, graph, leaves.values())
+        assert_same_adjoints(gg, values, backward(gg, gloss), leaves.values())
 
 
 @pytest.mark.parametrize("shape", [(), (3,)])
@@ -431,8 +417,7 @@ def test_backward_values_resolve_numpy_integer_ids(rng, shape):
     g, a, b, loss = record()
     values = backward_values(g, loss)
     g, a, b, loss = record()
-    graph = backward_graph(g, loss, seed=(0.5, 0.5))
-    assert_same_adjoints(g, values, graph, [a, b])
+    assert_same_adjoints(g, values, backward(g, loss), [a, b])
 
 
 @pytest.mark.parametrize("consumer", ["add", "expand", "sum_to"])
@@ -458,7 +443,7 @@ def test_leaf_consumed_by_a_broadcast_gets_a_writable_gradient(rng, consumer):
     assert got.flags.writeable and got.flags.c_contiguous
     assert not any(np.shares_memory(got, v) for v in g.val if v is not None)
     gg, _, gloss = record()
-    assert_same_adjoints(gg, {x: got}, backward_graph(gg, gloss, seed=(0.5, 0.5)), [x])
+    assert_same_adjoints(gg, {x: got}, backward(gg, gloss), [x])
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +483,7 @@ def test_reads_table_names_only_ops_with_a_pullback():
 @pytest.mark.parametrize("case", default_cases(), ids=lambda c: c.name)
 def test_release_keeps_leaves_consts_keep_nodes_and_read_values(case):
     g, leaves, loss = _registry_tape(case)
-    backward_graph(g, loss, seed=(0.5, 0.5))
+    backward(g, loss)
     read = set()
     for nid in range(len(g)):
         if g.needs[nid]:
@@ -627,9 +612,9 @@ def test_attend_equals_a_tape_of_the_primitive_chain_across_chunks(rng, monkeypa
         assert got[a].tobytes() == want[b].tobytes()
     # the recorded sweep differentiates the same chain, over the whole batch
     (g, leaves, _, loss), (gc, chain_leaves, _, chain_loss) = record(Tape.attend), record(g_attention)
-    got, want = backward_graph(g, loss, seed=(0.5, 0.5)), backward_graph(gc, chain_loss, seed=(0.5, 0.5))
+    got, want = backward(g, loss), backward(gc, chain_loss)
     for a, b in zip(leaves, chain_leaves):
-        assert g.raw(got[a][1]).tobytes() == gc.raw(want[b][1]).tobytes()
+        assert g.raw(got[a]).tobytes() == gc.raw(want[b]).tobytes()
 
 
 def test_attend_rejects_bad_shapes_and_lifts(rng):
@@ -666,6 +651,8 @@ def test_product_adjoints_record_no_conjugation_or_transposition(rng, name):
         a, b = g.leaf(rand_complex(rng, *sa)), g.leaf(rand_complex(rng, *sb))
         loss = g_sum(g, op(g, a, b))
         n = len(g)
+        # a complex loss, so that no adjoint is real and every conj would
+        # be recorded: the pair API sweeps it, backward takes real losses
         first = backward_graph(g, loss, seed=(0.5, 0.5))
         if depth == 2:  # differentiate the recorded gradient once more
             loss = g_sum(g, g.add(g_sum(g, first[a][1]), g_sum(g, first[b][1])))
@@ -733,11 +720,11 @@ def test_second_order_matches_fd_of_gradient_on_registry(case):
 
         g = Tape()
         leaves = {n: g.leaf(v) for n, v in inputs.items()}
-        first = backward_graph(g, case.build_loss(g, leaves, head_rng()), seed=(0.5, 0.5))
+        first = backward(g, case.build_loss(g, leaves, head_rng()))
         phi = None
         for n, leaf in leaves.items():
             if leaf in first:
-                term = g_sum(g, g.mulc(g.smul(first[leaf][1], 2.0), g.const(u[n])))
+                term = g_sum(g, g.mulc(g.smul(first[leaf], 2.0), g.const(u[n])))
                 phi = term if phi is None else g.add(phi, term)
         second = backward_values(g, g.re(phi))
 
@@ -812,7 +799,7 @@ def _check_real_storage(case, monkeypatch):
         g, leaves, loss = _registry_tape(case)
         if sweep == "graph":
             cots = backward(g, loss)
-            grads = [cots.wrt_conj(leaf).numpy() for leaf in leaves.values()]
+            grads = [complex_gradient(g, loss, leaf, cots).numpy() for leaf in leaves.values()]
         else:
             grads = list(backward_values(g, loss).values())
         assert all(x.dtype == np.complex128 for x in grads), case.name
@@ -850,7 +837,7 @@ def test_naive_sweep_keeps_complex_adjoints_at_real_nodes(monkeypatch):
     x = g.leaf(np.asarray(0.5 + 0.5j))
     loss = _toy_loss(g, x)
     assert g.real[loss]
-    backward_graph(g, loss, seed=(1.0, None), naive=True)
+    backward(g, loss, naive=True)
     assert seen and all(dtype == np.complex128 for _, dtype in seen)
 
 
