@@ -36,7 +36,7 @@ from functools import partial
 import numpy as np
 
 from .ctensor import CTensor
-from .layers import ArchConfig, ConfigError, init_params
+from .layers import ArchConfig, ConfigError, init_params, param_shapes
 from .meta import (
     AdaptiveBetaConfig,
     DivergenceError,
@@ -210,13 +210,14 @@ def _build_config(values: dict, source: str) -> RunConfig:
 
 def load_config(path: str | None, overrides: list[str] | None = None) -> RunConfig:
     """The config file at ``path`` (none: every default), then the
-    ``overrides`` lines, which errors locate as "command line:N"."""
+    ``overrides`` lines, which errors locate as "command line:N".  An error
+    in the combined config names both sources, "<path> + command line"."""
     values: dict = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             values = read_settings(fh, path)
     values.update(read_settings(overrides or [], "command line"))
-    return _build_config(values, path or "<defaults>")
+    return _build_config(values, (path or "<defaults>") + (" + command line" if overrides else ""))
 
 
 def _run_config(args) -> RunConfig:
@@ -265,13 +266,7 @@ def _read_header(lines: list[str], path: str) -> tuple[ArchConfig, int, dict]:
         raise CheckpointError(f"checkpoint {path} header lacks {exc}") from exc
     except ConfigError as exc:
         raise CheckpointError(str(exc)) from exc
-    try:
-        rng_state = _rng_state_from_json(rng_text)
-        if not isinstance(rng_state, dict):
-            raise ValueError("not a JSON object")
-        np.random.Philox(0).state = rng_state  # it must fit the episode stream's generator
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"checkpoint {path} header: key 'rng_state': {exc}") from exc
+    rng_state = _rng_state_from_json(rng_text, path)
     try:
         return ArchConfig(**values), iteration, rng_state
     except (ValueError, TypeError) as exc:
@@ -291,7 +286,10 @@ def _rng_state_to_json(state: dict) -> str:
     return json.dumps(clean(state), sort_keys=True)
 
 
-def _rng_state_from_json(text: str) -> dict:
+def _rng_state_from_json(text: str, path: str) -> dict:
+    """The rng state in a header's JSON text; it must be a state of the
+    episode stream's generator, Philox, or it is a CheckpointError."""
+
     def restore(obj):
         if isinstance(obj, dict):
             if "__nd__" in obj:
@@ -302,13 +300,25 @@ def _rng_state_from_json(text: str) -> dict:
             return {k: restore(v) for k, v in obj.items()}
         return obj
 
-    return restore(json.loads(text))
+    try:
+        rng_state = restore(json.loads(text))
+        if not isinstance(rng_state, dict):
+            raise ValueError("not a JSON object")
+        np.random.Philox(0).state = rng_state
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint {path} header: key 'rng_state': {exc}") from exc
+    return rng_state
 
 
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
+    """Write a CAML file.  Its rng state passes the check of
+    :func:`load_checkpoint` first, so a state that loading would refuse
+    is never written."""
+    rng_text = _rng_state_to_json(ckpt.rng_state)
+    _rng_state_from_json(rng_text, path)
     header = (_arch_to_lines(ckpt.arch)
               + f"\niteration={ckpt.iteration}"
-              + f"\nrng_state={_rng_state_to_json(ckpt.rng_state)}\n")
+              + f"\nrng_state={rng_text}\n")
     hist_blob = metrics_csv(ckpt.history).encode("utf-8")
     header_blob = header.encode("utf-8")
 
@@ -337,7 +347,7 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
 def _check_params(arch: ArchConfig, tensors: dict[str, CTensor]) -> None:
     """The tensors must be exactly the parameters of ``arch``, by name and
     shape."""
-    want = init_params(arch, np.random.default_rng(0))
+    want = param_shapes(arch)
     missing = [k for k in want if k not in tensors]
     if missing:
         raise CheckpointError(f"checkpoint lacks parameter(s) {', '.join(missing)}")
@@ -346,9 +356,9 @@ def _check_params(arch: ArchConfig, tensors: dict[str, CTensor]) -> None:
         raise CheckpointError(f"checkpoint has parameter(s) {', '.join(extra)} "
                               "that the architecture does not define")
     for name, t in tensors.items():
-        if t.shape != want[name].shape:
+        if t.shape != want[name]:
             raise CheckpointError(f"parameter {name} has shape {t.shape}, "
-                                  f"the architecture needs {want[name].shape}")
+                                  f"the architecture needs {want[name]}")
 
 
 def load_checkpoint(path: str) -> Checkpoint:

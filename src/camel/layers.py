@@ -1,6 +1,6 @@
 """Complex-valued layers: convolution, fully connected, softmax, attention,
 multi-head attention, normalization, activations, and the full recognition
-network (embedding -> conv block -> attention block -> FC block -> head).
+network (embedding -> conv blocks -> attention block -> FC blocks -> head).
 
 Each layer exists twice: a ``build_*`` function that records the layer onto
 a tape (used by training and by the ``gradcheck`` registry), and a small
@@ -8,6 +8,15 @@ eager wrapper with the public CTensor signature, which runs the same
 builder on a ``wirtinger.evaluator`` and so records nothing.  The wrappers
 serve callers of the package; criterion 3's Cauchy-Riemann checks
 (``gradcheck.cr_check``) call ``cconv1d``, ``cfc`` and ``c_act``.
+
+The pointwise embedding is folded into conv0.  Both are linear and nothing
+lies between them (conv0's norm comes after it), so
+``build_embedded_conv`` contracts conv0's kernel with the embedding's on
+the tape, in the (C_in*K, C_out) rows the patch matmul reads, and conv0
+convolves the raw (N, T, C_in) input block.  The parameters stay as they
+are and each gets its gradient through the fold, but no full-rate
+(N, T, C) embedding and no (N*T_out, C*K) patch block is ever built:
+conv0's patch rows have C_in*K columns.
 
 Inside the network, features are time-major from the input block to the
 FC block: every convolution reads (N, T, C) and reads its patch rows with
@@ -129,24 +138,48 @@ def build_log_softmax_last(g: Tape, x: int, lift: str) -> int:
 def build_cconv1d(g: Tape, x3: int, a: int, b: int | None, stride: int = 1) -> int:
     """Valid 1-d complex convolution of time-major input.
 
-    x3: (N, T, C_in); a: (C_out, C_in, K); b: (C_out,) or None.  Returns
+    x3: (N, T, C_in); a: kernels (C_out, C_in, K), or the same kernels laid
+    out as the (C_in*K, C_out) rows the patch matmul reads (row i*K + k
+    holds input channel i at tap k); b: (C_out,) or None.  Returns
     time-major rows (N*T_out, C_out).
     """
     n, t, ci = g.raw(x3).shape
-    co, cia, k = g.raw(a).shape
-    if cia != ci:
-        raise ShapeMismatchError(f"cconv1d: input has {ci} channels, kernel expects {cia}")
+    if len(g.shape[a]) == 3:
+        co, cia, k = g.shape[a]
+        if cia != ci:
+            raise ShapeMismatchError(f"cconv1d: input has {ci} channels, kernel expects {cia}")
+        a = g.reshape(g.permute(a, (1, 2, 0)), (ci * k, co))
+    rows, co = g.shape[a]
+    if rows % ci:
+        raise ShapeMismatchError(f"cconv1d: {rows} kernel rows are not taps of {ci} input channels")
+    k = rows // ci
     if k > t:
         raise ShapeMismatchError(f"cconv1d: kernel length {k} exceeds input length {t}")
     if stride < 1:
         raise ConfigError("cconv1d: stride must be >= 1")
-    patches = g.window(x3, k, stride)
-    out = g.matmul(patches, g.reshape(g.permute(a, (1, 2, 0)), (ci * k, co)))
+    out = g.matmul(g.window(x3, k, stride), a)
     if b is not None:
         if g.raw(b).shape != (co,):
             raise ShapeMismatchError(f"cconv1d: bias shape {g.raw(b).shape} != ({co},)")
         out = g.add(out, b)
     return out
+
+
+def build_embedded_conv(g: Tape, embed_a: int, embed_b: int, a: int, b: int) -> tuple[int, int]:
+    """The kernel rows and bias of one convolution that computes conv(a, b)
+    of the pointwise embedding (embed_a, embed_b): both maps are linear, so
+
+        M[o, i, k] = sum_c a[o, c, k] embed_a[c, i, 0]
+        b'[o]      = b[o] + sum_{c,k} a[o, c, k] embed_b[c].
+
+    embed_a: (C, C_in, 1); embed_b: (C,); a: (C_out, C, K); b: (C_out,).
+    M comes out as the (C_in*K, C_out) rows ``build_cconv1d`` reads."""
+    co, c, k = g.shape[a]
+    ci = g.shape[embed_a][1]
+    a_rows = g.reshape(g.permute(a, (1, 2, 0)), (c, k * co))  # column k*C_out + o
+    taps = g.matmul(g.permute(g.reshape(embed_a, (c, ci)), (1, 0)), a_rows)
+    shift = g.matmul(g.reshape(embed_b, (1, c)), a_rows)
+    return g.reshape(taps, (ci * k, co)), g.add(b, g.sum_to(g.reshape(shift, (k, co)), (co,)))
 
 
 def build_cfc(g: Tape, x2: int, w: int, b: int | None) -> int:
@@ -286,22 +319,25 @@ def frames_to_input(frames: Sequence[CTensor], arch: ArchConfig) -> np.ndarray:
 def build_network(g: Tape, x3: int, params: Mapping[str, int], arch: ArchConfig) -> int:
     """Record the full network; returns (N, n_classes) real log-probs.
 
-    ``params`` maps parameter names to tape node ids (see ``init_params``
+    ``params`` maps parameter names to tape node ids (see ``param_shapes``
     for the naming scheme).  Features stay in time-major rows (N*T, C)
-    from the embedding to the FC block.
+    from conv0 to the FC block.
     """
     n = g.raw(x3).shape[0]
     t = arch.frame_len
     c = arch.conv_channels
 
-    # embedding block: pointwise conv lifting input channels to C
-    feats = build_cconv1d(g, x3, params["embed.A"], params["embed.b"], stride=1)
-
-    # conv blocks: conv -> norm -> activation
+    # conv blocks: conv -> norm -> activation.  The embedding, a pointwise
+    # conv lifting the input channels to C, is folded into conv0, so conv0
+    # reads the raw input block and no full-rate C-channel features exist
     for i in range(arch.conv_blocks):
         name = f"conv{i}"
-        feats = build_cconv1d(g, g.reshape(feats, (n, t, c)), params[f"{name}.A"], params[f"{name}.b"],
-                              stride=arch.conv_stride)
+        if i == 0:
+            inp, a, b = x3, *build_embedded_conv(g, params["embed.A"], params["embed.b"],
+                                                 params["conv0.A"], params["conv0.b"])
+        else:
+            inp, a, b = g.reshape(feats, (n, t, c)), params[f"{name}.A"], params[f"{name}.b"]
+        feats = build_cconv1d(g, inp, a, b, stride=arch.conv_stride)
         t = (t - arch.conv_kernel) // arch.conv_stride + 1
         feats = build_norm(g, feats, params[f"{name}.gamma"], params[f"{name}.kappa"], arch.norm_eps)
         feats = build_act(g, feats, arch.activation)
@@ -326,16 +362,37 @@ def build_network(g: Tape, x3: int, params: Mapping[str, int], arch: ArchConfig)
     return build_log_softmax_last(g, logits, arch.softmax_lift)
 
 
-def init_params(arch: ArchConfig, rng: np.random.Generator) -> dict[str, CTensor]:
-    """Random parameters: real and imaginary parts drawn independently from
-    a zero-mean uniform sized so that E|w|^2 = 1/fan_in.  Real-input mode
-    keeps imaginary parts at zero, doubling the per-part variance to
-    preserve E|w|^2.
+def param_shapes(arch: ArchConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, in the order ``init_params`` draws
+    them."""
+    c, k = arch.conv_channels, arch.conv_kernel
+    shapes = {"embed.A": (c, arch.in_channels, 1), "embed.b": (c,)}
+    for i in range(arch.conv_blocks):
+        shapes.update({f"conv{i}.A": (c, c, k), f"conv{i}.b": (c,), f"conv{i}.gamma": (c,), f"conv{i}.kappa": (c,)})
+    if arch.use_attention:
+        d = arch.attn_dim
+        shapes.update({"attn_in.W": (c, d), "attn_in.b": (d,)})
+        shapes.update({f"attn.{nm}": (d, d) for nm in ("wq", "wk", "wv", "wo")})
+    dim = arch.feature_dim()
+    for i in range(arch.fc_blocks):
+        out = arch.fc_hidden
+        shapes.update({f"fc{i}.W": (dim, out), f"fc{i}.b": (out,), f"fc{i}.gamma": (out,), f"fc{i}.kappa": (out,)})
+        dim = out
+    shapes.update({"head.W": (dim, arch.n_classes), "head.b": (arch.n_classes,)})
+    return shapes
 
-    Biases are drawn the same way (not zeroed): the relu-style activation
-    zeroes whole feature vectors with positive probability, and zero
-    biases would then park attention scores exactly at the modulus kink,
-    where the gradient map is discontinuous."""
+
+def init_params(arch: ArchConfig, rng: np.random.Generator) -> dict[str, CTensor]:
+    """Random parameters of the shapes of ``param_shapes``: real and
+    imaginary parts drawn independently from a zero-mean uniform sized so
+    that E|w|^2 = 1/fan_in.  Real-input mode keeps imaginary parts at zero,
+    doubling the per-part variance to preserve E|w|^2.  A norm's gamma
+    starts at 1 and its kappa at 0.
+
+    Biases are drawn the same way (not zeroed), with their weight's fan-in:
+    the relu-style activation zeroes whole feature vectors with positive
+    probability, and zero biases would then park attention scores exactly
+    at the modulus kink, where the gradient map is discontinuous."""
 
     def weight(shape: tuple[int, ...], fan_in: int) -> CTensor:
         if arch.real_input:
@@ -346,32 +403,17 @@ def init_params(arch: ArchConfig, rng: np.random.Generator) -> dict[str, CTensor
         w = rng.uniform(-a, a, size=shape) + 1j * rng.uniform(-a, a, size=shape)
         return CTensor(w)
 
-    c = arch.conv_channels
-    k = arch.conv_kernel
     params: dict[str, CTensor] = {}
-    params["embed.A"] = weight((c, arch.in_channels, 1), arch.in_channels)
-    params["embed.b"] = weight((c,), arch.in_channels)
-    for i in range(arch.conv_blocks):
-        params[f"conv{i}.A"] = weight((c, c, k), c * k)
-        params[f"conv{i}.b"] = weight((c,), c * k)
-        params[f"conv{i}.gamma"] = CTensor.full((c,), 1.0)
-        params[f"conv{i}.kappa"] = CTensor.zeros((c,))
-    if arch.use_attention:
-        d = arch.attn_dim
-        params["attn_in.W"] = weight((c, d), c)
-        params["attn_in.b"] = weight((d,), c)
-        for nm in ("wq", "wk", "wv", "wo"):
-            params[f"attn.{nm}"] = weight((d, d), d)
-    dim = arch.feature_dim()
-    for i in range(arch.fc_blocks):
-        out = arch.fc_hidden
-        params[f"fc{i}.W"] = weight((dim, out), dim)
-        params[f"fc{i}.b"] = weight((out,), dim)
-        params[f"fc{i}.gamma"] = CTensor.full((out,), 1.0)
-        params[f"fc{i}.kappa"] = CTensor.zeros((out,))
-        dim = out
-    params["head.W"] = weight((dim, arch.n_classes), dim)
-    params["head.b"] = weight((arch.n_classes,), dim)
+    for name, shape in param_shapes(arch).items():
+        kind = name.rsplit(".", 1)[1]
+        if kind == "gamma":
+            params[name] = CTensor.full(shape, 1.0)
+        elif kind == "kappa":
+            params[name] = CTensor.zeros(shape)
+        else:
+            if len(shape) > 1:  # a kernel (C_out, C_in, K) or a matrix (d_in, d_out)
+                fan_in = shape[1] * shape[2] if len(shape) == 3 else shape[0]
+            params[name] = weight(shape, fan_in)
     return params
 
 

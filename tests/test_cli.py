@@ -1,5 +1,7 @@
+import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -177,6 +179,18 @@ def test_flags_pass_the_config_checks(tmp_path, tiny_cfg_path, capsys, flag, val
     assert not os.path.exists(out / "checkpoint.caml")
 
 
+def test_config_error_names_the_command_line_when_a_value_came_from_there(tmp_path, tiny_cfg_path, capsys):
+    # the file never sets eval_episodes=0; --episodes does
+    assert main(["eval", "--config", tiny_cfg_path, "--checkpoint", str(tmp_path / "c.caml"),
+                 "--episodes", "0"]) == 3
+    assert (f"error: {tiny_cfg_path} + command line: eval_episodes must be at least 1, got 0"
+            in capsys.readouterr().err)
+    p = tmp_path / "zero.cfg"
+    p.write_text("eval_episodes = 0\n")
+    assert main(["eval", "--config", str(p), "--checkpoint", str(tmp_path / "c.caml")]) == 3
+    assert f"error: {p}: eval_episodes must be at least 1" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
@@ -316,28 +330,38 @@ def test_checkpoint_parameter_dims_past_int64_are_a_checkpoint_error(tmp_path, r
     assert "parameter embed.A" in capsys.readouterr().err
 
 
-def test_checkpoint_rng_state_must_be_a_json_object(tmp_path, rng):
-    ck = _checkpoint(rng)
-    ck.rng_state = [1, 2]
+def _refused_on_save_and_load(tmp_path, ck, state, match):
+    """Saving ``ck`` with rng state ``state`` fails before any file exists;
+    a good file whose header line is edited to that state fails to load
+    with the same error."""
     p = tmp_path / "rng.caml"
     save_checkpoint(str(p), ck)
-    with pytest.raises(CheckpointError, match="key 'rng_state': not a JSON object"):
+    raw = p.read_bytes()
+    p.unlink()
+    ck.rng_state = state
+    with pytest.raises(CheckpointError, match=match):
+        save_checkpoint(str(p), ck)
+    assert not p.exists()
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    header = re.sub(rb"rng_state=[^\n]*", b"rng_state=" + json.dumps(state).encode(), raw[12:12 + hlen])
+    p.write_bytes(raw[:8] + struct.pack("<I", len(header)) + header + raw[12 + hlen:])
+    with pytest.raises(CheckpointError, match=match):
         load_checkpoint(str(p))
 
 
+def test_checkpoint_rng_state_must_be_a_json_object(tmp_path, rng):
+    _refused_on_save_and_load(tmp_path, _checkpoint(rng), [1, 2], "key 'rng_state': not a JSON object")
+
+
 @pytest.mark.parametrize("state", [
+    np.random.default_rng(0).bit_generator.state,  # a real PCG64 state used to be saved
     {"bit_generator": "PCG64"},
     {"bit_generator": "Philox", "buffer": {"__nd__": "<u8", "data": [10 ** 30]}},
     {"bit_generator": "Philox", "buffer": {"__nd__": "<u8"}},
     {"bit_generator": "Philox", "buffer": {"__nd__": "<u,", "data": [1]}},
-], ids=["other-generator", "overflow", "no-data", "dtype-text"])
+], ids=["pcg64", "other-generator", "overflow", "no-data", "dtype-text"])
 def test_checkpoint_rng_state_must_fit_the_episode_generator(tmp_path, rng, state):
-    ck = _checkpoint(rng)
-    ck.rng_state = state
-    p = tmp_path / "rng.caml"
-    save_checkpoint(str(p), ck)
-    with pytest.raises(CheckpointError, match="key 'rng_state'"):
-        load_checkpoint(str(p))
+    _refused_on_save_and_load(tmp_path, _checkpoint(rng), state, "key 'rng_state'")
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,16 @@ from camel.layers import (
     ArchConfig,
     ConfigError,
     MhaParams,
+    build_act,
     build_attention,
+    build_cconv1d,
+    build_cfc,
+    build_cross_entropy,
+    build_embedded_conv,
+    build_log_softmax_last,
     build_mha,
+    build_network,
+    build_norm,
     c_act,
     c_attention,
     c_mha,
@@ -22,7 +30,7 @@ from camel.layers import (
     param_count,
 )
 from camel.gradcheck import cr_check
-from camel.wirtinger import evaluator, g_lift
+from camel.wirtinger import Tape, backward, complex_gradient, evaluator, g_dot_const, g_lift
 
 from conftest import assert_close, rand_complex, rand_off_zero
 
@@ -350,6 +358,89 @@ def test_camel_forward_zero_params_uniform(rng):
     params = {k: CTensor.zeros(v.shape) for k, v in init_params(arch, rng).items()}
     lp = camel_forward(CTensor(rand_complex(rng, 1, arch.frame_len)), params, arch).numpy()
     assert np.max(np.abs(np.exp(lp.real) - 1.0 / arch.n_classes)) <= 1e-12
+
+
+def _unfolded_network(g, x3, params, arch):
+    """The network with the embedding as its own pointwise convolution and
+    conv0 over its (N, T, C) output, as it was recorded before the fold."""
+    n, t, c = g.shape[x3][0], arch.frame_len, arch.conv_channels
+    feats = build_cconv1d(g, x3, params["embed.A"], params["embed.b"])
+    for i in range(arch.conv_blocks):
+        feats = build_cconv1d(g, g.reshape(feats, (n, t, c)), params[f"conv{i}.A"], params[f"conv{i}.b"],
+                              stride=arch.conv_stride)
+        t = (t - arch.conv_kernel) // arch.conv_stride + 1
+        feats = build_norm(g, feats, params[f"conv{i}.gamma"], params[f"conv{i}.kappa"], arch.norm_eps)
+        feats = build_act(g, feats, arch.activation)
+    if arch.use_attention:
+        rows = build_cfc(g, feats, params["attn_in.W"], params["attn_in.b"])
+        rows = build_mha(g, rows, rows, rows, n, params["attn.wq"], params["attn.wk"], params["attn.wv"],
+                         params["attn.wo"], arch.n_heads, arch.softmax_lift)
+        h = g.reshape(rows, (n, t * arch.attn_dim))
+    else:
+        h = g.reshape(feats, (n, t * c))
+    for i in range(arch.fc_blocks):
+        h = build_cfc(g, h, params[f"fc{i}.W"], params[f"fc{i}.b"])
+        h = build_norm(g, h, params[f"fc{i}.gamma"], params[f"fc{i}.kappa"], arch.norm_eps)
+        h = build_act(g, h, arch.activation)
+    return build_log_softmax_last(g, build_cfc(g, h, params["head.W"], params["head.b"]), arch.softmax_lift)
+
+
+_DESK = dict(n_classes=5, frame_len=64, conv_channels=8, conv_stride=4, attn_dim=8, n_heads=2, fc_hidden=32)
+_WIDE = dict(n_classes=5, frame_len=128, conv_channels=32, conv_stride=2, attn_dim=16, n_heads=4, fc_hidden=64)
+
+
+@pytest.mark.parametrize("kw", [_DESK, _WIDE, {**_DESK, "real_input": True}, {**_DESK, "conv_blocks": 2},
+                                {**_DESK, "use_attention": False}],
+                         ids=["desk", "wide", "real_input", "conv_blocks2", "no_attention"])
+def test_folded_embedding_matches_the_unfolded_network(rng, kw):
+    # log-probs and support gradients of every parameter agree within 1e-12
+    # of their largest entry: the fold only reassociates sums
+    arch = ArchConfig(**kw)
+    params = init_params(arch, rng)
+    frames = [CTensor(rand_complex(rng, arch.frame_len)) for _ in range(arch.n_classes)]
+    labels = list(range(arch.n_classes))
+    results = []
+    for network in (build_network, _unfolded_network):
+        g = Tape()
+        leaves = {k: g.leaf(v) for k, v in params.items()}
+        lp = network(g, g.const(frames_to_input(frames, arch)), leaves, arch)
+        loss = build_cross_entropy(g, lp, labels)
+        cots = backward(g, loss)
+        results.append((g.raw(lp).copy(), {k: complex_gradient(g, loss, nid, cots).numpy()
+                                           for k, nid in leaves.items()}))
+    (lp, grads), (want_lp, want_grads) = results
+    assert np.max(np.abs(lp - want_lp)) <= 1e-12 * np.max(np.abs(want_lp))
+    scale = max(np.max(np.abs(v)) for v in want_grads.values())
+    for k, want in want_grads.items():
+        assert np.max(np.abs(grads[k] - want)) <= 1e-12 * scale, k
+    if arch.real_input:
+        assert all(np.max(np.abs(v.imag)) == 0.0 for v in grads.values())
+
+
+@pytest.mark.parametrize("c_in, stride", [(1, 1), (2, 3)])
+def test_embedded_conv_is_the_conv_of_the_embedding(rng, c_in, stride):
+    # the conv rows themselves, before any norm could hide a wrong bias, and
+    # the gradients of a real head through them reach all four parameters
+    inputs = {"x": rand_complex(rng, 2, 11, c_in), "embed.A": rand_complex(rng, 4, c_in, 1),
+              "embed.b": rand_complex(rng, 4), "A": rand_complex(rng, 3, 4, 3), "b": rand_complex(rng, 3)}
+    head = rand_complex(rng, 2 * ((11 - 3) // stride + 1), 3)
+    results = []
+    for folded in (True, False):
+        g = Tape()
+        lv = {k: g.leaf(v) for k, v in inputs.items()}
+        if folded:
+            out = build_cconv1d(g, lv["x"], *build_embedded_conv(g, lv["embed.A"], lv["embed.b"], lv["A"], lv["b"]),
+                                stride=stride)
+        else:
+            feats = g.reshape(build_cconv1d(g, lv["x"], lv["embed.A"], lv["embed.b"]), (2, 11, 4))
+            out = build_cconv1d(g, feats, lv["A"], lv["b"], stride=stride)
+        loss = g.re(g_dot_const(g, out, head))
+        cots = backward(g, loss)
+        results.append((g.raw(out).copy(), {k: complex_gradient(g, loss, nid, cots).numpy() for k, nid in lv.items()}))
+    (out, grads), (want_out, want_grads) = results
+    assert_close(out, want_out, rel=1e-12, floor=1e-13)
+    for k, want in want_grads.items():
+        assert_close(grads[k], want, rel=1e-12, floor=1e-13, label=k)
 
 
 def test_real_input_mode_stays_real(rng):
