@@ -30,6 +30,7 @@ import math
 import os
 import struct
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -311,9 +312,9 @@ def _rng_state_from_json(text: str, path: str) -> dict:
 
 
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
-    """Write a CAML file.  Its rng state passes the check of
-    :func:`load_checkpoint` first, so a state that loading would refuse
-    is never written."""
+    """Write a CAML file, once its parameters and rng state pass the checks
+    of :func:`load_checkpoint`: no file is written that loading refuses."""
+    _check_params(ckpt.arch, ckpt.theta)
     rng_text = _rng_state_to_json(ckpt.rng_state)
     _rng_state_from_json(rng_text, path)
     header = (_arch_to_lines(ckpt.arch)
@@ -344,9 +345,9 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
         fh.write(hist_blob)
 
 
-def _check_params(arch: ArchConfig, tensors: dict[str, CTensor]) -> None:
+def _check_params(arch: ArchConfig, tensors: Mapping[str, CTensor]) -> None:
     """The tensors must be exactly the parameters of ``arch``, by name and
-    shape."""
+    shape, and finite."""
     want = param_shapes(arch)
     missing = [k for k in want if k not in tensors]
     if missing:
@@ -359,6 +360,8 @@ def _check_params(arch: ArchConfig, tensors: dict[str, CTensor]) -> None:
         if t.shape != want[name]:
             raise CheckpointError(f"parameter {name} has shape {t.shape}, "
                                   f"the architecture needs {want[name]}")
+        if not np.all(np.isfinite(t.numpy())):
+            raise CheckpointError(f"parameter {name} holds non-finite values")
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -385,10 +388,7 @@ def load_checkpoint(path: str) -> Checkpoint:
                 raise CheckpointError(f"checkpoint {path}: parameter {name} has rank {rank}")
             dims = struct.unpack(f"<{rank}I", read(4 * rank, "parameter dims"))
             # math.prod does not wrap, so dims too large for the file fail in read
-            inter = np.frombuffer(read(16 * math.prod(dims), f"parameter {name}"), dtype="<f8")
-            if not np.all(np.isfinite(inter)):
-                raise CheckpointError(f"parameter {name} holds non-finite values")
-            arr = (inter[0::2] + 1j * inter[1::2]).reshape(dims)
+            arr = np.frombuffer(read(16 * math.prod(dims), f"parameter {name}"), dtype="<c16").reshape(dims)
             tensors[name] = CTensor._wrap(arr.astype(_C))
         _check_params(arch, tensors)
         (hlen2,) = struct.unpack("<Q", read(8, "history length"))
@@ -645,7 +645,7 @@ def cmd_eval(args) -> int:
             n = report.confusion.shape[0]
             fh.write("actual\\predicted," + ",".join(f"class{i}" for i in range(n)) + "\n")
             for i in range(n):
-                fh.write(f"class{i}," + ",".join(f"{x:.6f}" for x in report.confusion[i]) + "\n")
+                fh.write(f"class{i}," + ",".join(repr(float(x)) for x in report.confusion[i]) + "\n")
         print(f"confusion matrix: {conf_path}")
     return 0
 

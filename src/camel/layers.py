@@ -13,10 +13,12 @@ The pointwise embedding is folded into conv0.  Both are linear and nothing
 lies between them (conv0's norm comes after it), so
 ``build_embedded_conv`` contracts conv0's kernel with the embedding's on
 the tape, in the (C_in*K, C_out) rows the patch matmul reads, and conv0
-convolves the raw (N, T, C_in) input block.  The parameters stay as they
-are and each gets its gradient through the fold, but no full-rate
-(N, T, C) embedding and no (N*T_out, C*K) patch block is ever built:
-conv0's patch rows have C_in*K columns.
+convolves the raw (N, T, C_in) input block: no full-rate (N, T, C)
+embedding and no (N*T_out, C*K) patch block is ever built.  Only
+``attn_in`` and the head have biases.  The embedding, each convolution and
+each FC block feed a norm that subtracts every channel's complex mean,
+which would cancel a bias there (as for batch norm, Ioffe and Szegedy
+2015, section 3.2).
 
 Inside the network, features are time-major from the input block to the
 FC block: every convolution reads (N, T, C) and reads its patch rows with
@@ -165,21 +167,19 @@ def build_cconv1d(g: Tape, x3: int, a: int, b: int | None, stride: int = 1) -> i
     return out
 
 
-def build_embedded_conv(g: Tape, embed_a: int, embed_b: int, a: int, b: int) -> tuple[int, int]:
-    """The kernel rows and bias of one convolution that computes conv(a, b)
-    of the pointwise embedding (embed_a, embed_b): both maps are linear, so
+def build_embedded_conv(g: Tape, embed_a: int, a: int) -> int:
+    """The kernel rows of one convolution that computes conv a of the
+    pointwise embedding embed_a: both maps are linear, so
 
-        M[o, i, k] = sum_c a[o, c, k] embed_a[c, i, 0]
-        b'[o]      = b[o] + sum_{c,k} a[o, c, k] embed_b[c].
+        M[o, i, k] = sum_c a[o, c, k] embed_a[c, i, 0].
 
-    embed_a: (C, C_in, 1); embed_b: (C,); a: (C_out, C, K); b: (C_out,).
-    M comes out as the (C_in*K, C_out) rows ``build_cconv1d`` reads."""
+    embed_a: (C, C_in, 1); a: (C_out, C, K).  M comes out as the
+    (C_in*K, C_out) rows ``build_cconv1d`` reads."""
     co, c, k = g.shape[a]
     ci = g.shape[embed_a][1]
     a_rows = g.reshape(g.permute(a, (1, 2, 0)), (c, k * co))  # column k*C_out + o
     taps = g.matmul(g.permute(g.reshape(embed_a, (c, ci)), (1, 0)), a_rows)
-    shift = g.matmul(g.reshape(embed_b, (1, c)), a_rows)
-    return g.reshape(taps, (ci * k, co)), g.add(b, g.sum_to(g.reshape(shift, (k, co)), (co,)))
+    return g.reshape(taps, (ci * k, co))
 
 
 def build_cfc(g: Tape, x2: int, w: int, b: int | None) -> int:
@@ -333,11 +333,10 @@ def build_network(g: Tape, x3: int, params: Mapping[str, int], arch: ArchConfig)
     for i in range(arch.conv_blocks):
         name = f"conv{i}"
         if i == 0:
-            inp, a, b = x3, *build_embedded_conv(g, params["embed.A"], params["embed.b"],
-                                                 params["conv0.A"], params["conv0.b"])
+            inp, a = x3, build_embedded_conv(g, params["embed.A"], params["conv0.A"])
         else:
-            inp, a, b = g.reshape(feats, (n, t, c)), params[f"{name}.A"], params[f"{name}.b"]
-        feats = build_cconv1d(g, inp, a, b, stride=arch.conv_stride)
+            inp, a = g.reshape(feats, (n, t, c)), params[f"{name}.A"]
+        feats = build_cconv1d(g, inp, a, None, stride=arch.conv_stride)
         t = (t - arch.conv_kernel) // arch.conv_stride + 1
         feats = build_norm(g, feats, params[f"{name}.gamma"], params[f"{name}.kappa"], arch.norm_eps)
         feats = build_act(g, feats, arch.activation)
@@ -354,7 +353,7 @@ def build_network(g: Tape, x3: int, params: Mapping[str, int], arch: ArchConfig)
 
     for i in range(arch.fc_blocks):
         name = f"fc{i}"
-        h = build_cfc(g, h, params[f"{name}.W"], params[f"{name}.b"])
+        h = build_cfc(g, h, params[f"{name}.W"], None)
         h = build_norm(g, h, params[f"{name}.gamma"], params[f"{name}.kappa"], arch.norm_eps)
         h = build_act(g, h, arch.activation)
 
@@ -366,9 +365,9 @@ def param_shapes(arch: ArchConfig) -> dict[str, tuple[int, ...]]:
     """Every parameter's name and shape, in the order ``init_params`` draws
     them."""
     c, k = arch.conv_channels, arch.conv_kernel
-    shapes = {"embed.A": (c, arch.in_channels, 1), "embed.b": (c,)}
+    shapes = {"embed.A": (c, arch.in_channels, 1)}
     for i in range(arch.conv_blocks):
-        shapes.update({f"conv{i}.A": (c, c, k), f"conv{i}.b": (c,), f"conv{i}.gamma": (c,), f"conv{i}.kappa": (c,)})
+        shapes.update({f"conv{i}.A": (c, c, k), f"conv{i}.gamma": (c,), f"conv{i}.kappa": (c,)})
     if arch.use_attention:
         d = arch.attn_dim
         shapes.update({"attn_in.W": (c, d), "attn_in.b": (d,)})
@@ -376,7 +375,7 @@ def param_shapes(arch: ArchConfig) -> dict[str, tuple[int, ...]]:
     dim = arch.feature_dim()
     for i in range(arch.fc_blocks):
         out = arch.fc_hidden
-        shapes.update({f"fc{i}.W": (dim, out), f"fc{i}.b": (out,), f"fc{i}.gamma": (out,), f"fc{i}.kappa": (out,)})
+        shapes.update({f"fc{i}.W": (dim, out), f"fc{i}.gamma": (out,), f"fc{i}.kappa": (out,)})
         dim = out
     shapes.update({"head.W": (dim, arch.n_classes), "head.b": (arch.n_classes,)})
     return shapes
@@ -389,10 +388,10 @@ def init_params(arch: ArchConfig, rng: np.random.Generator) -> dict[str, CTensor
     doubling the per-part variance to preserve E|w|^2.  A norm's gamma
     starts at 1 and its kappa at 0.
 
-    Biases are drawn the same way (not zeroed), with their weight's fan-in:
-    the relu-style activation zeroes whole feature vectors with positive
-    probability, and zero biases would then park attention scores exactly
-    at the modulus kink, where the gradient map is discontinuous."""
+    ``attn_in.b`` and ``head.b`` are drawn the same way (not zeroed), with
+    their weight's fan-in: the relu-style activation zeroes whole feature
+    vectors with positive probability, and a zero ``attn_in.b`` would then
+    park attention scores at the modulus kink, where the gradient jumps."""
 
     def weight(shape: tuple[int, ...], fan_in: int) -> CTensor:
         if arch.real_input:

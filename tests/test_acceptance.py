@@ -58,7 +58,8 @@ def _desk_meta(seed: int, iterations: int) -> MetaConfig:
 
 def _desk_run(seed: int, iterations: int, eval_episodes: int, arch_kw: dict,
               shared_eval: list | None = None):
-    """Train one variant and evaluate it (and nothing else) deterministically."""
+    """Train one variant and evaluate it (and nothing else) deterministically;
+    returns its report, its initial parameters and the evaluation episodes."""
     streams = np.random.SeedSequence(seed).spawn(4)
     rng_train = np.random.default_rng(streams[0])
     rng_eval = np.random.default_rng(streams[1])
@@ -73,9 +74,7 @@ def _desk_run(seed: int, iterations: int, eval_episodes: int, arch_kw: dict,
         eval_pool = generate_pool(SCHEMES, SNR_GRID, 40, arch.frame_len, 4, rng_eval)
         shared_eval = [sample_episode(eval_pool, 5, 1, 5, rng_eval)
                        for _ in range(eval_episodes)]
-    report = evaluate(state.theta, shared_eval, cfg, arch)
-    baseline = evaluate(theta0, shared_eval, cfg, arch)
-    return report, baseline, shared_eval
+    return evaluate(state.theta, shared_eval, cfg, arch), theta0, shared_eval
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +175,9 @@ def test_criterion_5_meta_gradient_exactness():
 @pytest.mark.slow
 def test_criterion_6_desk_scale_few_shot():
     t0 = time.perf_counter()
-    report, baseline, episodes = _desk_run(seed=1, iterations=1000, eval_episodes=200,
-                                           arch_kw={})
+    report, theta0, episodes = _desk_run(seed=1, iterations=1000, eval_episodes=200,
+                                         arch_kw={})
+    baseline = evaluate(theta0, episodes, _desk_meta(1, 1000), _desk_arch())
     elapsed = time.perf_counter() - t0
     margin = report.accuracy - baseline.accuracy
     assert elapsed <= 1800.0, f"run took {elapsed:.0f}s, budget is 30 min"

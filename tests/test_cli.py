@@ -206,6 +206,9 @@ def _checkpoint(rng) -> Checkpoint:
 
 def test_checkpoint_roundtrip_byte_identical(tmp_path, rng):
     ck = _checkpoint(rng)
+    head_b = ck.theta["head.b"].numpy().copy()
+    head_b[0] = complex(-0.0, 1.0)  # loading keeps the sign of a zero
+    ck.theta = ParamSet({**ck.theta, "head.b": CTensor._wrap(head_b)})
     p1, p2 = tmp_path / "a.caml", tmp_path / "b.caml"
     save_checkpoint(str(p1), ck)
     save_checkpoint(str(p2), load_checkpoint(str(p1)))
@@ -533,16 +536,16 @@ def test_cmd_train_sgd_resume_bitwise(tmp_path, tiny_cfg_path):
     assert (a / "checkpoint.caml").read_bytes() == (c / "checkpoint.caml").read_bytes()
 
 
-@pytest.mark.parametrize("split", [2, 4, 6, 9])
+@pytest.mark.parametrize("split", [2, 3, 4, 6, 9])
 def test_cmd_train_sgd_resume_with_early_stop_bitwise(tmp_path, tiny_cfg_path, split):
-    # the straight run stops early at iteration 6; split before it, at it
+    # the straight run stops early at iteration 3; split before it, at it
     # and after it, the resumed run stops there too and writes the same files
     args = ["--config", tiny_cfg_path, "--set", "outer_optimizer=sgd", "--set", "outer_lr=0.01",
             "--set", "early_stop=true", "--set", "plateau_patience=2", "--set", "plateau_tol=0.01",
             "--iterations", "12"]
     a, b, c = (tmp_path / n for n in ("straight", "h1", "h2"))
     assert main(["train", *args, "--out", str(a)]) == 0
-    assert load_checkpoint(str(a / "checkpoint.caml")).iteration == 6
+    assert load_checkpoint(str(a / "checkpoint.caml")).iteration == 3
     assert main(["train", *args, "--iterations", str(split), "--out", str(b)]) == 0
     assert main(["train", *args, "--resume", str(b / "checkpoint.caml"), "--out", str(c)]) == 0
     for name in ("checkpoint.caml", "metrics.csv"):
@@ -573,44 +576,72 @@ def test_episodes_flag_is_its_set_line(tmp_path, tiny_cfg_path, capsys):
         assert "eval_episodes" in capsys.readouterr().err
 
 
-def _damaged_checkpoint(tmp_path, tiny_cfg_path, damage) -> str:
+def _trained_checkpoint(tmp_path, tiny_cfg_path) -> str:
     out = tmp_path / "run"
     assert main(["train", "--config", tiny_cfg_path, "--iterations", "2",
                  "--out", str(out)]) == 0
-    ck = load_checkpoint(str(out / "checkpoint.caml"))
-    ck.theta = ParamSet(damage(dict(ck.theta)))
-    path = str(tmp_path / "damaged.caml")
-    save_checkpoint(path, ck)
-    return path
+    return str(out / "checkpoint.caml")
 
 
-def _drop_head_b(params):
-    del params["head.b"]
-    return params
+def _record(name: str, value) -> bytes:
+    """One parameter as a CAML file stores it: name, rank, dims, then each
+    entry's real and imaginary parts as little-endian float64."""
+    arr = np.asarray(value, dtype="<c16")
+    return (struct.pack("<H", len(name)) + name.encode() + struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape)
+            + arr.tobytes())
 
 
-def _nan_param(params):
-    arr = params["fc0.W"].numpy().copy()
-    arr[0, 0] = complex(np.nan, 0.0)
-    params["fc0.W"] = CTensor._wrap(arr)  # the public constructor refuses NaN
-    return params
+def _edit_params(path, old: bytes, new: bytes, added: int = 0) -> None:
+    """Replace the parameter bytes ``old`` of the CAML file at ``path`` by
+    ``new`` and move its parameter count by ``added``: a file that
+    ``save_checkpoint`` would refuse to write."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    at = 12 + struct.unpack("<I", raw[8:12])[0]  # magic, version, header length, header
+    (count,) = struct.unpack("<I", raw[at:at + 4])
+    assert raw.count(old) == 1
+    with open(path, "wb") as fh:
+        fh.write(raw[:at] + struct.pack("<I", count + added) + raw[at + 4:].replace(old, new))
 
 
-def _inf_param(params):
-    arr = params["fc0.W"].numpy().copy()
-    arr[0, 0] = complex(0.0, np.inf)  # must be refused before 1j * inf warns
-    params["fc0.W"] = CTensor._wrap(arr)
-    return params
+def _drop_head_b(theta):
+    return _record("head.b", theta["head.b"].numpy()), b"", -1
+
+
+def _fc0_w_with(theta, value):
+    arr = theta["fc0.W"].numpy()
+    bad = arr.copy()
+    bad[0, 0] = value
+    return _record("fc0.W", arr), _record("fc0.W", bad), 0
+
+
+def _nan_param(theta):
+    return _fc0_w_with(theta, complex(np.nan, 0.0))
+
+
+def _inf_param(theta):
+    return _fc0_w_with(theta, complex(0.0, np.inf))  # refused with no numpy warning
+
+
+def _old_biases(theta):
+    # every checkpoint written while the embedding, the convs and the FC
+    # blocks had biases carries these three
+    c, hidden = theta["conv0.gamma"].shape[0], theta["fc0.gamma"].shape[0]
+    embed = _record("embed.A", theta["embed.A"].numpy())
+    biases = [_record(name, np.ones(n)) for name, n in (("embed.b", c), ("conv0.b", c), ("fc0.b", hidden))]
+    return embed, embed + b"".join(biases), 3
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("damage, message", [(_drop_head_b, "lacks parameter"),
                                              (_nan_param, "non-finite"),
-                                             (_inf_param, "non-finite")],
-                         ids=["missing_head_b", "nan_param", "inf_param"])
+                                             (_inf_param, "non-finite"),
+                                             (_old_biases, "does not define")],
+                         ids=["missing_head_b", "nan_param", "inf_param", "old_biases"])
 def test_cmd_eval_and_resume_reject_damaged_checkpoint(tmp_path, tiny_cfg_path, capsys,
                                                        damage, message):
-    path = _damaged_checkpoint(tmp_path, tiny_cfg_path, damage)
+    path = _trained_checkpoint(tmp_path, tiny_cfg_path)
+    _edit_params(path, *damage(load_checkpoint(path).theta))
     with pytest.raises(CheckpointError, match=message):
         load_checkpoint(path)
     capsys.readouterr()
@@ -624,23 +655,45 @@ def test_cmd_eval_and_resume_reject_damaged_checkpoint(tmp_path, tiny_cfg_path, 
 
 def test_checkpoint_wrong_shape_rejected(tmp_path, rng):
     ck = _checkpoint(rng)
-    ck.theta = ParamSet({**ck.theta, "head.b": CTensor(rand_complex(rng, 4))})
     p = tmp_path / "s.caml"
     save_checkpoint(str(p), ck)
+    _edit_params(p, _record("head.b", ck.theta["head.b"].numpy()), _record("head.b", rand_complex(rng, 4)))
     with pytest.raises(CheckpointError, match="shape"):
         load_checkpoint(str(p))
 
 
-def _blown_up(params):
-    # finite, so the checkpoint loads, but the forward pass overflows
-    return {k: CTensor._wrap(v.numpy() * 1e150) for k, v in params.items()}
+@pytest.mark.parametrize("damage, message", [
+    (lambda p: p.pop("head.b"), "lacks parameter"),
+    (lambda p: p.update({"embed.b": CTensor.zeros((2,))}), "does not define"),
+    (lambda p: p.update({"head.b": CTensor.zeros((4,))}), "shape"),
+    (lambda p: p.update({"fc0.W": CTensor._wrap(np.full(p["fc0.W"].shape, complex(np.nan, 0.0)))}), "non-finite"),
+    (lambda p: p.update({"fc0.W": CTensor._wrap(np.full(p["fc0.W"].shape, complex(0.0, np.inf)))}), "non-finite"),
+], ids=["missing", "extra", "shape", "nan", "inf"])
+def test_save_checkpoint_refuses_what_loading_refuses(tmp_path, rng, damage, message):
+    ck = _checkpoint(rng)
+    params = dict(ck.theta)
+    damage(params)
+    ck.theta = ParamSet(params)
+    p = tmp_path / "c.caml"
+    with pytest.raises(CheckpointError, match=message):
+        save_checkpoint(str(p), ck)
+    assert not p.exists()
+
+
+def _blown_up_checkpoint(tmp_path, tiny_cfg_path) -> str:
+    # finite, so the checkpoint saves and loads, but the forward pass overflows
+    path = _trained_checkpoint(tmp_path, tiny_cfg_path)
+    ck = load_checkpoint(path)
+    ck.theta = ck.theta.map(lambda name, t: CTensor._wrap(t.numpy() * 1e150))
+    save_checkpoint(path, ck)
+    return path
 
 
 @pytest.mark.parametrize("finetune, message", [("10", "support loss is not finite"),
                                                ("0", "query log-probabilities are not finite")],
                          ids=["finetune", "no_finetune"])
 def test_cmd_eval_nonfinite_loss_exits_2(tmp_path, tiny_cfg_path, capsys, finetune, message):
-    path = _damaged_checkpoint(tmp_path, tiny_cfg_path, _blown_up)
+    path = _blown_up_checkpoint(tmp_path, tiny_cfg_path)
     load_checkpoint(path)
     capsys.readouterr()
     code = main(["eval", "--config", tiny_cfg_path, "--set", f"finetune_steps={finetune}",
@@ -661,7 +714,7 @@ def _camel_in_fresh_process(*argv) -> tuple[int, str]:
 
 
 def test_nonfinite_train_and_eval_print_no_numpy_warnings(tmp_path, tiny_cfg_path):
-    path = _damaged_checkpoint(tmp_path, tiny_cfg_path, _blown_up)
+    path = _blown_up_checkpoint(tmp_path, tiny_cfg_path)
     code, err = _camel_in_fresh_process("eval", "--config", tiny_cfg_path, "--checkpoint", path,
                                         "--episodes", "2")
     assert code == 2 and "RuntimeWarning" not in err and len(err.strip().splitlines()) == 1

@@ -361,8 +361,10 @@ def test_camel_forward_zero_params_uniform(rng):
 
 
 def _unfolded_network(g, x3, params, arch):
-    """The network with the embedding as its own pointwise convolution and
-    conv0 over its (N, T, C) output, as it was recorded before the fold."""
+    """The network as it was recorded before the fold and before its dead
+    biases were removed: the embedding is its own pointwise convolution,
+    conv0 reads its (N, T, C) output, and the embedding, every conv and
+    every FC block add the biases ``params`` holds for them."""
     n, t, c = g.shape[x3][0], arch.frame_len, arch.conv_channels
     feats = build_cconv1d(g, x3, params["embed.A"], params["embed.b"])
     for i in range(arch.conv_blocks):
@@ -385,55 +387,84 @@ def _unfolded_network(g, x3, params, arch):
     return build_log_softmax_last(g, build_cfc(g, h, params["head.W"], params["head.b"]), arch.softmax_lift)
 
 
+def _dead_biases(arch, rng):
+    """Random values for the biases that ``_unfolded_network`` adds and
+    ``build_network`` does not have."""
+    c = arch.conv_channels
+    biases = {"embed.b": rand_complex(rng, c)}
+    biases.update({f"conv{i}.b": rand_complex(rng, c) for i in range(arch.conv_blocks)})
+    biases.update({f"fc{i}.b": rand_complex(rng, arch.fc_hidden) for i in range(arch.fc_blocks)})
+    if arch.real_input:
+        biases = {k: v.real + 0j for k, v in biases.items()}
+    return biases
+
+
+def _support_run(network, params, arch, rng):
+    """Log-probs of one random frame per class, and every parameter's
+    gradient of their cross-entropy."""
+    frames = [CTensor(rand_complex(rng, arch.frame_len)) for _ in range(arch.n_classes)]
+    g = Tape()
+    leaves = {k: g.leaf(v) for k, v in params.items()}
+    lp = network(g, g.const(frames_to_input(frames, arch)), leaves, arch)
+    loss = build_cross_entropy(g, lp, list(range(arch.n_classes)))
+    cots = backward(g, loss)
+    return g.raw(lp).copy(), {k: complex_gradient(g, loss, nid, cots).numpy() for k, nid in leaves.items()}
+
+
 _DESK = dict(n_classes=5, frame_len=64, conv_channels=8, conv_stride=4, attn_dim=8, n_heads=2, fc_hidden=32)
 _WIDE = dict(n_classes=5, frame_len=128, conv_channels=32, conv_stride=2, attn_dim=16, n_heads=4, fc_hidden=64)
+_ARCHS = pytest.mark.parametrize(
+    "kw", [_DESK, _WIDE, {**_DESK, "real_input": True}, {**_DESK, "conv_blocks": 2},
+           {**_DESK, "use_attention": False}, {**_DESK, "fc_blocks": 2}],
+    ids=["desk", "wide", "real_input", "conv_blocks2", "no_attention", "fc_blocks2"])
 
 
-@pytest.mark.parametrize("kw", [_DESK, _WIDE, {**_DESK, "real_input": True}, {**_DESK, "conv_blocks": 2},
-                                {**_DESK, "use_attention": False}],
-                         ids=["desk", "wide", "real_input", "conv_blocks2", "no_attention"])
+@_ARCHS
 def test_folded_embedding_matches_the_unfolded_network(rng, kw):
     # log-probs and support gradients of every parameter agree within 1e-12
-    # of their largest entry: the fold only reassociates sums
+    # of their largest entry: the fold only reassociates sums, and each
+    # dropped bias only shifts the mean that the next norm subtracts
     arch = ArchConfig(**kw)
     params = init_params(arch, rng)
-    frames = [CTensor(rand_complex(rng, arch.frame_len)) for _ in range(arch.n_classes)]
-    labels = list(range(arch.n_classes))
-    results = []
-    for network in (build_network, _unfolded_network):
-        g = Tape()
-        leaves = {k: g.leaf(v) for k, v in params.items()}
-        lp = network(g, g.const(frames_to_input(frames, arch)), leaves, arch)
-        loss = build_cross_entropy(g, lp, labels)
-        cots = backward(g, loss)
-        results.append((g.raw(lp).copy(), {k: complex_gradient(g, loss, nid, cots).numpy()
-                                           for k, nid in leaves.items()}))
-    (lp, grads), (want_lp, want_grads) = results
+    with_biases = {**params, **{k: CTensor(v) for k, v in _dead_biases(arch, rng).items()}}
+    lp, grads = _support_run(build_network, params, arch, np.random.default_rng(1))
+    want_lp, want_grads = _support_run(_unfolded_network, with_biases, arch, np.random.default_rng(1))
     assert np.max(np.abs(lp - want_lp)) <= 1e-12 * np.max(np.abs(want_lp))
     scale = max(np.max(np.abs(v)) for v in want_grads.values())
     for k, want in want_grads.items():
-        assert np.max(np.abs(grads[k] - want)) <= 1e-12 * scale, k
+        got = grads.get(k, 0.0)  # the reference's own biases: their gradients are rounding
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale, k
     if arch.real_input:
         assert all(np.max(np.abs(v.imag)) == 0.0 for v in grads.values())
 
 
+@_ARCHS
+def test_every_parameter_gets_a_support_gradient(rng, kw):
+    # a parameter no output depends on gets a gradient of rounding size
+    # (about 1e-16 of the largest); every parameter of the network is live
+    arch = ArchConfig(**kw)
+    _, grads = _support_run(build_network, init_params(arch, rng), arch, rng)
+    scale = max(np.max(np.abs(v)) for v in grads.values())
+    for k, v in grads.items():
+        assert np.max(np.abs(v)) > 1e-8 * scale, k
+
+
 @pytest.mark.parametrize("c_in, stride", [(1, 1), (2, 3)])
 def test_embedded_conv_is_the_conv_of_the_embedding(rng, c_in, stride):
-    # the conv rows themselves, before any norm could hide a wrong bias, and
-    # the gradients of a real head through them reach all four parameters
+    # the conv rows themselves, and the gradients of a real head through
+    # them reach both kernels
     inputs = {"x": rand_complex(rng, 2, 11, c_in), "embed.A": rand_complex(rng, 4, c_in, 1),
-              "embed.b": rand_complex(rng, 4), "A": rand_complex(rng, 3, 4, 3), "b": rand_complex(rng, 3)}
+              "A": rand_complex(rng, 3, 4, 3)}
     head = rand_complex(rng, 2 * ((11 - 3) // stride + 1), 3)
     results = []
     for folded in (True, False):
         g = Tape()
         lv = {k: g.leaf(v) for k, v in inputs.items()}
         if folded:
-            out = build_cconv1d(g, lv["x"], *build_embedded_conv(g, lv["embed.A"], lv["embed.b"], lv["A"], lv["b"]),
-                                stride=stride)
+            out = build_cconv1d(g, lv["x"], build_embedded_conv(g, lv["embed.A"], lv["A"]), None, stride=stride)
         else:
-            feats = g.reshape(build_cconv1d(g, lv["x"], lv["embed.A"], lv["embed.b"]), (2, 11, 4))
-            out = build_cconv1d(g, feats, lv["A"], lv["b"], stride=stride)
+            feats = g.reshape(build_cconv1d(g, lv["x"], lv["embed.A"], None), (2, 11, 4))
+            out = build_cconv1d(g, feats, lv["A"], None, stride=stride)
         loss = g.re(g_dot_const(g, out, head))
         cots = backward(g, loss)
         results.append((g.raw(out).copy(), {k: complex_gradient(g, loss, nid, cots).numpy() for k, nid in lv.items()}))

@@ -250,22 +250,23 @@ def _desk_tasks(rng, n=2):
 
 def test_single_channel_sweeps_at_desk_scale(rng, monkeypatch):
     # one adjoint per node, conjugate-aware products, broadcasting ops and
-    # one attend node: a desk support forward takes 95 nodes and its
-    # recorded backward 147, 8 of which rematerialise the attention chain.
-    # Folding the embedding into conv0 added 3 and 4 (from 92 and 143;
+    # one attend node: a desk support forward takes 85 nodes and its
+    # recorded backward 139, 8 of which rematerialise the attention chain.
+    # Dropping the biases that feed a norm took 10 and 8 (from 95 and 147);
+    # folding the embedding into conv0 had added 3 and 4 (from 92 and 143;
     # 146 with real nodes in complex storage, 99 and 138 with the chain on
     # the forward tape, 143 and 262 with conj/transpose nodes and index-map
     # gathers).  The counts are pinned exactly, so a sweep that records one
     # node more fails here without any timing.  One task's unrolled tape
-    # holds 355 nodes at its final sweep after 1 inner step, 1395 after 5,
-    # and the 5-step meta-gradient peaks at 4.95 MiB of traced allocations
+    # holds 324 nodes at its final sweep after 1 inner step, 1280 after 5,
+    # and the 5-step meta-gradient peaks near 5.0 MiB of traced allocations
     theta, (task,) = _desk_tasks(rng, 1)
     g = Tape()
     loss = task.support_loss(g, {k: g.leaf(v) for k, v in theta.items()})
     n = len(g)
-    assert n == 95
+    assert n == 85
     backward(g, loss)
-    assert len(g) - n == 147
+    assert len(g) - n == 139
     lengths = []
 
     def final_sweep(g, loss_id):
@@ -280,7 +281,7 @@ def test_single_channel_sweeps_at_desk_scale(rng, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert lengths == [355, 1395]
+    assert lengths == [324, 1280]
     assert peak < 5.45 * 2**20
 
 
