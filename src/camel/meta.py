@@ -1,20 +1,23 @@
 """Episodic meta-learning over complex parameters.
 
 The inner loop adapts parameters on a task's support set with the complex
-gradient; the outer loop follows the exact meta-gradient, whose one-step
-form carries one curvature correction,
+gradient; the outer loop follows the exact meta-gradient.  Each inner step
+theta_{k+1} = theta_k - alpha * grad_k(theta_k) contributes one curvature
+correction, so the meta-gradient is the query gradient lam at the adapted
+parameters taken back through every step in reverse order,
 
-    grad_query  -  alpha * hvp(support_loss, theta, grad_query),
+    lam  <-  lam  -  alpha * hvp(support_loss, theta_k, lam),    k = K-1 ... 0,
 
-with grad_query taken at the adapted parameters and ``wirtinger.hvp`` the
-support loss's R-linear Hessian applied to it.
-
-For any number of inner steps the corrections are composed by
-back-propagating from the query loss through the whole recorded inner
-trajectory: each inner step's support gradient is recorded on the tape, so
-the final sweep differentiates it a second time.  The result is validated
-against finite differences and, at one step, against the closed form above
-built from Hessian-vector products.
+with ``wirtinger.hvp`` the support loss's R-linear Hessian applied to lam
+(MAML's product of the factors (I - alpha H_k), Finn et al.,
+arXiv:1703.03400).  The forward pass keeps the parameters before each step
+and records only the last step's support sweep; the reverse pass records
+one support sweep at a time.  So the memory is one step's tape and the
+parameter-sized snapshots, not the whole trajectory's tape, and K steps
+cost K - 1 graph-free support passes more than a sweep through that
+tape.  The result is validated against finite differences and against
+back-propagating from the query loss through the whole inner trajectory
+recorded on one tape.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 from .ctensor import CTensor, ShapeMismatchError
 from .layers import ArchConfig, build_cross_entropy, build_network, frames_to_input, init_params
-from .wirtinger import Tape, backward, backward_values, evaluator, g_abs2, g_sum
+from .wirtinger import Tape, backward, backward_values, complex_gradient, evaluator, g_abs2, g_sum, hvp_sweep
 
 _C = np.complex128
 
@@ -286,14 +289,21 @@ def _leaf_gradients(adjoints, leaves: dict[str, int], theta: Mapping[str, CTenso
     return out
 
 
-def _support_gradient(theta: ParamSet, task: MetaTask) -> tuple[dict[str, CTensor], float]:
+def _support_tape(theta: ParamSet, task: MetaTask) -> tuple[Tape, dict[str, int], int]:
+    """The support loss at ``theta`` on a new tape: the tape, its leaves and
+    the loss node.  Raises FloatingPointError when the loss is not finite."""
     g = Tape()
     leaves = {k: g.leaf(v) for k, v in theta.items()}
     loss_id = task.support_loss(g, leaves)
     loss = float(g.raw(loss_id).real)
     if not math.isfinite(loss):
         raise FloatingPointError(f"support loss is not finite: {loss}")
-    return _leaf_gradients(backward_values(g, loss_id), leaves, theta), loss
+    return g, leaves, loss_id
+
+
+def _support_gradient(theta: ParamSet, task: MetaTask) -> dict[str, CTensor]:
+    g, leaves, loss_id = _support_tape(theta, task)
+    return _leaf_gradients(backward_values(g, loss_id), leaves, theta)
 
 
 def inner_update(theta: ParamSet, task: MetaTask, inner_lr: float, steps: int) -> ParamSet:
@@ -304,7 +314,7 @@ def inner_update(theta: ParamSet, task: MetaTask, inner_lr: float, steps: int) -
     cur = theta
     for _ in range(steps):
         # no name holds a step's gradient into the next step's sweep
-        cur = cur.add_scaled(_support_gradient(cur, task)[0], -inner_lr)
+        cur = cur.add_scaled(_support_gradient(cur, task), -inner_lr)
     return cur
 
 
@@ -348,36 +358,44 @@ def _mean_paramset(acc: dict[str, np.ndarray], n: int) -> ParamSet:
     return ParamSet({k: CTensor._wrap(v / n) for k, v in acc.items()})
 
 
-def _unrolled_task_gradient(theta: ParamSet, task: MetaTask, inner_lr: float, steps: int):
-    """Meta-gradient of one task by differentiating through the whole
-    recorded inner trajectory.
+def _exact_task_gradient(theta: ParamSet, task: MetaTask, inner_lr: float, steps: int):
+    """Meta-gradient of one task, reversing its inner trajectory one step
+    at a time.
 
-    The inner steps' sweeps record their arithmetic, because the final
-    sweep from the query loss differentiates them again; the final sweep
-    itself records nothing.  After each step the tape releases the values
-    that no recorded pullback reads, keeping the adapted parameters."""
-    g = Tape()
-    leaves = {k: g.leaf(v) for k, v in theta.items()}
-    cur = dict(leaves)
-    for _ in range(steps):
-        loss_id = task.support_loss(g, cur)
-        if not math.isfinite(float(g.raw(loss_id).real)):
-            raise FloatingPointError("support loss is not finite")
-        cots = backward(g, loss_id, stop=set(cur.values()))
-        cur = {name: nid if nid not in cots else g.sub(nid, g.smul(cots[nid], 2.0 * inner_lr))
-               for name, nid in cur.items()}
-        g.release(keep=cur.values())
-    q_id, acc = _query_loss(task, g, cur)
-    q_loss = float(g.raw(q_id).real)
-    return _leaf_gradients(backward_values(g, q_id), leaves, theta), q_loss, acc
+    The forward pass keeps the parameters before each inner step,
+    theta_0 ... theta_{K-1}; all but the last step run graph-free, and the
+    last one is recorded, so its tape serves the first reverse step.  From
+    the query gradient at the adapted parameters, each step k = K-1 ... 0
+    applies its correction lam <- lam - alpha * H_k lam, with H_k the
+    support Hessian product at theta_k (:func:`hvp_sweep` on a recorded
+    support sweep).  Only one step's tape is alive at a time."""
+    trajectory = [theta]
+    for _ in range(steps - 1):
+        trajectory.append(inner_update(trajectory[-1], task, inner_lr, 1))
+    last = trajectory.pop()
+    g, leaves, loss_id = _support_tape(last, task)
+    first = backward(g, loss_id)
+    adapted = last.add_scaled({k: complex_gradient(g, loss_id, nid, first) for k, nid in leaves.items()},
+                              -inner_lr)
+    g.release()  # the Hessian product reads none of the values this drops
+    lam, q_loss, acc = _query_gradient(adapted, task)
+    del last, adapted
+    for k in reversed(range(steps)):
+        if k < steps - 1:
+            g, leaves, loss_id = _support_tape(trajectory.pop(), task)
+            first = backward(g, loss_id)
+        lam = ParamSet(lam).add_scaled(hvp_sweep(g, leaves, first, lam), -inner_lr)
+        del g  # a swept tape still holds its leaves and consts
+    return lam, q_loss, acc
 
 
 def meta_gradient(theta: ParamSet, tasks: Sequence[MetaTask], inner_lr: float, steps: int) -> ParamSet:
     """Exact gradient of the meta-objective.
 
-    Every number of inner steps takes the same route: the curvature
-    corrections are composed by back-propagating from each task's query
-    loss through its full recorded inner trajectory.
+    Every number of inner steps takes the same route: from each task's
+    query gradient at its adapted parameters, one curvature correction per
+    inner step, applied in reverse order.  Its memory is one step's tape
+    plus one parameter-sized snapshot per inner step.
     """
     grad, _, _ = _meta_step_gradient(theta, tasks, inner_lr, steps, first_order=False)
     return grad
@@ -405,7 +423,7 @@ def _meta_step_gradient(theta: ParamSet, tasks: Sequence[MetaTask], inner_lr: fl
         if first_order:
             grad, q_loss, q_acc = _query_gradient(inner_update(theta, task, inner_lr, steps), task)
         else:
-            grad, q_loss, q_acc = _unrolled_task_gradient(theta, task, inner_lr, steps)
+            grad, q_loss, q_acc = _exact_task_gradient(theta, task, inner_lr, steps)
         acc = _accumulate(acc, grad)
         total_loss += q_loss
         query_accs.append(q_acc)
@@ -431,8 +449,7 @@ def adaptive_beta(theta: ParamSet, tasks: Sequence[MetaTask], inner_lr: float,
         raise ValueError("adaptive step size needs its configuration")
     norms = []
     for task in tasks[: cfg.probe_tasks]:
-        grad, _ = _support_gradient(theta, task)
-        norms.append(ParamSet(grad).norm())
+        norms.append(ParamSet(_support_gradient(theta, task)).norm())
     mean_norm = float(np.mean(norms)) if norms else 0.0
     l, rho = cfg.grad_lipschitz, cfg.hess_lipschitz
     beta_tilde = 1.0 / (4.0 * l + 2.0 * rho * inner_lr * mean_norm)

@@ -58,9 +58,7 @@ records each chunk on a scratch tape and sweeps that graph-free.
 A real scalar loss reads as (L + L*)/2, so its sweep starts from the real
 seed 1/2.  :func:`backward` returns one adjoint per node, dL/dz*, as a map
 node id -> the node that holds it; :func:`complex_gradient` reads that map.
-The naive rule has no mirror channel, so its sweep seeds 1.  Nodes in
-``stop`` are free variables: they collect adjoints and are not swept
-through, as an inner step of the meta-gradient needs.
+The naive rule has no mirror channel, so its sweep seeds 1.
 :func:`backward_graph` keeps the older (value, conj) pair API for
 ``perfbench``'s traced run only; a seed pair that is not real runs as two
 real-seeded sweeps.
@@ -81,11 +79,11 @@ node back.  Leaves, consts and the loss keep theirs.  Reading a released
 value, directly or as the operand of a new op, raises
 :class:`ReleasedValueError`.
 
-Recording sweeps: :func:`backward`, and so the first sweep of :func:`hvp`,
-each inner-step sweep of the unrolled meta-gradient in ``meta`` and both
-rules of ``camel toychain``.  Graph-free sweeps: the second sweep of
-:func:`hvp`, and in ``meta`` every support and query gradient and the
-final sweep of each exact meta-gradient.
+Recording sweeps: :func:`backward`, and so the first sweep of a Hessian
+product (:func:`hvp`, and each inner step of the exact meta-gradient in
+``meta``), and both rules of ``camel toychain``.  Graph-free sweeps: the
+second sweep of a Hessian product (:func:`hvp_sweep`), and in ``meta``
+every support and query gradient.
 
 A forward pass that nothing differentiates runs on :func:`evaluator`, the
 same op methods evaluated on arrays, so each intermediate is freed once
@@ -100,7 +98,7 @@ The numerical oracles that check this engine live in ``gradcheck``.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Container, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -762,7 +760,7 @@ def _pull_attend(g, nid, c, naive):
     for s in _attend_chunks(g.shape[q][0], g.shape[q][1], g.shape[kt][2]):
         t = Tape()
         ids = {i: t.leaf(x[s]) if i in grads else t.const(x[s]) for i, x in vals.items()}
-        cot = _sweep(t, _ArrayOps(t), g_attention(t, ids[q], ids[kt], ids[v], lift), c[s], naive, None)
+        cot = _sweep(t, _ArrayOps(t), {g_attention(t, ids[q], ids[kt], ids[v], lift): c[s]}, naive)
         for i, grad in grads.items():
             if ids[i] in cot:
                 grad[s] = cot[ids[i]]
@@ -869,7 +867,7 @@ def backward_values(g: Tape, loss_id: int) -> dict[int, np.ndarray]:
     :func:`backward` records.
     """
     _check_real_scalar(g, loss_id)
-    return _sweep(g, _ArrayOps(g), loss_id, 0.5, False, None)
+    return _sweep(g, _ArrayOps(g), {loss_id: 0.5}, False)
 
 
 class _Shapes:
@@ -935,15 +933,15 @@ def _real_part(ops: Tape, p):
     return ops.re(p)
 
 
-def _sweep(g: Tape, ops: Tape, out_id: int, seed, naive: bool, stop) -> dict:
-    """Reverse sweep over ``g`` from the adjoint ``seed`` at ``out_id``,
-    whose adjoint arithmetic runs on ``ops``: ``g`` itself records it, an
-    :class:`_ArrayOps` over ``g`` does not, keeps only the adjoints of
-    leaves (and of ``stop`` nodes, if given) and consumes ``g`` up to
-    ``out_id`` (see :func:`backward_values`).  ``seed`` is a number, the
-    adjoint of every element of ``out_id``, or an adjoint as ``ops`` holds
-    it: a node id when ``g`` records, an array when not.  Returns node id
-    -> c.
+def _sweep(g: Tape, ops: Tape, seeds: Mapping[int, object], naive: bool) -> dict:
+    """Reverse sweep over ``g`` from the adjoints ``seeds`` (node id -> its
+    seed), whose adjoint arithmetic runs on ``ops``: ``g`` itself records
+    it, an :class:`_ArrayOps` over ``g`` does not, keeps only the adjoints
+    of leaves and consumes ``g`` up to the last seeded node (see
+    :func:`backward_values`).  A seed is a number, the adjoint of every
+    element of its node, or an adjoint as ``ops`` holds it: a node id when
+    ``g`` records, an array when not.  Seeded nodes keep their values.
+    Returns node id -> c.
 
     A real node holds a real adjoint: under the two-term rule only its real
     part reaches a leaf, so the sweep keeps the real part of what each
@@ -951,18 +949,19 @@ def _sweep(g: Tape, ops: Tape, out_id: int, seed, naive: bool, stop) -> dict:
     real part.  The naive rule keeps complex adjoints everywhere."""
     keep_all = ops is g
     if not keep_all:
-        g.release(keep=(out_id,), end=out_id + 1)
+        g.release(keep=seeds, end=max(seeds) + 1)
     real = g.real
-    if isinstance(seed, (float, complex)):
-        seed = ops.const(np.full(g.shape[out_id], seed.real if real[out_id] and not naive else _C(seed)))
-    cot: dict = {out_id: seed}
-    heap = [-out_id]
+    cot: dict = {}
+    for nid, seed in seeds.items():
+        if isinstance(seed, (float, complex)):
+            seed = ops.const(np.full(g.shape[nid], seed.real if real[nid] and not naive else _C(seed)))
+        cot[nid] = seed
+    heap = [-nid for nid in cot]
+    heapq.heapify(heap)
     while heap:
         nid = -heapq.heappop(heap)
         kind = g.kind[nid]
         if kind == "leaf" or kind == "const":
-            continue
-        if stop is not None and nid in stop:
             continue
         c = cot[nid] if keep_all else cot.pop(nid)
         if not g.needs[nid]:
@@ -976,7 +975,7 @@ def _sweep(g: Tape, ops: Tape, out_id: int, seed, naive: bool, stop) -> dict:
                 heapq.heappush(heap, -inp)
             else:
                 cot[inp] = ops.add(prev, p)
-        if not keep_all and nid != out_id:
+        if not keep_all and nid not in seeds:
             g.val[nid] = None
     if not keep_all:
         # a leaf's adjoint may be a broadcast view (from expand), a numpy
@@ -996,7 +995,7 @@ def _check_real_scalar(g: Tape, loss_id: int) -> None:
         raise NonRealLossError(f"loss has imaginary part {im:.3e} above tolerance {REAL_LOSS_TOL}")
 
 
-def backward(g: Tape, loss_id: int, naive: bool = False, stop: Container[int] | None = None) -> dict[int, int]:
+def backward(g: Tape, loss_id: int, naive: bool = False) -> dict[int, int]:
     """Reverse sweep from a real-valued scalar loss, recorded on the tape.
     Returns node id -> the node that holds dL/dz*; a node the loss does not
     reach is absent.
@@ -1005,13 +1004,12 @@ def backward(g: Tape, loss_id: int, naive: bool = False, stop: Container[int] | 
     which splits the unit adjoint evenly across the two conjugate-mirror
     channels, so one sweep propagates dL/dz*.  With ``naive=True`` every
     antiholomorphic term is dropped (the classical, holomorphic-only rule),
-    which has no mirror channel, so the seed is 1.  Nodes in ``stop`` are
-    treated as free variables: they accumulate adjoints but are not
-    differentiated through.  Node ids are processed in descending order,
-    so every adjoint is fully accumulated before it is propagated.
+    which has no mirror channel, so the seed is 1.  Node ids are processed
+    in descending order, so every adjoint is fully accumulated before it
+    is propagated.
     """
     _check_real_scalar(g, loss_id)
-    return _sweep(g, g, loss_id, 1.0 if naive else 0.5, naive, stop)
+    return _sweep(g, g, {loss_id: 1.0 if naive else 0.5}, naive)
 
 
 def complex_gradient(g: Tape, loss_id: int, param_id: int, cots: Mapping[int, int] | None = None) -> CTensor:
@@ -1050,8 +1048,8 @@ def backward_graph(g: Tape, out_id: int, seed: tuple[complex | None, complex | N
     a1, a2 = (sc + sv.conjugate()) / 2, (sc - sv.conjugate()) / 2j
     if g.real[out_id]:
         a1, a2 = a1.real, a2.real
-    p1 = _sweep(g, g, out_id, a1, False, None) if a1 else {}
-    p2 = _sweep(g, g, out_id, a2, False, None) if a2 else {}
+    p1 = _sweep(g, g, {out_id: a1}, False) if a1 else {}
+    p2 = _sweep(g, g, {out_id: a2}, False) if a2 else {}
     return {nid: _Pair(g, p1.get(nid), p2.get(nid)) for nid in dict.fromkeys([*p1, *p2])}
 
 
@@ -1096,20 +1094,33 @@ def hvp(
     of the gradient map g = 2 dL/dz* along u, lim (g(theta + h u) - g(theta)) / h.
 
     That is the complex gradient of the real inner product
-    Re sum(conj(g) * u) (Pearlmutter's double backprop).  The first sweep
-    records g on the tape; one graph-free sweep, seeded with 1 at
-    s = sum(conj(g) * u), differentiates 2 Re s and so returns
-    2 d(Re s)/dz*, that complex gradient.
+    Re sum(conj(g) * u) (Pearlmutter's double backprop): the first sweep
+    records g on the tape, and :func:`hvp_sweep` differentiates it.
     """
     g = Tape()
     leaves = {name: g.leaf(t) for name, t in theta.items()}
-    loss_id = loss_builder(g, leaves)
-    first = backward(g, loss_id)
-    s = None
+    return hvp_sweep(g, leaves, backward(g, loss_builder(g, leaves)), u)
+
+
+def hvp_sweep(g: Tape, leaves: Mapping[str, int], first: Mapping[int, int],
+              u: Mapping[str, CTensor]) -> dict[str, CTensor]:
+    """The second half of :func:`hvp`: the Hessian product at the leaves
+    ``leaves`` of the loss whose recorded sweep :func:`backward` returned
+    as ``first``.
+
+    With c = dL/dz* the node ``first`` holds for a leaf, g = 2c there, and
+    s = Re sum(conj(g) * u) has ds/dc* = u.  So one graph-free sweep,
+    seeded with 2u at each leaf's c (its real part at a real c), returns
+    2 ds/dz*, the complex gradient of s.  It consumes ``g`` as
+    :func:`backward_values` does, so each tape serves one product.
+    """
+    seeds: dict = {}
     for name, leaf in leaves.items():
-        if leaf in first:
-            term = g_sum(g, g.mulc(g.const(u[name]), g.smul(first[leaf], 2.0)))
-            s = term if s is None else g.add(s, term)
-    second = {} if s is None else _sweep(g, _ArrayOps(g), s, 1.0, False, None)
-    return {name: CTensor._wrap(second[leaf]) if leaf in second else CTensor.zeros(theta[name].shape)
+        c = first.get(leaf)
+        if c is not None:
+            seed = 2.0 * u[name].numpy()
+            seed = seed.real if g.real[c] else seed
+            seeds[c] = seed if c not in seeds else seeds[c] + seed
+    second = _sweep(g, _ArrayOps(g), seeds, False) if seeds else {}
+    return {name: CTensor._wrap(second[leaf]) if leaf in second else CTensor.zeros(g.shape[leaf])
             for name, leaf in leaves.items()}

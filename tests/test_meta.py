@@ -34,7 +34,9 @@ from camel.wirtinger import (
     backward_values,
     complex_gradient,
     evaluator,
+    g_sum,
     hvp,
+    hvp_sweep,
 )
 
 from conftest import assert_same_adjoints, rand_complex
@@ -229,8 +231,8 @@ DESK_ARCH = ArchConfig(n_classes=5, frame_len=64, conv_channels=8, conv_stride=4
 
 
 def test_unrolled_meta_gradient_memory_at_desk_scale(rng):
-    # with a graph-free final sweep one 5-step desk task peaks near 12 MB of
-    # traced allocations; a final sweep that records its arithmetic needed 133 MB
+    # one 5-step desk task peaks near 2.8 MiB of traced allocations; a sweep
+    # through the whole unrolled tape that recorded its arithmetic needed 133 MB
     theta = ParamSet(init_params(DESK_ARCH, rng))
     task = EpisodeTask(toy_episode(rng, DESK_ARCH, n_way=5, k_shot=1, q_per_class=5), DESK_ARCH)
     tracemalloc.start()
@@ -257,9 +259,11 @@ def test_single_channel_sweeps_at_desk_scale(rng, monkeypatch):
     # 146 with real nodes in complex storage, 99 and 138 with the chain on
     # the forward tape, 143 and 262 with conj/transpose nodes and index-map
     # gathers).  The counts are pinned exactly, so a sweep that records one
-    # node more fails here without any timing.  One task's unrolled tape
-    # holds 324 nodes at its final sweep after 1 inner step, 1280 after 5,
-    # and the 5-step meta-gradient peaks near 5.0 MiB of traced allocations
+    # node more fails here without any timing.  Each inner step's Hessian
+    # product sweeps one support tape of 224 nodes, the forward and its
+    # recorded backward, at any number of steps (the whole unrolled tape
+    # held 324 nodes after 1 step and 1280 after 5), and the 5-step
+    # meta-gradient peaks near 2.8 MiB of traced allocations (5.0 unrolled)
     theta, (task,) = _desk_tasks(rng, 1)
     g = Tape()
     loss = task.support_loss(g, {k: g.leaf(v) for k, v in theta.items()})
@@ -269,32 +273,51 @@ def test_single_channel_sweeps_at_desk_scale(rng, monkeypatch):
     assert len(g) - n == 139
     lengths = []
 
-    def final_sweep(g, loss_id):
+    def product_sweep(g, *args):
         lengths.append(len(g))
-        return backward_values(g, loss_id)
+        return hvp_sweep(g, *args)
 
-    monkeypatch.setattr(camel.meta, "backward_values", final_sweep)
+    monkeypatch.setattr(camel.meta, "hvp_sweep", product_sweep)
     meta_gradient(theta, [task], ALPHA, 1)
+    assert lengths == [224]
     tracemalloc.start()
     try:
         meta_gradient(theta, [task], ALPHA, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert lengths == [324, 1280]
-    assert peak < 5.45 * 2**20
+    assert lengths == [224] * 6
+    assert peak < 3.1 * 2**20
+
+
+def test_meta_gradient_memory_is_flat_in_inner_steps(rng):
+    # only one inner step's tape is alive at a time, and the parameters
+    # before each step are all that grows: one desk task peaks at 2.55 MiB
+    # of traced allocations at 1 step and 2.83 at 5 (2.55 and 5.04 with
+    # the whole trajectory on one tape)
+    theta, (task,) = _desk_tasks(rng, 1)
+    peaks = {}
+    for steps in (1, 5):
+        tracemalloc.start()
+        try:
+            meta_gradient(theta, [task], ALPHA, steps)
+            peaks[steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[5] <= 1.2 * peaks[1]
 
 
 def _reference_meta_gradient(theta, tasks, inner_lr, steps):
-    """The unrolled meta-gradient on tapes that keep every value, with the
-    recorded backward as the final sweep."""
+    """The unrolled meta-gradient on tapes that keep every value: the whole
+    inner trajectory recorded on one tape, with the recorded backward as
+    the final sweep."""
     acc = None
     for task in tasks:
         g = Tape()
         leaves = {k: g.leaf(v) for k, v in theta.items()}
         cur = dict(leaves)
         for _ in range(steps):
-            cots = backward(g, task.support_loss(g, cur), stop=set(cur.values()))
+            cots = backward(g, task.support_loss(g, cur))
             cur = {k: nid if nid not in cots else g.sub(nid, g.smul(cots[nid], 2.0 * inner_lr))
                    for k, nid in cur.items()}
         q_loss = task.query_loss(g, cur)
@@ -305,10 +328,60 @@ def _reference_meta_gradient(theta, tasks, inner_lr, steps):
 
 
 @pytest.mark.parametrize("steps", [1, 2, 5])
-def test_released_tape_gives_the_meta_gradient_of_a_full_tape_bit_for_bit(rng, steps):
+def test_step_reversed_meta_gradient_matches_the_unrolled_tape(rng, steps):
     theta, tasks = _desk_tasks(rng)
     got = meta_gradient(theta, tasks, ALPHA, steps)
     want = _reference_meta_gradient(theta, tasks, ALPHA, steps)
+    scale = max(np.max(np.abs(v)) for v in want.values())
+    for k in theta:
+        assert np.max(np.abs(got[k].numpy() - want[k])) <= 1e-12 * scale, k
+
+
+def _recorded_step_reversal(theta, tasks, inner_lr, steps):
+    """The step-reversed meta-gradient on tapes that keep every value, with
+    every sweep recorded: each Hessian product is the recorded gradient of
+    Re sum(conj(g) * lam), with g the recorded support gradient."""
+
+    def support(theta_k, task):
+        g = Tape()
+        leaves = {k: g.leaf(v) for k, v in theta_k.items()}
+        loss = task.support_loss(g, leaves)
+        return g, loss, leaves, backward(g, loss)
+
+    acc = None
+    for task in tasks:
+        trajectory = [theta]
+        for _ in range(steps):
+            g, loss, leaves, first = support(trajectory[-1], task)
+            grad = {k: complex_gradient(g, loss, nid, first) for k, nid in leaves.items()}
+            trajectory.append(trajectory[-1].add_scaled(grad, -inner_lr))
+        g = Tape()
+        leaves = {k: g.leaf(v) for k, v in trajectory.pop().items()}
+        q_loss = task.query_loss(g, leaves)
+        cots = backward(g, q_loss)
+        lam = ParamSet({k: complex_gradient(g, q_loss, nid, cots) for k, nid in leaves.items()})
+        for theta_k in reversed(trajectory):
+            g, _, leaves, first = support(theta_k, task)
+            s = None
+            for k, nid in leaves.items():
+                term = g_sum(g, g.mulc(g.const(lam[k]), g.smul(first[nid], 2.0)))
+                s = term if s is None else g.add(s, term)
+            re_s = g.re(s)
+            second = backward(g, re_s)
+            lam = lam.add_scaled({k: complex_gradient(g, re_s, nid, second) for k, nid in leaves.items()},
+                                 -inner_lr)
+        acc = {k: v.numpy().copy() for k, v in lam.items()} if acc is None else \
+            {k: acc[k] + lam[k].numpy() for k in acc}
+    return {k: v / len(tasks) for k, v in acc.items()}
+
+
+@pytest.mark.parametrize("steps", [1, 2, 5])
+def test_released_tape_gives_the_meta_gradient_of_a_full_tape_bit_for_bit(rng, steps):
+    # releasing values, consuming tapes in graph-free sweeps and seeding each
+    # Hessian product at the support gradient's nodes change no number
+    theta, tasks = _desk_tasks(rng)
+    got = meta_gradient(theta, tasks, ALPHA, steps)
+    want = _recorded_step_reversal(theta, tasks, ALPHA, steps)
     for k in theta:
         assert got[k].numpy().tobytes() == want[k].tobytes(), k
 
@@ -317,8 +390,10 @@ def test_released_tape_peak_at_desk_scale(rng):
     # releasing the values no pullback reads, and dropping each value once the
     # final sweep has pulled its node back, took a 2-task 5-step desk
     # meta-gradient from 12.4 to 7.5 MB of traced allocations; holding real
-    # nodes and their adjoints in float64 took it from 7.16 to 5.59 MiB, and
-    # folding the embedding into conv0 to 5.23 MiB
+    # nodes and their adjoints in float64 took it from 7.16 to 5.59 MiB,
+    # folding the embedding into conv0 to 5.23 MiB, dropping the biases that
+    # feed a norm to 5.10 MiB, and reversing the inner trajectory one step
+    # at a time, not on one tape, to 3.00 MiB
     theta, tasks = _desk_tasks(rng)
     tracemalloc.start()
     try:
@@ -326,7 +401,7 @@ def test_released_tape_peak_at_desk_scale(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5.75 * 2**20
+    assert peak < 3.3 * 2**20
 
 
 def test_swept_tape_is_freed_without_the_cycle_collector(rng):
@@ -553,7 +628,9 @@ def test_train_divergence_aborts_with_last_good():
 @pytest.mark.parametrize("first_order", [False, True], ids=["exact", "first_order"])
 def test_training_accuracy_reads_the_recorded_query_forward(rng, monkeypatch, first_order):
     # each task runs inner_steps support forwards and one query forward, and
-    # query_acc is the accuracy of the adapted parameters on the query set
+    # the exact route records the support forward again at every step but
+    # the last on its way back; query_acc is the accuracy of the adapted
+    # parameters on the query set
     arch = TOY_ARCH
     tasks = [EpisodeTask(toy_episode(rng, arch, q_per_class=4), arch) for _ in range(3)]
     theta = ParamSet(init_params(arch, rng))
@@ -564,7 +641,8 @@ def test_training_accuracy_reads_the_recorded_query_forward(rng, monkeypatch, fi
     real_build = camel.meta.build_network
     monkeypatch.setattr(camel.meta, "build_network", lambda *a, **k: calls.append(1) or real_build(*a, **k))
     state = train_meta(theta, lambda: tasks, cfg)
-    assert len(calls) == cfg.iterations * cfg.meta_batch * (cfg.inner_steps + 1)
+    forwards = cfg.inner_steps + 1 if first_order else 2 * cfg.inner_steps
+    assert len(calls) == cfg.iterations * cfg.meta_batch * forwards
     assert state.history[0].query_acc == want
     assert 0.0 < want < 1.0
 
@@ -674,3 +752,20 @@ def test_inner_update_nonfinite_loss_aborts():
     far = ParamSet({"t": CTensor.scalar(1e200 + 0j)})
     with pytest.raises(FloatingPointError, match="not finite"):
         inner_update(far, quad_tasks()[0], ALPHA, 1)
+
+
+@pytest.mark.parametrize("first_order", [False, True], ids=["exact", "first_order"])
+def test_support_loss_nonfinite_after_the_first_inner_step_aborts(first_order):
+    # an inner lr of 1e200 keeps step 0's support loss and step 1's
+    # parameters finite, and overflows step 1's support loss
+    lr = 1e200
+    grad = first_order_meta_gradient if first_order else meta_gradient
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="not finite"):
+        grad(theta_scalar(), quad_tasks(), lr, 3)
+    cfg = MetaConfig(inner_lr=lr, outer_lr=0.01, inner_steps=3, iterations=5,
+                     first_order=first_order, early_stop=False)
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="not finite") as info:
+        train_meta(theta_scalar(), quad_tasks, cfg)
+    state = info.value.state
+    assert state.iteration == 0 and not state.history
+    assert state.theta["t"].item() == THETA0
