@@ -16,19 +16,16 @@ from .layers import (
     c_mha,
     c_norm,
     c_softmax,
-    camel_forward,
     cconv1d,
     cfc,
     init_params,
 )
 from .meta import (
-    AdaptiveBetaConfig,
     Episode,
     EpisodeTask,
     MetaConfig,
     ParamSet,
     QuadraticTask,
-    adaptive_beta,
     evaluate,
     first_order_meta_gradient,
     inner_update,

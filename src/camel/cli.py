@@ -39,7 +39,6 @@ import numpy as np
 from .ctensor import CTensor
 from .layers import ArchConfig, ConfigError, init_params, param_shapes
 from .meta import (
-    AdaptiveBetaConfig,
     DivergenceError,
     HistoryRow,
     MetaConfig,
@@ -140,12 +139,9 @@ class RunConfig:
     explicit: set = field(default_factory=set)
 
 
-# config key -> (dataclass, field name, annotation); adaptive step size
-# fields take the adaptive_ prefix
-_KEYS = {prefix + f.name: (cls, f.name, str(f.type))
-         for cls, prefix in ((ArchConfig, ""), (MetaConfig, ""), (DataConfig, ""),
-                             (AdaptiveBetaConfig, "adaptive_"))
-         for f in dataclasses.fields(cls) if f.name != "adaptive_beta"}
+# config key -> (dataclass, annotation)
+_KEYS = {f.name: (cls, str(f.type))
+         for cls in (ArchConfig, MetaConfig, DataConfig) for f in dataclasses.fields(cls)}
 _ARCH_KEYS = {k: v for k, v in _KEYS.items() if v[0] is ArchConfig}
 
 
@@ -183,7 +179,7 @@ def read_settings(lines, source: str, keys=_KEYS) -> dict:
         if key not in keys:
             raise ConfigError(f"{where}: unknown key {key!r}")
         try:
-            values[key] = _coerce(keys[key][2], value)
+            values[key] = _coerce(keys[key][1], value)
         except ValueError as exc:
             raise ConfigError(f"{where}: key {key!r}: {exc}") from exc
     return values
@@ -195,14 +191,10 @@ def parse_config(lines, source: str = "<config>") -> RunConfig:
 
 
 def _build_config(values: dict, source: str) -> RunConfig:
-    kw: dict[type, dict] = {ArchConfig: {"n_classes": 5}, MetaConfig: {}, DataConfig: {},
-                            AdaptiveBetaConfig: {}}
+    kw: dict[type, dict] = {ArchConfig: {"n_classes": 5}, MetaConfig: {}, DataConfig: {}}
     for key, value in values.items():
-        cls, name, _ = _KEYS[key]
-        kw[cls][name] = value
+        kw[_KEYS[key][0]][key] = value
     try:
-        if kw[AdaptiveBetaConfig]:
-            kw[MetaConfig]["adaptive_beta"] = AdaptiveBetaConfig(**kw[AdaptiveBetaConfig])
         return RunConfig(arch=ArchConfig(**kw[ArchConfig]), meta=MetaConfig(**kw[MetaConfig]),
                          data=DataConfig(**kw[DataConfig]), explicit=set(values))
     except (ValueError, TypeError) as exc:
@@ -255,8 +247,7 @@ def _arch_to_lines(arch: ArchConfig) -> str:
 
 # a checkpoint header: the arch lines, then the iteration and the episode
 # stream's rng state
-_HEADER_KEYS = {**_ARCH_KEYS, "iteration": (Checkpoint, "iteration", "int"),
-                "rng_state": (Checkpoint, "rng_state", "str")}
+_HEADER_KEYS = {**_ARCH_KEYS, "iteration": (Checkpoint, "int"), "rng_state": (Checkpoint, "str")}
 
 
 def _read_header(lines: list[str], path: str) -> tuple[ArchConfig, int, dict]:
@@ -383,6 +374,8 @@ def load_checkpoint(path: str) -> Checkpoint:
         for _ in range(n_params):
             (nlen,) = struct.unpack("<H", read(2, "parameter name length"))
             name = read(nlen, "parameter name").decode("utf-8", "replace")
+            if name in tensors:
+                raise CheckpointError(f"checkpoint {path} repeats parameter {name}")
             (rank,) = struct.unpack("<I", read(4, "parameter rank"))
             if rank > 3:  # no parameter of the network has more axes than a conv kernel
                 raise CheckpointError(f"checkpoint {path}: parameter {name} has rank {rank}")

@@ -503,16 +503,3 @@ def c_act(x: CTensor, kind: str = "crelu") -> CTensor:
     """Activation applied to real and imaginary parts independently."""
     g = evaluator()
     return g.value(build_act(g, g.const(x), kind))
-
-
-def camel_forward(frame: CTensor, params: Mapping[str, CTensor], arch: ArchConfig) -> CTensor:
-    """Log class probabilities of one frame shaped (1, frame_len).
-
-    The normalization layers use the frame's own statistics (a batch of
-    one; the FC norm then degenerates to its shift parameter).
-    """
-    g = evaluator()
-    x3 = g.const(frames_to_input([frame], arch))
-    consts = {name: g.const(t) for name, t in params.items()}
-    lp = build_network(g, x3, consts, arch)
-    return g.value(lp).reshape((arch.n_classes,))

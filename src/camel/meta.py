@@ -91,16 +91,6 @@ class ParamSet(Mapping):
     def zeros_like(self) -> "ParamSet":
         return self.map(lambda k, v: CTensor.zeros(v.shape))
 
-    def flat(self) -> np.ndarray:
-        """All parameters concatenated into one complex vector."""
-        if not self._d:
-            return np.zeros(0, dtype=_C)
-        return np.concatenate([v.numpy().ravel() for v in self._d.values()])
-
-    def norm(self) -> float:
-        f = self.flat()
-        return float(np.sqrt(np.sum(f * np.conj(f)).real))
-
     def max_abs_diff(self, other: "ParamSet") -> float:
         return float(max((np.max(np.abs(self[k].numpy() - other[k].numpy()), initial=0.0)
                           for k in self), default=0.0))
@@ -216,24 +206,6 @@ def _predictions(lp: np.ndarray) -> list[int]:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class AdaptiveBetaConfig:
-    """Inputs of the smoothness-scaled step size rule; the Lipschitz
-    constants cannot be estimated from data and must be supplied."""
-
-    grad_lipschitz: float
-    hess_lipschitz: float = 0.0
-    probe_tasks: int = 1
-
-    def __post_init__(self):
-        if self.grad_lipschitz <= 0:
-            raise ValueError("grad_lipschitz must be positive")
-        if self.hess_lipschitz < 0:
-            raise ValueError("hess_lipschitz must be non-negative")
-        if self.probe_tasks < 1:
-            raise ValueError("probe_tasks must be >= 1")
-
-
-@dataclass
 class MetaConfig:
     """Hyperparameters of the episodic training loop."""
 
@@ -253,7 +225,6 @@ class MetaConfig:
     plateau_patience: int = 50
     plateau_tol: float = 1e-6
     checkpoint_every: int = 1000
-    adaptive_beta: AdaptiveBetaConfig | None = None
 
     def __post_init__(self):
         if self.inner_lr < 0:
@@ -268,12 +239,6 @@ class MetaConfig:
                 raise ValueError(f"{name} must be >= 0")
         if self.outer_optimizer not in ("sgd", "adam"):
             raise ValueError(f"outer_optimizer must be sgd or adam, got {self.outer_optimizer!r}")
-        if self.adaptive_beta is not None:
-            limit = 1.0 / (6.0 * self.adaptive_beta.grad_lipschitz)
-            if not 0 < self.inner_lr <= limit:
-                raise ValueError(
-                    f"inner_lr {self.inner_lr} outside (0, 1/(6L)] = (0, {limit:.6g}] "
-                    "required by the adaptive step size rule")
 
 
 # ---------------------------------------------------------------------------
@@ -437,25 +402,6 @@ def outer_update(theta: ParamSet, grad: Mapping[str, CTensor], outer_lr: float) 
     return theta.add_scaled(grad, -outer_lr)
 
 
-def adaptive_beta(theta: ParamSet, tasks: Sequence[MetaTask], inner_lr: float,
-                  cfg: AdaptiveBetaConfig) -> float:
-    """Smoothness-scaled outer step size
-
-        beta(theta) = 1 / (4L + 2 rho alpha mean_i ||grad_i||),
-
-    divided by 12, estimated from the support gradients of the sampled
-    probe tasks."""
-    if cfg is None:
-        raise ValueError("adaptive step size needs its configuration")
-    norms = []
-    for task in tasks[: cfg.probe_tasks]:
-        norms.append(ParamSet(_support_gradient(theta, task)).norm())
-    mean_norm = float(np.mean(norms)) if norms else 0.0
-    l, rho = cfg.grad_lipschitz, cfg.hess_lipschitz
-    beta_tilde = 1.0 / (4.0 * l + 2.0 * rho * inner_lr * mean_norm)
-    return beta_tilde / 12.0
-
-
 # ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------
@@ -562,10 +508,7 @@ def train_meta(theta0: ParamSet, batch_source: Callable[[], Sequence[MetaTask]],
         if adam is not None:
             theta_next = adam.step(state.theta, grad)
         else:
-            lr = cfg.outer_lr
-            if cfg.adaptive_beta is not None:
-                lr = adaptive_beta(state.theta, tasks, cfg.inner_lr, cfg.adaptive_beta)
-            theta_next = outer_update(state.theta, grad, lr)
+            theta_next = outer_update(state.theta, grad, cfg.outer_lr)
         bad = any(not (np.all(np.isfinite(t.numpy().real)) and np.all(np.isfinite(t.numpy().imag)))
                   for t in theta_next.values())
         if bad:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from camel.cli import (
+    _KEYS,
     MAX_SNR_POINTS,
     Checkpoint,
     CheckpointError,
@@ -80,17 +81,34 @@ def test_config_error_is_one_class():
         parse_config(["attn_dim=6", "n_heads=4"])
 
 
-def test_adaptive_probe_batch_is_an_unknown_key(tmp_path, capsys):
-    lines = ["adaptive_grad_lipschitz=1.0", "adaptive_probe_batch=4"]
-    with pytest.raises(ConfigError, match=r"cfg:2.*adaptive_probe_batch"):
+@pytest.mark.parametrize("key", ["adaptive_grad_lipschitz", "adaptive_hess_lipschitz",
+                                 "adaptive_probe_tasks", "adaptive_probe_batch"])
+def test_retired_adaptive_keys_are_unknown(tmp_path, capsys, key):
+    lines = ["inner_lr=0.1", f"{key}=4"]
+    with pytest.raises(ConfigError, match=rf"cfg:2: unknown key '{key}'"):
         parse_config(lines, source="cfg")
-    p = tmp_path / "probe.cfg"
+    p = tmp_path / "retired.cfg"
     p.write_text("\n".join(lines) + "\n")
     assert main(["gen", "--config", str(p), "--out", str(tmp_path / "pool.csig")]) == 3
-    assert "adaptive_probe_batch" in capsys.readouterr().err
+    assert f"retired.cfg:2: unknown key '{key}'" in capsys.readouterr().err
+    assert main(["gen", "--set", lines[0], "--set", lines[1],
+                 "--out", str(tmp_path / "pool.csig")]) == 3
+    assert f"command line:2: unknown key '{key}'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["seed", "adaptive_grad_lipschitz"])
+def test_readme_key_reference_lists_every_config_key():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("\n## Run configuration\n", 1)[1].split("\n## ", 1)[0]
+    documented = set()
+    for heading in ("Architecture keys", "Training keys", "Data keys"):
+        paragraph = section.split(f"\n{heading}", 1)[1].split("\n\n", 1)[0]
+        documented |= set(re.findall(r"`(\w+)`\s+\(", paragraph))
+    assert documented == set(_KEYS)
+
+
+@pytest.mark.parametrize("key", ["seed", "inner_lr"])
 def test_bad_value_names_key_and_line(tmp_path, capsys, key):
     with pytest.raises(ConfigError, match=rf"cfg:2: key '{key}'"):
         parse_config(["n_classes=3", f"{key}=abc"], source="cfg")
@@ -623,6 +641,12 @@ def _inf_param(theta):
     return _fc0_w_with(theta, complex(0.0, np.inf))  # refused with no numpy warning
 
 
+def _repeated_head_b(theta):
+    # a second entry would replace the first and still pass every name check
+    head_b = theta["head.b"].numpy()
+    return _record("head.b", head_b), _record("head.b", head_b) + _record("head.b", head_b + 1.0), 1
+
+
 def _old_biases(theta):
     # every checkpoint written while the embedding, the convs and the FC
     # blocks had biases carries these three
@@ -636,8 +660,10 @@ def _old_biases(theta):
 @pytest.mark.parametrize("damage, message", [(_drop_head_b, "lacks parameter"),
                                              (_nan_param, "non-finite"),
                                              (_inf_param, "non-finite"),
-                                             (_old_biases, "does not define")],
-                         ids=["missing_head_b", "nan_param", "inf_param", "old_biases"])
+                                             (_old_biases, "does not define"),
+                                             (_repeated_head_b, "repeats parameter head.b")],
+                         ids=["missing_head_b", "nan_param", "inf_param", "old_biases",
+                              "repeated_head_b"])
 def test_cmd_eval_and_resume_reject_damaged_checkpoint(tmp_path, tiny_cfg_path, capsys,
                                                        damage, message):
     path = _trained_checkpoint(tmp_path, tiny_cfg_path)
@@ -660,6 +686,16 @@ def test_checkpoint_wrong_shape_rejected(tmp_path, rng):
     _edit_params(p, _record("head.b", ck.theta["head.b"].numpy()), _record("head.b", rand_complex(rng, 4)))
     with pytest.raises(CheckpointError, match="shape"):
         load_checkpoint(str(p))
+
+
+def test_checkpoint_repeated_parameter_names_it_and_the_file(tmp_path, rng):
+    ck = _checkpoint(rng)
+    p = tmp_path / "twice.caml"
+    save_checkpoint(str(p), ck)
+    _edit_params(p, *_repeated_head_b(ck.theta))
+    with pytest.raises(CheckpointError, match="repeats parameter head.b") as info:
+        load_checkpoint(str(p))
+    assert str(p) in str(info.value)
 
 
 @pytest.mark.parametrize("damage, message", [

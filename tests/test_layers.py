@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import camel.layers
 from camel.ctensor import CTensor, ShapeMismatchError
 from camel.layers import (
     LIFTS,
@@ -22,7 +23,6 @@ from camel.layers import (
     c_mha,
     c_norm,
     c_softmax,
-    camel_forward,
     cconv1d,
     cfc,
     frames_to_input,
@@ -342,22 +342,23 @@ def _toy_arch(**kw):
     return ArchConfig(**base)
 
 
-def test_camel_forward_logprob_contract(rng):
+def test_each_frame_of_a_batch_gets_its_own_logprobs(rng):
+    """The FC norm takes its statistics over the batch: on a batch of one
+    its output is its shift parameter whatever the frame, so the network
+    has no single-frame entry point, and a batch of frames gets one row
+    of normalized log-probabilities each."""
+    assert not hasattr(camel, "camel_forward")
+    assert not hasattr(camel.layers, "camel_forward")
     arch = _toy_arch()
     params = init_params(arch, rng)
-    frame = CTensor(rand_complex(rng, 1, arch.frame_len))
-    lp = camel_forward(frame, params, arch)
-    assert lp.shape == (arch.n_classes,)
-    vals = lp.numpy()
-    assert np.max(np.abs(vals.imag)) == 0.0
-    assert abs(np.log(np.exp(vals.real).sum())) <= 1e-12
-
-
-def test_camel_forward_zero_params_uniform(rng):
-    arch = _toy_arch()
-    params = {k: CTensor.zeros(v.shape) for k, v in init_params(arch, rng).items()}
-    lp = camel_forward(CTensor(rand_complex(rng, 1, arch.frame_len)), params, arch).numpy()
-    assert np.max(np.abs(np.exp(lp.real) - 1.0 / arch.n_classes)) <= 1e-12
+    g = evaluator()
+    frames = [CTensor(rand_complex(rng, arch.frame_len)) for _ in range(3)]
+    consts = {k: g.const(v) for k, v in params.items()}
+    lp = g.raw(build_network(g, g.const(frames_to_input(frames, arch)), consts, arch))
+    assert lp.shape == (3, arch.n_classes)
+    assert np.max(np.abs(lp.imag)) == 0.0
+    assert np.max(np.abs(np.log(np.exp(lp.real).sum(axis=1)))) <= 1e-12
+    assert min(np.max(np.abs(lp[i] - lp[j])) for i, j in ((0, 1), (0, 2), (1, 2))) > 1e-6
 
 
 def _unfolded_network(g, x3, params, arch):

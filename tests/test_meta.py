@@ -8,14 +8,12 @@ import pytest
 from camel.ctensor import CTensor
 from camel.layers import ArchConfig, build_network, frames_to_input, init_params
 from camel.meta import (
-    AdaptiveBetaConfig,
     DivergenceError,
     Episode,
     EpisodeTask,
     MetaConfig,
     ParamSet,
     QuadraticTask,
-    adaptive_beta,
     evaluate,
     first_order_meta_gradient,
     inner_update,
@@ -75,10 +73,8 @@ TOY_ARCH = ArchConfig(n_classes=2, frame_len=16, conv_channels=2, conv_stride=2,
 def test_paramset_order_and_ops(rng):
     ps = ParamSet({"a": CTensor(rand_complex(rng, 2)), "b": CTensor(rand_complex(rng, 3))})
     assert list(ps) == ["a", "b"]
-    assert ps.flat().size == 5
     doubled = ps.add_scaled(ps, 1.0)
     assert np.allclose(doubled["a"].numpy(), 2 * ps["a"].numpy())
-    assert abs(ps.norm() - np.linalg.norm(ps.flat())) <= 1e-12
     assert np.allclose(ps.conj()["b"].numpy(), np.conj(ps["b"].numpy()))
 
 
@@ -529,29 +525,6 @@ def test_outer_update_contracts(rng):
     assert np.max(np.abs(seq["a"].numpy() - combined["a"].numpy())) <= 1e-14
 
 
-def test_adaptive_beta_formula_collapse():
-    cfg = AdaptiveBetaConfig(grad_lipschitz=2.0, hess_lipschitz=0.0)
-    beta = adaptive_beta(theta_scalar(), quad_tasks(), ALPHA, cfg)
-    assert abs(beta - 1.0 / (48.0 * 2.0)) <= 1e-15
-
-
-def test_adaptive_beta_zero_gradients():
-    cfg = AdaptiveBetaConfig(grad_lipschitz=1.5, hess_lipschitz=3.0)
-    tasks = [QuadraticTask({"t": CTensor.scalar(THETA0)})]  # center at theta: grad 0
-    beta = adaptive_beta(theta_scalar(), tasks, ALPHA, cfg)
-    assert abs(beta - 1.0 / (48.0 * 1.5)) <= 1e-15
-
-
-def test_adaptive_beta_worked_value():
-    # gradient norm 2: center at distance 1 from theta
-    tasks = [QuadraticTask({"t": CTensor.scalar(THETA0 - 1.0)})]
-    cfg = AdaptiveBetaConfig(grad_lipschitz=1.0, hess_lipschitz=1.0)
-    beta = adaptive_beta(theta_scalar(), tasks, 0.1, cfg)
-    want = (1.0 / (4.0 + 2.0 * 1.0 * 0.1 * 2.0)) / 12.0
-    assert abs(beta - want) <= 1e-12
-    assert abs(want - 0.2273 / 12.0) <= 1e-4
-
-
 def test_meta_config_validation():
     with pytest.raises(ValueError):
         MetaConfig(outer_lr=0.0)
@@ -561,9 +534,6 @@ def test_meta_config_validation():
         MetaConfig(plateau_patience=0)
     with pytest.raises(ValueError):
         MetaConfig(outer_optimizer="lbfgs")
-    with pytest.raises(ValueError):
-        MetaConfig(inner_lr=0.5, adaptive_beta=AdaptiveBetaConfig(grad_lipschitz=1.0,
-                                                                  hess_lipschitz=0.0))
 
 
 # ---------------------------------------------------------------------------
