@@ -56,7 +56,7 @@ from .signals import (
     save_frames,
     scenario_split,
 )
-from .wirtinger import Tape, backward, g_abs
+from .wirtinger import Tape, backward, complex_gradient
 
 _C = np.complex128
 
@@ -459,10 +459,16 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
-def _toy_loss(g: Tape, x: int) -> int:
-    # J = |exp(-(x*)^2)|
-    u = g.conj(x)
-    return g_abs(g, g.exp(g.neg(g.mul(u, u))))
+def _toy_step(x: complex, naive: bool) -> tuple[float, complex]:
+    """The toy map J = |exp(-(x*)^2)| at x, and its gradient 2 dJ/dx* under
+    the single-term (holomorphic-only) rule if ``naive``, else the two-term
+    rule."""
+    g = Tape()
+    xl = g.leaf(np.asarray(x, dtype=_C))
+    u = g.conj(xl)
+    j = g.cabs(g.exp(g.neg(g.mul(u, u))))
+    grad = complex_gradient(g, j, xl, backward(g, j, naive=naive))
+    return float(g.raw(j).real), complex(grad.item())
 
 
 def toychain_run(steps: int, lr: float, x0: complex = 0.5 + 0.5j):
@@ -472,31 +478,16 @@ def toychain_run(steps: int, lr: float, x0: complex = 0.5 + 0.5j):
     FloatingPointError, naming the rule and the step, where a loss or a
     gradient is not finite."""
     rows = []
-    xc = complex(x0)
-    xn = complex(x0)
+    xs = {"two-term": complex(x0), "single-term": complex(x0)}
     for step in range(steps + 1):
-        g = Tape()
-        xl = g.leaf(np.asarray(xc, dtype=_C))
-        jc = _toy_loss(g, xl)
-        jc_val = float(g.raw(jc).real)
-
-        gn = Tape()
-        xln = gn.leaf(np.asarray(xn, dtype=_C))
-        jn = _toy_loss(gn, xln)
-        jn_val = float(gn.raw(jn).real)
-
-        pc = backward(g, jc).get(xl)
-        grad_c = 2.0 * complex(g.val[pc].reshape(-1)[0]) if pc is not None else 0.0
-
-        pn = backward(gn, jn, naive=True).get(xln)
-        grad_n = 2.0 * complex(gn.val[pn].reshape(-1)[0]) if pn is not None else 0.0 + 0.0j
-
-        for rule, j, grad in (("two-term", jc_val, grad_c), ("single-term", jn_val, grad_n)):
+        got = {}
+        for rule, x in xs.items():
+            j, grad = got[rule] = _toy_step(x, naive=rule == "single-term")
             if not (math.isfinite(j) and math.isfinite(abs(grad))):
                 raise FloatingPointError(f"the {rule} trajectory is not finite at step {step}")
-        rows.append((step, jc_val, jn_val, abs(grad_n)))
-        xc -= lr * grad_c
-        xn -= lr * grad_n
+        (jc, _), (jn, grad_n) = got["two-term"], got["single-term"]
+        rows.append((step, jc, jn, abs(grad_n)))
+        xs = {rule: x - lr * got[rule][1] for rule, x in xs.items()}
     return rows
 
 
@@ -551,8 +542,17 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _check_way_count(n_classes: int, n_way: int, whose: str) -> None:
+    """The head scores one class per way of an episode, so the two counts
+    must agree; a mismatch is a ConfigError naming both keys."""
+    if n_classes != n_way:
+        raise ConfigError(f"{whose} n_classes={n_classes} but the config sets n_way={n_way}; "
+                          "the head scores one class per way of an episode")
+
+
 def cmd_train(args) -> int:
     cfg = _run_config(args)
+    _check_way_count(cfg.arch.n_classes, cfg.meta.n_way, "the config sets")
     streams = _streams(cfg.meta.seed)
     train_pool, _ = _train_test_pools(cfg, streams)
 
@@ -615,6 +615,7 @@ def cmd_eval(args) -> int:
                 f"config sets {key}={getattr(cfg.arch, key)!r} but the checkpoint "
                 f"was trained with {key}={getattr(ckpt.arch, key)!r}")
     cfg.arch = ckpt.arch
+    _check_way_count(ckpt.arch.n_classes, cfg.meta.n_way, "the checkpoint has")
 
     streams = _streams(cfg.meta.seed)
     _, test_pool = _train_test_pools(cfg, streams)

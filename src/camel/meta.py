@@ -49,8 +49,8 @@ class ParamSet(Mapping):
     """Named, ordered collection of complex parameter tensors.
 
     Iteration order is insertion order and is part of the contract
-    (checkpoints and flattened norms rely on it).  Tensors are immutable,
-    so set-level operations return new ParamSets.
+    (checkpoints rely on it).  Tensors are immutable, so set-level
+    operations return new ParamSets.
     """
 
     __slots__ = ("_d",)
@@ -70,9 +70,6 @@ class ParamSet(Mapping):
     def copy(self) -> "ParamSet":
         return ParamSet(self._d)
 
-    def map(self, fn: Callable[[str, CTensor], CTensor]) -> "ParamSet":
-        return ParamSet({k: fn(k, v) for k, v in self._d.items()})
-
     def add_scaled(self, other: Mapping[str, CTensor], s: complex) -> "ParamSet":
         out = {}
         for k, v in self._d.items():
@@ -81,19 +78,6 @@ class ParamSet(Mapping):
                 raise ShapeMismatchError(f"ParamSet.{k}: shapes differ, {v.shape} vs {o.shape}")
             out[k] = CTensor._wrap(v.numpy() + s * o.numpy())
         return ParamSet(out)
-
-    def scale(self, s: complex) -> "ParamSet":
-        return self.map(lambda k, v: CTensor._wrap(s * v.numpy()))
-
-    def conj(self) -> "ParamSet":
-        return self.map(lambda k, v: CTensor._wrap(np.conj(v.numpy())))
-
-    def zeros_like(self) -> "ParamSet":
-        return self.map(lambda k, v: CTensor.zeros(v.shape))
-
-    def max_abs_diff(self, other: "ParamSet") -> float:
-        return float(max((np.max(np.abs(self[k].numpy() - other[k].numpy()), initial=0.0)
-                          for k in self), default=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +170,6 @@ class EpisodeTask:
         g = evaluator()
         consts = {k: g.const(v) for k, v in theta.items()}
         return _predictions(g.raw(build_network(g, g.const(self._query_in), consts, self.arch)))
-
-    def query_accuracy(self, theta: Mapping[str, CTensor]) -> float:
-        return self._hit_rate(self.query_predictions(theta))
 
     def _hit_rate(self, preds: list[int]) -> float:
         hits = sum(p == y for p, y in zip(preds, self._query_labels))

@@ -72,8 +72,10 @@ nothing differentiates again.
 
 A tape keeps each node's shape, and each op's pullback reads the values
 ``_READS`` names and only shapes and ``aux`` otherwise.  So
-:meth:`Tape.release` can drop every value that no recorded pullback reads,
-and :func:`backward_values` consumes the tape up to its loss: it releases
+:meth:`Tape.release` can drop every value that no recorded pullback reads.
+It is a function of the tape as it stands: each call marks the reads of
+every node afresh, so what it drops does not depend on earlier calls.
+:func:`backward_values` consumes the tape up to its loss: it releases
 those values first and drops each node's value once it has pulled that
 node back.  Leaves, consts and the loss keep theirs.  Reading a released
 value, directly or as the operand of a new op, raises
@@ -202,7 +204,7 @@ class Tape:
     A released node's value is None; its shape and its real flag stay.
     """
 
-    __slots__ = ("kind", "inputs", "val", "shape", "real", "aux", "needs", "_read", "_released", "_kept")
+    __slots__ = ("kind", "inputs", "val", "shape", "real", "aux", "needs")
 
     def __init__(self):
         self.kind: list[str] = []
@@ -212,9 +214,6 @@ class Tape:
         self.real: list[bool] = []  # node -> value held in float64
         self.aux: list = []
         self.needs: list[bool] = []
-        self._read = bytearray()  # node -> read by a recorded pullback, for the nodes marked so far
-        self._released = 0        # nodes before this one were considered by release()
-        self._kept: list[int] = []  # nodes release() kept only because they were in ``keep``
 
     def __len__(self) -> int:
         return len(self.kind)
@@ -247,7 +246,7 @@ class Tape:
     def raw(self, nid: int) -> np.ndarray:
         v = self.val[nid]
         if v is None:
-            raise ReleasedValueError(nid, self.kind[nid])
+            raise ReleasedValueError(int(nid), self.kind[nid])
         return v
 
     # -- memory ------------------------------------------------------------
@@ -255,15 +254,10 @@ class Tape:
     def release(self, keep: Iterable[int] = (), end: int | None = None) -> None:
         """Drop the value of every node before ``end`` (default: every node)
         that no recorded pullback reads, except leaves, consts and ``keep``.
-        A released node can no longer be an operand of a new op.
-
-        Each call marks the reads of the nodes recorded since the last one
-        and looks only at nodes it has not looked at before, and at those an
-        earlier call kept only because they were in its ``keep``."""
+        A released node can no longer be an operand of a new op."""
         n = len(self.kind)
-        read, needs = self._read, self.needs
-        for nid in range(len(read), n):
-            read.append(0)
+        read, needs = bytearray(n), self.needs
+        for nid in range(n):
             reads = _READS.get(self.kind[nid]) if needs[nid] else None
             if reads is not None:
                 ins, own, cross = reads
@@ -278,17 +272,9 @@ class Tape:
                         read[b] = 1
                 if own:
                     read[nid] = 1
-        end = n if end is None else end
         keep = set(keep)
-        todo = [nid for nid in self._kept if nid < end] + list(range(self._released, end))
-        self._kept = [nid for nid in self._kept if nid >= end]
-        self._released = max(self._released, end)
-        for nid in todo:
-            if read[nid] or self.kind[nid] in ("leaf", "const"):
-                continue
-            if nid in keep:
-                self._kept.append(nid)
-            else:
+        for nid in range(n if end is None else end):
+            if not (read[nid] or nid in keep or self.kind[nid] in ("leaf", "const")):
                 self.val[nid] = None
 
     # -- terminals -------------------------------------------------------
@@ -511,10 +497,6 @@ def g_abs2(g: Tape, x: int) -> int:
     return g.mulc(x, x)
 
 
-def g_abs(g: Tape, x: int) -> int:
-    return g.cabs(x)
-
-
 def g_sum(g: Tape, x: int) -> int:
     """Sum of all elements, as a rank-0 node."""
     return g.sum_to(x, ())
@@ -531,7 +513,7 @@ LIFTS = ("abs", "re", "im")
 
 def g_lift(g: Tape, x: int, lift: str) -> int:
     if lift == "abs":
-        return g_abs(g, x)
+        return g.cabs(x)
     if lift == "re":
         return g.re(x)
     if lift == "im":
@@ -902,12 +884,7 @@ class _ArrayOps(Tape):
         self.shape = _Shapes(g.shape)
 
     def raw(self, x):
-        if not isinstance(x, (int, np.integer)):
-            return x
-        v = self.val[x]
-        if v is None:
-            raise ReleasedValueError(int(x), self.kind[x])
-        return v
+        return Tape.raw(self, x) if isinstance(x, (int, np.integer)) else x
 
     def _push(self, kind, inputs, val, aux=None):
         return val

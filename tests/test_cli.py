@@ -579,6 +579,29 @@ def test_cmd_eval_arch_mismatch_exits_3(tmp_path, tiny_cfg_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("n_way", [2, 4])
+def test_cmd_train_rejects_a_way_count_other_than_the_class_count(tmp_path, tiny_cfg_path, capsys, n_way):
+    out = tmp_path / "run"
+    code = main(["train", "--config", tiny_cfg_path, "--set", f"n_way={n_way}", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3 and not out.exists()
+    assert "n_classes=3" in err and f"n_way={n_way}" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("finetune", ["0", "2"])
+def test_cmd_eval_rejects_a_way_count_other_than_the_checkpoint_class_count(tmp_path, tiny_cfg_path,
+                                                                            capsys, finetune):
+    out = tmp_path / "run"
+    assert main(["train", "--config", tiny_cfg_path, "--iterations", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    code = main(["eval", "--config", tiny_cfg_path, "--set", "n_way=4", "--set", f"finetune_steps={finetune}",
+                 "--checkpoint", str(out / "checkpoint.caml"), "--episodes", "1",
+                 "--out", str(tmp_path / "eval")])
+    err = capsys.readouterr().err
+    assert code == 3 and not (tmp_path / "eval").exists()
+    assert "n_classes=3" in err and "n_way=4" in err and len(err.strip().splitlines()) == 1
+
+
 def test_episodes_flag_is_its_set_line(tmp_path, tiny_cfg_path, capsys):
     out = tmp_path / "run"
     assert main(["train", "--config", tiny_cfg_path, "--iterations", "1", "--out", str(out)]) == 0
@@ -720,7 +743,7 @@ def _blown_up_checkpoint(tmp_path, tiny_cfg_path) -> str:
     # finite, so the checkpoint saves and loads, but the forward pass overflows
     path = _trained_checkpoint(tmp_path, tiny_cfg_path)
     ck = load_checkpoint(path)
-    ck.theta = ck.theta.map(lambda name, t: CTensor._wrap(t.numpy() * 1e150))
+    ck.theta = ParamSet({name: CTensor(t.numpy() * 1e150) for name, t in ck.theta.items()})
     save_checkpoint(path, ck)
     return path
 

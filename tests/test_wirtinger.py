@@ -41,7 +41,6 @@ from camel.wirtinger import (
     complex_gradient,
     evaluator,
     LIFTS,
-    g_abs,
     g_abs2,
     g_attention,
     g_sum,
@@ -212,7 +211,7 @@ def test_backward_modulus_squared():
 def _toy_loss(g, x):
     # J = |exp(-(x*)^2)|
     u = g.conj(x)
-    return g_abs(g, g.exp(g.neg(g.mul(u, u))))
+    return g.cabs(g.exp(g.neg(g.mul(u, u))))
 
 
 def test_backward_toy_matches_finite_differences():
@@ -501,6 +500,37 @@ def test_release_keeps_leaves_consts_keep_nodes_and_read_values(case):
     for nid in keep - read:
         if g.kind[nid] not in ("leaf", "const"):
             assert g.val[nid] is None
+
+
+@pytest.mark.parametrize("case", default_cases(), ids=lambda c: c.name)
+def test_release_depends_only_on_the_tape_as_it_stands(case):
+    def swept():
+        g, _, loss = _registry_tape(case)
+        backward(g, loss)
+        return g, loss, list(g.val)
+
+    def released(g):
+        return {nid for nid, v in enumerate(g.val) if v is None}
+
+    g, loss, before = swept()
+    n, end = len(g), loss + 1
+    wide = {nid for nid in range(n) if nid % 2} | {loss}
+    narrow = {nid for nid in wide if nid % 3 == 0} | {loss}
+    # a first call that keeps more, over fewer nodes, leaves no trace
+    g.release(keep=wide, end=end // 2)
+    g.release(keep=narrow, end=end)
+    twin, _, _ = swept()
+    twin.release(keep=narrow, end=end)
+    dropped = released(g)
+    assert dropped == released(twin)
+    assert all(g.val[nid] is before[nid] for nid in range(n) if nid not in dropped)
+    assert not any(nid >= end for nid in dropped)
+    # and a last call over the whole tape drops what the earlier ones kept
+    # for their keep sets, as a single call does
+    g.release()
+    twin, _, _ = swept()
+    twin.release()
+    assert released(g) == released(twin)
 
 
 @pytest.mark.parametrize("case", default_cases(), ids=lambda c: c.name)
