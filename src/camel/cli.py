@@ -44,6 +44,7 @@ from .meta import (
     MetaConfig,
     ParamSet,
     TrainState,
+    check_way_count,
     evaluate,
     train_camel,
 )
@@ -328,10 +329,7 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
             fh.write(struct.pack("<I", arr.ndim))
             for d in arr.shape:
                 fh.write(struct.pack("<I", d))
-            inter = np.empty(2 * arr.size, dtype="<f8")
-            inter[0::2] = arr.real.ravel()
-            inter[1::2] = arr.imag.ravel()
-            fh.write(inter.tobytes())
+            fh.write(arr.astype("<c16").tobytes())
         fh.write(struct.pack("<Q", len(hist_blob)))
         fh.write(hist_blob)
 
@@ -542,17 +540,9 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _check_way_count(n_classes: int, n_way: int, whose: str) -> None:
-    """The head scores one class per way of an episode, so the two counts
-    must agree; a mismatch is a ConfigError naming both keys."""
-    if n_classes != n_way:
-        raise ConfigError(f"{whose} n_classes={n_classes} but the config sets n_way={n_way}; "
-                          "the head scores one class per way of an episode")
-
-
 def cmd_train(args) -> int:
     cfg = _run_config(args)
-    _check_way_count(cfg.arch.n_classes, cfg.meta.n_way, "the config sets")
+    check_way_count(cfg.arch.n_classes, cfg.meta.n_way, "the config sets")
     streams = _streams(cfg.meta.seed)
     train_pool, _ = _train_test_pools(cfg, streams)
 
@@ -615,7 +605,7 @@ def cmd_eval(args) -> int:
                 f"config sets {key}={getattr(cfg.arch, key)!r} but the checkpoint "
                 f"was trained with {key}={getattr(ckpt.arch, key)!r}")
     cfg.arch = ckpt.arch
-    _check_way_count(ckpt.arch.n_classes, cfg.meta.n_way, "the checkpoint has")
+    check_way_count(ckpt.arch.n_classes, cfg.meta.n_way, "the checkpoint has")
 
     streams = _streams(cfg.meta.seed)
     _, test_pool = _train_test_pools(cfg, streams)

@@ -1,6 +1,6 @@
 """Complex-valued layers: convolution, fully connected, softmax, attention,
 multi-head attention, normalization, activations, and the full recognition
-network (embedding -> conv blocks -> attention block -> FC blocks -> head).
+network (conv blocks -> attention block -> FC blocks -> head).
 
 Each layer exists twice: a ``build_*`` function that records the layer onto
 a tape (used by training and by the ``gradcheck`` registry), and a small
@@ -9,16 +9,10 @@ builder on a ``wirtinger.evaluator`` and so records nothing.  The wrappers
 serve callers of the package; criterion 3's Cauchy-Riemann checks
 (``gradcheck.cr_check``) call ``cconv1d``, ``cfc`` and ``c_act``.
 
-The pointwise embedding is folded into conv0.  Both are linear and nothing
-lies between them (conv0's norm comes after it), so
-``build_embedded_conv`` contracts conv0's kernel with the embedding's on
-the tape, in the (C_in*K, C_out) rows the patch matmul reads, and conv0
-convolves the raw (N, T, C_in) input block: no full-rate (N, T, C)
-embedding and no (N*T_out, C*K) patch block is ever built.  Only
-``attn_in`` and the head have biases.  The embedding, each convolution and
-each FC block feed a norm that subtracts every channel's complex mean,
-which would cancel a bias there (as for batch norm, Ioffe and Szegedy
-2015, section 3.2).
+Only ``attn_in`` and the head have biases.  Each convolution and each FC
+block feeds a norm that subtracts every channel's complex mean, which
+would cancel a bias there (as for batch norm, Ioffe and Szegedy 2015,
+section 3.2).
 
 Inside the network, features are time-major from the input block to the
 FC block: every convolution reads (N, T, C) and reads its patch rows with
@@ -140,46 +134,24 @@ def build_log_softmax_last(g: Tape, x: int, lift: str) -> int:
 def build_cconv1d(g: Tape, x3: int, a: int, b: int | None, stride: int = 1) -> int:
     """Valid 1-d complex convolution of time-major input.
 
-    x3: (N, T, C_in); a: kernels (C_out, C_in, K), or the same kernels laid
-    out as the (C_in*K, C_out) rows the patch matmul reads (row i*K + k
-    holds input channel i at tap k); b: (C_out,) or None.  Returns
-    time-major rows (N*T_out, C_out).
+    x3: (N, T, C_in); a: kernels (C_out, C_in, K); b: (C_out,) or None.
+    Returns time-major rows (N*T_out, C_out).
     """
     n, t, ci = g.raw(x3).shape
-    if len(g.shape[a]) == 3:
-        co, cia, k = g.shape[a]
-        if cia != ci:
-            raise ShapeMismatchError(f"cconv1d: input has {ci} channels, kernel expects {cia}")
-        a = g.reshape(g.permute(a, (1, 2, 0)), (ci * k, co))
-    rows, co = g.shape[a]
-    if rows % ci:
-        raise ShapeMismatchError(f"cconv1d: {rows} kernel rows are not taps of {ci} input channels")
-    k = rows // ci
+    co, cia, k = g.shape[a]
+    if cia != ci:
+        raise ShapeMismatchError(f"cconv1d: input has {ci} channels, kernel expects {cia}")
     if k > t:
         raise ShapeMismatchError(f"cconv1d: kernel length {k} exceeds input length {t}")
     if stride < 1:
         raise ConfigError("cconv1d: stride must be >= 1")
-    out = g.matmul(g.window(x3, k, stride), a)
+    # patch row i*K + k holds input channel i at tap k
+    out = g.matmul(g.window(x3, k, stride), g.reshape(g.permute(a, (1, 2, 0)), (ci * k, co)))
     if b is not None:
         if g.raw(b).shape != (co,):
             raise ShapeMismatchError(f"cconv1d: bias shape {g.raw(b).shape} != ({co},)")
         out = g.add(out, b)
     return out
-
-
-def build_embedded_conv(g: Tape, embed_a: int, a: int) -> int:
-    """The kernel rows of one convolution that computes conv a of the
-    pointwise embedding embed_a: both maps are linear, so
-
-        M[o, i, k] = sum_c a[o, c, k] embed_a[c, i, 0].
-
-    embed_a: (C, C_in, 1); a: (C_out, C, K).  M comes out as the
-    (C_in*K, C_out) rows ``build_cconv1d`` reads."""
-    co, c, k = g.shape[a]
-    ci = g.shape[embed_a][1]
-    a_rows = g.reshape(g.permute(a, (1, 2, 0)), (c, k * co))  # column k*C_out + o
-    taps = g.matmul(g.permute(g.reshape(embed_a, (c, ci)), (1, 0)), a_rows)
-    return g.reshape(taps, (ci * k, co))
 
 
 def build_cfc(g: Tape, x2: int, w: int, b: int | None) -> int:
@@ -327,16 +299,13 @@ def build_network(g: Tape, x3: int, params: Mapping[str, int], arch: ArchConfig)
     t = arch.frame_len
     c = arch.conv_channels
 
-    # conv blocks: conv -> norm -> activation.  The embedding, a pointwise
-    # conv lifting the input channels to C, is folded into conv0, so conv0
-    # reads the raw input block and no full-rate C-channel features exist
+    # conv blocks: conv -> norm -> activation; conv0 reads the input block
+    feats = x3
     for i in range(arch.conv_blocks):
         name = f"conv{i}"
-        if i == 0:
-            inp, a = x3, build_embedded_conv(g, params["embed.A"], params["conv0.A"])
-        else:
-            inp, a = g.reshape(feats, (n, t, c)), params[f"{name}.A"]
-        feats = build_cconv1d(g, inp, a, None, stride=arch.conv_stride)
+        if i:
+            feats = g.reshape(feats, (n, t, c))
+        feats = build_cconv1d(g, feats, params[f"{name}.A"], None, stride=arch.conv_stride)
         t = (t - arch.conv_kernel) // arch.conv_stride + 1
         feats = build_norm(g, feats, params[f"{name}.gamma"], params[f"{name}.kappa"], arch.norm_eps)
         feats = build_act(g, feats, arch.activation)
@@ -365,9 +334,10 @@ def param_shapes(arch: ArchConfig) -> dict[str, tuple[int, ...]]:
     """Every parameter's name and shape, in the order ``init_params`` draws
     them."""
     c, k = arch.conv_channels, arch.conv_kernel
-    shapes = {"embed.A": (c, arch.in_channels, 1)}
+    shapes: dict[str, tuple[int, ...]] = {}
     for i in range(arch.conv_blocks):
-        shapes.update({f"conv{i}.A": (c, c, k), f"conv{i}.gamma": (c,), f"conv{i}.kappa": (c,)})
+        c_in = c if i else arch.in_channels
+        shapes.update({f"conv{i}.A": (c, c_in, k), f"conv{i}.gamma": (c,), f"conv{i}.kappa": (c,)})
     if arch.use_attention:
         d = arch.attn_dim
         shapes.update({"attn_in.W": (c, d), "attn_in.b": (d,)})

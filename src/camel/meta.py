@@ -30,7 +30,7 @@ from typing import Callable, Iterator, Protocol, Sequence
 import numpy as np
 
 from .ctensor import CTensor, ShapeMismatchError
-from .layers import ArchConfig, build_cross_entropy, build_network, frames_to_input, init_params
+from .layers import ArchConfig, ConfigError, build_cross_entropy, build_network, frames_to_input, init_params
 from .wirtinger import Tape, backward, backward_values, complex_gradient, evaluator, g_abs2, g_sum, hvp_sweep
 
 _C = np.complex128
@@ -506,6 +506,14 @@ def train_meta(theta0: ParamSet, batch_source: Callable[[], Sequence[MetaTask]],
     return state
 
 
+def check_way_count(n_classes: int, n_way: int, whose: str = "the architecture has") -> None:
+    """The head scores one class per way of an episode, so the two counts
+    must agree; a mismatch is a ConfigError naming both."""
+    if n_classes != n_way:
+        raise ConfigError(f"{whose} n_classes={n_classes} but the episodes have n_way={n_way}; "
+                          "the head scores one class per way of an episode")
+
+
 def train_camel(cfg: MetaConfig, arch: ArchConfig, episode_source: Iterator[Episode],
                 theta0: ParamSet | None = None, state: TrainState | None = None,
                 on_iteration: Callable[[TrainState], None] | None = None) -> TrainState:
@@ -516,7 +524,10 @@ def train_camel(cfg: MetaConfig, arch: ArchConfig, episode_source: Iterator[Epis
         theta0 = ParamSet(init_params(arch, rng))
 
     def batch_source() -> list[EpisodeTask]:
-        return [EpisodeTask(next(episode_source), arch) for _ in range(cfg.meta_batch)]
+        episodes = [next(episode_source) for _ in range(cfg.meta_batch)]
+        for ep in episodes:
+            check_way_count(arch.n_classes, ep.n_way)
+        return [EpisodeTask(ep, arch) for ep in episodes]
 
     return train_meta(theta0, batch_source, cfg, state=state, on_iteration=on_iteration)
 
@@ -541,13 +552,18 @@ def evaluate(theta: ParamSet, episodes: Sequence[Episode], cfg: MetaConfig,
     Reports mean accuracy, its normal-approximation 95% confidence
     interval over episodes, and the row-normalized confusion matrix in
     percent.  ``predict_fn`` overrides the network classifier (used by
-    tests with oracle predictors)."""
+    tests with oracle predictors).  The episodes must share one ``n_way``,
+    which sizes the confusion matrix, and match ``arch.n_classes``."""
     if not episodes:
         raise ValueError("evaluate needs at least one episode")
     n_way = episodes[0].n_way
+    if arch is not None:
+        check_way_count(arch.n_classes, n_way)
     counts = np.zeros((n_way, n_way), dtype=np.float64)
     accs = []
-    for ep in episodes:
+    for i, ep in enumerate(episodes):
+        if ep.n_way != n_way:
+            raise ValueError(f"evaluate: episode {i} has n_way={ep.n_way} but episode 0 has n_way={n_way}")
         if arch is not None and predict_fn is None:
             task = EpisodeTask(ep, arch)
             adapted = theta

@@ -321,10 +321,7 @@ def save_frames(path: str, pool: FramePool) -> None:
         for f in pool.frames:
             s = f.samples.numpy()
             fh.write(struct.pack("<IfI", f.label, np.float32(f.snr_db), s.size))
-            iq = np.empty(2 * s.size, dtype="<f4")
-            iq[0::2] = s.real.astype(np.float32)
-            iq[1::2] = s.imag.astype(np.float32)
-            fh.write(iq.tobytes())
+            fh.write(s.astype("<c8").tobytes())
 
 
 def read_exact(fh, n: int, what: str, source: str = "frame file",
@@ -365,9 +362,8 @@ def load_frames(path: str) -> FramePool:
             if label >= len(schemes):
                 raise FrameFormatError(f"frame {k} references scheme id {label} "
                                        f"outside the {len(schemes)}-entry table")
-            iq = np.frombuffer(read_exact(fh, 8 * flen, f"frame {k} samples"), dtype="<f4")
-            if not np.all(np.isfinite(iq)):
+            samples = np.frombuffer(read_exact(fh, 8 * flen, f"frame {k} samples"), dtype="<c8")
+            if not np.all(np.isfinite(samples)):
                 raise FrameFormatError(f"frame {k} holds non-finite samples")
-            samples = iq[0::2].astype(np.float64) + 1j * iq[1::2].astype(np.float64)
-            pool.frames.append(SignalFrame(CTensor(samples), int(label), float(snr)))
+            pool.frames.append(SignalFrame(CTensor(samples.astype(np.complex128)), int(label), float(snr)))
         return pool

@@ -328,10 +328,10 @@ def test_checkpoint_parameter_rank_beyond_a_kernel_is_a_checkpoint_error(tmp_pat
     p = tmp_path / "rank.caml"
     save_checkpoint(str(p), _checkpoint(rng))
     raw = p.read_bytes()
-    old = struct.pack("<H", 7) + b"embed.A" + struct.pack("<I", 3)
+    old = struct.pack("<H", 7) + b"conv0.A" + struct.pack("<I", 3)
     assert raw.count(old) == 1
-    p.write_bytes(raw.replace(old, struct.pack("<H", 7) + b"embed.A" + struct.pack("<I", 257)))
-    with pytest.raises(CheckpointError, match="parameter embed.A has rank 257"):
+    p.write_bytes(raw.replace(old, struct.pack("<H", 7) + b"conv0.A" + struct.pack("<I", 257)))
+    with pytest.raises(CheckpointError, match="parameter conv0.A has rank 257"):
         load_checkpoint(str(p))
 
 
@@ -341,14 +341,14 @@ def test_checkpoint_parameter_dims_past_int64_are_a_checkpoint_error(tmp_path, r
     p = tmp_path / "dims.caml"
     save_checkpoint(str(p), _checkpoint(rng))
     raw = p.read_bytes()
-    head = struct.pack("<H", 7) + b"embed.A" + struct.pack("<I", 3)
+    head = struct.pack("<H", 7) + b"conv0.A" + struct.pack("<I", 3)
     at = raw.index(head) + len(head)
     p.write_bytes(raw[:at] + struct.pack("<3I", 2**31, 2**31, 4) + raw[at + 12:])
-    with pytest.raises(CheckpointError, match="ended while reading parameter embed.A"):
+    with pytest.raises(CheckpointError, match="ended while reading parameter conv0.A"):
         load_checkpoint(str(p))
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(p), "--episodes", "1"]) == 3
-    assert "parameter embed.A" in capsys.readouterr().err
+    assert "parameter conv0.A" in capsys.readouterr().err
 
 
 def _refused_on_save_and_load(tmp_path, ck, state, match):
@@ -554,16 +554,16 @@ def test_cmd_train_sgd_resume_bitwise(tmp_path, tiny_cfg_path):
     assert (a / "checkpoint.caml").read_bytes() == (c / "checkpoint.caml").read_bytes()
 
 
-@pytest.mark.parametrize("split", [2, 3, 4, 6, 9])
+@pytest.mark.parametrize("split", [2, 3, 4, 5, 6, 9])
 def test_cmd_train_sgd_resume_with_early_stop_bitwise(tmp_path, tiny_cfg_path, split):
-    # the straight run stops early at iteration 3; split before it, at it
+    # the straight run stops early at iteration 6; split before it, at it
     # and after it, the resumed run stops there too and writes the same files
     args = ["--config", tiny_cfg_path, "--set", "outer_optimizer=sgd", "--set", "outer_lr=0.01",
             "--set", "early_stop=true", "--set", "plateau_patience=2", "--set", "plateau_tol=0.01",
             "--iterations", "12"]
     a, b, c = (tmp_path / n for n in ("straight", "h1", "h2"))
     assert main(["train", *args, "--out", str(a)]) == 0
-    assert load_checkpoint(str(a / "checkpoint.caml")).iteration == 3
+    assert load_checkpoint(str(a / "checkpoint.caml")).iteration == 6
     assert main(["train", *args, "--iterations", str(split), "--out", str(b)]) == 0
     assert main(["train", *args, "--resume", str(b / "checkpoint.caml"), "--out", str(c)]) == 0
     for name in ("checkpoint.caml", "metrics.csv"):
@@ -670,22 +670,31 @@ def _repeated_head_b(theta):
     return _record("head.b", head_b), _record("head.b", head_b) + _record("head.b", head_b + 1.0), 1
 
 
+def _old_embedding(theta):
+    # every checkpoint written while a pointwise embedding fed conv0 carries
+    # it, and a conv0 kernel that reads its C channels
+    c, c_in, k = theta["conv0.A"].shape
+    old = _record("embed.A", np.ones((c, c_in, 1))) + _record("conv0.A", np.ones((c, c, k)))
+    return _record("conv0.A", theta["conv0.A"].numpy()), old, 1
+
+
 def _old_biases(theta):
-    # every checkpoint written while the embedding, the convs and the FC
-    # blocks had biases carries these three
+    # every one written while the embedding, the convs and the FC blocks
+    # had biases carries these three as well
+    conv0, old, added = _old_embedding(theta)
     c, hidden = theta["conv0.gamma"].shape[0], theta["fc0.gamma"].shape[0]
-    embed = _record("embed.A", theta["embed.A"].numpy())
     biases = [_record(name, np.ones(n)) for name, n in (("embed.b", c), ("conv0.b", c), ("fc0.b", hidden))]
-    return embed, embed + b"".join(biases), 3
+    return conv0, old + b"".join(biases), added + 3
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("damage, message", [(_drop_head_b, "lacks parameter"),
                                              (_nan_param, "non-finite"),
                                              (_inf_param, "non-finite"),
+                                             (_old_embedding, "does not define"),
                                              (_old_biases, "does not define"),
                                              (_repeated_head_b, "repeats parameter head.b")],
-                         ids=["missing_head_b", "nan_param", "inf_param", "old_biases",
+                         ids=["missing_head_b", "nan_param", "inf_param", "old_embedding", "old_biases",
                               "repeated_head_b"])
 def test_cmd_eval_and_resume_reject_damaged_checkpoint(tmp_path, tiny_cfg_path, capsys,
                                                        damage, message):

@@ -1,3 +1,6 @@
+import os
+import re
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,6 @@ from camel.layers import (
     build_cconv1d,
     build_cfc,
     build_cross_entropy,
-    build_embedded_conv,
     build_log_softmax_last,
     build_mha,
     build_network,
@@ -28,9 +30,10 @@ from camel.layers import (
     frames_to_input,
     init_params,
     param_count,
+    param_shapes,
 )
 from camel.gradcheck import cr_check
-from camel.wirtinger import Tape, backward, complex_gradient, evaluator, g_dot_const, g_lift
+from camel.wirtinger import Tape, backward, complex_gradient, evaluator, g_lift
 
 from conftest import assert_close, rand_complex, rand_off_zero
 
@@ -362,10 +365,11 @@ def test_each_frame_of_a_batch_gets_its_own_logprobs(rng):
 
 
 def _unfolded_network(g, x3, params, arch):
-    """The network as it was recorded before the fold and before its dead
-    biases were removed: the embedding is its own pointwise convolution,
-    conv0 reads its (N, T, C) output, and the embedding, every conv and
-    every FC block add the biases ``params`` holds for them."""
+    """The network as it was recorded while a pointwise embedding lifted the
+    input channels to C and the layers before each norm had biases: the
+    embedding ``embed.A`` (C, C_in, 1) is its own convolution, conv0 reads
+    its (N, T, C) output, and the embedding, every conv and every FC block
+    add the biases ``params`` holds for them."""
     n, t, c = g.shape[x3][0], arch.frame_len, arch.conv_channels
     feats = build_cconv1d(g, x3, params["embed.A"], params["embed.b"])
     for i in range(arch.conv_blocks):
@@ -422,19 +426,33 @@ _ARCHS = pytest.mark.parametrize(
 
 @_ARCHS
 def test_folded_embedding_matches_the_unfolded_network(rng, kw):
-    # log-probs and support gradients of every parameter agree within 1e-12
-    # of their largest entry: the fold only reassociates sums, and each
-    # dropped bias only shifts the mean that the next norm subtracts
+    # an embedding E (C, C_in, 1) in front of a (C, C, K) conv0 kernel A is
+    # one linear map, the (C, C_in, K) kernel M = A E, so conv0's own kernel
+    # loses no function: with conv0.A set to M, log-probs and the gradients
+    # of every other parameter agree with the unfolded network within 1e-12
+    # of their largest entry, and so do the factors' gradients, pulled back
+    # from M's through the product
     arch = ArchConfig(**kw)
     params = init_params(arch, rng)
-    with_biases = {**params, **{k: CTensor(v) for k, v in _dead_biases(arch, rng).items()}}
-    lp, grads = _support_run(build_network, params, arch, np.random.default_rng(1))
-    want_lp, want_grads = _support_run(_unfolded_network, with_biases, arch, np.random.default_rng(1))
+    c, c_in, k = params["conv0.A"].shape
+    embed = rand_complex(rng, c, c_in) / np.sqrt(2 * c_in)
+    a = rand_complex(rng, c, c, k) / np.sqrt(2 * c * k)
+    if arch.real_input:
+        embed, a = embed.real + 0j, a.real + 0j
+    factored = {**params, "embed.A": CTensor(embed[:, :, None]), "conv0.A": CTensor(a),
+                **{name: CTensor(v) for name, v in _dead_biases(arch, rng).items()}}
+    kernel = CTensor(np.einsum("ock,ci->oik", a, embed))
+    lp, grads = _support_run(build_network, {**params, "conv0.A": kernel}, arch, np.random.default_rng(1))
+    want_lp, want_grads = _support_run(_unfolded_network, factored, arch, np.random.default_rng(1))
     assert np.max(np.abs(lp - want_lp)) <= 1e-12 * np.max(np.abs(want_lp))
+    # M is holomorphic in each factor: 2 dL/dA* = 2 dL/dM* conj(E)^T, and so on
+    g_m = grads.pop("conv0.A")
+    grads.update({"conv0.A": np.einsum("oik,ci->ock", g_m, embed.conj()),
+                  "embed.A": np.einsum("oik,ock->ci", g_m, a.conj())[:, :, None]})
     scale = max(np.max(np.abs(v)) for v in want_grads.values())
-    for k, want in want_grads.items():
-        got = grads.get(k, 0.0)  # the reference's own biases: their gradients are rounding
-        assert np.max(np.abs(got - want)) <= 1e-12 * scale, k
+    for name, want in want_grads.items():
+        got = grads.get(name, 0.0)  # the reference's own biases: their gradients are rounding
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale, name
     if arch.real_input:
         assert all(np.max(np.abs(v.imag)) == 0.0 for v in grads.values())
 
@@ -450,31 +468,6 @@ def test_every_parameter_gets_a_support_gradient(rng, kw):
         assert np.max(np.abs(v)) > 1e-8 * scale, k
 
 
-@pytest.mark.parametrize("c_in, stride", [(1, 1), (2, 3)])
-def test_embedded_conv_is_the_conv_of_the_embedding(rng, c_in, stride):
-    # the conv rows themselves, and the gradients of a real head through
-    # them reach both kernels
-    inputs = {"x": rand_complex(rng, 2, 11, c_in), "embed.A": rand_complex(rng, 4, c_in, 1),
-              "A": rand_complex(rng, 3, 4, 3)}
-    head = rand_complex(rng, 2 * ((11 - 3) // stride + 1), 3)
-    results = []
-    for folded in (True, False):
-        g = Tape()
-        lv = {k: g.leaf(v) for k, v in inputs.items()}
-        if folded:
-            out = build_cconv1d(g, lv["x"], build_embedded_conv(g, lv["embed.A"], lv["A"]), None, stride=stride)
-        else:
-            feats = g.reshape(build_cconv1d(g, lv["x"], lv["embed.A"], None), (2, 11, 4))
-            out = build_cconv1d(g, feats, lv["A"], None, stride=stride)
-        loss = g.re(g_dot_const(g, out, head))
-        cots = backward(g, loss)
-        results.append((g.raw(out).copy(), {k: complex_gradient(g, loss, nid, cots).numpy() for k, nid in lv.items()}))
-    (out, grads), (want_out, want_grads) = results
-    assert_close(out, want_out, rel=1e-12, floor=1e-13)
-    for k, want in want_grads.items():
-        assert_close(grads[k], want, rel=1e-12, floor=1e-13, label=k)
-
-
 def test_real_input_mode_stays_real(rng):
     arch = _toy_arch(real_input=True, softmax_lift="abs")
     params = init_params(arch, rng)
@@ -488,6 +481,17 @@ def test_param_count_toy_under_500(rng):
     arch = ArchConfig(n_classes=2, frame_len=16, conv_channels=2, conv_stride=2,
                       attn_dim=2, n_heads=1, fc_hidden=4)
     assert param_count(init_params(arch, rng)) <= 500
+
+
+def test_readme_parameter_counts_are_the_desk_and_wide_archs(rng):
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        row = next(line for line in fh if line.startswith("| `camel.layers`"))
+    desk, tensors, wide = re.search(r"desk arch of the tests has ([\d,]+) parameters in (\d+) tensors, "
+                                    r"the wide arch ([\d,]+)", row).groups()
+    assert len(param_shapes(ArchConfig(**_DESK))) == int(tensors)
+    for kw, count in ((_DESK, desk), (_WIDE, wide)):
+        assert param_count(init_params(ArchConfig(**kw), rng)) == int(count.replace(",", ""))
 
 
 def test_arch_validation():

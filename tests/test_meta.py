@@ -247,25 +247,26 @@ def _desk_tasks(rng, n=2):
 
 def test_single_channel_sweeps_at_desk_scale(rng, monkeypatch):
     # one adjoint per node, conjugate-aware products, broadcasting ops and
-    # one attend node: a desk support forward takes 85 nodes and its
-    # recorded backward 139, 8 of which rematerialise the attention chain.
-    # Dropping the biases that feed a norm took 10 and 8 (from 95 and 147);
-    # folding the embedding into conv0 had added 3 and 4 (from 92 and 143;
-    # 146 with real nodes in complex storage, 99 and 138 with the chain on
-    # the forward tape, 143 and 262 with conj/transpose nodes and index-map
-    # gathers).  The counts are pinned exactly, so a sweep that records one
-    # node more fails here without any timing.  Each inner step's Hessian
-    # product sweeps one support tape of 224 nodes, the forward and its
-    # recorded backward, at any number of steps (the whole unrolled tape
-    # held 324 nodes after 1 step and 1280 after 5), and the 5-step
-    # meta-gradient peaks near 2.8 MiB of traced allocations (5.0 unrolled)
+    # one attend node: a desk support forward takes 80 nodes and its
+    # recorded backward 134, 8 of which rematerialise the attention chain.
+    # Storing conv0's kernel, not an embedding and a kernel that the tape
+    # multiplied, took 5 and 5 (from 85 and 139); dropping the biases that
+    # feed a norm had taken 10 and 8 (from 95 and 147; 146 with real nodes
+    # in complex storage, 99 and 138 with the chain on the forward tape,
+    # 143 and 262 with conj/transpose nodes and index-map gathers).  The
+    # counts are pinned exactly, so a sweep that records one node more
+    # fails here without any timing.  Each inner step's Hessian product
+    # sweeps one support tape of 214 nodes, the forward and its recorded
+    # backward, at any number of steps (the whole unrolled tape held 324
+    # nodes after 1 step and 1280 after 5), and the 5-step meta-gradient
+    # peaks near 2.8 MiB of traced allocations (5.0 unrolled)
     theta, (task,) = _desk_tasks(rng, 1)
     g = Tape()
     loss = task.support_loss(g, {k: g.leaf(v) for k, v in theta.items()})
     n = len(g)
-    assert n == 85
+    assert n == 80
     backward(g, loss)
-    assert len(g) - n == 139
+    assert len(g) - n == 134
     lengths = []
 
     def product_sweep(g, *args):
@@ -274,14 +275,14 @@ def test_single_channel_sweeps_at_desk_scale(rng, monkeypatch):
 
     monkeypatch.setattr(camel.meta, "hvp_sweep", product_sweep)
     meta_gradient(theta, [task], ALPHA, 1)
-    assert lengths == [224]
+    assert lengths == [214]
     tracemalloc.start()
     try:
         meta_gradient(theta, [task], ALPHA, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert lengths == [224] * 6
+    assert lengths == [214] * 6
     assert peak < 3.1 * 2**20
 
 
@@ -386,9 +387,10 @@ def test_released_tape_peak_at_desk_scale(rng):
     # final sweep has pulled its node back, took a 2-task 5-step desk
     # meta-gradient from 12.4 to 7.5 MB of traced allocations; holding real
     # nodes and their adjoints in float64 took it from 7.16 to 5.59 MiB,
-    # folding the embedding into conv0 to 5.23 MiB, dropping the biases that
-    # feed a norm to 5.10 MiB, and reversing the inner trajectory one step
-    # at a time, not on one tape, to 3.00 MiB
+    # multiplying the embedding into conv0's kernel on the tape to 5.23 MiB,
+    # dropping the biases that feed a norm to 5.10 MiB, reversing the inner
+    # trajectory one step at a time, not on one tape, to 3.00 MiB, and
+    # storing conv0's kernel, not the embedding and a kernel, to 2.98 MiB
     theta, tasks = _desk_tasks(rng)
     tracemalloc.start()
     try:
@@ -459,9 +461,10 @@ def test_query_predictions_memory_at_wide_scale(rng):
     # 81 MB of traced allocations; the evaluator frees each once it is read
     # and peaked at 14.6 MB with every head's scores in one batch, and at
     # 5.5 MB with the scores one attention chunk at a time: less than one
-    # whole score block.  Folding the embedding into conv0 took it to 3.21
-    # MiB, since no full-rate (N, T, C) features or (N*T_out, C*K) patches
-    # are built; the second bound, 10% above that, keeps them out
+    # whole score block.  conv0 reads the input block with its (C, C_in, K)
+    # kernel, so no full-rate (N, T, C) features or (N*T_out, C*K) patches
+    # are built, and the peak is 3.21 MiB; the second bound, 10% above
+    # that, keeps them out
     theta = ParamSet(init_params(WIDE_ARCH, rng))
     task = EpisodeTask(toy_episode(rng, WIDE_ARCH, n_way=5, k_shot=1, q_per_class=5), WIDE_ARCH)
     tracemalloc.start()
@@ -476,9 +479,9 @@ def test_query_predictions_memory_at_wide_scale(rng):
 
 def test_evaluate_memory_at_wide_scale(rng):
     # fine-tuning sweeps and the query forward hold one attention chunk at a
-    # time: a 2-episode wide evaluate peaked at 4.9 MiB of traced allocations
-    # (6.7 MiB before the embedding was folded into conv0), and at 15.8 MB
-    # with whole score blocks on the tape and the evaluator
+    # time: a 2-episode wide evaluate peaks at 4.8 MiB of traced allocations
+    # (6.7 MiB while an embedding fed conv0 full-rate (N, T, C) features),
+    # and at 15.8 MB with whole score blocks on the tape and the evaluator
     theta = ParamSet(init_params(WIDE_ARCH, rng))
     episodes = [toy_episode(rng, WIDE_ARCH, n_way=5, k_shot=1, q_per_class=5) for _ in range(2)]
     cfg = MetaConfig(inner_lr=0.1, finetune_steps=10, n_way=5, k_shot=1, q_size=5)
@@ -694,6 +697,44 @@ def test_evaluate_confusion_rows_percent(rng):
     cfg = MetaConfig(n_way=2, finetune_steps=1, inner_lr=0.05)
     rep = evaluate(theta, eps, cfg, arch)
     assert np.max(np.abs(rep.confusion.sum(axis=1) - 100.0)) <= 1e-9
+
+
+THREE_CLASS_ARCH = ArchConfig(n_classes=3, frame_len=16, conv_channels=2, conv_stride=2,
+                              attn_dim=2, n_heads=1, fc_hidden=4)
+
+
+@pytest.mark.parametrize("n_way", [2, 4])
+@pytest.mark.parametrize("finetune_steps", [0, 1])
+def test_evaluate_refuses_episodes_whose_way_count_is_not_the_class_count(rng, n_way, finetune_steps):
+    # a 3-class head on 4-way episodes can never predict class 3, and on
+    # 2-way episodes it predicts classes the confusion matrix has no column for
+    theta = ParamSet(init_params(THREE_CLASS_ARCH, rng))
+    eps = [toy_episode(rng, THREE_CLASS_ARCH, n_way=n_way) for _ in range(2)]
+    cfg = MetaConfig(n_way=n_way, finetune_steps=finetune_steps, inner_lr=0.05)
+    with pytest.raises(ValueError, match=rf"n_classes=3 .* n_way={n_way}"):
+        evaluate(theta, eps, cfg, THREE_CLASS_ARCH)
+
+
+@pytest.mark.parametrize("use_arch", [False, True], ids=["predict_fn", "arch"])
+def test_evaluate_refuses_episodes_of_mixed_way_counts(rng, use_arch):
+    # the first episode sizes the confusion matrix
+    eps = [toy_episode(rng, THREE_CLASS_ARCH, n_way=3), toy_episode(rng, THREE_CLASS_ARCH, n_way=2)]
+    cfg = MetaConfig(n_way=3, finetune_steps=0)
+    theta = ParamSet(init_params(THREE_CLASS_ARCH, rng))
+    kw = {"arch": THREE_CLASS_ARCH} if use_arch else {"predict_fn": lambda th, ep: [0] * len(ep.query)}
+    with pytest.raises(ValueError, match="episode 1 has n_way=2 but episode 0 has n_way=3"):
+        evaluate(theta, eps, cfg, **kw)
+
+
+@pytest.mark.parametrize("n_way", [2, 4])
+def test_train_camel_refuses_episodes_whose_way_count_is_not_the_class_count(rng, n_way):
+    def source():
+        while True:
+            yield toy_episode(rng, THREE_CLASS_ARCH, n_way=n_way)
+
+    cfg = MetaConfig(n_way=n_way, inner_lr=ALPHA, meta_batch=2, inner_steps=1, iterations=2)
+    with pytest.raises(ValueError, match=rf"n_classes=3 .* n_way={n_way}"):
+        train_camel(cfg, THREE_CLASS_ARCH, source())
 
 
 def test_first_order_and_exact_training_trajectories_differ():

@@ -278,6 +278,9 @@ def test_scenario_unknown_kind(rng):
 
 def test_roundtrip_byte_identical(rng, tmp_path):
     pool = _pool(rng, frames_per_cell=3)
+    samples = pool.frames[0].samples.numpy().copy()
+    samples[:4] = [complex(-0.0, 1.0), complex(1.0, -0.0), complex(-0.0, -0.0), 0.0]
+    pool.frames.append(SignalFrame(CTensor(samples), 0, 0.0))  # loading keeps the sign of a zero
     p1, p2 = tmp_path / "a.csig", tmp_path / "b.csig"
     save_frames(str(p1), pool)
     save_frames(str(p2), load_frames(str(p1)))
