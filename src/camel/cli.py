@@ -457,35 +457,49 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
-def _toy_step(x: complex, naive: bool) -> tuple[float, complex]:
-    """The toy map J = |exp(-(x*)^2)| at x, and its gradient 2 dJ/dx* under
-    the single-term (holomorphic-only) rule if ``naive``, else the two-term
-    rule."""
+_TOY_STAGES = (
+    (Tape.conj, lambda z: 0.0),
+    (lambda g, a: g.mul(a, a), lambda z: 2.0 * z),
+    (Tape.neg, lambda z: -1.0),
+    (Tape.exp, np.exp),
+    (Tape.cabs, lambda z: np.conj(z) / (2.0 * np.abs(z)) if z != 0 else 0.0),
+)
+"""The toy map J = |exp(-(x*)^2)| as a chain of stages u = f(z), each as
+its tape op and its holomorphic derivative du/dz at the stage input z
+(d|z|/dz = z*/(2|z|), 0 at z = 0, as the engine's cabs pullback takes it)."""
+
+
+def _toy_step(x: complex) -> tuple[float, complex, complex]:
+    """The toy map J at x, and its gradient 2 dJ/dx* under the two-term
+    chain rule (from :func:`backward`) and under the single-term
+    (holomorphic-only) rule, 2 conj(prod du_k/dz_k) over the stages, read
+    at the stage inputs on the tape.  The conj stage has du/dz = 0, so the
+    single-term gradient is 0."""
     g = Tape()
-    xl = g.leaf(np.asarray(x, dtype=_C))
-    u = g.conj(xl)
-    j = g.cabs(g.exp(g.neg(g.mul(u, u))))
-    grad = complex_gradient(g, j, xl, backward(g, j, naive=naive))
-    return float(g.raw(j).real), complex(grad.item())
+    u = xl = g.leaf(np.asarray(x, dtype=_C))
+    single = 1.0
+    for op, dudz in _TOY_STAGES:
+        single *= dudz(g.raw(u))
+        u = op(g, u)
+    grad = complex_gradient(g, u, xl, backward(g, u))
+    return float(g.raw(u).real), complex(grad.item()), complex(2.0 * np.conj(single))
 
 
 def toychain_run(steps: int, lr: float, x0: complex = 0.5 + 0.5j):
     """Gradient descent on the toy map with the two-term chain rule versus
     the single-term (holomorphic-only) rule.  Returns per-step rows
-    (step, J_complex, J_naive, |naive gradient|).  Raises
+    (step, J two-term, J single-term, |single-term gradient|).  Raises
     FloatingPointError, naming the rule and the step, where a loss or a
     gradient is not finite."""
     rows = []
-    xs = {"two-term": complex(x0), "single-term": complex(x0)}
+    xc = xn = complex(x0)
     for step in range(steps + 1):
-        got = {}
-        for rule, x in xs.items():
-            j, grad = got[rule] = _toy_step(x, naive=rule == "single-term")
+        (jc, grad_c, _), (jn, _, grad_n) = _toy_step(xc), _toy_step(xn)
+        for rule, j, grad in (("two-term", jc, grad_c), ("single-term", jn, grad_n)):
             if not (math.isfinite(j) and math.isfinite(abs(grad))):
                 raise FloatingPointError(f"the {rule} trajectory is not finite at step {step}")
-        (jc, _), (jn, grad_n) = got["two-term"], got["single-term"]
         rows.append((step, jc, jn, abs(grad_n)))
-        xs = {rule: x - lr * got[rule][1] for rule, x in xs.items()}
+        xc, xn = xc - lr * grad_c, xn - lr * grad_n
     return rows
 
 
@@ -502,13 +516,13 @@ def cmd_toychain(args) -> int:
             for step, jc, jn, gn in rows:
                 fh.write(f"{step},{jc!r},{jn!r},{gn!r}\n")
     j0, j_last = rows[0][1], rows[-1][1]
-    max_naive = max(r[3] for r in rows)
-    naive_drift = max(abs(r[2] - rows[0][2]) for r in rows)
+    max_single = max(r[3] for r in rows)
+    single_drift = max(abs(r[2] - rows[0][2]) for r in rows)
     print(f"start J = {j0:.6f}")
     print(f"two-term chain rule: J after {args.steps} steps = {j_last:.6f} "
           f"({100 * (1 - j_last / j0):.1f}% reduction)")
-    print(f"single-term rule:    gradient norm max = {max_naive:.3e}, "
-          f"J drift = {naive_drift:.3e} (stuck)")
+    print(f"single-term rule:    gradient norm max = {max_single:.3e}, "
+          f"J drift = {single_drift:.3e} (stuck)")
     if args.out:
         print(f"trajectories written to {args.out}")
     return 0

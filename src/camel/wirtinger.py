@@ -8,8 +8,7 @@ and for a real-valued loss dL/du = conj(dL/du*) at every node: the two
 Wirtinger channels are conjugate mirrors.  So a sweep propagates one
 adjoint per node, c = dL/du*, as c * conj(du/dz) + conj(c) * du/dz*.  Only
 conj, re, im, cabs, crelu and the conjugated factor of the conjugate-aware
-products have the second, antiholomorphic term; the naive rule drops it,
-which leaves the classical holomorphic-only rule.  The steepest-ascent
+products have the second, antiholomorphic term.  The steepest-ascent
 direction is ``2 * dL/dz*``, which is what :func:`complex_gradient` returns.
 
 A node that is real for every input holds its value in float64, and
@@ -22,13 +21,11 @@ since u* = u, the chain rule through u reads c conj(du/dz) + conj(c) du/dz*
 = 2 Re(c) du/dz*, so only Re c reaches a leaf.  The sweep takes that real
 part where a pullback hands a real input a complex adjoint, which happens
 where a real node meets a complex one (the softmax weights times V, say),
-in recorded and graph-free sweeps alike.  The naive rule is the exception:
-without the antiholomorphic term the imaginary part does reach the leaves,
-so a naive sweep keeps complex adjoints, as ``camel toychain`` shows.
-Leaves, and every value handed out (``Tape.value``, :func:`complex_gradient`
-and the leaf adjoints of :func:`backward_values`), are complex128.  The
-softmax chain and the log-softmax head run in float64, where numpy's exp is
-an order of magnitude cheaper than on complex128.
+in recorded and graph-free sweeps alike, so no real node's adjoint is
+complex.  Leaves, and every value handed out (``Tape.value``,
+:func:`complex_gradient` and the leaf adjoints of :func:`backward_values`),
+are complex128.  The softmax chain and the log-softmax head run in float64,
+where numpy's exp is an order of magnitude cheaper than on complex128.
 
 The op set is chosen so that adjoints need no conjugation or transposition
 nodes of their own.  ``mulc(a, b) = a * conj(b)`` and the ``adj`` flag of
@@ -58,7 +55,6 @@ records each chunk on a scratch tape and sweeps that graph-free.
 A real scalar loss reads as (L + L*)/2, so its sweep starts from the real
 seed 1/2.  :func:`backward` returns one adjoint per node, dL/dz*, as a map
 node id -> the node that holds it; :func:`complex_gradient` reads that map.
-The naive rule has no mirror channel, so its sweep seeds 1.
 :func:`backward_graph` keeps the older (value, conj) pair API for
 ``perfbench``'s traced run only; a seed pair that is not real runs as two
 real-seeded sweeps.
@@ -83,9 +79,9 @@ value, directly or as the operand of a new op, raises
 
 Recording sweeps: :func:`backward`, and so the first sweep of a Hessian
 product (:func:`hvp`, and each inner step of the exact meta-gradient in
-``meta``), and both rules of ``camel toychain``.  Graph-free sweeps: the
-second sweep of a Hessian product (:func:`hvp_sweep`), and in ``meta``
-every support and query gradient.
+``meta``), and the two-term gradient of ``camel toychain``.  Graph-free
+sweeps: the second sweep of a Hessian product (:func:`hvp_sweep`), and in
+``meta`` every support and query gradient.
 
 A forward pass that nothing differentiates runs on :func:`evaluator`, the
 same op methods evaluated on arrays, so each intermediate is freed once
@@ -113,7 +109,8 @@ REAL_LOSS_TOL = 1e-12
 
 
 class UnknownOpError(ValueError):
-    """Raised when recording an operation the tape does not define."""
+    """Raised for an op argument the tape does not define (a matmul ``adj``
+    flag, a lift) or a node id that is not on the tape."""
 
 
 class NonScalarLossError(ValueError):
@@ -476,18 +473,6 @@ class Tape:
             out[:, _tap(kk, to, stride)] += patches[..., kk]
         return self._push("unwindow", (a,), out, (k, stride))
 
-    # -- generic recording -------------------------------------------------
-
-    def record(self, op_kind: str, inputs: Sequence[int], **aux) -> int:
-        """Record an operation by name; forward value is computed eagerly."""
-        for i in inputs:
-            if not 0 <= i < len(self.kind):
-                raise UnknownOpError(f"record: input id {i} is not on the tape")
-        method = _RECORDABLE.get(op_kind)
-        if method is None:
-            raise UnknownOpError(f"record: unknown op_kind {op_kind!r}")
-        return method(self, *inputs, **aux)
-
 
 # ---------------------------------------------------------------------------
 # graph convenience builders
@@ -570,8 +555,7 @@ def _attend_chunks(b: int, lq: int, lk: int) -> list[slice]:
 # Each pullback takes the adjoint c of node u and returns (input_id, dL/dz*)
 # pairs: the holomorphic term c * conj(du/dz) plus the antiholomorphic term
 # conj(c) * du/dz*.  Only conj, re, im, cabs, crelu, mulc's second factor
-# and the ^H factor of matmul have the second term, and ``naive`` drops it,
-# which leaves the classical, holomorphic-only rule.  A binary elementwise
+# and the ^H factor of matmul have the second term.  A binary elementwise
 # op that broadcast an input sums that input's adjoint back to its shape.
 # The sweep, not the pullback, takes the real part of what a real input gets.
 
@@ -582,11 +566,11 @@ def _fit(g, p, x):
     return p if g.shape[p] == shape else g.sum_to(p, shape)
 
 
-def _pull_add(g, nid, c, naive):
+def _pull_add(g, nid, c):
     return [(i, _fit(g, c, i)) for i in g.inputs[nid] if g.needs[i]]
 
 
-def _pull_sub(g, nid, c, naive):
+def _pull_sub(g, nid, c):
     a, b = g.inputs[nid]
     out = []
     if g.needs[a]:
@@ -596,18 +580,18 @@ def _pull_sub(g, nid, c, naive):
     return out
 
 
-def _pull_neg(g, nid, c, naive):
+def _pull_neg(g, nid, c):
     (a,) = g.inputs[nid]
     return [(a, g.neg(c))]
 
 
-def _pull_conj(g, nid, c, naive):
+def _pull_conj(g, nid, c):
     # du/dz = 0 and du/dz* = 1: the whole adjoint is antiholomorphic
     (a,) = g.inputs[nid]
-    return [] if naive else [(a, g.conj(c))]
+    return [(a, g.conj(c))]
 
 
-def _pull_mul(g, nid, c, naive):
+def _pull_mul(g, nid, c):
     a, b = g.inputs[nid]
     out = []
     if g.needs[a]:
@@ -617,18 +601,18 @@ def _pull_mul(g, nid, c, naive):
     return out
 
 
-def _pull_mulc(g, nid, c, naive):
+def _pull_mulc(g, nid, c):
     # u = a conj(b): du/da = conj(b), and du/db* = a is antiholomorphic
     a, b = g.inputs[nid]
     out = []
     if g.needs[a]:
         out.append((a, _fit(g, g.mul(c, b), a)))
-    if g.needs[b] and not naive:
+    if g.needs[b]:
         out.append((b, _fit(g, g.mulc(a, c), b)))
     return out
 
 
-def _pull_quotient(g, nid, c, naive, quot):
+def _pull_quotient(g, nid, c, quot):
     # u = a / b through ``quot`` (div or the masked mdiv): du/da = 1/b and
     # du/db = -u/b, both holomorphic
     a, b = g.inputs[nid]
@@ -641,71 +625,67 @@ def _pull_quotient(g, nid, c, naive, quot):
     return out
 
 
-def _pull_div(g, nid, c, naive):
-    return _pull_quotient(g, nid, c, naive, g.div)
+def _pull_div(g, nid, c):
+    return _pull_quotient(g, nid, c, g.div)
 
 
-def _pull_re(g, nid, c, naive):
+def _pull_re(g, nid, c):
     # u = (a + a*)/2: du/da = du/da* = 1/2, so the adjoint is Re c, which is
-    # c itself on a real node, and c/2 under the naive rule
+    # c itself on a real node
     (a,) = g.inputs[nid]
-    return [(a, g.smul(c, 0.5) if naive else g.re(c))]
+    return [(a, g.re(c))]
 
 
-def _pull_im(g, nid, c, naive):
-    # u = (a - a*)/2i: du/da = -i/2 and du/da* = i/2, so the adjoint is
-    # i Re c, and i c/2 under the naive rule
+def _pull_im(g, nid, c):
+    # u = (a - a*)/2i: du/da = -i/2 and du/da* = i/2, so the adjoint is i Re c
     (a,) = g.inputs[nid]
-    return [(a, g.smul(c, 0.5j) if naive else g.smul(g.re(c), 1j))]
+    return [(a, g.smul(g.re(c), 1j))]
 
 
-def _pull_smul(g, nid, c, naive):
+def _pull_smul(g, nid, c):
     (a,) = g.inputs[nid]
     return [(a, g.smul(c, g.aux[nid].conjugate()))]
 
 
-def _pull_exp(g, nid, c, naive):
+def _pull_exp(g, nid, c):
     (a,) = g.inputs[nid]
     return [(a, g.mulc(c, nid))]
 
 
-def _pull_log(g, nid, c, naive):
+def _pull_log(g, nid, c):
     (a,) = g.inputs[nid]
     return [(a, g.div(c, g.conj(a)))]
 
 
-def _pull_sqrt(g, nid, c, naive):
+def _pull_sqrt(g, nid, c):
     (a,) = g.inputs[nid]
     return [(a, g.div(c, g.conj(g.smul(nid, 2.0))))]
 
 
-def _pull_cabs(g, nid, c, naive):
+def _pull_cabs(g, nid, c):
     # d|z|/dz = z*/(2|z|) and d|z|/dz* = z/(2|z|), so the two terms share
     # z/(2|z|) and their adjoints sum to t = c + conj(c).  Masked divide
     # keeps z = 0 at zero.
     (a,) = g.inputs[nid]
-    t = c if naive else g.add(c, g.conj(c))
-    return [(a, g.mdiv(g.mul(t, a), g.smul(nid, 2.0)))]
+    return [(a, g.mdiv(g.mul(g.add(c, g.conj(c)), a), g.smul(nid, 2.0)))]
 
 
-def _pull_mdiv(g, nid, c, naive):
-    return _pull_quotient(g, nid, c, naive, g.mdiv)
+def _pull_mdiv(g, nid, c):
+    return _pull_quotient(g, nid, c, g.mdiv)
 
 
-def _pull_crelu(g, nid, c, naive):
+def _pull_crelu(g, nid, c):
     # du/dz = (m_re + m_im)/2 and du/dz* = (m_re - m_im)/2 with the two
     # half-plane masks; both are real, so conjugations drop out.
     (a,) = g.inputs[nid]
     v = g.raw(a)
     mre = (v.real > 0).astype(_R)
     mim = (v.imag > 0).astype(_R)
-    hol = g.mul(c, g.const((mre + mim) * 0.5))
-    if naive:
-        return [(a, hol)]
-    return [(a, g.add(hol, g.mul(g.conj(c), g.const((mre - mim) * 0.5))))]
+    return [(a, g.add(g.mul(c, g.const((mre + mim) * 0.5)),
+                      g.mul(g.conj(c), g.const((mre - mim) * 0.5))))]
 
 
-def _pull_matmul(g, nid, c, naive):
+def _pull_matmul(g, nid, c):
     # u = op(a) op(b) with op the identity or ^H.  The adjoint of a plain
     # factor is c times the other factor's ^H; a factor under ^H enters
     # antiholomorphically, and its adjoint is the ^H of that product.
@@ -717,19 +697,19 @@ def _pull_matmul(g, nid, c, naive):
             out.append((a, g.matmul(c, b, "b")))
         elif adj == "b":
             out.append((a, g.matmul(c, b)))
-        elif not naive:
+        else:
             out.append((a, g.matmul(b, c, "b")))
     if g.needs[b]:
         if adj is None:
             out.append((b, g.matmul(a, c, "a")))
         elif adj == "a":
             out.append((b, g.matmul(a, c)))
-        elif not naive:
+        else:
             out.append((b, g.matmul(c, a, "a")))
     return out
 
 
-def _pull_attend(g, nid, c, naive):
+def _pull_attend(g, nid, c):
     # the adjoint of the chain itself, rematerialised from q, kt and v: the
     # running sweep pulls a recorded chain back next (its ids are the
     # largest); a graph-free sweep records each chunk on a scratch tape
@@ -742,40 +722,40 @@ def _pull_attend(g, nid, c, naive):
     for s in _attend_chunks(g.shape[q][0], g.shape[q][1], g.shape[kt][2]):
         t = Tape()
         ids = {i: t.leaf(x[s]) if i in grads else t.const(x[s]) for i, x in vals.items()}
-        cot = _sweep(t, _ArrayOps(t), {g_attention(t, ids[q], ids[kt], ids[v], lift): c[s]}, naive)
+        cot = _sweep(t, _ArrayOps(t), {g_attention(t, ids[q], ids[kt], ids[v], lift): c[s]})
         for i, grad in grads.items():
             if ids[i] in cot:
                 grad[s] = cot[ids[i]]
     return list(grads.items())
 
 
-def _pull_reshape(g, nid, c, naive):
+def _pull_reshape(g, nid, c):
     (a,) = g.inputs[nid]
     return [(a, g.reshape(c, g.aux[nid]))]
 
 
-def _pull_permute(g, nid, c, naive):
+def _pull_permute(g, nid, c):
     (a,) = g.inputs[nid]
     axes = g.aux[nid]
     return [(a, g.permute(c, sorted(range(len(axes)), key=axes.__getitem__)))]
 
 
-def _pull_sum_to(g, nid, c, naive):
+def _pull_sum_to(g, nid, c):
     (a,) = g.inputs[nid]
     return [(a, g.expand(c, g.shape[a]))]
 
 
-def _pull_expand(g, nid, c, naive):
+def _pull_expand(g, nid, c):
     (a,) = g.inputs[nid]
     return [(a, g.sum_to(c, g.shape[a]))]
 
 
-def _pull_window(g, nid, c, naive):
+def _pull_window(g, nid, c):
     (a,) = g.inputs[nid]
     return [(a, g.unwindow(c, g.shape[a][1], *g.aux[nid]))]
 
 
-def _pull_unwindow(g, nid, c, naive):
+def _pull_unwindow(g, nid, c):
     (a,) = g.inputs[nid]
     return [(a, g.window(c, *g.aux[nid]))]
 
@@ -826,9 +806,6 @@ _READS: dict[str, tuple[tuple[int, ...], bool, bool]] = {
     "attend": ((0, 1, 2), False, False),
 }
 
-# the ops :meth:`Tape.record` accepts by name: exactly those with a pullback
-_RECORDABLE: dict[str, Callable] = {k: getattr(Tape, k) for k in _PULLBACKS}
-
 
 # ---------------------------------------------------------------------------
 # backward sweeps
@@ -849,7 +826,7 @@ def backward_values(g: Tape, loss_id: int) -> dict[int, np.ndarray]:
     :func:`backward` records.
     """
     _check_real_scalar(g, loss_id)
-    return _sweep(g, _ArrayOps(g), {loss_id: 0.5}, False)
+    return _sweep(g, _ArrayOps(g), {loss_id: 0.5})
 
 
 class _Shapes:
@@ -869,8 +846,7 @@ class _ArrayOps(Tape):
     """The ops of a tape, evaluated on arrays without recording.
 
     Every op method returns its value instead of a new node id.  An operand
-    that is an integer (Python or numpy, as :meth:`Tape.record` accepts
-    either) is a node id and resolves to the tape's forward value, or raises
+    that is an integer (Python or numpy) is a node id and resolves to the tape's forward value, or raises
     :class:`ReleasedValueError` if the tape released it; anything else is a
     value already.  Values are not all arrays: arithmetic on rank-0 arrays
     yields numpy scalars.  The pullbacks run against it unchanged, so they
@@ -910,7 +886,7 @@ def _real_part(ops: Tape, p):
     return ops.re(p)
 
 
-def _sweep(g: Tape, ops: Tape, seeds: Mapping[int, object], naive: bool) -> dict:
+def _sweep(g: Tape, ops: Tape, seeds: Mapping[int, object]) -> dict:
     """Reverse sweep over ``g`` from the adjoints ``seeds`` (node id -> its
     seed), whose adjoint arithmetic runs on ``ops``: ``g`` itself records
     it, an :class:`_ArrayOps` over ``g`` does not, keeps only the adjoints
@@ -920,10 +896,9 @@ def _sweep(g: Tape, ops: Tape, seeds: Mapping[int, object], naive: bool) -> dict
     ``g`` records, an array when not.  Seeded nodes keep their values.
     Returns node id -> c.
 
-    A real node holds a real adjoint: under the two-term rule only its real
-    part reaches a leaf, so the sweep keeps the real part of what each
-    pullback hands a real input, and a number seeds a real output with its
-    real part.  The naive rule keeps complex adjoints everywhere."""
+    A real node holds a real adjoint: only its real part reaches a leaf, so
+    the sweep keeps the real part of what each pullback hands a real input,
+    and a number seeds a real output with its real part."""
     keep_all = ops is g
     if not keep_all:
         g.release(keep=seeds, end=max(seeds) + 1)
@@ -931,7 +906,7 @@ def _sweep(g: Tape, ops: Tape, seeds: Mapping[int, object], naive: bool) -> dict
     cot: dict = {}
     for nid, seed in seeds.items():
         if isinstance(seed, (float, complex)):
-            seed = ops.const(np.full(g.shape[nid], seed.real if real[nid] and not naive else _C(seed)))
+            seed = ops.const(np.full(g.shape[nid], seed.real if real[nid] else _C(seed)))
         cot[nid] = seed
     heap = [-nid for nid in cot]
     heapq.heapify(heap)
@@ -943,8 +918,8 @@ def _sweep(g: Tape, ops: Tape, seeds: Mapping[int, object], naive: bool) -> dict
         c = cot[nid] if keep_all else cot.pop(nid)
         if not g.needs[nid]:
             continue
-        for inp, p in _PULLBACKS[kind](ops, nid, c, naive):
-            if real[inp] and not naive:
+        for inp, p in _PULLBACKS[kind](ops, nid, c):
+            if real[inp]:
                 p = _real_part(ops, p)
             prev = cot.get(inp)
             if prev is None:
@@ -972,21 +947,19 @@ def _check_real_scalar(g: Tape, loss_id: int) -> None:
         raise NonRealLossError(f"loss has imaginary part {im:.3e} above tolerance {REAL_LOSS_TOL}")
 
 
-def backward(g: Tape, loss_id: int, naive: bool = False) -> dict[int, int]:
+def backward(g: Tape, loss_id: int) -> dict[int, int]:
     """Reverse sweep from a real-valued scalar loss, recorded on the tape.
     Returns node id -> the node that holds dL/dz*; a node the loss does not
     reach is absent.
 
     The loss node is seeded with 1/2: a real scalar reads as (L + L*)/2,
     which splits the unit adjoint evenly across the two conjugate-mirror
-    channels, so one sweep propagates dL/dz*.  With ``naive=True`` every
-    antiholomorphic term is dropped (the classical, holomorphic-only rule),
-    which has no mirror channel, so the seed is 1.  Node ids are processed
-    in descending order, so every adjoint is fully accumulated before it
-    is propagated.
+    channels, so one sweep propagates dL/dz*.  Node ids are processed in
+    descending order, so every adjoint is fully accumulated before it is
+    propagated.
     """
     _check_real_scalar(g, loss_id)
-    return _sweep(g, g, {loss_id: 1.0 if naive else 0.5}, naive)
+    return _sweep(g, g, {loss_id: 0.5})
 
 
 def complex_gradient(g: Tape, loss_id: int, param_id: int, cots: Mapping[int, int] | None = None) -> CTensor:
@@ -1025,8 +998,8 @@ def backward_graph(g: Tape, out_id: int, seed: tuple[complex | None, complex | N
     a1, a2 = (sc + sv.conjugate()) / 2, (sc - sv.conjugate()) / 2j
     if g.real[out_id]:
         a1, a2 = a1.real, a2.real
-    p1 = _sweep(g, g, {out_id: a1}, False) if a1 else {}
-    p2 = _sweep(g, g, {out_id: a2}, False) if a2 else {}
+    p1 = _sweep(g, g, {out_id: a1}) if a1 else {}
+    p2 = _sweep(g, g, {out_id: a2}) if a2 else {}
     return {nid: _Pair(g, p1.get(nid), p2.get(nid)) for nid in dict.fromkeys([*p1, *p2])}
 
 
@@ -1098,6 +1071,6 @@ def hvp_sweep(g: Tape, leaves: Mapping[str, int], first: Mapping[int, int],
             seed = 2.0 * u[name].numpy()
             seed = seed.real if g.real[c] else seed
             seeds[c] = seed if c not in seeds else seeds[c] + seed
-    second = _sweep(g, _ArrayOps(g), seeds, False) if seeds else {}
+    second = _sweep(g, _ArrayOps(g), seeds) if seeds else {}
     return {name: CTensor._wrap(second[leaf]) if leaf in second else CTensor.zeros(g.shape[leaf])
             for name, leaf in leaves.items()}

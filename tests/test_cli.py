@@ -29,6 +29,7 @@ from camel.cli import (
 from camel.ctensor import CTensor
 from camel.gradcheck import FD_STEP, GradCase, run_case, run_suite
 import camel
+import camel.cli
 from camel import layers
 from camel.layers import ArchConfig, init_params
 from camel.meta import HistoryRow, ParamSet
@@ -399,6 +400,17 @@ def test_toychain_naive_rule_is_stuck():
     assert all(b < a for a, b in zip(complex_rule, complex_rule[1:]))
 
 
+def test_toychain_single_term_zeros_come_from_the_conj_stage(monkeypatch):
+    # negative control: with du/dz = 1 at the conj stage the single-term
+    # gradient is finite and nonzero and its trajectory moves, so the zeros
+    # above come from that stage's du/dz = 0, not from a constant
+    (conj, _), *rest = camel.cli._TOY_STAGES
+    monkeypatch.setattr(camel.cli, "_TOY_STAGES", ((conj, lambda z: 1.0), *rest))
+    rows = toychain_run(steps=5, lr=0.05)
+    assert all(math.isfinite(r[3]) and r[3] > 0 for r in rows)
+    assert rows[-1][2] != rows[0][2]
+
+
 def test_toychain_nonfinite_trajectory_exits_2(capsys):
     # lr 1e300 throws x far enough out that the next step's loss overflows
     assert main(["toychain", "--lr", "1e300", "--steps", "5"]) == 2
@@ -431,8 +443,8 @@ def test_gradcheck_negative_control_flags_corrupted_adjoint(rng):
 
     original = w._PULLBACKS["conj"]
     for factor, max_err in ((1.001, pytest.approx(5e-4, rel=0.01)), (math.nan, math.inf)):
-        def crooked(g, nid, c, naive):
-            return [(i, g.smul(p, factor)) for i, p in original(g, nid, c, naive)]
+        def crooked(g, nid, c):
+            return [(i, g.smul(p, factor)) for i, p in original(g, nid, c)]
 
         w._PULLBACKS["conj"] = crooked
         try:

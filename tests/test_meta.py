@@ -591,7 +591,7 @@ def test_train_resumed_from_a_stopped_state_trains_no_further():
 def test_train_divergence_aborts_with_last_good():
     cfg = MetaConfig(inner_lr=ALPHA, outer_lr=1e6, inner_steps=1, iterations=200,
                      early_stop=False)
-    with pytest.raises(DivergenceError) as info:
+    with pytest.warns(RuntimeWarning), pytest.raises(DivergenceError) as info:
         train_meta(theta_scalar(), lambda: quad_tasks(), cfg)
     state = info.value.state
     assert np.all(np.isfinite(state.theta["t"].numpy().real))
@@ -766,7 +766,7 @@ def test_evaluate_random_network_near_chance(rng):
 
 def test_inner_update_nonfinite_loss_aborts():
     far = ParamSet({"t": CTensor.scalar(1e200 + 0j)})
-    with pytest.raises(FloatingPointError, match="not finite"):
+    with pytest.warns(RuntimeWarning), pytest.raises(FloatingPointError, match="not finite"):
         inner_update(far, quad_tasks()[0], ALPHA, 1)
 
 

@@ -29,7 +29,6 @@ from camel.wirtinger import (
     ADJOINT_FLAGS,
     _PULLBACKS,
     _READS,
-    _RECORDABLE,
     NonRealLossError,
     NonScalarLossError,
     ReleasedValueError,
@@ -61,11 +60,15 @@ def one_attention_block_per_chunk(monkeypatch):
 # recording
 # ---------------------------------------------------------------------------
 
+_OPS = {k: getattr(Tape, k) for k in _PULLBACKS}
+"""The op methods of a tape: exactly those with a pullback."""
+
+
 def test_record_add_value(rng):
     g = Tape()
     a = g.leaf(rand_complex(rng, 3))
     b = g.leaf(rand_complex(rng, 3))
-    nid = g.record("add", [a, b])
+    nid = g.add(a, b)
     assert np.array_equal(g.raw(nid), g.raw(a) + g.raw(b))
 
 
@@ -73,8 +76,8 @@ def test_record_topological_order(rng):
     g = Tape()
     a = g.leaf(rand_complex(rng, 2))
     b = g.leaf(rand_complex(rng, 2))
-    c = g.record("mul", [a, b])
-    d = g.record("conj", [c])
+    c = g.mul(a, b)
+    d = g.conj(c)
     assert c > max(a, b) and d > c
 
 
@@ -83,18 +86,9 @@ def test_record_chain_replays_direct_evaluation(rng):
     y = rand_complex(rng, 4)
     g = Tape()
     a, b = g.leaf(x), g.leaf(y)
-    out = g.record("exp", [g.record("mul", [g.record("add", [a, b]), a])])
+    out = g.exp(g.mul(g.add(a, b), a))
     direct = np.exp((x + y) * x)
     assert np.max(np.abs(g.raw(out) - direct)) <= 1e-15 * np.max(np.abs(direct))
-
-
-def test_record_unknown_op_and_bad_input():
-    g = Tape()
-    a = g.leaf(np.zeros(2, dtype=complex))
-    with pytest.raises(UnknownOpError):
-        g.record("frobnicate", [a])
-    with pytest.raises(UnknownOpError):
-        g.record("neg", [a + 5])
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +129,10 @@ def test_window_and_unwindow_match_python_loops(rng, k, stride):
     t = 11
     x = rand_complex(rng, 2, t, 3)
     g = Tape()
-    w = g.record("window", [g.leaf(x)], k=k, stride=stride)
+    w = g.window(g.leaf(x), k=k, stride=stride)
     assert np.array_equal(g.raw(w), _loop_patches(x, k, stride))
     p = rand_complex(rng, *g.raw(w).shape)
-    u = g.record("unwindow", [g.leaf(p)], t=t, k=k, stride=stride)
+    u = g.unwindow(g.leaf(p), t=t, k=k, stride=stride)
     assert np.array_equal(g.raw(u), _loop_overlap_add(p, t, k, stride))
 
 
@@ -157,7 +151,7 @@ def test_window_and_unwindow_match_python_loops(rng, k, stride):
 def test_window_ops_reject_bad_arguments(op, shape, aux):
     g = Tape()
     with pytest.raises(ShapeMismatchError):
-        g.record(op, [g.leaf(np.zeros(shape, dtype=complex))], **aux)
+        _OPS[op](g, g.leaf(np.zeros(shape, dtype=complex)), **aux)
 
 
 @pytest.mark.parametrize("sa, sb, adj", [
@@ -177,7 +171,7 @@ def test_matmul_rejects_bad_shapes(sa, sb, adj):
     g = Tape()
     a, b = g.leaf(np.zeros(sa, dtype=complex)), g.leaf(np.zeros(sb, dtype=complex))
     with pytest.raises(ShapeMismatchError):
-        g.record("matmul", [a, b], adj=adj)
+        g.matmul(a, b, adj=adj)
     assert len(g) == 2
 
 
@@ -185,7 +179,7 @@ def test_matmul_rejects_an_unknown_adj_flag():
     g = Tape()
     a, b = g.leaf(np.zeros((2, 2), dtype=complex)), g.leaf(np.zeros((2, 2), dtype=complex))
     with pytest.raises(UnknownOpError):
-        g.record("matmul", [a, b], adj="c")
+        g.matmul(a, b, adj="c")
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +275,7 @@ def test_gradient_matches_fd_on_composite(rng):
 
 
 # ---------------------------------------------------------------------------
-# analytic subgraphs and the single-term rule
+# analytic subgraphs
 # ---------------------------------------------------------------------------
 
 def test_analytic_graph_has_zero_conjugate_channel(rng):
@@ -293,18 +287,6 @@ def test_analytic_graph_has_zero_conjugate_channel(rng):
     pv, pc = pairs[z]
     assert pv is not None
     assert pc is None or np.max(np.abs(g.val[pc])) <= 1e-12
-
-
-def test_naive_rule_kills_conjugate_entry_point():
-    # the toy loss of camel toychain: the naive sweep records its own
-    # arithmetic, no conj node among it, and never reaches x
-    g = Tape()
-    x = g.leaf(np.asarray(0.5 + 0.5j, dtype=complex))
-    loss = _toy_loss(g, x)
-    n = len(g)
-    cots = backward(g, loss, naive=True)
-    assert len(g) == n + 9 and "conj" not in g.kind[n:]
-    assert x not in cots
 
 
 def _mixed_graph(g, z, w):
@@ -367,17 +349,6 @@ def test_real_seed_builds_the_value_channel_only_when_read(rng):
     assert pairs[z][0] == vid and len(g) == n + 1
 
 
-def test_naive_rule_gives_exact_zeros_behind_conj():
-    # every path from the loss to x passes a conj, whose whole adjoint is
-    # antiholomorphic: the naive rule reaches nothing behind it
-    g = Tape()
-    x = g.leaf(np.asarray([0.5 + 0.5j, -0.3 + 0.8j]))
-    u = g.conj(x)
-    loss = g.re(g_sum(g, g.mul(g.cabs(u), g.crelu(u))))
-    cots = backward(g, loss, naive=True)
-    assert x not in cots and u in cots
-
-
 # ---------------------------------------------------------------------------
 # graph-free sweeps
 # ---------------------------------------------------------------------------
@@ -403,15 +374,15 @@ def test_backward_values_match_backward_graph_on_registry(case):
 
 @pytest.mark.parametrize("shape", [(), (3,)])
 def test_backward_values_resolve_numpy_integer_ids(rng, shape):
-    # record() accepts numpy integer ids and stores them as given; the
+    # the op methods accept numpy integer ids and store them as given; the
     # graph-free sweep must read them as nodes, not as adjoint values.
     za, zb = rand_complex(rng, *shape), rand_complex(rng, *shape)
 
     def record():
         g = Tape()
         a, b = g.leaf(za), g.leaf(zb)
-        c = g.record("mul", [np.int64(a), np.int64(b)])
-        return g, a, b, g_sum(g, g.record("mul", [np.int64(c), g.record("conj", [np.int64(c)])]))
+        c = g.mul(np.int64(a), np.int64(b))
+        return g, a, b, g_sum(g, g.mul(np.int64(c), g.conj(np.int64(c))))
 
     g, a, b, loss = record()
     values = backward_values(g, loss)
@@ -596,7 +567,7 @@ def test_recording_on_a_released_node_raises_a_typed_error(rng):
     loss = g.re(g_sum(g, g.exp(r)))
     g.release(keep=(loss,))
     assert g.val[r] is None
-    for op, method in _RECORDABLE.items():
+    for op, method in _OPS.items():
         n = _RELEASED_OPERANDS.get(op, 1)
         for pos in range(n):
             ids = [x] * n
@@ -703,11 +674,10 @@ def _registry_tapes():
 
 def test_registry_covers_every_op_adjoint_flag_and_broadcast_pattern():
     tapes = _registry_tapes()
-    assert set(_RECORDABLE) == set(_PULLBACKS)
-    for op in _RECORDABLE:
+    for op in _OPS:
         assert any(name.split("[")[0] == op and op in g.kind for name, g in tapes.items()), \
             f"no gradcheck case named for and recording {op!r}"
-    for op, method in _RECORDABLE.items():
+    for op, method in _OPS.items():
         if "adj" not in inspect.signature(method).parameters:
             continue
         for adj in ADJOINT_FLAGS:
@@ -720,9 +690,9 @@ def test_registry_covers_every_op_adjoint_flag_and_broadcast_pattern():
     probe = Tape()
     x, r = probe.leaf(np.ones((2, 3), dtype=complex)), probe.leaf(np.ones(3, dtype=complex))
     broadcasting = []
-    for op in _RECORDABLE:
+    for op, method in _OPS.items():
         try:
-            nid = probe.record(op, [x, r])
+            nid = method(probe, x, r)
         except (TypeError, ValueError):
             continue
         if probe.inputs[nid] == (x, r):
@@ -811,10 +781,10 @@ def _spy_on_adjoints(monkeypatch):
     on any tape, a scratch tape of attend's pullback too."""
     seen = []
     for kind, pull in list(_PULLBACKS.items()):
-        def spy(g, nid, c, naive, pull=pull):
+        def spy(g, nid, c, pull=pull):
             value = c if isinstance(g, camel.wirtinger._ArrayOps) else g.raw(c)
             seen.append((g.real[nid], np.asarray(value).dtype))
-            return pull(g, nid, c, naive)
+            return pull(g, nid, c)
         monkeypatch.setitem(_PULLBACKS, kind, spy)
     return seen
 
@@ -859,16 +829,19 @@ def test_real_storage_check_fails_when_a_real_node_gets_a_complex_adjoint(monkey
         _check_real_storage(_desk_case(), monkeypatch)
 
 
-def test_naive_sweep_keeps_complex_adjoints_at_real_nodes(monkeypatch):
-    # the single-term rule drops the antiholomorphic term, so the imaginary
-    # part of a real node's adjoint is not dead there, and nothing discards it
+@pytest.mark.parametrize("sweep", [backward, backward_values], ids=["backward", "backward_values"])
+def test_toy_map_sweeps_keep_real_adjoints_at_real_nodes(monkeypatch, sweep):
+    # the toy map of camel toychain enters through a conj and ends in a
+    # real cabs: its real nodes get float64 adjoints, its complex ones
+    # complex adjoints, from a recorded sweep and a graph-free one alike
     seen = _spy_on_adjoints(monkeypatch)
     g = Tape()
     x = g.leaf(np.asarray(0.5 + 0.5j))
     loss = _toy_loss(g, x)
     assert g.real[loss]
-    backward(g, loss, naive=True)
-    assert seen and all(dtype == np.complex128 for _, dtype in seen)
+    sweep(g, loss)
+    assert {real for real, _ in seen} == {True, False}
+    assert all(dtype == (np.float64 if real else np.complex128) for real, dtype in seen)
 
 
 # ---------------------------------------------------------------------------
@@ -937,7 +910,7 @@ def test_cr_check_real_valued_maps_fail(rng):
 
 def test_cr_check_nonfinite_output_raises():
     fn = lambda t: CTensor._wrap(t.numpy() / 0.0)
-    with pytest.raises(FloatingPointError):
+    with pytest.warns(RuntimeWarning), pytest.raises(FloatingPointError):
         cr_check(fn, CTensor(np.array([1.0 + 0j])), tol=1e-4)
 
 
