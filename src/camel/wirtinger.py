@@ -20,9 +20,9 @@ operands promote as numpy does.  A real node's adjoint is float64 as well:
 since u* = u, the chain rule through u reads c conj(du/dz) + conj(c) du/dz*
 = 2 Re(c) du/dz*, so only Re c reaches a leaf.  The sweep takes that real
 part where a pullback hands a real input a complex adjoint, which happens
-where a real node meets a complex one (the softmax weights times V, say),
-in recorded and graph-free sweeps alike, so no real node's adjoint is
-complex.  Leaves, and every value handed out (``Tape.value``,
+where a real node meets a complex one (the real part of one matrix times
+another, say), in recorded and graph-free sweeps alike, so no real node's
+adjoint is complex.  Leaves, and every value handed out (``Tape.value``,
 :func:`complex_gradient` and the leaf adjoints of :func:`backward_values`),
 are complex128.  The softmax chain and the log-softmax head run in float64,
 where numpy's exp is an order of magnitude cheaper than on complex128.
@@ -46,11 +46,11 @@ layers.  The batch runs in chunks of as many rows as fit one (rows, Lq,
 Lk) complex block in :data:`ATTEND_CHUNK_BYTES`, 256 KiB, so no
 (B, Lq, Lk) array outlives its chunk; every op of the chain acts per matrix
 or per row, so chunks change no bit.  The pullback keeps nothing from the
-forward pass: it rematerialises the chain from q, kt and v and sweeps it
-(Chen et al., arXiv:1604.06174).  A recording sweep records the chain on
-the tape and hands it the op's adjoint, so the running sweep pulls it back
-next and a later sweep differentiates it again; a graph-free sweep
-records each chunk on a scratch tape and sweeps that graph-free.
+forward pass (Chen et al., arXiv:1604.06174): it recomputes the weights
+from q and kt and applies the chain's adjoint in closed form, written once
+against the op methods.  A recording sweep records it over the whole
+batch, so a later sweep differentiates it again; a graph-free sweep runs
+it on the arrays of each chunk.
 
 A real scalar loss reads as (L + L*)/2, so its sweep starts from the real
 seed 1/2.  :func:`backward` returns one adjoint per node, dL/dz*, as a map
@@ -59,12 +59,17 @@ node id -> the node that holds it; :func:`complex_gradient` reads that map.
 ``perfbench``'s traced run only; a seed pair that is not real runs as two
 real-seeded sweeps.
 
-Both kinds of sweep run the same pullbacks.  :func:`backward` records its
-own arithmetic on the same tape, which is what makes exact second
-derivatives possible: a second sweep over the extended tape differentiates
-the first gradient.  :func:`backward_values` records nothing and keeps
-only the adjoints of leaves, for the last sweep of a gradient, which
-nothing differentiates again.
+Both kinds of sweep run the same pullbacks, and visit node ids in
+descending order: a pullback hands adjoints only to its node's inputs.
+:func:`backward` records its own arithmetic on the same tape, which is
+what makes exact second derivatives possible: a second sweep over the
+extended tape differentiates the first gradient.  It runs the first sweep
+of a Hessian product (:func:`hvp`, and each inner step of the exact
+meta-gradient in ``meta``) and the two-term gradient of ``camel
+toychain``.  :func:`backward_values` records nothing and keeps only the
+adjoints of leaves, for the last sweep of a gradient, which nothing
+differentiates again: the second sweep of a Hessian product
+(:func:`hvp_sweep`), and in ``meta`` every support and query gradient.
 
 A tape keeps each node's shape, and each op's pullback reads the values
 ``_READS`` names and only shapes and ``aux`` otherwise.  So
@@ -76,12 +81,6 @@ those values first and drops each node's value once it has pulled that
 node back.  Leaves, consts and the loss keep theirs.  Reading a released
 value, directly or as the operand of a new op, raises
 :class:`ReleasedValueError`.
-
-Recording sweeps: :func:`backward`, and so the first sweep of a Hessian
-product (:func:`hvp`, and each inner step of the exact meta-gradient in
-``meta``), and the two-term gradient of ``camel toychain``.  Graph-free
-sweeps: the second sweep of a Hessian product (:func:`hvp_sweep`), and in
-``meta`` every support and query gradient.
 
 A forward pass that nothing differentiates runs on :func:`evaluator`, the
 same op methods evaluated on arrays, so each intermediate is freed once
@@ -95,7 +94,6 @@ The numerical oracles that check this engine live in ``gradcheck``.
 
 from __future__ import annotations
 
-import heapq
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -396,7 +394,7 @@ class Tape:
         (B, Lk, dv) values, (B, Lq, dv): the chain of :func:`g_attention`,
         evaluated one chunk of the batch at a time (see
         :func:`_attend_chunks`), so no (B, Lq, Lk) array outlives its chunk.
-        Its pullback rematerialises the chain instead of keeping it."""
+        Its pullback recomputes the weights instead of keeping them."""
         vq, vk, vv = self.raw(q), self.raw(kt), self.raw(v)
         if not (vq.ndim == vk.ndim == vv.ndim == 3 and vq.shape[0] == vk.shape[0] == vv.shape[0]
                 and vq.shape[2] == vk.shape[1] and vk.shape[2] == vv.shape[1]):
@@ -529,9 +527,9 @@ def g_softmax_last(g: Tape, x: int, lift: str) -> int:
 
 def g_attention(g: Tape, q: int, kt: int, v: int, lift: str) -> int:
     """The attention chain: the softmax weights of scaled queries q over
-    transposed keys kt mix the values v.  :meth:`Tape.attend` runs it and
-    its pullback differentiates it.  No local name holds the scores, so an
-    evaluator frees them as soon as the lift has read them."""
+    transposed keys kt mix the values v.  :meth:`Tape.attend` runs it; its
+    pullback is its adjoint in closed form.  No local name holds the scores,
+    so an evaluator frees them as soon as the lift has read them."""
     return g.matmul(g_softmax_last(g, g.matmul(q, kt), lift), v)
 
 
@@ -709,24 +707,39 @@ def _pull_matmul(g, nid, c):
     return out
 
 
+def _attend_adjoint(g, q, kt, v, c, lift: str, need) -> list:
+    # (operand position, adjoint) where ``need`` says.  With S = q kt and
+    # P = softmax(lift(S)): v gets P^T c, the real P gets dP = Re(c v^H),
+    # lift(S) gets P (dP - rowsum(P dP)), S the lift's rule (x i for im;
+    # _pull_cabs's on a real adjoint for abs) and q and kt the product's
+    s = g.matmul(q, kt)
+    lifted = g_lift(g, s, lift)
+    p = g_softmax_last(g, lifted, "re")  # the real part of a real node is the node
+    out = [(2, g.matmul(p, c, "a"))] if need[2] else []
+    if need[0] or need[1]:
+        ds = g.re(g.matmul(c, v, "b"))  # dP, rebound so that a chunk frees it
+        ds = g.mul(p, g.sub(ds, g_sum_last(g, g.mul(p, ds))))
+        if lift != "re":
+            ds = g.smul(ds, 1j) if lift == "im" else g.mdiv(g.mul(ds, s), lifted)
+        out += [(0, g.matmul(ds, kt, "b"))] if need[0] else []
+        out += [(1, g.matmul(q, ds, "a"))] if need[1] else []
+    return out
+
+
 def _pull_attend(g, nid, c):
-    # the adjoint of the chain itself, rematerialised from q, kt and v: the
-    # running sweep pulls a recorded chain back next (its ids are the
-    # largest); a graph-free sweep records each chunk on a scratch tape
-    q, kt, v = g.inputs[nid]
-    lift = g.aux[nid]
+    # recorded over the whole batch, or run per chunk into buffers of the
+    # dtypes the chunks give; the sweep adds a repeated operand's adjoints
+    ids, lift = g.inputs[nid], g.aux[nid]
+    need = [g.needs[i] for i in ids]
     if not isinstance(g, _ArrayOps):
-        return [(g_attention(g, q, kt, v, lift), c)]
-    vals = {i: g.raw(i) for i in dict.fromkeys(g.inputs[nid])}
-    grads = {i: np.zeros(x.shape, dtype=_C) for i, x in vals.items() if g.needs[i]}
-    for s in _attend_chunks(g.shape[q][0], g.shape[q][1], g.shape[kt][2]):
-        t = Tape()
-        ids = {i: t.leaf(x[s]) if i in grads else t.const(x[s]) for i, x in vals.items()}
-        cot = _sweep(t, _ArrayOps(t), {g_attention(t, ids[q], ids[kt], ids[v], lift): c[s]})
-        for i, grad in grads.items():
-            if ids[i] in cot:
-                grad[s] = cot[ids[i]]
-    return list(grads.items())
+        return [(ids[k], p) for k, p in _attend_adjoint(g, *ids, c, lift, need)]
+    grads = [None] * 3
+    for s in _attend_chunks(*g.shape[ids[0]][:2], g.shape[ids[1]][2]):
+        for k, p in _attend_adjoint(g, *(g.raw(i)[s] for i in ids), c[s], lift, need):
+            if grads[k] is None:
+                grads[k] = np.empty(g.shape[ids[k]], dtype=p.dtype)
+            grads[k][s] = p
+    return [(ids[k], p) for k, p in enumerate(grads) if p is not None]
 
 
 def _pull_reshape(g, nid, c):
@@ -814,16 +827,11 @@ _READS: dict[str, tuple[tuple[int, ...], bool, bool]] = {
 def backward_values(g: Tape, loss_id: int) -> dict[int, np.ndarray]:
     """The sweep of :func:`backward`, run on arrays: it records nothing,
     so the tape keeps its length and its result cannot be differentiated
-    again.
-
-    The sweep consumes the tape up to ``loss_id``: it first releases the
-    values there that no pullback reads (see :meth:`Tape.release`), and
-    drops each node's value once it has pulled that node back, so no node
-    it reached can be swept again.  Leaves, consts, the loss and the nodes
-    recorded after the loss keep their values.  Each adjoint is dropped
-    once it has been propagated.  Returns a map leaf id -> dL/dz* for the
-    leaves the sweep reached.  The arrays equal the values of the nodes
-    :func:`backward` records.
+    again.  It consumes the tape up to ``loss_id`` (see the module notes),
+    so no node it reached can be swept again; the nodes recorded after the
+    loss keep their values, and each adjoint is dropped once propagated.
+    Returns a map leaf id -> dL/dz* for the leaves the sweep reached,
+    arrays equal to the values of the nodes :func:`backward` records.
     """
     _check_real_scalar(g, loss_id)
     return _sweep(g, _ArrayOps(g), {loss_id: 0.5})
@@ -908,12 +916,9 @@ def _sweep(g: Tape, ops: Tape, seeds: Mapping[int, object]) -> dict:
         if isinstance(seed, (float, complex)):
             seed = ops.const(np.full(g.shape[nid], seed.real if real[nid] else _C(seed)))
         cot[nid] = seed
-    heap = [-nid for nid in cot]
-    heapq.heapify(heap)
-    while heap:
-        nid = -heapq.heappop(heap)
+    for nid in range(max(seeds), -1, -1):
         kind = g.kind[nid]
-        if kind == "leaf" or kind == "const":
+        if nid not in cot or kind == "leaf" or kind == "const":
             continue
         c = cot[nid] if keep_all else cot.pop(nid)
         if not g.needs[nid]:
@@ -922,11 +927,7 @@ def _sweep(g: Tape, ops: Tape, seeds: Mapping[int, object]) -> dict:
             if real[inp]:
                 p = _real_part(ops, p)
             prev = cot.get(inp)
-            if prev is None:
-                cot[inp] = p
-                heapq.heappush(heap, -inp)
-            else:
-                cot[inp] = ops.add(prev, p)
+            cot[inp] = p if prev is None else ops.add(prev, p)
         if not keep_all and nid not in seeds:
             g.val[nid] = None
     if not keep_all:
@@ -954,9 +955,8 @@ def backward(g: Tape, loss_id: int) -> dict[int, int]:
 
     The loss node is seeded with 1/2: a real scalar reads as (L + L*)/2,
     which splits the unit adjoint evenly across the two conjugate-mirror
-    channels, so one sweep propagates dL/dz*.  Node ids are processed in
-    descending order, so every adjoint is fully accumulated before it is
-    propagated.
+    channels, so one sweep propagates dL/dz*, visiting node ids from the
+    loss down (see the module notes).
     """
     _check_real_scalar(g, loss_id)
     return _sweep(g, g, {loss_id: 0.5})

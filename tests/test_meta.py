@@ -226,7 +226,7 @@ DESK_ARCH = ArchConfig(n_classes=5, frame_len=64, conv_channels=8, conv_stride=4
 
 
 def test_unrolled_meta_gradient_memory_at_desk_scale(rng):
-    # one 5-step desk task peaks near 2.8 MiB of traced allocations; a sweep
+    # one 5-step desk task peaks near 2.5 MiB of traced allocations; a sweep
     # through the whole unrolled tape that recorded its arithmetic needed 133 MB
     theta = ParamSet(init_params(DESK_ARCH, rng))
     task = EpisodeTask(toy_episode(rng, DESK_ARCH, n_way=5, k_shot=1, q_per_class=5), DESK_ARCH)
@@ -248,7 +248,8 @@ def _desk_tasks(rng, n=2):
 def test_single_channel_sweeps_at_desk_scale(rng, monkeypatch):
     # one adjoint per node, conjugate-aware products, broadcasting ops and
     # one attend node: a desk support forward takes 80 nodes and its
-    # recorded backward 134, 8 of which rematerialise the attention chain.
+    # recorded backward 127, 18 of which are attend's closed-form adjoint
+    # (134 when the pullback re-recorded the attention chain).
     # Storing conv0's kernel, not an embedding and a kernel that the tape
     # multiplied, took 5 and 5 (from 85 and 139); dropping the biases that
     # feed a norm had taken 10 and 8 (from 95 and 147; 146 with real nodes
@@ -256,17 +257,17 @@ def test_single_channel_sweeps_at_desk_scale(rng, monkeypatch):
     # 143 and 262 with conj/transpose nodes and index-map gathers).  The
     # counts are pinned exactly, so a sweep that records one node more
     # fails here without any timing.  Each inner step's Hessian product
-    # sweeps one support tape of 214 nodes, the forward and its recorded
+    # sweeps one support tape of 207 nodes, the forward and its recorded
     # backward, at any number of steps (the whole unrolled tape held 324
     # nodes after 1 step and 1280 after 5), and the 5-step meta-gradient
-    # peaks near 2.8 MiB of traced allocations (5.0 unrolled)
+    # peaks near 2.5 MiB of traced allocations (5.0 unrolled)
     theta, (task,) = _desk_tasks(rng, 1)
     g = Tape()
     loss = task.support_loss(g, {k: g.leaf(v) for k, v in theta.items()})
     n = len(g)
     assert n == 80
     backward(g, loss)
-    assert len(g) - n == 134
+    assert len(g) - n == 127
     lengths = []
 
     def product_sweep(g, *args):
@@ -275,21 +276,21 @@ def test_single_channel_sweeps_at_desk_scale(rng, monkeypatch):
 
     monkeypatch.setattr(camel.meta, "hvp_sweep", product_sweep)
     meta_gradient(theta, [task], ALPHA, 1)
-    assert lengths == [214]
+    assert lengths == [207]
     tracemalloc.start()
     try:
         meta_gradient(theta, [task], ALPHA, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert lengths == [214] * 6
+    assert lengths == [207] * 6
     assert peak < 3.1 * 2**20
 
 
 def test_meta_gradient_memory_is_flat_in_inner_steps(rng):
     # only one inner step's tape is alive at a time, and the parameters
-    # before each step are all that grows: one desk task peaks at 2.55 MiB
-    # of traced allocations at 1 step and 2.83 at 5 (2.55 and 5.04 with
+    # before each step are all that grows: one desk task peaks at 2.16 MiB
+    # of traced allocations at 1 step and 2.45 at 5 (2.55 and 5.04 with
     # the whole trajectory on one tape)
     theta, (task,) = _desk_tasks(rng, 1)
     peaks = {}
@@ -407,7 +408,7 @@ def test_swept_tape_is_freed_without_the_cycle_collector(rng):
     def sweep_and_read():
         g = Tape()
         leaves = {k: g.leaf(v) for k, v in theta.items()}
-        loss = task.support_loss(g, leaves)
+        loss = task.query_loss(g, leaves)  # 25 frames: a tape of over 1 MiB
         pairs = backward_graph(g, loss, seed=(0.5, 0.5))
         values = backward_values(g, loss)
         return g, [pairs[n][0] for n in leaves.values()], [values[n] for n in leaves.values()]
@@ -479,7 +480,7 @@ def test_query_predictions_memory_at_wide_scale(rng):
 
 def test_evaluate_memory_at_wide_scale(rng):
     # fine-tuning sweeps and the query forward hold one attention chunk at a
-    # time: a 2-episode wide evaluate peaks at 4.8 MiB of traced allocations
+    # time: a 2-episode wide evaluate peaks at 4.6 MiB of traced allocations
     # (6.7 MiB while an embedding fed conv0 full-rate (N, T, C) features),
     # and at 15.8 MB with whole score blocks on the tape and the evaluator
     theta = ParamSet(init_params(WIDE_ARCH, rng))
