@@ -339,16 +339,15 @@ def _softmax_case(lift: str) -> GradCase:
     )
 
 
-def _act_case(kind: str) -> GradCase:
-    # keep clear of the half-plane boundaries where crelu has kinks
-    def make_inputs(rng):
-        z = _rand(rng, 2, 3)
-        z = np.where(np.abs(z.real) < 0.1, z + np.sign(z.real + 1e-12) * 0.2, z)
-        z = np.where(np.abs(z.imag) < 0.1, z + 1j * np.sign(z.imag + 1e-12) * 0.2, z)
-        return {"x": z}
+def _off_axes(z: np.ndarray) -> np.ndarray:
+    """``z`` moved clear of the half-plane boundaries where crelu has kinks."""
+    z = np.where(np.abs(z.real) < 0.1, z + np.sign(z.real + 1e-12) * 0.2, z)
+    return np.where(np.abs(z.imag) < 0.1, z + 1j * np.sign(z.imag + 1e-12) * 0.2, z)
 
+
+def _act_case(kind: str) -> GradCase:
     return GradCase(f"c_act[{kind}]",
-                    make_inputs,
+                    lambda rng: {"x": _off_axes(_rand(rng, 2, 3))},
                     lambda g, lv, rng: _head(g, build_act(g, lv["x"], kind), rng))
 
 
@@ -508,6 +507,9 @@ def default_cases() -> list[GradCase]:
         _elementwise_case("sqrt", Tape.sqrt, off_zero=True),
         _elementwise_case("cabs", Tape.cabs, off_zero=True),
         _elementwise_case("crelu", Tape.crelu, off_zero=True),
+        GradCase("crelu[gated]",  # the gate, a second leaf off the axes, gets no adjoint
+                 lambda rng: {"x0": _rand(rng, 2, 3), "x1": _off_axes(_rand(rng, 2, 3))},
+                 lambda g, lv, rng: _head(g, g.crelu(lv["x0"], lv["x1"]), rng)),
         *(_broadcast_case(op, pattern) for op in _BINARY for pattern in BROADCAST_PATTERNS),
         _matmul_case(None, (2, 3), (3, 4)),
         _matmul_case("a", (3, 2), (3, 4)),

@@ -7,15 +7,18 @@ The chain rule for a non-holomorphic map u(z) has two terms,
 and for a real-valued loss dL/du = conj(dL/du*) at every node: the two
 Wirtinger channels are conjugate mirrors.  So a sweep propagates one
 adjoint per node, c = dL/du*, as c * conj(du/dz) + conj(c) * du/dz*.  Only
-conj, re, im, cabs, crelu and the conjugated factor of the conjugate-aware
-products have the second, antiholomorphic term.  The steepest-ascent
-direction is ``2 * dL/dz*``, which is what :func:`complex_gradient` returns.
+conj, the real lifts (re, im, cabs), crelu and the conjugated factor of the
+conjugate-aware products have the second, antiholomorphic term: a lift's
+adjoint is real, which folds both terms into one rule, and crelu is its own
+pullback.  The steepest-ascent direction is ``2 * dL/dz*``, which is what
+:func:`complex_gradient` returns.
 
 A node that is real for every input holds its value in float64, and
 ``Tape.real`` flags it.  Its op makes it so: cabs, re and im always; a const
-built from real data; and add, sub, neg, mul, mulc, div, mdiv, exp, crelu,
-matmul, attend, smul by a real scalar and the structural ops when every
-operand is real (log and sqrt too, where no entry is negative).  Mixed
+built from real data; crelu of a real operand; and add, sub, neg, mul,
+mulc, div, mdiv, exp, matmul, attend, smul by a real scalar and the
+structural ops when every operand is real (log and sqrt too, where no
+entry is negative).  Mixed
 operands promote as numpy does.  A real node's adjoint is float64 as well:
 since u* = u, the chain rule through u reads c conj(du/dz) + conj(c) du/dz*
 = 2 Re(c) du/dz*, so only Re c reaches a leaf.  The sweep takes that real
@@ -363,12 +366,19 @@ class Tape:
         np.divide(va, vb, out=out, where=vb != 0)
         return self._push("mdiv", (a, b), out)
 
-    def crelu(self, a: int) -> int:
-        """relu on the real part plus j times relu on the imaginary part."""
-        v = self.raw(a)
-        if v.dtype != _C:
-            return self._push("crelu", (a,), np.maximum(v, 0.0))
-        return self._push("crelu", (a,), np.maximum(v.real, 0.0) + 1j * np.maximum(v.imag, 0.0))
+    def crelu(self, a: int, gate: int | None = None) -> int:
+        """Split relu Re a [Re gate > 0] + j Im a [Im gate > 0] by the masks
+        of ``gate`` (default a; of a's shape), multiplied in, so NaN and inf
+        propagate.  It is its own pullback, and the gate gets no adjoint."""
+        gate = a if gate is None else gate
+        va, vg = self.raw(a), self.raw(gate)
+        if va.shape != vg.shape:
+            raise ShapeMismatchError(f"crelu: gate shape {vg.shape} is not the operand's {va.shape}")
+        out = np.empty(va.shape, va.dtype)
+        out.real = va.real * (vg.real > 0)
+        if va.dtype == _C:
+            out.imag = va.imag * (vg.imag > 0)
+        return self._push("crelu", (a, gate), out)
 
     # -- linear algebra ----------------------------------------------------
 
@@ -552,10 +562,10 @@ def _attend_chunks(b: int, lq: int, lk: int) -> list[slice]:
 #
 # Each pullback takes the adjoint c of node u and returns (input_id, dL/dz*)
 # pairs: the holomorphic term c * conj(du/dz) plus the antiholomorphic term
-# conj(c) * du/dz*.  Only conj, re, im, cabs, crelu, mulc's second factor
-# and the ^H factor of matmul have the second term.  A binary elementwise
-# op that broadcast an input sums that input's adjoint back to its shape.
-# The sweep, not the pullback, takes the real part of what a real input gets.
+# conj(c) * du/dz*.  Only conj, the lifts, crelu, mulc's second factor and
+# the ^H factor of matmul have the second term.  A binary elementwise op
+# that broadcast an input sums that input's adjoint back to its shape.  The
+# sweep, not the pullback, takes the real part of what a real input gets.
 
 def _fit(g, p, x):
     """Adjoint ``p`` summed down to the shape of input ``x``, which the
@@ -610,10 +620,11 @@ def _pull_mulc(g, nid, c):
     return out
 
 
-def _pull_quotient(g, nid, c, quot):
-    # u = a / b through ``quot`` (div or the masked mdiv): du/da = 1/b and
-    # du/db = -u/b, both holomorphic
+def _pull_quotient(g, nid, c):
+    # u = a / b by div or the masked mdiv, and the adjoint divides by the
+    # same op: du/da = 1/b and du/db = -u/b, both holomorphic
     a, b = g.inputs[nid]
+    quot = g.div if g.kind[nid] == "div" else g.mdiv
     cb = g.conj(b)
     out = []
     if g.needs[a]:
@@ -621,23 +632,6 @@ def _pull_quotient(g, nid, c, quot):
     if g.needs[b]:
         out.append((b, g.neg(_fit(g, quot(g.mulc(c, nid), cb), b))))
     return out
-
-
-def _pull_div(g, nid, c):
-    return _pull_quotient(g, nid, c, g.div)
-
-
-def _pull_re(g, nid, c):
-    # u = (a + a*)/2: du/da = du/da* = 1/2, so the adjoint is Re c, which is
-    # c itself on a real node
-    (a,) = g.inputs[nid]
-    return [(a, g.re(c))]
-
-
-def _pull_im(g, nid, c):
-    # u = (a - a*)/2i: du/da = -i/2 and du/da* = i/2, so the adjoint is i Re c
-    (a,) = g.inputs[nid]
-    return [(a, g.smul(g.re(c), 1j))]
 
 
 def _pull_smul(g, nid, c):
@@ -660,27 +654,29 @@ def _pull_sqrt(g, nid, c):
     return [(a, g.div(c, g.conj(g.smul(nid, 2.0))))]
 
 
-def _pull_cabs(g, nid, c):
-    # d|z|/dz = z*/(2|z|) and d|z|/dz* = z/(2|z|), so the two terms share
-    # z/(2|z|) and their adjoints sum to t = c + conj(c).  Masked divide
-    # keeps z = 0 at zero.
+def _lift_adjoint(g, lift, a, u, c):
+    # the adjoint of a from the real adjoint c of its real lift u: the two
+    # terms add to 2c du/da*, as du/da* = conj(du/da).  re: u = (a + a*)/2
+    # gives c; im: u = (a - a*)/2i gives i c; the modulus (lift abs, op
+    # cabs): du/da* = a/(2|a|) gives c a/|a|, masked to 0 at a = 0
+    if lift == "re":
+        return c
+    if lift == "im":
+        return g.smul(c, 1j)
+    return g.mdiv(g.mul(c, a), u)
+
+
+def _pull_lift(g, nid, c):
     (a,) = g.inputs[nid]
-    return [(a, g.mdiv(g.mul(g.add(c, g.conj(c)), a), g.smul(nid, 2.0)))]
-
-
-def _pull_mdiv(g, nid, c):
-    return _pull_quotient(g, nid, c, g.mdiv)
+    return [(a, _lift_adjoint(g, g.kind[nid], a, nid, c))]
 
 
 def _pull_crelu(g, nid, c):
-    # du/dz = (m_re + m_im)/2 and du/dz* = (m_re - m_im)/2 with the two
-    # half-plane masks; both are real, so conjugations drop out.
-    (a,) = g.inputs[nid]
-    v = g.raw(a)
-    mre = (v.real > 0).astype(_R)
-    mim = (v.imag > 0).astype(_R)
-    return [(a, g.add(g.mul(c, g.const((mre + mim) * 0.5)),
-                      g.mul(g.conj(c), g.const((mre - mim) * 0.5))))]
+    # du/da = (m_re + m_im)/2 and du/da* = (m_re - m_im)/2 with the gate's
+    # masks, so the two terms add to m_re Re c + i m_im Im c: crelu of c by
+    # the same gate.  The masks are flat almost everywhere: no gate adjoint.
+    a, gate = g.inputs[nid]
+    return [(a, g.crelu(c, gate))] if g.needs[a] else []
 
 
 def _pull_matmul(g, nid, c):
@@ -710,8 +706,8 @@ def _pull_matmul(g, nid, c):
 def _attend_adjoint(g, q, kt, v, c, lift: str, need) -> list:
     # (operand position, adjoint) where ``need`` says.  With S = q kt and
     # P = softmax(lift(S)): v gets P^T c, the real P gets dP = Re(c v^H),
-    # lift(S) gets P (dP - rowsum(P dP)), S the lift's rule (x i for im;
-    # _pull_cabs's on a real adjoint for abs) and q and kt the product's
+    # lift(S) gets P (dP - rowsum(P dP)), S the lift's rule
+    # (_lift_adjoint, as for a lift node) and q and kt the product's
     s = g.matmul(q, kt)
     lifted = g_lift(g, s, lift)
     p = g_softmax_last(g, lifted, "re")  # the real part of a real node is the node
@@ -719,8 +715,7 @@ def _attend_adjoint(g, q, kt, v, c, lift: str, need) -> list:
     if need[0] or need[1]:
         ds = g.re(g.matmul(c, v, "b"))  # dP, rebound so that a chunk frees it
         ds = g.mul(p, g.sub(ds, g_sum_last(g, g.mul(p, ds))))
-        if lift != "re":
-            ds = g.smul(ds, 1j) if lift == "im" else g.mdiv(g.mul(ds, s), lifted)
+        ds = _lift_adjoint(g, lift, s, lifted, ds)
         out += [(0, g.matmul(ds, kt, "b"))] if need[0] else []
         out += [(1, g.matmul(q, ds, "a"))] if need[1] else []
     return out
@@ -779,16 +774,16 @@ _PULLBACKS: dict[str, Callable] = {
     "neg": _pull_neg,
     "mul": _pull_mul,
     "mulc": _pull_mulc,
-    "div": _pull_div,
+    "div": _pull_quotient,
     "smul": _pull_smul,
     "conj": _pull_conj,
-    "re": _pull_re,
-    "im": _pull_im,
+    "re": _pull_lift,
+    "im": _pull_lift,
     "exp": _pull_exp,
     "log": _pull_log,
     "sqrt": _pull_sqrt,
-    "cabs": _pull_cabs,
-    "mdiv": _pull_mdiv,
+    "cabs": _pull_lift,
+    "mdiv": _pull_quotient,
     "crelu": _pull_crelu,
     "matmul": _pull_matmul,
     "attend": _pull_attend,
@@ -815,7 +810,7 @@ _READS: dict[str, tuple[tuple[int, ...], bool, bool]] = {
     "sqrt": ((), True, False),
     "cabs": ((0,), True, False),
     "log": ((0,), False, False),
-    "crelu": ((0,), False, False),
+    "crelu": ((1,), False, False),
     "attend": ((0, 1, 2), False, False),
 }
 

@@ -10,6 +10,9 @@ runs are derandomized and bounded, so the suite stays deterministic.
 
 import contextlib
 import io
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -187,3 +190,28 @@ def test_fuzz_damaged_frame_file_through_main(tmp_path, made, data):
     assert code in (0, 2, 3)
     if len(blob) < len(_read(made["csig"])):
         assert code == 3
+
+
+_FAILING_FUZZ = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(derandomize=True, database=None)
+@given(st.integers(0, 10))
+def test_fails(x):
+    assert x < 5
+"""
+
+
+def test_a_failing_fuzz_reports_its_falsifying_example(tmp_path):
+    # under the suite's pytest settings, where warnings are errors, a
+    # failing Hypothesis test must end in its report, not an INTERNALERROR
+    (tmp_path / "test_failing_fuzz.py").write_text(_FAILING_FUZZ)
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run([sys.executable, "-m", "pytest", "-c", str(pyproject), "--rootdir", str(tmp_path),
+                          "-p", "no:cacheprovider", "test_failing_fuzz.py"],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "Falsifying example: test_fails(" in run.stdout
+    assert "1 failed" in run.stdout

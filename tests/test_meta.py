@@ -1,6 +1,7 @@
 import gc
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from camel.meta import (
     train_camel,
     train_meta,
 )
+import camel.layers
 import camel.meta
 import camel.wirtinger
 from camel.wirtinger import (
@@ -248,8 +250,9 @@ def _desk_tasks(rng, n=2):
 def test_single_channel_sweeps_at_desk_scale(rng, monkeypatch):
     # one adjoint per node, conjugate-aware products, broadcasting ops and
     # one attend node: a desk support forward takes 80 nodes and its
-    # recorded backward 127, 18 of which are attend's closed-form adjoint
-    # (134 when the pullback re-recorded the attention chain).
+    # recorded backward 115, 18 of which are attend's closed-form adjoint
+    # (134 when the pullback re-recorded the attention chain, 127 when the
+    # two crelus took 12 nodes, not 2, and the head's modulus 4, not 2).
     # Storing conv0's kernel, not an embedding and a kernel that the tape
     # multiplied, took 5 and 5 (from 85 and 139); dropping the biases that
     # feed a norm had taken 10 and 8 (from 95 and 147; 146 with real nodes
@@ -257,7 +260,7 @@ def test_single_channel_sweeps_at_desk_scale(rng, monkeypatch):
     # 143 and 262 with conj/transpose nodes and index-map gathers).  The
     # counts are pinned exactly, so a sweep that records one node more
     # fails here without any timing.  Each inner step's Hessian product
-    # sweeps one support tape of 207 nodes, the forward and its recorded
+    # sweeps one support tape of 195 nodes, the forward and its recorded
     # backward, at any number of steps (the whole unrolled tape held 324
     # nodes after 1 step and 1280 after 5), and the 5-step meta-gradient
     # peaks near 2.5 MiB of traced allocations (5.0 unrolled)
@@ -267,7 +270,7 @@ def test_single_channel_sweeps_at_desk_scale(rng, monkeypatch):
     n = len(g)
     assert n == 80
     backward(g, loss)
-    assert len(g) - n == 127
+    assert len(g) - n == 115
     lengths = []
 
     def product_sweep(g, *args):
@@ -276,21 +279,72 @@ def test_single_channel_sweeps_at_desk_scale(rng, monkeypatch):
 
     monkeypatch.setattr(camel.meta, "hvp_sweep", product_sweep)
     meta_gradient(theta, [task], ALPHA, 1)
-    assert lengths == [207]
+    assert lengths == [195]
     tracemalloc.start()
     try:
         meta_gradient(theta, [task], ALPHA, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert lengths == [207] * 6
+    assert lengths == [195] * 6
     assert peak < 3.1 * 2**20
+
+
+_SCOPES = {"build_cconv1d": "conv", "build_norm": "norm", "build_act": "act", "build_cfc": "cfc",
+           "build_mha": "mha", "build_log_softmax_last": "log-softmax", "build_cross_entropy": "cross-entropy"}
+"""The layer builders of a support loss, each with the scope its nodes count
+under."""
+
+
+def test_desk_support_pass_node_counts_by_scope(rng, monkeypatch):
+    # the Baseline's per-layer table, pinned exactly: a builder labels the
+    # nodes it records, a pullback's nodes take the label of the node they
+    # pull back, and the sweep's seed and accumulating adds count apart.
+    # Wrapped from outside: the builders where they are looked up, and
+    # _PULLBACKS.  The crelus' backward took 12 and the log-softmax's 9
+    # while crelu's pullback built its masks as consts and cabs's took
+    # c + conj(c)
+    theta, (task,) = _desk_tasks(rng, 1)
+    scope: dict[int, str] = {}
+
+    def labelled(build, label):
+        def run(g, *args, **kwargs):
+            start = len(g)
+            out = build(g, *args, **kwargs)
+            for nid in range(start, len(g)):
+                scope.setdefault(nid, label)
+            return out
+        return run
+
+    for name, label in _SCOPES.items():
+        for module in (camel.layers, camel.meta):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, labelled(getattr(module, name), label))
+    for kind, pull in list(camel.wirtinger._PULLBACKS.items()):
+        def spy(g, nid, c, pull=pull):
+            start = len(g)
+            out = pull(g, nid, c)
+            for i in range(start, len(g)):
+                scope[i] = scope.get(nid, "outside")
+            return out
+        monkeypatch.setitem(camel.wirtinger._PULLBACKS, kind, spy)
+
+    g = Tape()
+    loss = task.support_loss(g, {k: g.leaf(v) for k, v in theta.items()})
+    n = len(g)
+    forward = Counter("leaf" if g.kind[nid] == "leaf" else scope.get(nid, "outside") for nid in range(n))
+    assert forward == {"leaf": 14, "outside": 2, "conv": 4, "norm": 24, "act": 2, "cfc": 5, "mha": 18,
+                       "log-softmax": 7, "cross-entropy": 4}
+    backward(g, loss)
+    swept = Counter(scope.get(nid, "sweep") for nid in range(n, len(g)))
+    assert swept == {"cross-entropy": 3, "log-softmax": 7, "cfc": 8, "act": 2, "norm": 42, "mha": 39,
+                     "conv": 3, "outside": 1, "sweep": 10}
 
 
 def test_meta_gradient_memory_is_flat_in_inner_steps(rng):
     # only one inner step's tape is alive at a time, and the parameters
-    # before each step are all that grows: one desk task peaks at 2.16 MiB
-    # of traced allocations at 1 step and 2.45 at 5 (2.55 and 5.04 with
+    # before each step are all that grows: one desk task peaks at 2.14 MiB
+    # of traced allocations at 1 step and 2.43 at 5 (2.55 and 5.04 with
     # the whole trajectory on one tape)
     theta, (task,) = _desk_tasks(rng, 1)
     peaks = {}
@@ -391,7 +445,8 @@ def test_released_tape_peak_at_desk_scale(rng):
     # multiplying the embedding into conv0's kernel on the tape to 5.23 MiB,
     # dropping the biases that feed a norm to 5.10 MiB, reversing the inner
     # trajectory one step at a time, not on one tape, to 3.00 MiB, and
-    # storing conv0's kernel, not the embedding and a kernel, to 2.98 MiB
+    # storing conv0's kernel, not the embedding and a kernel, to 2.98 MiB;
+    # it is 2.59 MiB with attend's closed-form pullback and crelu's own
     theta, tasks = _desk_tasks(rng)
     tracemalloc.start()
     try:

@@ -274,6 +274,42 @@ def test_gradient_matches_fd_on_composite(rng):
     assert rel_error(grad, fd_complex_gradient(f, x0)) <= 1e-5
 
 
+def test_gated_crelu_values_shape_refusal_and_no_gate_adjoint(rng):
+    a = np.array([[1.5 - 2j, -0.5 + 3j], [2 + 1j, -1 - 1j]])
+    gate = np.array([[1 + 1j, 1 - 1j], [-1 + 1j, -1 - 1j]])
+    g = Tape()
+    x, y = g.leaf(a), g.leaf(gate)
+    out = g.crelu(x, y)
+    assert g.inputs[out] == (x, y) and not g.real[out]
+    assert np.array_equal(g.raw(out), [[1.5 - 2j, -0.5], [1j, 0]])
+    # a real operand gives a real node; a real gate masks every imaginary part
+    r = g.crelu(g.re(x), y)
+    assert g.real[r] and g.raw(r).dtype == np.float64
+    assert np.array_equal(g.raw(r), [[1.5, -0.5], [0, 0]])
+    assert np.array_equal(g.raw(g.crelu(x, g.re(y))), [[1.5, -0.5], [0, 0]])
+    # the default gate is the operand: relu of each part
+    assert g.inputs[g.crelu(y)] == (y, y)
+    assert np.array_equal(g.raw(g.crelu(y)), [[1 + 1j, 1], [1j, 0]])
+    for shape in ((2,), (1, 2), (2, 2, 1)):
+        with pytest.raises(ShapeMismatchError, match="crelu"):
+            g.crelu(x, g.leaf(np.ones(shape, dtype=complex)))
+    # Re sum(w u) with u = crelu(x, y) has the gradient crelu(conj(w), y);
+    # the gate gets none, also when the operand is a const
+    w = rand_complex(rng, 2, 2)
+    for operand in ("leaf", "const"):
+        for sweep in ("graph", "values"):
+            g = Tape()
+            x = g.leaf(a) if operand == "leaf" else g.const(a)
+            y = g.leaf(gate)
+            loss = g.re(g_sum(g, g.mul(g.crelu(x, y), g.const(w))))
+            cots = backward(g, loss) if sweep == "graph" else backward_values(g, loss)
+            assert y not in cots and (x in cots) == (operand == "leaf")
+            if operand == "leaf":
+                got = 2.0 * (g.raw(cots[x]) if sweep == "graph" else cots[x])
+                want = np.where(gate.real > 0, w.real, 0) - 1j * np.where(gate.imag > 0, w.imag, 0)
+                assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # analytic subgraphs
 # ---------------------------------------------------------------------------
