@@ -380,13 +380,13 @@ def _attention_case() -> GradCase:
     )
 
 
-def _attend_case(lift: str) -> GradCase:
-    # three (2 x 4) score blocks: enough for three chunks when each chunk
-    # holds one block
+def _attend_case(lift: str, heads: int) -> GradCase:
+    # three sequences of 2 queries over 4 keys, held as rows: enough for
+    # three chunks when each chunk holds one sequence
     return GradCase(
-        f"attend[lift={lift}]",
-        lambda rng: {"q": _rand(rng, 3, 2, 3), "kt": _rand(rng, 3, 3, 4), "v": _rand(rng, 3, 4, 2)},
-        lambda g, lv, rng: _head(g, g.attend(lv["q"], lv["kt"], lv["v"], lift), rng),
+        f"attend[lift={lift}]" if heads == 1 else f"attend[lift={lift},heads={heads}]",
+        lambda rng: {"q": _rand(rng, 6, 4), "k": _rand(rng, 12, 4), "v": _rand(rng, 12, 2)},
+        lambda g, lv, rng: _head(g, g.attend(lv["q"], lv["k"], lv["v"], 3, heads, lift), rng),
     )
 
 
@@ -530,7 +530,7 @@ def default_cases() -> list[GradCase]:
         _softmax_case("abs"),
         _softmax_case("re"),
         _softmax_case("im"),
-        *(_attend_case(lift) for lift in LIFTS),
+        *(_attend_case(lift, heads) for heads in (1, 2) for lift in LIFTS),
         _attention_case(),
         _mha_case(),
         _norm_case(),

@@ -17,12 +17,11 @@ section 3.2).
 Inside the network, features are time-major from the input block to the
 FC block: every convolution reads (N, T, C) and reads its patch rows with
 ``window``, and the rows (N*T, C) between layers let biases, norm
-statistics and scales broadcast.  ``build_mha`` reads those rows as N
-sequences and moves heads with ``permute``; ``build_attention`` reads only
-trailing axes, so one sequence (L, d) and a stack (B, L, d) take the same
-path.  Both hand the whole batch of sequences and heads to one
-``attend`` op, which runs it one chunk at a time.  No layer builds an
-index map.
+statistics and scales broadcast.  ``build_mha`` hands those rows, as N
+sequences, to one ``attend`` op, which splits and merges the heads itself;
+``build_attention`` reads one sequence (L, d) or a stack (B, L, d) as the
+rows of a single-head ``attend``.  The op runs its sequences a chunk at a
+time.  No layer builds an index map.
 """
 
 from __future__ import annotations
@@ -168,39 +167,31 @@ def build_cfc(g: Tape, x2: int, w: int, b: int | None) -> int:
     return out
 
 
-def _queries_and_keys(g: Tape, q: int, k: int, v: int) -> tuple[int, int]:
-    """Q (..., Lq, d) scaled by 1/sqrt(d), and K (..., Lk, d) transposed to
-    (..., d, Lk), once their shapes agree with V (..., Lk, dv)."""
-    sq, sk, sv = g.shape[q], g.shape[k], g.shape[v]
-    if sq[-1] != sk[-1]:
-        raise ShapeMismatchError(f"attention: Q feature dim {sq[-1]} != K feature dim {sk[-1]}")
-    if sk[:-1] != sv[:-1] or sq[:-2] != sk[:-2]:
-        raise ShapeMismatchError(f"attention: Q {sq}, K {sk} and V {sv} disagree in batch or length")
-    swap = (*range(len(sk) - 2), len(sk) - 1, len(sk) - 2)
-    return g.smul(q, 1.0 / np.sqrt(sq[-1])), g.permute(k, swap)
-
-
 def build_attention(g: Tape, q: int, k: int, v: int, lift: str = "abs") -> int:
     """Scaled dot-product attention of Q (..., Lq, d) over K (..., Lk, d)
     and V (..., Lk, dv): one sequence (rank 2) or a stack of them.
 
     Scores are Q K^T / sqrt(d); the softmax runs on the lifted (real)
-    scores and the resulting real weights mix V.  The leading axes run as
-    the batch of one ``attend`` op."""
-    qs, kt = _queries_and_keys(g, q, k, v)
-    lead = g.shape[q][:-2]
-    if len(lead) == 1:
-        return g.attend(qs, kt, v, lift)
-    b = int(np.prod(lead))
-    out = g.attend(*(g.reshape(x, (b,) + g.shape[x][-2:]) for x in (qs, kt, v)), lift)
-    return g.reshape(out, lead + g.shape[out][1:])
+    scores and the resulting real weights mix V.  The sequences run as the
+    rows of one single-head ``attend`` op."""
+    sq, sk, sv = g.shape[q], g.shape[k], g.shape[v]
+    lead = sq[:-2]
+    if not len(sq) == len(sk) == len(sv) >= 2 or sk[:-2] != lead or sv[:-2] != lead:
+        raise ShapeMismatchError(f"attention: Q {sq}, K {sk} and V {sv} are not stacks of one shape")
+    if not lead:
+        return g.attend(q, k, v, 1, 1, lift)
+    n = int(np.prod(lead))
+    out = g.attend(*(g.reshape(x, (n * g.shape[x][-2], g.shape[x][-1])) for x in (q, k, v)), n, 1, lift)
+    return g.reshape(out, sq[:-1] + sv[-1:])
 
 
 def build_mha(g: Tape, q2: int, k2: int, v2: int, n: int, wq: int, wk: int, wv: int, wo: int,
               n_heads: int, lift: str = "abs") -> int:
     """Multi-head attention within each of N sequences held as (N*L, d)
-    rows: projections, attention of all heads as one batch of n_heads * N,
-    concat, W^O.  Returns (N*Lq, d) rows."""
+    rows: the three projections, one ``attend`` op over every sequence and
+    head (which splits the columns into heads and merges them back), and
+    W^O.  Column block k*(d/n_heads) .. (k+1)*(d/n_heads) of a projection
+    is head k's.  Returns (N*Lq, d) rows."""
     (mq, d), sk, sv = g.raw(q2).shape, g.raw(k2).shape, g.raw(v2).shape
     if mq % n or sk[0] % n or sk != (sk[0], d) or sv != sk:
         raise ShapeMismatchError(f"mha: Q rows {mq}, K {sk} and V {sv} are not {n} sequences of width {d}")
@@ -208,18 +199,8 @@ def build_mha(g: Tape, q2: int, k2: int, v2: int, n: int, wq: int, wk: int, wv: 
         raise ShapeMismatchError("mha: projection matrices must be (d, d)")
     if d % n_heads != 0:
         raise ShapeMismatchError(f"mha: feature dim {d} not divisible by n_heads {n_heads}")
-    lq, lk, h, dh = mq // n, sk[0] // n, n_heads, d // n_heads
-
-    def heads(x2: int, w: int, l: int, axes: tuple[int, ...]) -> int:
-        # (n*l, d) @ W, split into (n, l, h, dh) and moved to head-major
-        # order: column block k*dh .. (k+1)*dh of W is head k's projection
-        p = g.permute(g.reshape(g.matmul(x2, w), (n, l, h, dh)), axes)
-        return g.reshape(p, (h * n,) + g.raw(p).shape[2:])
-
-    qh = g.smul(heads(q2, wq, lq, (2, 0, 1, 3)), 1.0 / np.sqrt(dh))
-    out = g.attend(qh, heads(k2, wk, lk, (2, 0, 3, 1)), heads(v2, wv, lk, (2, 0, 1, 3)), lift)
-    merged = g.permute(g.reshape(out, (h, n, lq, dh)), (1, 2, 0, 3))
-    return g.matmul(g.reshape(merged, (n * lq, d)), wo)
+    out = g.attend(g.matmul(q2, wq), g.matmul(k2, wk), g.matmul(v2, wv), n, n_heads, lift)
+    return g.matmul(out, wo)
 
 
 def build_norm(g: Tape, x2: int, gamma: int, kappa: int, eps: float) -> int:
@@ -436,7 +417,8 @@ def c_attention(q: CTensor, k: CTensor, v: CTensor, lift: str = "abs",
     out = g.value(build_attention(g, q, k, v, lift))
     if not return_weights:
         return out
-    return out, g.value(g_softmax_last(g, g.matmul(*_queries_and_keys(g, q, k, v)), lift))
+    scores = g.matmul(g.smul(q, 1.0 / np.sqrt(g.shape[q][1])), g.permute(k, (1, 0)))
+    return out, g.value(g_softmax_last(g, scores, lift))
 
 
 def c_mha(q: CTensor, k: CTensor, v: CTensor, params: MhaParams, lift: str = "abs") -> CTensor:

@@ -41,17 +41,22 @@ axes with ``sum_to``, whose adjoint is ``expand``; ``permute`` moves axes.
 ``window`` copies the convolution's patch rows out as strided slices, and
 its adjoint ``unwindow`` adds them back; no op needs an index map.
 
-``attend`` is softmax attention as one op: (B, Lq, d) scaled queries over
-(B, d, Lk) keys mix (B, Lk, dv) values.  It runs :func:`g_attention`, the
-chain of primitive ops (matmul, lift, minus the row maximum, exp, row
-normalisation, matmul), which is written once and also serves the softmax
-layers.  The batch runs in chunks of as many rows as fit one (rows, Lq,
-Lk) complex block in :data:`ATTEND_CHUNK_BYTES`, 256 KiB, so no
-(B, Lq, Lk) array outlives its chunk; every op of the chain acts per matrix
-or per row, so chunks change no bit.  The pullback keeps nothing from the
-forward pass (Chen et al., arXiv:1604.06174): it recomputes the weights
-from q and kt and applies the chain's adjoint in closed form, written once
-against the op methods.  A recording sweep records it over the whole
+``attend`` is multi-head softmax attention as one op over rows: the
+queries (n*Lq, d) of n sequences over their keys (n*Lk, d) mix their values
+(n*Lk, dv).  On arrays, it splits the columns into heads, transposes the
+keys, scales each head's queries by 1/sqrt(d_h) and merges the heads back.
+It runs :func:`g_attention`, the chain of primitive ops (head split,
+matmul, lift, minus the row maximum, exp, row normalisation, matmul, head
+merge), which is written once and also serves the softmax layers.  The
+sequences run in chunks whose working set fits :data:`ATTEND_CHUNK_BYTES`,
+512 KiB: every (Lq, Lk) score block alive at once, and the chunk's copies
+of the operands (see :func:`_attend_sequence_bytes`).  Every op of the
+chain acts per matrix or per row, so chunks change no bit.  The pullback
+keeps nothing from the forward pass (Chen et al., arXiv:1604.06174): it
+recomputes the weights from q and k and applies the chain's adjoint in
+closed form, written once against the op methods, and drops each block at
+its last use, as FlashAttention's backward bounds its working set (Dao et
+al., arXiv:2205.14135).  A recording sweep records it over the whole
 batch, so a later sweep differentiates it again; a graph-free sweep runs
 it on the arrays of each chunk.
 
@@ -399,24 +404,30 @@ class Tape:
             raise ShapeMismatchError(f"matmul: shapes disagree, {va.shape} x {vb.shape} (adj={adj!r})")
         return self._push("matmul", (a, b), va @ vb, adj)
 
-    def attend(self, q: int, kt: int, v: int, lift: str) -> int:
-        """Attention of (B, Lq, d) scaled queries over (B, d, Lk) keys and
-        (B, Lk, dv) values, (B, Lq, dv): the chain of :func:`g_attention`,
-        evaluated one chunk of the batch at a time (see
-        :func:`_attend_chunks`), so no (B, Lq, Lk) array outlives its chunk.
-        Its pullback recomputes the weights instead of keeping them."""
-        vq, vk, vv = self.raw(q), self.raw(kt), self.raw(v)
-        if not (vq.ndim == vk.ndim == vv.ndim == 3 and vq.shape[0] == vk.shape[0] == vv.shape[0]
-                and vq.shape[2] == vk.shape[1] and vk.shape[2] == vv.shape[1]):
-            raise ShapeMismatchError(f"attend: need (B, Lq, d), (B, d, Lk) and (B, Lk, dv), "
+    def attend(self, q: int, k: int, v: int, n: int, n_heads: int, lift: str) -> int:
+        """Multi-head attention within each of ``n`` sequences held as rows:
+        queries (n*Lq, d) over keys (n*Lk, d) mix values (n*Lk, dv), giving
+        (n*Lq, dv) rows.  The op splits d and dv into ``n_heads`` column
+        blocks, one per head, scales each head's queries by 1/sqrt(d_h) and
+        merges the heads back into columns: the chain of
+        :func:`g_attention`, evaluated a few sequences at a time (see
+        :func:`_attend_chunks`), so no whole (n, heads, Lq, Lk) score array
+        is ever built.  Its pullback recomputes the weights instead of
+        keeping them."""
+        vq, vk, vv = self.raw(q), self.raw(k), self.raw(v)
+        if not (vq.ndim == vk.ndim == vv.ndim == 2 and vq.shape[1] == vk.shape[1] and vk.shape[0] == vv.shape[0]
+                and n >= 1 and n_heads >= 1 and not (vq.shape[0] % n or vk.shape[0] % n
+                                                     or vq.shape[1] % n_heads or vv.shape[1] % n_heads)):
+            raise ShapeMismatchError(f"attend: need (n*Lq, d), (n*Lk, d) and (n*Lk, dv) rows of n = {n} sequences "
+                                     f"with d and dv divisible by {n_heads} heads, "
                                      f"got {vq.shape}, {vk.shape} and {vv.shape}")
         if lift not in LIFTS:
             raise UnknownOpError(f"attend: lift must be one of {LIFTS}, got {lift!r}")
-        out = np.empty(vq.shape[:2] + vv.shape[2:], dtype=vv.dtype)  # the weights are real
+        out = np.empty((vq.shape[0], vv.shape[1]), dtype=vv.dtype)  # the weights are real
         ev = evaluator()
-        for s in _attend_chunks(vq.shape[0], vq.shape[1], vk.shape[2]):
-            out[s] = g_attention(ev, vq[s], vk[s], vv[s], lift)
-        return self._push("attend", (q, kt, v), out, lift)
+        for m, sq, sk in _attend_chunks(n, n_heads, vq.shape, vv.shape):
+            out[sq] = g_attention(ev, vq[sq], vk[sk], vv[sk], m, n_heads, lift)
+        return self._push("attend", (q, k, v), out, (lift, n, n_heads))
 
     # -- structure ---------------------------------------------------------
 
@@ -431,7 +442,7 @@ class Tape:
         va = self.raw(a)
         if sorted(axes) != list(range(va.ndim)):
             raise ShapeMismatchError(f"permute: {axes} is not a permutation of the {va.ndim} axes")
-        return self._push("permute", (a,), np.ascontiguousarray(np.transpose(va, axes)), axes)
+        return self._push("permute", (a,), np.ascontiguousarray(va.transpose(axes)), axes)
 
     def sum_to(self, a: int, shape: Sequence[int]) -> int:
         """Sum over the axes along which ``shape`` broadcasts to a's shape:
@@ -535,25 +546,80 @@ def g_softmax_last(g: Tape, x: int, lift: str) -> int:
     return g.div(x, g_sum_last(g, x))
 
 
-def g_attention(g: Tape, q: int, kt: int, v: int, lift: str) -> int:
-    """The attention chain: the softmax weights of scaled queries q over
-    transposed keys kt mix the values v.  :meth:`Tape.attend` runs it; its
-    pullback is its adjoint in closed form.  No local name holds the scores,
-    so an evaluator frees them as soon as the lift has read them."""
-    return g.matmul(g_softmax_last(g, g.matmul(q, kt), lift), v)
+_BY_HEAD = (0, 2, 1, 3)
+"""Axes that take (n, L, heads, w) to (n, heads, L, w), and back."""
 
 
-ATTEND_CHUNK_BYTES = 256 * 2**10
-"""The most bytes that one (rows, Lq, Lk) complex block of a chunk of
-:meth:`Tape.attend`, or of its pullback, takes.  A chunk has at least one
-row, so one (Lq, Lk) matrix larger than this runs alone."""
+def _heads(g: Tape, x: int, n: int, h: int, axes: tuple[int, ...] = _BY_HEAD) -> int:
+    """(n*L, w) rows of n sequences, their columns split into h heads:
+    (n, L, h, w/h) with ``axes`` permuted, so (n, h, L, w/h) by default."""
+    rows, w = g.shape[x]
+    return g.permute(g.reshape(x, (n, rows // n, h, w // h)), axes)
 
 
-def _attend_chunks(b: int, lq: int, lk: int) -> list[slice]:
-    """Slices of a batch of b attention rows, as many rows per chunk as
-    fit an (Lq, Lk) block in :data:`ATTEND_CHUNK_BYTES`."""
-    rows = max(1, ATTEND_CHUNK_BYTES // (lq * lk * np.dtype(_C).itemsize))
-    return [slice(i, i + rows) for i in range(0, b, rows)]
+def _merged(g: Tape, x: int, axes: tuple[int, ...] = _BY_HEAD) -> int:
+    """The rows of :func:`_heads`' output ``x``: ``axes`` are those that
+    undo its permutation."""
+    x = g.permute(x, axes)
+    n, l, h, w = g.shape[x]
+    return g.reshape(x, (n * l, h * w))
+
+
+def _query_scale(g: Tape, q: int, h: int) -> float:
+    """1/sqrt(d_h), the scale of each of the h heads' queries q."""
+    return 1.0 / np.sqrt(g.shape[q][1] // h)
+
+
+def _queries_and_keys(g: Tape, q: int, k: int, n: int, h: int) -> tuple[int, int]:
+    """Each head's scaled queries, (n, h, Lq, d_h), and its keys
+    transposed, (n, h, d_h, Lk)."""
+    return g.smul(_heads(g, q, n, h), _query_scale(g, q, h)), _heads(g, k, n, h, (0, 2, 3, 1))
+
+
+def g_attention(g: Tape, q: int, k: int, v: int, n: int, n_heads: int, lift: str) -> int:
+    """The attention chain of :meth:`Tape.attend` in primitive ops: split
+    the rows of n sequences into heads, mix each head's values by the
+    softmax weights of its scaled queries over its transposed keys, and
+    merge the heads.  :meth:`Tape.attend` runs it; its pullback is its
+    adjoint in closed form.  No local name holds the scores, so an
+    evaluator frees them as soon as the lift has read them."""
+    qs, kt = _queries_and_keys(g, q, k, n, n_heads)
+    return _merged(g, g.matmul(g_softmax_last(g, g.matmul(qs, kt), lift), _heads(g, v, n, n_heads)))
+
+
+ATTEND_CHUNK_BYTES = 512 * 2**10
+"""The working set of one chunk of :meth:`Tape.attend` and of its
+graph-free pullback: the most bytes that every (Lq, Lk) score block alive
+at once, and the chunk's per-head copies of the operands, take together
+(see :func:`_attend_sequence_bytes`).  A chunk has at least one sequence,
+so a sequence whose working set is larger than this runs alone.  A desk
+query batch (25 sequences of 16 steps, 2 heads) runs as three chunks; fewer
+would hold more, and more would cost dispatch time."""
+
+
+def _attend_sequence_bytes(n: int, h: int, sq: tuple[int, int], sv: tuple[int, int]) -> int:
+    """The working set of one of the n sequences of an ``attend`` op of
+    ``h`` heads, with queries of shape ``sq`` and values of shape ``sv``.
+    Per head, the graph-free pullback holds at most two complex and three
+    real (Lq, Lk) score blocks at once (the scores, the lifted scores, the
+    weights, and two for dP or for the lift's rule), and numpy casts the
+    real factor of the lift rule's product with the complex scores through
+    a buffer of up to one more complex block.  Its per-head copies of the
+    operands' and the adjoint's rows, and their adjoints, take at most two
+    copies of those rows."""
+    (lq, d), (lk, dv) = (sq[0] // n, sq[1]), (sv[0] // n, sv[1])
+    return h * lq * lk * (3 * 16 + 3 * 8) + 2 * 16 * (lq + lk) * (d + dv)
+
+
+def _attend_chunks(n: int, h: int, sq: tuple[int, int], sv: tuple[int, int]) -> list[tuple[int, slice, slice]]:
+    """(sequences, query rows, key rows) of each chunk of the n sequences
+    of an ``attend`` op: as few chunks as hold the sequences when each
+    chunk's working set fits :data:`ATTEND_CHUNK_BYTES`, with the sequences
+    spread evenly over them."""
+    m = max(1, ATTEND_CHUNK_BYTES // _attend_sequence_bytes(n, h, sq, sv))
+    m = -(-n // -(-n // m))
+    lq, lk = sq[0] // n, sv[0] // n
+    return [(min(m, n - i), slice(i * lq, (i + m) * lq), slice(i * lk, (i + m) * lk)) for i in range(0, n, m)]
 
 
 # ---------------------------------------------------------------------------
@@ -658,12 +724,13 @@ def _lift_adjoint(g, lift, a, u, c):
     # the adjoint of a from the real adjoint c of its real lift u: the two
     # terms add to 2c du/da*, as du/da* = conj(du/da).  re: u = (a + a*)/2
     # gives c; im: u = (a - a*)/2i gives i c; the modulus (lift abs, op
-    # cabs): du/da* = a/(2|a|) gives c a/|a|, masked to 0 at a = 0
+    # cabs): du/da* = a/(2|a|) gives (c/|a|) a, masked to 0 at a = 0, whose
+    # quotient is still real
     if lift == "re":
         return c
     if lift == "im":
         return g.smul(c, 1j)
-    return g.mdiv(g.mul(c, a), u)
+    return g.mul(g.mdiv(c, u), a)
 
 
 def _pull_lift(g, nid, c):
@@ -703,38 +770,52 @@ def _pull_matmul(g, nid, c):
     return out
 
 
-def _attend_adjoint(g, q, kt, v, c, lift: str, need) -> list:
-    # (operand position, adjoint) where ``need`` says.  With S = q kt and
-    # P = softmax(lift(S)): v gets P^T c, the real P gets dP = Re(c v^H),
-    # lift(S) gets P (dP - rowsum(P dP)), S the lift's rule
-    # (_lift_adjoint, as for a lift node) and q and kt the product's
-    s = g.matmul(q, kt)
+def _attend_adjoint(g, q, k, v, c, n: int, h: int, lift: str, need) -> list:
+    # (operand position, adjoint) where ``need`` says.  Per head, with
+    # S = Q_s K^T (Q_s the scaled queries) and P = softmax(lift(S)): V gets
+    # P^T C, the real P gets dP = Re(C V^H), lift(S) gets
+    # P (dP - rowsum(P dP)), S the lift's rule (_lift_adjoint, as for a
+    # lift node) and Q_s and K^T the product's.  Each block is dropped at
+    # its last use, so a chunk holds few at once (see _attend_sequence_bytes)
+    qs, kt = _queries_and_keys(g, q, k, n, h)
+    s = g.matmul(qs, kt)
     lifted = g_lift(g, s, lift)
     p = g_softmax_last(g, lifted, "re")  # the real part of a real node is the node
-    out = [(2, g.matmul(p, c, "a"))] if need[2] else []
+    ch = _heads(g, c, n, h)
+    out = [(2, _merged(g, g.matmul(p, ch, "a")))] if need[2] else []
     if need[0] or need[1]:
-        ds = g.re(g.matmul(c, v, "b"))  # dP, rebound so that a chunk frees it
-        ds = g.mul(p, g.sub(ds, g_sum_last(g, g.mul(p, ds))))
+        ds = g.re(g.matmul(ch, _heads(g, v, n, h), "b"))  # dP
+        del ch
+        ds = g.sub(ds, g_sum_last(g, g.mul(p, ds)))
+        ds = g.mul(p, ds)
+        del p
         ds = _lift_adjoint(g, lift, s, lifted, ds)
-        out += [(0, g.matmul(ds, kt, "b"))] if need[0] else []
-        out += [(1, g.matmul(q, ds, "a"))] if need[1] else []
+        del s, lifted
+        if need[0]:
+            out.append((0, _merged(g, g.smul(g.matmul(ds, kt, "b"), _query_scale(g, q, h)))))
+        if need[1]:
+            out.append((1, _merged(g, g.matmul(qs, ds, "a"), (0, 3, 1, 2))))
     return out
 
 
 def _pull_attend(g, nid, c):
-    # recorded over the whole batch, or run per chunk into buffers of the
-    # dtypes the chunks give; the sweep adds a repeated operand's adjoints
-    ids, lift = g.inputs[nid], g.aux[nid]
+    # recorded over the whole batch, or run per chunk of sequences into
+    # buffers of the dtypes the chunks give; the sweep adds a repeated
+    # operand's adjoints
+    ids = g.inputs[nid]
+    lift, n, h = g.aux[nid]
     need = [g.needs[i] for i in ids]
     if not isinstance(g, _ArrayOps):
-        return [(ids[k], p) for k, p in _attend_adjoint(g, *ids, c, lift, need)]
+        return [(ids[k], p) for k, p in _attend_adjoint(g, *ids, c, n, h, lift, need)]
+    q, k, v = (g.raw(i) for i in ids)
     grads = [None] * 3
-    for s in _attend_chunks(*g.shape[ids[0]][:2], g.shape[ids[1]][2]):
-        for k, p in _attend_adjoint(g, *(g.raw(i)[s] for i in ids), c[s], lift, need):
-            if grads[k] is None:
-                grads[k] = np.empty(g.shape[ids[k]], dtype=p.dtype)
-            grads[k][s] = p
-    return [(ids[k], p) for k, p in enumerate(grads) if p is not None]
+    for m, sq, sk in _attend_chunks(n, h, q.shape, v.shape):
+        rows = (sq, sk, sk)
+        for pos, p in _attend_adjoint(g, q[sq], k[sk], v[sk], c[sq], m, h, lift, need):
+            if grads[pos] is None:
+                grads[pos] = np.empty(g.shape[ids[pos]], dtype=p.dtype)
+            grads[pos][rows[pos]] = p
+    return [(ids[pos], p) for pos, p in enumerate(grads) if p is not None]
 
 
 def _pull_reshape(g, nid, c):
@@ -927,10 +1008,15 @@ def _sweep(g: Tape, ops: Tape, seeds: Mapping[int, object]) -> dict:
             g.val[nid] = None
     if not keep_all:
         # a leaf's adjoint may be a broadcast view (from expand), a numpy
-        # scalar or real: hand out a writable complex array of its shape
+        # scalar or real, or share its buffer with another leaf's (add and
+        # _fit pass c through): hand each leaf a writable complex array of
+        # its shape and its own
+        handed = set()
         for nid, c in cot.items():
-            if not (isinstance(c, np.ndarray) and c.flags.writeable and c.dtype == _C):
-                cot[nid] = np.array(c, dtype=_C)
+            if not (isinstance(c, np.ndarray) and c.flags.writeable and c.dtype == _C) \
+                    or id(c if c.base is None else c.base) in handed:
+                c = cot[nid] = np.array(c, dtype=_C)
+            handed.add(id(c if c.base is None else c.base))
     return cot
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,17 @@ def assert_same_adjoints(g, values, cots, nids):
             want = g.val[cid]
             scale = max(float(np.max(np.abs(want), initial=0.0)), 1e-300)
             assert float(np.max(np.abs(got - want), initial=0.0)) <= 1e-12 * scale
+
+
+def traced_peak(fn) -> int:
+    """The peak of the allocations that tracemalloc traces while ``fn()``
+    runs, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

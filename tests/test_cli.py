@@ -5,7 +5,6 @@ import re
 import struct
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +35,7 @@ from camel.meta import HistoryRow, ParamSet
 from camel.signals import generate_pool, save_frames
 from camel.wirtinger import g_sum
 
-from conftest import rand_complex
+from conftest import rand_complex, traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -154,15 +153,13 @@ def test_snr_grid_is_unchanged_where_it_terminated(lo, hi, step):
 ], ids=["below_float_spacing", "stalls_past_lo", "too_many_points", "one_too_many"])
 def test_snr_grid_that_would_not_end_is_a_config_error(tmp_path, capsys, lines, message):
     # each case would fill memory if the grid were built; tracemalloc shows it never is
-    tracemalloc.start()
-    try:
+    def parse_and_generate():
         with pytest.raises(ConfigError, match=message):
             parse_config(lines, source="cfg")
         assert main(["gen", *(a for line in lines for a in ("--set", line)),
                      "--out", str(tmp_path / "pool.csig")]) == 3
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    peak = traced_peak(parse_and_generate)
     assert message in capsys.readouterr().err
     assert not (tmp_path / "pool.csig").exists()
     assert peak < 4 * 2**20

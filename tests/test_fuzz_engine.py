@@ -1,8 +1,9 @@
 """Differential fuzz of the engine's fused and non-holomorphic ops.
 
-``attend`` is checked against :func:`g_attention` recorded on a tape, over
-drawn shapes, lifts and chunk sizes, with complex leaves, real parts of
-leaves and one operand passed twice.  The forward must match bit for bit,
+``attend`` is checked against :func:`g_attention` recorded on a tape for
+every lift, chunk size and head count, over drawn shapes, with complex
+leaves, real parts of leaves and one operand passed three times.  The
+forward must match bit for bit,
 the recorded and graph-free adjoints the chain's within 1e-12 of the
 largest entry, and ``hvp_sweep`` central differences of the graph-free
 gradient.
@@ -45,38 +46,48 @@ FUZZ = settings(derandomize=True, deadline=None, max_examples=60,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
-def _attention_loss(attend, inputs, w, real, shared, lift):
+def _attention_loss(attend, inputs, w, real, shared, n, heads, lift):
     """A tape, its leaves by name and Re sum(out * conj(w)) for
-    out = attend(q, kt, v): each operand a leaf or, where ``real`` says so,
-    its real part; with ``shared`` v is q itself."""
+    out = attend(q, k, v) over n sequences of ``heads`` heads: each operand
+    a leaf or, where ``real`` says so, its real part; with ``shared`` k and
+    v are q itself."""
     g = Tape()
-    leaves = {n: g.leaf(x) for n, x in inputs.items()}
-    ops = {n: g.re(leaf) if r else leaf for (n, leaf), r in zip(leaves.items(), real)}
-    out = attend(g, ops["q"], ops["kt"], ops["q"] if shared else ops["v"], lift)
+    leaves = {name: g.leaf(x) for name, x in inputs.items()}
+    ops = {name: g.re(leaf) if r else leaf for (name, leaf), r in zip(leaves.items(), real)}
+    q = ops["q"]
+    out = attend(g, q, *((q, q) if shared else (ops["k"], ops["v"])), n, heads, lift)
     return g, leaves, out, g.re(g_sum(g, g.mulc(out, g.const(w))))
 
 
-@FUZZ
-@given(dims=st.tuples(*[st.integers(1, 5)] * 5), lift=st.sampled_from(LIFTS),
-       chunk=st.sampled_from(["one row", "one block", "default"]),
-       real=st.tuples(st.booleans(), st.booleans(), st.booleans()), shared=st.booleans(),
-       seed=st.integers(0, 2**16))
-def test_fuzz_attend_against_the_primitive_chain(monkeypatch, dims, lift, chunk, real, shared, seed):
-    b, lq, lk, d, dv = dims
+_ATTEND_CASES = [(lift, chunk, heads) for lift in LIFTS for chunk in ("one sequence", "two sequences", "default")
+                 for heads in (1, 2)]
+"""(lift, chunk size, heads) of every case."""
+
+
+@pytest.mark.parametrize("lift, chunk, heads", _ATTEND_CASES,
+                         ids=[f"{lift}-{chunk}-heads={heads}" for lift, chunk, heads in _ATTEND_CASES])
+@settings(FUZZ, max_examples=3)
+@given(dims=st.tuples(*[st.integers(1, 4)] * 5), real=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+       shared=st.booleans(), seed=st.integers(0, 2**16))
+def test_fuzz_attend_against_the_primitive_chain(monkeypatch, lift, chunk, heads, dims, real, shared, seed):
+    # dims: sequences, their query and key lengths, and each head's query
+    # and value widths
+    n, lq, lk, dh, dvh = dims
+    d, dv = heads * dh, heads * dvh
     if shared:
         lk, dv = lq, d
-    bytes_per_chunk = {"one row": 1, "one block": lq * lk * 16,
-                       "default": camel.wirtinger.ATTEND_CHUNK_BYTES}[chunk]
-    monkeypatch.setattr(camel.wirtinger, "ATTEND_CHUNK_BYTES", bytes_per_chunk)
+    shapes = {"q": (n * lq, d), "k": (n * lk, d), "v": (n * lk, dv)}
+    per_sequence = camel.wirtinger._attend_sequence_bytes(n, heads, shapes["q"], shapes["v"])
+    budget = {"one sequence": 1, "two sequences": 2 * per_sequence,
+              "default": camel.wirtinger.ATTEND_CHUNK_BYTES}[chunk]
+    monkeypatch.setattr(camel.wirtinger, "ATTEND_CHUNK_BYTES", budget)
     rng = np.random.default_rng(seed)
-    inputs = {"q": rand_complex(rng, b, lq, d), "kt": rand_complex(rng, b, d, lk)}
-    if not shared:
-        inputs["v"] = rand_complex(rng, b, lk, dv)
-    w = rand_complex(rng, b, lq, dv)
-    u = {n: CTensor(rand_complex(rng, *x.shape)) for n, x in inputs.items()}
+    inputs = {name: rand_complex(rng, *shape) for name, shape in shapes.items() if not (shared and name != "q")}
+    w = rand_complex(rng, n * lq, dv)
+    u = {name: CTensor(rand_complex(rng, *x.shape)) for name, x in inputs.items()}
 
     def tape(attend=Tape.attend, at=inputs):
-        return _attention_loss(attend, at, w, real, shared, lift)
+        return _attention_loss(attend, at, w, real, shared, n, heads, lift)
 
     gc, chain_leaves, chain_out, chain_loss = tape(g_attention)
     g, leaves, out, loss = tape()
@@ -87,23 +98,23 @@ def test_fuzz_attend_against_the_primitive_chain(monkeypatch, dims, lift, chunk,
     recorded = backward(g, loss)
     gv, leaves_v, _, loss_v = tape()
     graph_free = backward_values(gv, loss_v)
-    for n, leaf in chain_leaves.items():
+    for name, leaf in chain_leaves.items():
         ref = want[leaf]
         tol = 1e-12 * max(float(np.max(np.abs(ref))), 1e-300)
-        for got in (g.raw(recorded[leaves[n]]), graph_free[leaves_v[n]]):
-            assert float(np.max(np.abs(got - ref))) <= tol, n
+        for got in (g.raw(recorded[leaves[name]]), graph_free[leaves_v[name]]):
+            assert float(np.max(np.abs(got - ref))) <= tol, name
 
     def gradient(at):
         gg, lv, _, lo = tape(at=at)
         grads = backward_values(gg, lo)
-        return {n: 2.0 * grads[leaf] for n, leaf in lv.items()}
+        return {name: 2.0 * grads[leaf] for name, leaf in lv.items()}
 
     hv = hvp_sweep(g, leaves, recorded, u)
-    plus = gradient({n: x + FD_STEP * u[n].numpy() for n, x in inputs.items()})
-    minus = gradient({n: x - FD_STEP * u[n].numpy() for n, x in inputs.items()})
-    for n in inputs:
-        fd = (plus[n] - minus[n]) / (2.0 * FD_STEP)
-        assert rel_error(hv[n].numpy(), fd, REL_TOL, ABS_FLOOR) <= REL_TOL, n
+    plus = gradient({name: x + FD_STEP * u[name].numpy() for name, x in inputs.items()})
+    minus = gradient({name: x - FD_STEP * u[name].numpy() for name, x in inputs.items()})
+    for name in inputs:
+        fd = (plus[name] - minus[name]) / (2.0 * FD_STEP)
+        assert rel_error(hv[name].numpy(), fd, REL_TOL, ABS_FLOOR) <= REL_TOL, name
 
 
 _SPLIT_CASES = [*((op, real, None) for op in ("re", "im", "cabs") for real in (False, True)),

@@ -39,7 +39,7 @@ from camel.wirtinger import (
     hvp_sweep,
 )
 
-from conftest import assert_same_adjoints, rand_complex
+from conftest import assert_same_adjoints, rand_complex, traced_peak
 
 ALPHA = 0.1
 THETA0 = 1.0 - 0.4j
@@ -232,12 +232,7 @@ def test_unrolled_meta_gradient_memory_at_desk_scale(rng):
     # through the whole unrolled tape that recorded its arithmetic needed 133 MB
     theta = ParamSet(init_params(DESK_ARCH, rng))
     task = EpisodeTask(toy_episode(rng, DESK_ARCH, n_way=5, k_shot=1, q_per_class=5), DESK_ARCH)
-    tracemalloc.start()
-    try:
-        meta_gradient(theta, [task], ALPHA, 5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: meta_gradient(theta, [task], ALPHA, 5))
     assert peak < 60 * 2**20
 
 
@@ -249,10 +244,13 @@ def _desk_tasks(rng, n=2):
 
 def test_single_channel_sweeps_at_desk_scale(rng, monkeypatch):
     # one adjoint per node, conjugate-aware products, broadcasting ops and
-    # one attend node: a desk support forward takes 80 nodes and its
-    # recorded backward 115, 18 of which are attend's closed-form adjoint
-    # (134 when the pullback re-recorded the attention chain, 127 when the
-    # two crelus took 12 nodes, not 2, and the head's modulus 4, not 2).
+    # one attend node over the rows of every sequence and head: a desk
+    # support forward takes 67 nodes and its recorded backward 118, 34 of
+    # which are attend's closed-form adjoint with its head split and merge.
+    # With the heads split and merged by 13 nodes around a batched attend
+    # they took 80 and 115 (134 when the pullback re-recorded the attention
+    # chain, 127 when the two crelus took 12 nodes, not 2, and the head's
+    # modulus 4, not 2).
     # Storing conv0's kernel, not an embedding and a kernel that the tape
     # multiplied, took 5 and 5 (from 85 and 139); dropping the biases that
     # feed a norm had taken 10 and 8 (from 95 and 147; 146 with real nodes
@@ -260,17 +258,20 @@ def test_single_channel_sweeps_at_desk_scale(rng, monkeypatch):
     # 143 and 262 with conj/transpose nodes and index-map gathers).  The
     # counts are pinned exactly, so a sweep that records one node more
     # fails here without any timing.  Each inner step's Hessian product
-    # sweeps one support tape of 195 nodes, the forward and its recorded
-    # backward, at any number of steps (the whole unrolled tape held 324
-    # nodes after 1 step and 1280 after 5), and the 5-step meta-gradient
-    # peaks near 2.5 MiB of traced allocations (5.0 unrolled)
+    # sweeps one support tape of 185 nodes (195 with the heads moved
+    # outside attend), the forward and its recorded backward, at any number
+    # of steps (the whole unrolled tape held 324 nodes after 1 step and 1280
+    # after 5).  The 5-step meta-gradient peaks at 1.98 MiB of traced
+    # allocations with attend's pullback in chunks of a bounded working set
+    # (2.43 MiB with the query batch's score blocks in one chunk, 5.0
+    # unrolled); the bound is 10% above that
     theta, (task,) = _desk_tasks(rng, 1)
     g = Tape()
     loss = task.support_loss(g, {k: g.leaf(v) for k, v in theta.items()})
     n = len(g)
-    assert n == 80
+    assert n == 67
     backward(g, loss)
-    assert len(g) - n == 115
+    assert len(g) - n == 118
     lengths = []
 
     def product_sweep(g, *args):
@@ -279,15 +280,10 @@ def test_single_channel_sweeps_at_desk_scale(rng, monkeypatch):
 
     monkeypatch.setattr(camel.meta, "hvp_sweep", product_sweep)
     meta_gradient(theta, [task], ALPHA, 1)
-    assert lengths == [195]
-    tracemalloc.start()
-    try:
-        meta_gradient(theta, [task], ALPHA, 5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert lengths == [195] * 6
-    assert peak < 3.1 * 2**20
+    assert lengths == [185]
+    peak = traced_peak(lambda: meta_gradient(theta, [task], ALPHA, 5))
+    assert lengths == [185] * 6
+    assert peak < 2.15 * 2**20
 
 
 _SCOPES = {"build_cconv1d": "conv", "build_norm": "norm", "build_act": "act", "build_cfc": "cfc",
@@ -333,28 +329,21 @@ def test_desk_support_pass_node_counts_by_scope(rng, monkeypatch):
     loss = task.support_loss(g, {k: g.leaf(v) for k, v in theta.items()})
     n = len(g)
     forward = Counter("leaf" if g.kind[nid] == "leaf" else scope.get(nid, "outside") for nid in range(n))
-    assert forward == {"leaf": 14, "outside": 2, "conv": 4, "norm": 24, "act": 2, "cfc": 5, "mha": 18,
+    assert forward == {"leaf": 14, "outside": 2, "conv": 4, "norm": 24, "act": 2, "cfc": 5, "mha": 5,
                        "log-softmax": 7, "cross-entropy": 4}
     backward(g, loss)
     swept = Counter(scope.get(nid, "sweep") for nid in range(n, len(g)))
-    assert swept == {"cross-entropy": 3, "log-softmax": 7, "cfc": 8, "act": 2, "norm": 42, "mha": 39,
+    assert swept == {"cross-entropy": 3, "log-softmax": 7, "cfc": 8, "act": 2, "norm": 42, "mha": 42,
                      "conv": 3, "outside": 1, "sweep": 10}
 
 
 def test_meta_gradient_memory_is_flat_in_inner_steps(rng):
     # only one inner step's tape is alive at a time, and the parameters
-    # before each step are all that grows: one desk task peaks at 2.14 MiB
-    # of traced allocations at 1 step and 2.43 at 5 (2.55 and 5.04 with
+    # before each step are all that grows: one desk task peaks at 1.68 MiB
+    # of traced allocations at 1 step and 1.98 at 5 (2.55 and 5.04 with
     # the whole trajectory on one tape)
     theta, (task,) = _desk_tasks(rng, 1)
-    peaks = {}
-    for steps in (1, 5):
-        tracemalloc.start()
-        try:
-            meta_gradient(theta, [task], ALPHA, steps)
-            peaks[steps] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    peaks = {steps: traced_peak(lambda: meta_gradient(theta, [task], ALPHA, steps)) for steps in (1, 5)}
     assert peaks[5] <= 1.2 * peaks[1]
 
 
@@ -446,15 +435,13 @@ def test_released_tape_peak_at_desk_scale(rng):
     # dropping the biases that feed a norm to 5.10 MiB, reversing the inner
     # trajectory one step at a time, not on one tape, to 3.00 MiB, and
     # storing conv0's kernel, not the embedding and a kernel, to 2.98 MiB;
-    # it is 2.59 MiB with attend's closed-form pullback and crelu's own
+    # attend's closed-form pullback and crelu's own took it to 2.59 MiB, and
+    # running that pullback in chunks of a bounded working set, with each
+    # score block dropped at its last use, to 2.14 MiB.  The bound is 10%
+    # above that
     theta, tasks = _desk_tasks(rng)
-    tracemalloc.start()
-    try:
-        meta_gradient(theta, tasks, ALPHA, 5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3.3 * 2**20
+    peak = traced_peak(lambda: meta_gradient(theta, tasks, ALPHA, 5))
+    assert peak < 2.35 * 2**20
 
 
 def test_swept_tape_is_freed_without_the_cycle_collector(rng):
@@ -523,12 +510,7 @@ def test_query_predictions_memory_at_wide_scale(rng):
     # that, keeps them out
     theta = ParamSet(init_params(WIDE_ARCH, rng))
     task = EpisodeTask(toy_episode(rng, WIDE_ARCH, n_way=5, k_shot=1, q_per_class=5), WIDE_ARCH)
-    tracemalloc.start()
-    try:
-        task.query_predictions(theta)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: task.query_predictions(theta))
     assert peak < WIDE_SCORE_BLOCK
     assert peak < 3.55 * 2**20
 
@@ -541,12 +523,7 @@ def test_evaluate_memory_at_wide_scale(rng):
     theta = ParamSet(init_params(WIDE_ARCH, rng))
     episodes = [toy_episode(rng, WIDE_ARCH, n_way=5, k_shot=1, q_per_class=5) for _ in range(2)]
     cfg = MetaConfig(inner_lr=0.1, finetune_steps=10, n_way=5, k_shot=1, q_size=5)
-    tracemalloc.start()
-    try:
-        evaluate(theta, episodes, cfg, WIDE_ARCH)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: evaluate(theta, episodes, cfg, WIDE_ARCH))
     assert peak < 10 * 2**20
 
 

@@ -29,6 +29,8 @@ from camel.wirtinger import (
     ADJOINT_FLAGS,
     _PULLBACKS,
     _READS,
+    _attend_chunks,
+    _attend_sequence_bytes,
     NonRealLossError,
     NonScalarLossError,
     ReleasedValueError,
@@ -46,13 +48,13 @@ from camel.wirtinger import (
     hvp,
 )
 
-from conftest import assert_close, assert_same_adjoints, rand_complex, rand_off_zero
+from conftest import assert_close, assert_same_adjoints, rand_complex, rand_off_zero, traced_peak
 
 
 @pytest.fixture(autouse=True)
-def one_attention_block_per_chunk(monkeypatch):
-    """Every ``attend`` here runs one (Lq, Lk) block per chunk, so the
-    registry's attention cases cross chunk boundaries."""
+def one_sequence_per_chunk(monkeypatch):
+    """Every ``attend`` here runs one sequence per chunk, so the registry's
+    attention cases cross chunk boundaries."""
     monkeypatch.setattr(camel.wirtinger, "ATTEND_CHUNK_BYTES", 1)
 
 
@@ -452,6 +454,24 @@ def test_leaf_consumed_by_a_broadcast_gets_a_writable_gradient(rng, consumer):
     assert_same_adjoints(gg, {x: got}, backward(gg, gloss), [x])
 
 
+@pytest.mark.parametrize("second", ["leaf", "reshaped leaf"])
+def test_leaves_that_get_one_adjoint_get_arrays_of_their_own(rng, second):
+    # add passes its adjoint to both inputs unchanged, and reshape passes a
+    # view of it: each leaf still gets an array that no other leaf holds
+    w0 = rand_complex(rng, 2, 3)
+    g = Tape()
+    x = g.leaf(rand_complex(rng, 2, 3))
+    y = g.leaf(rand_complex(rng, 2, 3) if second == "leaf" else rand_complex(rng, 6))
+    other = y if second == "leaf" else g.reshape(y, (2, 3))
+    grads = backward_values(g, g.re(g_sum(g, g.mul(g.const(w0), g.add(x, other)))))
+    gx, gy = grads[x], grads[y]
+    assert gx is not gy and not np.shares_memory(gx, gy)
+    assert np.array_equal(gx.reshape(-1), gy.reshape(-1))
+    want = gy.copy()
+    gx *= 2.0
+    assert np.array_equal(gy, want)
+
+
 # ---------------------------------------------------------------------------
 # released values
 # ---------------------------------------------------------------------------
@@ -593,7 +613,7 @@ def test_released_value_reads_raise_a_typed_error(rng, monkeypatch):
 _RELEASED_OPERANDS = {"add": 2, "sub": 2, "mul": 2, "mulc": 2, "div": 2, "mdiv": 2, "matmul": 2, "attend": 3}
 """Operand count of every op that takes more than one node."""
 _NON_NODE_ARGS = {"smul": (0.5,), "reshape": ((8,),), "permute": ((2, 1, 0),), "sum_to": ((),),
-                  "expand": ((2, 2, 2),), "window": (1, 1), "unwindow": (2, 1, 1), "attend": ("abs",)}
+                  "expand": ((2, 2, 2),), "window": (1, 1), "unwindow": (2, 1, 1), "attend": (1, 1, "abs")}
 
 
 def test_recording_on_a_released_node_raises_a_typed_error(rng):
@@ -618,9 +638,9 @@ def test_recorded_sweep_over_a_consumed_tape_raises_a_typed_error(rng, sweep):
     # the recorded pullbacks of log and attend read an input that the
     # graph-free sweep dropped once it had pulled that input back
     for build, kind in ((lambda g, x: g.log(g.neg(x)), "neg"),
-                        (lambda g, x: g.attend(g.neg(x), x, x, "abs"), "neg")):
+                        (lambda g, x: g.attend(g.neg(x), x, x, 2, 1, "abs"), "neg")):
         g = Tape()
-        x = g.leaf(rand_off_zero(rng, 2, 2, 2))
+        x = g.leaf(rand_off_zero(rng, 4, 2))
         loss = g.re(g_sum(g, build(g, x)))
         backward_values(g, loss)
         with pytest.raises(ReleasedValueError, match=rf"\({kind}\)"):
@@ -629,21 +649,25 @@ def test_recorded_sweep_over_a_consumed_tape_raises_a_typed_error(rng, sweep):
 
 @pytest.mark.parametrize("lift", LIFTS)
 def test_attend_equals_a_tape_of_the_primitive_chain_across_chunks(rng, monkeypatch, lift):
-    # five (3 x 4) score blocks, two to a chunk: chunks of 2, 2 and 1 rows
-    monkeypatch.setattr(camel.wirtinger, "ATTEND_CHUNK_BYTES", 2 * 3 * 4 * 16)
-    inputs = [rand_complex(rng, 5, 3, 2), rand_complex(rng, 5, 2, 4), rand_complex(rng, 5, 4, 3)]
-    w = rand_complex(rng, 5, 3, 3)
+    # five sequences of 3 queries over 4 keys, two heads, two sequences to
+    # a chunk: chunks of 2, 2 and 1 sequences
+    n, lq, lk = 5, 3, 4
+    inputs = [rand_complex(rng, n * lq, 4), rand_complex(rng, n * lk, 4), rand_complex(rng, n * lk, 6)]
+    monkeypatch.setattr(camel.wirtinger, "ATTEND_CHUNK_BYTES",
+                        2 * _attend_sequence_bytes(n, 2, inputs[0].shape, inputs[2].shape))
+    assert [m for m, _, _ in _attend_chunks(n, 2, inputs[0].shape, inputs[2].shape)] == [2, 2, 1]
+    w = rand_complex(rng, n * lq, 6)
 
     def record(attend):
         g = Tape()
         leaves = [g.leaf(x) for x in inputs]
-        out = attend(g, *leaves, lift)
+        out = attend(g, *leaves, n, 2, lift)
         return g, leaves, out, g.re(g_sum(g, g.mul(out, g.const(w))))
 
     (g, leaves, out, loss), (gc, chain_leaves, chain_out, chain_loss) = record(Tape.attend), record(g_attention)
     assert g.kind[out] == "attend" and "attend" not in gc.kind
     assert g.raw(out).tobytes() == gc.raw(chain_out).tobytes()
-    assert evaluator().attend(*inputs, lift).tobytes() == gc.raw(chain_out).tobytes()
+    assert evaluator().attend(*inputs, n, 2, lift).tobytes() == gc.raw(chain_out).tobytes()
     # the closed-form adjoint is not the chain's autodiff, so it agrees to
     # rounding: per chunk in a graph-free sweep, over the whole batch in a
     # recorded one
@@ -656,15 +680,40 @@ def test_attend_equals_a_tape_of_the_primitive_chain_across_chunks(rng, monkeypa
         assert_close(g.raw(got[a]), gc.raw(want[b]), rel=1e-12, floor=1e-12 * np.max(np.abs(gc.raw(want[b]))))
 
 
+@pytest.mark.parametrize("lift", LIFTS)
+def test_attend_pullback_runs_in_the_bounded_working_set(rng, monkeypatch, lift):
+    # a desk query batch, 25 sequences of 16 steps with 2 heads of width 4,
+    # at the default bound: the graph-free sweep allocates the adjoint of
+    # attend's output and the three operand adjoints, and all else that it
+    # holds at once is one chunk's working set
+    monkeypatch.undo()
+    n, length, d = 25, 16, 8
+    inputs = [rand_complex(rng, n * length, d) for _ in range(3)]
+    w = rand_complex(rng, n * length, d)
+    assert n * _attend_sequence_bytes(n, 2, w.shape, w.shape) > camel.wirtinger.ATTEND_CHUNK_BYTES
+    assert len(_attend_chunks(n, 2, w.shape, w.shape)) > 1
+    g = Tape()
+    out = g.attend(*(g.leaf(x) for x in inputs), n, 2, lift)
+    loss = g.re(g_sum(g, g.mulc(out, g.const(w))))
+    peak = traced_peak(lambda: backward_values(g, loss))
+    assert peak - 4 * w.nbytes <= camel.wirtinger.ATTEND_CHUNK_BYTES
+
+
 def test_attend_rejects_bad_shapes_and_lifts(rng):
     g = Tape()
-    q, kt, v = g.leaf(rand_complex(rng, 2, 3, 2)), g.leaf(rand_complex(rng, 2, 2, 4)), g.leaf(rand_complex(rng, 2, 4, 3))
-    for args in ((kt, kt, v), (q, kt, q), (q, g.leaf(rand_complex(rng, 1, 2, 4)), v),
-                 (g.leaf(rand_complex(rng, 3, 2)), kt, v)):
+    q, k, v = g.leaf(rand_complex(rng, 6, 4)), g.leaf(rand_complex(rng, 8, 4)), g.leaf(rand_complex(rng, 8, 2))
+    for args in ((q, k, q, 2, 1),  # keys and values of different lengths
+                 (q, v, v, 2, 1),  # queries and keys of different widths
+                 (q, k, v, 4, 1),  # rows that are not 4 sequences
+                 (q, k, v, 0, 1),
+                 (q, k, v, 2, 3),  # widths not divisible by the heads
+                 (q, k, g.leaf(rand_complex(rng, 8, 3)), 2, 2),
+                 (q, k, v, 2, 0),
+                 (g.leaf(rand_complex(rng, 2, 3, 4)), k, v, 2, 1)):
         with pytest.raises(ShapeMismatchError, match="attend"):
             g.attend(*args, "abs")
     with pytest.raises(UnknownOpError, match="lift"):
-        g.attend(q, kt, v, "angle")
+        g.attend(q, k, v, 2, 1, "angle")
 
 
 _PRODUCT_SHAPES = {
