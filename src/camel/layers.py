@@ -22,6 +22,14 @@ sequences, to one ``attend`` op, which splits and merges the heads itself;
 ``build_attention`` reads one sequence (L, d) or a stack (B, L, d) as the
 rows of a single-head ``attend``.  The op runs its sequences a chunk at a
 time.  No layer builds an index map.
+
+On an evaluator an intermediate is freed once no name holds it, so the
+builders let go of each array after its last reader, as
+``wirtinger.g_softmax_last`` does by rebinding its one name: the norm drops
+its centred copy after the division and rebinds the scale and the shift,
+and the network drops the conv block's output once ``attn_in`` has read
+it.  A tape keeps every value it needs itself, so this changes nothing
+there.
 """
 
 from __future__ import annotations
@@ -214,7 +222,10 @@ def build_norm(g: Tape, x2: int, gamma: int, kappa: int, eps: float) -> int:
     xc = g.sub(x2, mu)
     var = g.smul(g.sum_to(g_abs2(g, xc), (1, c)), 1.0 / m)
     denom = g.sqrt(g.add(var, g.const(np.full((1, c), eps, dtype=_C))))
-    return g.add(g.mul(g.div(xc, denom), gamma), kappa)
+    x = g.div(xc, denom)
+    del xc  # an evaluator frees the centred copy here
+    x = g.mul(x, gamma)
+    return g.add(x, kappa)
 
 
 def build_act(g: Tape, x: int, kind: str) -> int:
@@ -294,6 +305,7 @@ def build_network(g: Tape, x3: int, params: Mapping[str, int], arch: ArchConfig)
     if arch.use_attention:
         d = arch.attn_dim
         rows = build_cfc(g, feats, params["attn_in.W"], params["attn_in.b"])
+        del feats  # an evaluator frees the conv block's output here
         attn = build_mha(g, rows, rows, rows, n,
                          params["attn.wq"], params["attn.wk"], params["attn.wv"],
                          params["attn.wo"], arch.n_heads, arch.softmax_lift)

@@ -35,7 +35,11 @@ nodes of their own.  ``mulc(a, b) = a * conj(b)`` and the ``adj`` flag of
 ``matmul`` (a^H @ b or a @ b^H, BLAS op 'C') are the conjugate-aware
 products: the adjoint of a @ b is c @ b^H, one node.  ``matmul`` multiplies
 over the last two axes of operands of one rank >= 2 with equal leading
-axes, so one op serves matrices and stacks of them.  Binary elementwise
+axes, so one op serves matrices and stacks of them.  A real left factor
+multiplies a complex right factor whose last axis is contiguous as one real
+product over the right factor's interleaved real and imaginary parts, so
+no complex copy of the real factor is made (the real attention weights
+times the values, say).  Binary elementwise
 ops broadcast as numpy does, and their pullbacks reduce over the broadcast
 axes with ``sum_to``, whose adjoint is ``expand``; ``permute`` moves axes.
 ``window`` copies the convolution's patch rows out as strided slices, and
@@ -85,10 +89,21 @@ A tape keeps each node's shape, and each op's pullback reads the values
 It is a function of the tape as it stands: each call marks the reads of
 every node afresh, so what it drops does not depend on earlier calls.
 :func:`backward_values` consumes the tape up to its loss: it releases
-those values first and drops each node's value once it has pulled that
-node back.  Leaves, consts and the loss keep theirs.  Reading a released
-value, directly or as the operand of a new op, raises
+those values first and drops each node's value when it pulls that node
+back, before the pullback runs unless ``_READS`` says the pullback reads
+it, and after it otherwise.  Leaves, consts and the loss keep theirs.
+Reading a released value, directly or as the operand of a new op, raises
 :class:`ReleasedValueError`.
+
+A graph-free sweep also keeps the adjoint of a large leaf factored.  Where
+a matmul node has a leaf operand with more elements than its other operand
+and the node's adjoint together, the sweep keeps those two factors and
+forms the leaf's adjoint with the same product once every other node is
+swept, then adds it to what the leaf got before.  So a weight matrix that
+holds most of a network's parameters (fc0.W at the wide arch) is not held
+through the pullbacks below it.  The rule reads only shapes.  A recorded
+sweep forms every adjoint where it meets it, so what it records does not
+change.
 
 A forward pass that nothing differentiates runs on :func:`evaluator`, the
 same op methods evaluated on arrays, so each intermediate is freed once
@@ -102,6 +117,7 @@ The numerical oracles that check this engine live in ``gradcheck``.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -402,6 +418,11 @@ class Tape:
             vb = _conj(vb).swapaxes(-1, -2)
         if va.shape[:-2] != vb.shape[:-2] or va.shape[-1] != vb.shape[-2]:
             raise ShapeMismatchError(f"matmul: shapes disagree, {va.shape} x {vb.shape} (adj={adj!r})")
+        if va.dtype != _C and vb.dtype == _C and vb.strides[-1] == vb.itemsize:
+            # numpy would multiply a complex copy of va; vb's real and
+            # imaginary parts sit interleaved along its last axis, so one
+            # real product gives both parts of every entry
+            return self._push("matmul", (a, b), (va @ vb.view(_R)).view(_C), adj)
         return self._push("matmul", (a, b), va @ vb, adj)
 
     def attend(self, q: int, k: int, v: int, n: int, n_heads: int, lift: str) -> int:
@@ -746,27 +767,41 @@ def _pull_crelu(g, nid, c):
     return [(a, g.crelu(c, gate))] if g.needs[a] else []
 
 
-def _pull_matmul(g, nid, c):
-    # u = op(a) op(b) with op the identity or ^H.  The adjoint of a plain
-    # factor is c times the other factor's ^H; a factor under ^H enters
-    # antiholomorphically, and its adjoint is the ^H of that product.
-    a, b = g.inputs[nid]
+def _matmul_adjoint(g, pos, a, b, adj, c):
+    # the adjoint of operand ``pos`` of u = op(a) op(b), with op the
+    # identity or ^H; it reads only the other operand.  The adjoint of a
+    # plain factor is c times the other factor's ^H; a factor under ^H
+    # enters antiholomorphically, and its adjoint is the ^H of that product.
+    if pos == 0:
+        if adj is None:
+            return g.matmul(c, b, "b")
+        if adj == "b":
+            return g.matmul(c, b)
+        return g.matmul(b, c, "b")
+    if adj is None:
+        return g.matmul(a, c, "a")
+    if adj == "a":
+        return g.matmul(a, c)
+    return g.matmul(c, a, "a")
+
+
+def _pull_matmul(g, nid, c, late: list | None = None):
+    # with ``late`` (a graph-free sweep), a leaf operand with more elements
+    # than the other operand and c together gets its adjoint last, from
+    # those two factors, which ``late`` keeps as (leaf, pos, operands, adj,
+    # c).  The rule reads only element counts
+    ab = a, b = g.inputs[nid]
     adj = g.aux[nid]
     out = []
-    if g.needs[a]:
-        if adj is None:
-            out.append((a, g.matmul(c, b, "b")))
-        elif adj == "b":
-            out.append((a, g.matmul(c, b)))
-        else:
-            out.append((a, g.matmul(b, c, "b")))
-    if g.needs[b]:
-        if adj is None:
-            out.append((b, g.matmul(a, c, "a")))
-        elif adj == "a":
-            out.append((b, g.matmul(a, c)))
-        else:
-            out.append((b, g.matmul(c, a, "a")))
+    for pos, i in enumerate(ab):
+        if not g.needs[i]:
+            continue
+        if late is not None and g.kind[i] == "leaf":
+            other = g.raw(ab[1 - pos])
+            if g.val[i].size > other.size + c.size:
+                late.append((i, pos, (other, b) if pos else (a, other), adj, c))
+                continue
+        out.append((i, _matmul_adjoint(g, pos, a, b, adj, c)))
     return out
 
 
@@ -894,6 +929,7 @@ _READS: dict[str, tuple[tuple[int, ...], bool, bool]] = {
     "crelu": ((1,), False, False),
     "attend": ((0, 1, 2), False, False),
 }
+_READS_OWN = frozenset(kind for kind, (_, own, _) in _READS.items() if own)
 
 
 # ---------------------------------------------------------------------------
@@ -974,10 +1010,11 @@ def _sweep(g: Tape, ops: Tape, seeds: Mapping[int, object]) -> dict:
     """Reverse sweep over ``g`` from the adjoints ``seeds`` (node id -> its
     seed), whose adjoint arithmetic runs on ``ops``: ``g`` itself records
     it, an :class:`_ArrayOps` over ``g`` does not, keeps only the adjoints
-    of leaves and consumes ``g`` up to the last seeded node (see
-    :func:`backward_values`).  A seed is a number, the adjoint of every
-    element of its node, or an adjoint as ``ops`` holds it: a node id when
-    ``g`` records, an array when not.  Seeded nodes keep their values.
+    of leaves, forms a large leaf's matmul adjoints last and consumes ``g``
+    up to the last seeded node (see the module notes).  A seed is a number,
+    the adjoint of every element of its node, or an adjoint as ``ops``
+    holds it: a node id when ``g`` records, an array when not.  Seeded
+    nodes keep their values.
     Returns node id -> c.
 
     A real node holds a real adjoint: only its real part reaches a leaf, so
@@ -992,6 +1029,8 @@ def _sweep(g: Tape, ops: Tape, seeds: Mapping[int, object]) -> dict:
         if isinstance(seed, (float, complex)):
             seed = ops.const(np.full(g.shape[nid], seed.real if real[nid] else _C(seed)))
         cot[nid] = seed
+    late: list = []
+    pullbacks = _PULLBACKS if keep_all else {**_PULLBACKS, "matmul": partial(_pull_matmul, late=late)}
     for nid in range(max(seeds), -1, -1):
         kind = g.kind[nid]
         if nid not in cot or kind == "leaf" or kind == "const":
@@ -999,13 +1038,20 @@ def _sweep(g: Tape, ops: Tape, seeds: Mapping[int, object]) -> dict:
         c = cot[nid] if keep_all else cot.pop(nid)
         if not g.needs[nid]:
             continue
-        for inp, p in _PULLBACKS[kind](ops, nid, c):
+        drop = not keep_all and nid not in seeds
+        if drop and kind not in _READS_OWN:
+            g.val[nid] = None  # its pullback does not read it
+        for inp, p in pullbacks[kind](ops, nid, c):
             if real[inp]:
                 p = _real_part(ops, p)
             prev = cot.get(inp)
             cot[inp] = p if prev is None else ops.add(prev, p)
-        if not keep_all and nid not in seeds:
+        if drop:
             g.val[nid] = None
+    for leaf, pos, operands, adj, c in late:
+        p = _matmul_adjoint(ops, pos, *operands, adj, c)
+        prev = cot.get(leaf)
+        cot[leaf] = p if prev is None else ops.add(prev, p)
     if not keep_all:
         # a leaf's adjoint may be a broadcast view (from expand), a numpy
         # scalar or real, or share its buffer with another leaf's (add and

@@ -46,6 +46,7 @@ from camel.wirtinger import (
     g_attention,
     g_sum,
     hvp,
+    hvp_sweep,
 )
 
 from conftest import assert_close, assert_same_adjoints, rand_complex, rand_off_zero, traced_peak
@@ -175,6 +176,23 @@ def test_matmul_rejects_bad_shapes(sa, sb, adj):
     with pytest.raises(ShapeMismatchError):
         g.matmul(a, b, adj=adj)
     assert len(g) == 2
+
+
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["matrix", "stack"])
+@pytest.mark.parametrize("adj", ADJOINT_FLAGS)
+def test_real_by_complex_matmul_equals_the_complex_product(rng, adj, lead):
+    # a real left factor multiplies the interleaved parts of a complex right
+    # factor whose last axis is contiguous (adj None and "a"); under "b" the
+    # right factor is a transposed view, which numpy multiplies as complex
+    ra = rng.standard_normal(lead + ((3, 2) if adj == "a" else (2, 3)))
+    cb = rand_complex(rng, *lead + ((4, 3) if adj == "b" else (3, 4)))
+    g = Tape()
+    got = g.raw(g.matmul(g.const(ra), g.leaf(cb), adj))
+    opa = ra.swapaxes(-1, -2) if adj == "a" else ra
+    opb = np.conj(cb).swapaxes(-1, -2) if adj == "b" else cb
+    want = opa.astype(complex) @ opb
+    assert got.dtype == complex and got.flags.c_contiguous and not g.real[-1]
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_matmul_rejects_an_unknown_adj_flag():
@@ -470,6 +488,81 @@ def test_leaves_that_get_one_adjoint_get_arrays_of_their_own(rng, second):
     want = gy.copy()
     gx *= 2.0
     assert np.array_equal(gy, want)
+
+
+_LARGE_LEAF_SHAPES = {  # (w, x) for w @ x and x @ w under each adj flag
+    (0, None): ((5, 6), (6, 1)), (0, "a"): ((6, 5), (6, 1)), (0, "b"): ((5, 6), (1, 6)),
+    (1, None): ((6, 5), (1, 6)), (1, "a"): ((6, 5), (6, 1)), (1, "b"): ((5, 6), (1, 6)),
+}
+
+
+@pytest.mark.parametrize("pos", [0, 1], ids=["w@x", "x@w"])
+@pytest.mark.parametrize("adj", ADJOINT_FLAGS)
+def test_a_large_leaf_operand_gets_its_matmul_adjoint_last(rng, monkeypatch, adj, pos):
+    # the leaf w has 30 elements against the other operand's 6 and the
+    # product's 5, so a graph-free sweep keeps x and the product's adjoint
+    # and forms w's adjoint after every other node.  In hvp_sweep w also
+    # meets the first sweep's adjoint in the recorded product for x's
+    # adjoint, so it gets two such late adjoints
+    sw, sx = _LARGE_LEAF_SHAPES[pos, adj]
+    inputs = {"w": rand_complex(rng, *sw), "x": rand_complex(rng, *sx)}
+    k0 = rand_complex(rng, *((5, 1) if pos == 0 else (1, 5)))
+    u = {n: rand_complex(rng, *v.shape) for n, v in inputs.items()}
+
+    def loss(g, lv):
+        w, x = lv["w"], lv["x"]
+        y = g.matmul(w, x, adj) if pos == 0 else g.matmul(x, w, adj)
+        return g.re(g_sum(g, g.add(g_abs2(g, y), g.mul(y, g.const(k0)))))
+
+    def record():
+        g = Tape()
+        lv = {n: g.leaf(v) for n, v in inputs.items()}
+        return g, lv, loss(g, lv)
+
+    formed_last = []
+    pull = camel.wirtinger._pull_matmul
+
+    def spy(g, nid, c, late=None):
+        n = len(late)
+        out = pull(g, nid, c, late)
+        formed_last.extend(leaf for leaf, *_ in late[n:])
+        return out
+
+    monkeypatch.setattr(camel.wirtinger, "_pull_matmul", spy)
+
+    def fd(f, name):
+        return fd_complex_gradient(lambda arr: f({**inputs, name: arr}), inputs[name])
+
+    def loss_at(vals):
+        ev = evaluator()
+        return float(ev.raw(loss(ev, {n: ev.const(v) for n, v in vals.items()})).real)
+
+    g, lv, l = record()
+    values = backward_values(g, l)
+    assert formed_last == [lv["w"]]
+    gg, _, gl = record()
+    assert_same_adjoints(gg, values, backward(gg, gl), lv.values())
+    for n, leaf in lv.items():
+        assert rel_error(2.0 * values[leaf], fd(loss_at, n)) <= REL_TOL, n
+
+    formed_last.clear()
+    g, lv, l = record()
+    got = hvp_sweep(g, lv, backward(g, l), {n: CTensor(v) for n, v in u.items()})
+    assert formed_last == [lv["w"]] * 2
+    gg, lv, l = record()
+    first = backward(gg, l)
+    phi = gg.re(gg.add(*(g_sum(gg, gg.mulc(gg.smul(first[leaf], 2.0), gg.const(u[n]))) for n, leaf in lv.items())))
+    second = backward(gg, phi)
+
+    def phi_at(vals):
+        g = Tape()
+        lv = {n: g.leaf(v) for n, v in vals.items()}
+        grads = backward_values(g, loss(g, lv))
+        return sum(float(np.sum(np.conj(u[n]) * 2.0 * grads[lv[n]]).real) for n in lv)
+
+    for n, leaf in lv.items():
+        assert_same_adjoints(gg, {leaf: got[n].numpy() / 2.0}, second, [leaf])
+        assert rel_error(got[n].numpy(), fd(phi_at, n)) <= REL_TOL, n
 
 
 # ---------------------------------------------------------------------------
