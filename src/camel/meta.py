@@ -227,11 +227,16 @@ class MetaConfig:
 # ---------------------------------------------------------------------------
 
 def _leaf_gradients(adjoints, leaves: dict[str, int], theta: Mapping[str, CTensor]) -> dict[str, CTensor]:
-    """2 dL/dz* at each leaf, from the adjoint arrays of :func:`backward_values`."""
+    """2 dL/dz* at each leaf, from the adjoint arrays of :func:`backward_values`,
+    doubled in place: each is a writable complex array of its own."""
     out = {}
     for name, nid in leaves.items():
         c = adjoints.get(nid)
-        out[name] = CTensor.zeros(theta[name].shape) if c is None else CTensor._wrap(2.0 * c)
+        if c is None:
+            out[name] = CTensor.zeros(theta[name].shape)
+        else:
+            c *= 2.0
+            out[name] = CTensor._wrap(c)
     return out
 
 

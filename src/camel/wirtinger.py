@@ -36,12 +36,15 @@ nodes of their own.  ``mulc(a, b) = a * conj(b)`` and the ``adj`` flag of
 products: the adjoint of a @ b is c @ b^H, one node.  ``matmul`` multiplies
 over the last two axes of operands of one rank >= 2 with equal leading
 axes, so one op serves matrices and stacks of them.  A real left factor
-multiplies a complex right factor whose last axis is contiguous as one real
-product over the right factor's interleaved real and imaginary parts, so
-no complex copy of the real factor is made (the real attention weights
-times the values, say).  Binary elementwise
+multiplies a complex right factor as one real product over the right
+factor's interleaved real and imaginary parts, so no complex copy of the
+real factor is made (the real attention weights times the values, say).
+Whether it does reads the right factor as a row-major value would be: a
+view whose last axis is not contiguous is copied first, so a head view
+gives the bits of a copy.  Binary elementwise
 ops broadcast as numpy does, and their pullbacks reduce over the broadcast
-axes with ``sum_to``, whose adjoint is ``expand``; ``permute`` moves axes.
+axes with ``sum_to``, whose adjoint is ``expand``; ``permute`` moves axes,
+as a view.
 ``window`` copies the convolution's patch rows out as strided slices, and
 its adjoint ``unwindow`` adds them back; no op needs an index map.
 
@@ -60,9 +63,16 @@ keeps nothing from the forward pass (Chen et al., arXiv:1604.06174): it
 recomputes the weights from q and k and applies the chain's adjoint in
 closed form, written once against the op methods, and drops each block at
 its last use, as FlashAttention's backward bounds its working set (Dao et
-al., arXiv:2205.14135).  A recording sweep records it over the whole
-batch, so a later sweep differentiates it again; a graph-free sweep runs
-it on the arrays of each chunk.
+al., arXiv:2205.14135).  Every sweep runs it on the arrays of each chunk.
+A recording sweep records each operand's adjoint as one ``attend_adjoint``
+node, whose inputs are q, k, v and the output's adjoint c and whose value
+is that array, so the tape keeps no score block.  The nodes of one
+``attend`` share their pullback, the chain's second-order adjoint in
+closed form: the first node a sweep reaches takes the others' adjoints,
+and it recomputes each chunk's weights once, one order up from the first
+sweep's recomputation.  A graph-free sweep runs it per chunk; a recording
+sweep records it over the whole batch, so a third sweep can differentiate
+it again.
 
 A real scalar loss reads as (L + L*)/2, so its sweep starts from the real
 seed 1/2.  :func:`backward` returns one adjoint per node, dL/dz*, as a map
@@ -259,8 +269,8 @@ class Tape:
     # -- introspection ---------------------------------------------------
 
     def value(self, nid: int) -> CTensor:
-        """Forward value of a node as a CTensor (complex storage)."""
-        return CTensor._wrap(_complex(self.raw(nid)))
+        """Forward value of a node as a CTensor (complex storage, row-major)."""
+        return CTensor._wrap(np.ascontiguousarray(_complex(self.raw(nid))))
 
     def raw(self, nid: int) -> np.ndarray:
         v = self.val[nid]
@@ -418,10 +428,14 @@ class Tape:
             vb = _conj(vb).swapaxes(-1, -2)
         if va.shape[:-2] != vb.shape[:-2] or va.shape[-1] != vb.shape[-2]:
             raise ShapeMismatchError(f"matmul: shapes disagree, {va.shape} x {vb.shape} (adj={adj!r})")
-        if va.dtype != _C and vb.dtype == _C and vb.strides[-1] == vb.itemsize:
+        if va.dtype != _C and vb.dtype == _C and (vb.shape[-2] == 1 if adj == "b" else vb.strides[-1] != 0):
             # numpy would multiply a complex copy of va; vb's real and
             # imaginary parts sit interleaved along its last axis, so one
-            # real product gives both parts of every entry
+            # real product gives both parts of every entry.  The rule reads
+            # vb as if it were row-major (a transposed head view, say), so
+            # a view takes the path, and gives the bits, of a copy
+            if vb.strides[-1] != vb.itemsize:
+                vb = np.ascontiguousarray(vb)
             return self._push("matmul", (a, b), (va @ vb.view(_R)).view(_C), adj)
         return self._push("matmul", (a, b), va @ vb, adj)
 
@@ -458,12 +472,14 @@ class Tape:
         return self._push("reshape", (a,), va.reshape(shape), va.shape)
 
     def permute(self, a: int, axes: Sequence[int]) -> int:
-        """Axis permutation: out.shape[i] = a.shape[axes[i]]."""
+        """Axis permutation: out.shape[i] = a.shape[axes[i]], as a view of
+        a's buffer.  numpy's matmul reads a transposed head block in place,
+        and a reshape copies only where it must."""
         axes = tuple(axes)
         va = self.raw(a)
         if sorted(axes) != list(range(va.ndim)):
             raise ShapeMismatchError(f"permute: {axes} is not a permutation of the {va.ndim} axes")
-        return self._push("permute", (a,), np.ascontiguousarray(va.transpose(axes)), axes)
+        return self._push("permute", (a,), va.transpose(axes), axes)
 
     def sum_to(self, a: int, shape: Sequence[int]) -> int:
         """Sum over the axes along which ``shape`` broadcasts to a's shape:
@@ -610,7 +626,7 @@ def g_attention(g: Tape, q: int, k: int, v: int, n: int, n_heads: int, lift: str
 
 ATTEND_CHUNK_BYTES = 512 * 2**10
 """The working set of one chunk of :meth:`Tape.attend` and of its
-graph-free pullback: the most bytes that every (Lq, Lk) score block alive
+graph-free pullbacks: the most bytes that every (Lq, Lk) score block alive
 at once, and the chunk's per-head copies of the operands, take together
 (see :func:`_attend_sequence_bytes`).  A chunk has at least one sequence,
 so a sequence whose working set is larger than this runs alone.  A desk
@@ -618,26 +634,34 @@ query batch (25 sequences of 16 steps, 2 heads) runs as three chunks; fewer
 would hold more, and more would cost dispatch time."""
 
 
-def _attend_sequence_bytes(n: int, h: int, sq: tuple[int, int], sv: tuple[int, int]) -> int:
+def _attend_sequence_bytes(n: int, h: int, sq: tuple[int, int], sv: tuple[int, int], order: int = 1) -> int:
     """The working set of one of the n sequences of an ``attend`` op of
-    ``h`` heads, with queries of shape ``sq`` and values of shape ``sv``.
-    Per head, the graph-free pullback holds at most two complex and three
-    real (Lq, Lk) score blocks at once (the scores, the lifted scores, the
-    weights, and two for dP or for the lift's rule), and numpy casts the
-    real factor of the lift rule's product with the complex scores through
-    a buffer of up to one more complex block.  Its per-head copies of the
-    operands' and the adjoint's rows, and their adjoints, take at most two
-    copies of those rows."""
+    ``h`` heads, with queries of shape ``sq`` and values of shape ``sv``, in
+    its graph-free pullback (``order`` 1) or in that of its operand
+    adjoints (``order`` 2).
+    Per head, the first holds at most two complex and three real (Lq, Lk)
+    score blocks at once (the scores, the lifted scores, the weights, and
+    two for dP or for the lift's rule), and numpy casts the real factor of
+    the lift rule's product with the complex scores through a buffer of up
+    to one more complex block.  Its per-head copies of the operands' and
+    the adjoint's rows, and their adjoints, take at most two copies of
+    those rows.  The second holds at most five complex and six real blocks
+    (those of the first, D, T, G/|S|, dS and the adjoints of dS, S, G and
+    P) and four copies of the rows."""
     (lq, d), (lk, dv) = (sq[0] // n, sq[1]), (sv[0] // n, sv[1])
-    return h * lq * lk * (3 * 16 + 3 * 8) + 2 * 16 * (lq + lk) * (d + dv)
+    if order == 1:
+        return h * lq * lk * (3 * 16 + 3 * 8) + 2 * 16 * (lq + lk) * (d + dv)
+    return h * lq * lk * (5 * 16 + 6 * 8) + 4 * 16 * (lq + lk) * (d + dv)
 
 
-def _attend_chunks(n: int, h: int, sq: tuple[int, int], sv: tuple[int, int]) -> list[tuple[int, slice, slice]]:
+def _attend_chunks(n: int, h: int, sq: tuple[int, int], sv: tuple[int, int],
+                   order: int = 1) -> list[tuple[int, slice, slice]]:
     """(sequences, query rows, key rows) of each chunk of the n sequences
     of an ``attend`` op: as few chunks as hold the sequences when each
-    chunk's working set fits :data:`ATTEND_CHUNK_BYTES`, with the sequences
-    spread evenly over them."""
-    m = max(1, ATTEND_CHUNK_BYTES // _attend_sequence_bytes(n, h, sq, sv))
+    chunk's working set (of ``order``, see :func:`_attend_sequence_bytes`)
+    fits :data:`ATTEND_CHUNK_BYTES`, with the sequences spread evenly over
+    them."""
+    m = max(1, ATTEND_CHUNK_BYTES // _attend_sequence_bytes(n, h, sq, sv, order))
     m = -(-n // -(-n // m))
     lq, lk = sq[0] // n, sv[0] // n
     return [(min(m, n - i), slice(i * lq, (i + m) * lq), slice(i * lk, (i + m) * lk)) for i in range(0, n, m)]
@@ -833,24 +857,143 @@ def _attend_adjoint(g, q, k, v, c, n: int, h: int, lift: str, need) -> list:
     return out
 
 
-def _pull_attend(g, nid, c):
-    # recorded over the whole batch, or run per chunk of sequences into
-    # buffers of the dtypes the chunks give; the sweep adds a repeated
+def _pull_attend(g, nid, cid):
+    # the adjoints of q, k and v, run per chunk of sequences into buffers
+    # of the dtypes the chunks give, are the result on arrays.  A recording
+    # sweep records each as one attend_adjoint node with that array as its
+    # value, whose pullback recomputes per chunk; the sweep adds a repeated
     # operand's adjoints
     ids = g.inputs[nid]
     lift, n, h = g.aux[nid]
     need = [g.needs[i] for i in ids]
-    if not isinstance(g, _ArrayOps):
-        return [(ids[k], p) for k, p in _attend_adjoint(g, *ids, c, n, h, lift, need)]
+    recording = not isinstance(g, _ArrayOps)
+    ops = _ArrayOps(g) if recording else g
     q, k, v = (g.raw(i) for i in ids)
+    c = g.raw(cid)
     grads = [None] * 3
     for m, sq, sk in _attend_chunks(n, h, q.shape, v.shape):
         rows = (sq, sk, sk)
-        for pos, p in _attend_adjoint(g, q[sq], k[sk], v[sk], c[sq], m, h, lift, need):
+        for pos, p in _attend_adjoint(ops, q[sq], k[sk], v[sk], c[sq], m, h, lift, need):
             if grads[pos] is None:
                 grads[pos] = np.empty(g.shape[ids[pos]], dtype=p.dtype)
             grads[pos][rows[pos]] = p
-    return [(ids[pos], p) for pos, p in enumerate(grads) if p is not None]
+    positions = tuple(pos for pos, p in enumerate(grads) if p is not None)
+    if not recording:
+        return [(ids[pos], grads[pos]) for pos in positions]
+    aux = (lift, n, h, len(g), positions)
+    return [(ids[pos], g._push("attend_adjoint", (*ids, cid), grads[pos], aux)) for pos in positions]
+
+
+def _plus(g, a, b):
+    """a + b, where None is zero."""
+    return b if a is None else a if b is None else g.add(a, b)
+
+
+def _attend_adjoint_adjoint(g, q, k, v, c, n: int, h: int, lift: str, seeds: dict, need) -> list:
+    # (input position, adjoint) of q, k, v and c where ``need`` says, from
+    # ``seeds``: operand position -> the adjoint of _attend_adjoint's result
+    # for that operand.  It is the sweep of _attend_adjoint's chain in
+    # closed form, with the weights recomputed once.  Per head, with
+    # D = Re(C V^H), T = D - rowsum(P D), G = P T, dS = Λ(G) the lift's
+    # rule, Aq = s dS K^*, Ak^T = Q_s^H dS and Av = P^T C, the seeds
+    # Âq, Âk, Âv give dŜ = s Âq K^T + Q_s Âk^T, Ĝ by Λ's adjoint, then
+    # D̂ = P (Ĝ - rowsum(P Ĝ)) and P̂ = Ĝ T - rowsum(P Ĝ) D + Re(C Âv^H);
+    # the softmax's adjoint takes P̂ to U = lift(S), and the lift's rule
+    # takes Û to S, whose product rule gives Q_s and K^T their share
+    scale = _query_scale(g, q, h)
+    qs, kt = _queries_and_keys(g, q, k, n, h)
+    s = g.matmul(qs, kt)
+    lifted = g_lift(g, s, lift)
+    p = g_softmax_last(g, lifted, "re")  # the real part of a real node is the node
+    ch, vh = _heads(g, c, n, h), _heads(g, v, n, h)
+    aq, ak, av = (seeds.get(pos) for pos in range(3))
+    qs_hat = kt_hat = p_hat = u_hat = s_hat = ch_hat = vh_hat = None
+    if aq is not None or ak is not None:
+        d = g.re(g.matmul(ch, vh, "b"))
+        t = g.sub(d, g_sum_last(g, g.mul(p, d)))
+        r = g.mdiv(g.mul(p, t), lifted) if lift == "abs" else g.mul(p, t)  # G, or G/|S|
+        ds = g.mul(r, s) if lift == "abs" else _lift_adjoint(g, lift, s, lifted, r)
+        ds_hat = None
+        if aq is not None:
+            nq = g.smul(_heads(g, aq, n, h), scale)
+            ds_hat = g.matmul(nq, kt)
+            if need[1]:
+                kt_hat = g.matmul(nq, ds, "a")
+        if ak is not None:
+            akt = _heads(g, ak, n, h, (0, 2, 3, 1))
+            if need[0]:
+                qs_hat = g.matmul(ds, akt, "b")
+            ds_hat = _plus(g, ds_hat, g.matmul(qs, akt))
+        del ds
+        if lift == "abs":
+            r_hat = g.re(g.mulc(ds_hat, s))
+            s_hat = g.mul(ds_hat, r)
+            g_hat = g.mdiv(r_hat, lifted)
+            u_hat = g.neg(g.mdiv(g.mul(r_hat, r), lifted))
+            del r_hat
+        else:
+            g_hat = g.re(ds_hat) if lift == "re" else g.im(ds_hat)
+        del ds_hat, r
+        w = g_sum_last(g, g.mul(p, g_hat))
+        d_hat = g.mul(p, g.sub(g_hat, w))
+        p_hat = g.sub(g.mul(g_hat, t), g.mul(w, d))
+        del g_hat, w, d, t
+        if need[3]:
+            ch_hat = g.matmul(d_hat, vh)
+        if need[2]:
+            vh_hat = g.matmul(d_hat, ch, "a")
+        del d_hat
+    if av is not None:
+        avh = _heads(g, av, n, h)
+        p_hat = _plus(g, p_hat, g.re(g.matmul(ch, avh, "b")))
+        if need[3]:
+            ch_hat = _plus(g, ch_hat, g.matmul(p, avh))
+    if p_hat is not None:
+        u_hat = _plus(g, u_hat, g.mul(p, g.sub(p_hat, g_sum_last(g, g.mul(p, p_hat)))))
+        s_hat = _plus(g, s_hat, _lift_adjoint(g, lift, s, lifted, u_hat))
+    del p, lifted, u_hat
+    if s_hat is not None:
+        if need[0]:
+            qs_hat = _plus(g, qs_hat, g.matmul(s_hat, kt, "b"))
+        if need[1]:
+            kt_hat = _plus(g, kt_hat, g.matmul(qs, s_hat, "a"))
+    out = []
+    if qs_hat is not None:
+        out.append((0, _merged(g, g.smul(qs_hat, scale))))
+    if kt_hat is not None:
+        out.append((1, _merged(g, kt_hat, (0, 3, 1, 2))))
+    for pos, x in ((2, vh_hat), (3, ch_hat)):
+        if x is not None:
+            out.append((pos, _merged(g, x)))
+    return out
+
+
+def _pull_attend_adjoint(g, nid, c, take):
+    # the nodes of one attend's operand adjoints share one pullback: the
+    # first of them the sweep reaches takes the others' adjoints (``take``),
+    # so each chunk's weights are recomputed once.  A recording sweep
+    # records it over the batch; a graph-free one runs it per chunk into
+    # buffers of the dtypes the chunks give
+    ids = g.inputs[nid]
+    lift, n, h, first, positions = g.aux[nid]
+    seeds = {}
+    for i, pos in enumerate(positions):
+        a = c if first + i == nid else take(first + i)
+        if a is not None:
+            seeds[pos] = a
+    need = [g.needs[i] for i in ids]
+    if not isinstance(g, _ArrayOps):
+        return [(ids[pos], a) for pos, a in _attend_adjoint_adjoint(g, *ids, n, h, lift, seeds, need)]
+    vals = [g.raw(i) for i in ids]
+    grads = [None] * 4
+    for m, sq, sk in _attend_chunks(n, h, vals[0].shape, vals[2].shape, order=2):
+        rows = (sq, sk, sk, sq)
+        chunk = {pos: a[rows[pos]] for pos, a in seeds.items()}
+        for pos, a in _attend_adjoint_adjoint(g, *(x[r] for x, r in zip(vals, rows)), m, h, lift, chunk, need):
+            if grads[pos] is None:
+                grads[pos] = np.empty(g.shape[ids[pos]], dtype=a.dtype)
+            grads[pos][rows[pos]] = a
+    return [(ids[pos], a) for pos, a in enumerate(grads) if a is not None]
 
 
 def _pull_reshape(g, nid, c):
@@ -903,6 +1046,7 @@ _PULLBACKS: dict[str, Callable] = {
     "crelu": _pull_crelu,
     "matmul": _pull_matmul,
     "attend": _pull_attend,
+    "attend_adjoint": _pull_attend_adjoint,
     "reshape": _pull_reshape,
     "permute": _pull_permute,
     "sum_to": _pull_sum_to,
@@ -928,6 +1072,7 @@ _READS: dict[str, tuple[tuple[int, ...], bool, bool]] = {
     "log": ((0,), False, False),
     "crelu": ((1,), False, False),
     "attend": ((0, 1, 2), False, False),
+    "attend_adjoint": ((0, 1, 2, 3), False, False),
 }
 _READS_OWN = frozenset(kind for kind, (_, own, _) in _READS.items() if own)
 
@@ -1030,7 +1175,19 @@ def _sweep(g: Tape, ops: Tape, seeds: Mapping[int, object]) -> dict:
             seed = ops.const(np.full(g.shape[nid], seed.real if real[nid] else _C(seed)))
         cot[nid] = seed
     late: list = []
-    pullbacks = _PULLBACKS if keep_all else {**_PULLBACKS, "matmul": partial(_pull_matmul, late=late)}
+    taken: dict = {}
+
+    def take(nid):
+        # the adjoint of a node whose pullback another node's serves: the
+        # sweep then passes it by, and a recording sweep still returns it
+        c = cot.pop(nid, None)
+        if keep_all and c is not None:
+            taken[nid] = c
+        return c
+
+    pullbacks = {**_PULLBACKS, "attend_adjoint": partial(_PULLBACKS["attend_adjoint"], take=take)}
+    if not keep_all:
+        pullbacks["matmul"] = partial(_pull_matmul, late=late)
     for nid in range(max(seeds), -1, -1):
         kind = g.kind[nid]
         if nid not in cot or kind == "leaf" or kind == "const":
@@ -1052,14 +1209,16 @@ def _sweep(g: Tape, ops: Tape, seeds: Mapping[int, object]) -> dict:
         p = _matmul_adjoint(ops, pos, *operands, adj, c)
         prev = cot.get(leaf)
         cot[leaf] = p if prev is None else ops.add(prev, p)
+    cot.update(taken)
     if not keep_all:
-        # a leaf's adjoint may be a broadcast view (from expand), a numpy
-        # scalar or real, or share its buffer with another leaf's (add and
-        # _fit pass c through): hand each leaf a writable complex array of
-        # its shape and its own
+        # a leaf's adjoint may be a broadcast view (from expand) or a
+        # transposed one (from permute), a numpy scalar or real, or share
+        # its buffer with another leaf's (add and _fit pass c through):
+        # hand each leaf a writable row-major complex array of its shape
+        # and its own
         handed = set()
         for nid, c in cot.items():
-            if not (isinstance(c, np.ndarray) and c.flags.writeable and c.dtype == _C) \
+            if not (isinstance(c, np.ndarray) and c.flags.writeable and c.flags.c_contiguous and c.dtype == _C) \
                     or id(c if c.base is None else c.base) in handed:
                 c = cot[nid] = np.array(c, dtype=_C)
             handed.add(id(c if c.base is None else c.base))

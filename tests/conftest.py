@@ -37,6 +37,17 @@ def assert_same_adjoints(g, values, cots, nids):
             assert float(np.max(np.abs(got - want), initial=0.0)) <= 1e-12 * scale
 
 
+def unique_bytes(values) -> int:
+    """Bytes of the buffers that the arrays in ``values`` (None skipped)
+    hold, each base buffer counted once however many views share it."""
+    bases = {}
+    for v in values:
+        if v is not None:
+            base = v if v.base is None else v.base
+            bases[id(base)] = base.nbytes
+    return sum(bases.values())
+
+
 def traced_peak(fn) -> int:
     """The peak of the allocations that tracemalloc traces while ``fn()``
     runs, in bytes."""

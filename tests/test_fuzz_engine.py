@@ -5,8 +5,10 @@ every lift, chunk size and head count, over drawn shapes, with complex
 leaves, real parts of leaves and one operand passed three times.  The
 forward must match bit for bit,
 the recorded and graph-free adjoints the chain's within 1e-12 of the
-largest entry, and ``hvp_sweep`` central differences of the graph-free
-gradient.
+largest entry, and so must the Hessian products, by ``hvp_sweep`` and by a
+second recorded sweep, which run attend_adjoint's pullback; ``hvp_sweep``
+must also match central differences of the graph-free gradient.  A planted
+fault, that pullback reading the next sequence's keys, must make it fail.
 
 ``crelu`` and the three lifts (``re``, ``im``, ``cabs``), the maps that
 need the second Wirtinger term, are checked over drawn shapes on real and
@@ -20,6 +22,8 @@ fuzz fail.
 The runs are derandomized and bounded, as in ``test_fuzz``.
 """
 
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings
@@ -30,6 +34,7 @@ from camel.ctensor import CTensor
 from camel.gradcheck import ABS_FLOOR, FD_STEP, REL_TOL, _off_axes, fd_complex_gradient, rel_error
 from camel.wirtinger import (
     _PULLBACKS,
+    _pull_attend_adjoint,
     LIFTS,
     Tape,
     backward,
@@ -109,12 +114,54 @@ def test_fuzz_attend_against_the_primitive_chain(monkeypatch, lift, chunk, heads
         grads = backward_values(gg, lo)
         return {name: 2.0 * grads[leaf] for name, leaf in lv.items()}
 
+    def product_of_recorded_sweeps(gg, lv, first):
+        # Re sum(conj(u) * 2 dL/dz*) at the leaves, differentiated by a
+        # second recorded sweep
+        phi = gg.re(reduce(gg.add, (g_sum(gg, gg.mulc(gg.smul(first[leaf], 2.0), gg.const(u[name].numpy())))
+                                    for name, leaf in lv.items())))
+        second = backward(gg, phi)
+        return {name: 2.0 * gg.raw(second[leaf]) for name, leaf in lv.items()}
+
+    gc, chain_leaves, _, chain_loss = tape(g_attention)
+    want = hvp_sweep(gc, chain_leaves, backward(gc, chain_loss), u)
+    g2, leaves2, _, loss2 = tape()
+    twice = product_of_recorded_sweeps(g2, leaves2, backward(g2, loss2))
     hv = hvp_sweep(g, leaves, recorded, u)
+    for name in inputs:
+        ref = want[name].numpy()
+        tol = 1e-12 * max(float(np.max(np.abs(ref))), 1e-300)
+        for got in (hv[name].numpy(), twice[name]):
+            assert float(np.max(np.abs(got - ref))) <= tol, name
     plus = gradient({name: x + FD_STEP * u[name].numpy() for name, x in inputs.items()})
     minus = gradient({name: x - FD_STEP * u[name].numpy() for name, x in inputs.items()})
     for name in inputs:
         fd = (plus[name] - minus[name]) / (2.0 * FD_STEP)
         assert rel_error(hv[name].numpy(), fd, REL_TOL, ABS_FLOOR) <= REL_TOL, name
+
+
+def _keys_of_the_next_sequence(g, nid, c, take):
+    # attend_adjoint's pullback reading each sequence's keys from the
+    # sequence after it
+    k = g.inputs[nid][1]
+    keys, n = g.val[k], g.aux[nid][1]
+    g.val[k] = np.roll(keys, -(keys.shape[0] // n), axis=0)
+    try:
+        return _pull_attend_adjoint(g, nid, c, take)
+    finally:
+        g.val[k] = keys
+
+
+def test_fuzz_attend_fails_on_a_planted_second_order_fault(monkeypatch):
+    # the fuzz's own draws and checks, stopped at the first failing example;
+    # the forward and the first sweep are untouched, so only the Hessian
+    # products see the fault
+    check = test_fuzz_attend_against_the_primitive_chain.hypothesis.inner_test
+    fuzz = settings(FUZZ, max_examples=10, phases=[Phase.generate])(given(
+        dims=st.tuples(st.integers(2, 4), *[st.integers(1, 4)] * 4), seed=st.integers(0, 2**16))(
+        lambda dims, seed: check(monkeypatch, "abs", "one sequence", 2, dims, (False,) * 3, False, seed)))
+    monkeypatch.setitem(_PULLBACKS, "attend_adjoint", _keys_of_the_next_sequence)
+    with pytest.raises(AssertionError):
+        fuzz()
 
 
 _SPLIT_CASES = [*((op, real, None) for op in ("re", "im", "cabs") for real in (False, True)),

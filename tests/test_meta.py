@@ -39,7 +39,7 @@ from camel.wirtinger import (
     hvp_sweep,
 )
 
-from conftest import assert_same_adjoints, rand_complex, traced_peak
+from conftest import assert_same_adjoints, rand_complex, traced_peak, unique_bytes
 
 ALPHA = 0.1
 THETA0 = 1.0 - 0.4j
@@ -251,8 +251,10 @@ def _desk_tasks(rng, n=2):
 def test_single_channel_sweeps_at_desk_scale(rng, monkeypatch):
     # one adjoint per node, conjugate-aware products, broadcasting ops and
     # one attend node over the rows of every sequence and head: a desk
-    # support forward takes 67 nodes and its recorded backward 118, 34 of
-    # which are attend's closed-form adjoint with its head split and merge.
+    # support forward takes 67 nodes and its recorded backward 87, 3 of
+    # which are attend's operand adjoints (118 while the sweep recorded
+    # attend's closed-form adjoint over the batch, 34 nodes with its head
+    # split and merge).
     # With the heads split and merged by 13 nodes around a batched attend
     # they took 80 and 115 (134 when the pullback re-recorded the attention
     # chain, 127 when the two crelus took 12 nodes, not 2, and the head's
@@ -264,20 +266,22 @@ def test_single_channel_sweeps_at_desk_scale(rng, monkeypatch):
     # 143 and 262 with conj/transpose nodes and index-map gathers).  The
     # counts are pinned exactly, so a sweep that records one node more
     # fails here without any timing.  Each inner step's Hessian product
-    # sweeps one support tape of 185 nodes (195 with the heads moved
-    # outside attend), the forward and its recorded backward, at any number
-    # of steps (the whole unrolled tape held 324 nodes after 1 step and 1280
-    # after 5).  The 5-step meta-gradient peaks at 1.98 MiB of traced
-    # allocations with attend's pullback in chunks of a bounded working set
-    # (2.43 MiB with the query batch's score blocks in one chunk, 5.0
-    # unrolled); the bound is 10% above that
+    # sweeps one support tape of 154 nodes (185 with attend's adjoint
+    # recorded over the batch, 195 with the heads moved outside attend),
+    # the forward and its recorded backward, at any number of steps (the
+    # whole unrolled tape held 324 nodes after 1 step and 1280 after 5).
+    # The 5-step meta-gradient peaks at 1.68 MiB of traced allocations with
+    # attend's second-order pullback recomputing per chunk (1.93 with
+    # attend's adjoint recorded over the batch, 2.43 MiB with the query
+    # batch's score blocks in one chunk, 5.0 unrolled); the bound is 10%
+    # above that
     theta, (task,) = _desk_tasks(rng, 1)
     g = Tape()
     loss = task.support_loss(g, {k: g.leaf(v) for k, v in theta.items()})
     n = len(g)
     assert n == 67
     backward(g, loss)
-    assert len(g) - n == 118
+    assert len(g) - n == 87
     lengths = []
 
     def product_sweep(g, *args):
@@ -286,10 +290,10 @@ def test_single_channel_sweeps_at_desk_scale(rng, monkeypatch):
 
     monkeypatch.setattr(camel.meta, "hvp_sweep", product_sweep)
     meta_gradient(theta, [task], ALPHA, 1)
-    assert lengths == [185]
+    assert lengths == [154]
     peak = traced_peak(lambda: meta_gradient(theta, [task], ALPHA, 5))
-    assert lengths == [185] * 6
-    assert peak < 2.15 * 2**20
+    assert lengths == [154] * 6
+    assert peak < 1.85 * 2**20
 
 
 _SCOPES = {"build_cconv1d": "conv", "build_norm": "norm", "build_act": "act", "build_cfc": "cfc",
@@ -305,7 +309,8 @@ def test_desk_support_pass_node_counts_by_scope(rng, monkeypatch):
     # Wrapped from outside: the builders where they are looked up, and
     # _PULLBACKS.  The crelus' backward took 12 and the log-softmax's 9
     # while crelu's pullback built its masks as consts and cabs's took
-    # c + conj(c)
+    # c + conj(c), and MHA's 42 while attend's adjoint was recorded over
+    # the batch (now 3 attend_adjoint nodes and the four matmuls' 8)
     theta, (task,) = _desk_tasks(rng, 1)
     scope: dict[int, str] = {}
 
@@ -339,18 +344,23 @@ def test_desk_support_pass_node_counts_by_scope(rng, monkeypatch):
                        "log-softmax": 7, "cross-entropy": 4}
     backward(g, loss)
     swept = Counter(scope.get(nid, "sweep") for nid in range(n, len(g)))
-    assert swept == {"cross-entropy": 3, "log-softmax": 7, "cfc": 8, "act": 2, "norm": 42, "mha": 42,
+    assert swept == {"cross-entropy": 3, "log-softmax": 7, "cfc": 8, "act": 2, "norm": 42, "mha": 11,
                      "conv": 3, "outside": 1, "sweep": 10}
 
 
 def test_meta_gradient_memory_is_flat_in_inner_steps(rng):
     # only one inner step's tape is alive at a time, and the parameters
-    # before each step are all that grows: one desk task peaks at 1.64 MiB
-    # of traced allocations at 1 step and 1.93 at 5 (2.55 and 5.04 with
-    # the whole trajectory on one tape)
+    # before each step are all that grows: 5 steps hold at most 4 parameter
+    # snapshots and 32 KiB more than 1 step.  One desk task peaks at 1.40
+    # MiB of traced allocations at 1 step and 1.68 at 5, 289 KiB apart
+    # with 293 KiB of snapshots (1.65 and 1.93 with attend's adjoint
+    # recorded over the batch, 2.55 and 5.04 with the whole trajectory on
+    # one tape); the 5-step bound is 10% above its peak
     theta, (task,) = _desk_tasks(rng, 1)
     peaks = {steps: traced_peak(lambda: meta_gradient(theta, [task], ALPHA, steps)) for steps in (1, 5)}
-    assert peaks[5] <= 1.2 * peaks[1]
+    snapshot = sum(t.numpy().nbytes for t in theta.values())
+    assert peaks[5] - peaks[1] <= 4 * snapshot + 32 * 2**10
+    assert peaks[5] < 1.85 * 2**20
 
 
 def _reference_meta_gradient(theta, tasks, inner_lr, steps):
@@ -441,13 +451,30 @@ def test_released_tape_peak_at_desk_scale(rng):
     # dropping the biases that feed a norm to 5.10 MiB, reversing the inner
     # trajectory one step at a time, not on one tape, to 3.00 MiB, and
     # storing conv0's kernel, not the embedding and a kernel, to 2.98 MiB;
-    # attend's closed-form pullback and crelu's own took it to 2.59 MiB, and
+    # attend's closed-form pullback and crelu's own took it to 2.59 MiB,
     # running that pullback in chunks of a bounded working set, with each
-    # score block dropped at its last use, to 2.14 MiB.  The bound is 10%
-    # above that
+    # score block dropped at its last use, to 2.14 MiB, and recording
+    # attend's operand adjoints as nodes whose pullback recomputes per
+    # chunk, not the pullback's chain over the batch, to 1.84 MiB.  The
+    # bound is 10% above that
     theta, tasks = _desk_tasks(rng)
     peak = traced_peak(lambda: meta_gradient(theta, tasks, ALPHA, 5))
-    assert peak < 2.35 * 2**20
+    assert peak < 2.02 * 2**20
+
+
+@pytest.mark.parametrize("arch, bound", [(DESK_ARCH, 320 * 2**10), (WIDE_ARCH, 3.5 * 2**20)], ids=["desk", "wide"])
+def test_released_support_tape_holds_no_attention_blocks(rng, arch, bound):
+    # what a released support tape keeps for the Hessian product, counted
+    # over unique buffers: 310 KiB at the desk arch and 3.25 MiB at the
+    # wide one, where attend's adjoint recorded over the batch kept 542 KiB
+    # and 9.6 MiB
+    theta = ParamSet(init_params(arch, rng))
+    task = EpisodeTask(toy_episode(rng, arch, n_way=5, k_shot=1, q_per_class=5), arch)
+    g = Tape()
+    loss = task.support_loss(g, {k: g.leaf(v) for k, v in theta.items()})
+    backward(g, loss)
+    g.release()
+    assert unique_bytes(g.val) <= bound
 
 
 def test_swept_tape_is_freed_without_the_cycle_collector(rng):
