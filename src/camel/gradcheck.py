@@ -414,6 +414,14 @@ def _norm_case() -> GradCase:
     )
 
 
+def _norm_op_case() -> GradCase:
+    # eps = 1e-2, and the last column's variance is about 2e-6, far below
+    # it, so s there is nearly sqrt(eps)
+    return GradCase("norm",
+                    lambda rng: {"x": _rand(rng, 5, 3) * np.array([1.0, 1.0, 1e-3])},
+                    lambda g, lv, rng: _head(g, g.norm(lv["x"], 1e-2), rng))
+
+
 def _forward_case() -> GradCase:
     arch = _toy_arch()
 
@@ -533,6 +541,7 @@ def default_cases() -> list[GradCase]:
         *(_attend_case(lift, heads) for heads in (1, 2) for lift in LIFTS),
         _attention_case(),
         _mha_case(),
+        _norm_op_case(),
         _norm_case(),
         _act_case("crelu"),
         _act_case("ctanh"),

@@ -23,13 +23,14 @@ sequences, to one ``attend`` op, which splits and merges the heads itself;
 rows of a single-head ``attend``.  The op runs its sequences a chunk at a
 time.  No layer builds an index map.
 
-On an evaluator an intermediate is freed once no name holds it, so the
-builders let go of each array after its last reader, as
-``wirtinger.g_softmax_last`` does by rebinding its one name: the norm drops
-its centred copy after the division and rebinds the scale and the shift,
-and the network drops the conv block's output once ``attn_in`` has read
-it.  A tape keeps every value it needs itself, so this changes nothing
-there.
+The norm is one ``norm`` op, then a ``mul`` by gamma and an ``add`` of
+kappa, so no forward pass, on a tape or an evaluator, holds its centred
+copy.  On an evaluator an intermediate is freed once no name holds it, so
+the builders let go of each array after its last reader, as
+``wirtinger.g_softmax_last`` does by rebinding its one name: the norm
+rebinds the scale and the shift, and the network drops the conv block's
+output once ``attn_in`` has read it.  A tape keeps every value it needs
+itself, so this changes nothing there.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .wirtinger import (
     LIFTS,
     Tape,
     evaluator,
-    g_abs2,
     g_lift,
     g_minus_row_max,
     g_softmax_last,
@@ -213,17 +213,11 @@ def build_mha(g: Tape, q2: int, k2: int, v2: int, n: int, wq: int, wk: int, wv: 
 
 def build_norm(g: Tape, x2: int, gamma: int, kappa: int, eps: float) -> int:
     """Per-channel normalization of (M, C) rows: subtract each column's
-    complex mean, divide by sqrt(E|x - mean|^2 + eps), scale by gamma,
-    shift by kappa (both (C,))."""
+    complex mean, divide by sqrt(E|x - mean|^2 + eps) (one ``norm`` op),
+    scale by gamma, shift by kappa (both (C,))."""
     if eps < 0:
         raise ConfigError(f"norm eps must be >= 0, got {eps}")
-    m, c = g.raw(x2).shape
-    mu = g.smul(g.sum_to(x2, (1, c)), 1.0 / m)
-    xc = g.sub(x2, mu)
-    var = g.smul(g.sum_to(g_abs2(g, xc), (1, c)), 1.0 / m)
-    denom = g.sqrt(g.add(var, g.const(np.full((1, c), eps, dtype=_C))))
-    x = g.div(xc, denom)
-    del xc  # an evaluator frees the centred copy here
+    x = g.norm(x2, eps)
     x = g.mul(x, gamma)
     return g.add(x, kappa)
 

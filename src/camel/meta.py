@@ -298,15 +298,20 @@ def meta_objective(theta: ParamSet, tasks: Sequence[MetaTask], inner_lr: float, 
 
 
 def _accumulate(acc: dict[str, np.ndarray] | None, grad: Mapping[str, CTensor]) -> dict[str, np.ndarray]:
+    """``grad`` added into ``acc`` in place.  The first gradient's arrays
+    become the accumulator, so no copy of them is made: a task's gradient
+    is an array of its own that nothing else holds."""
     if acc is None:
-        return {k: v.numpy().copy() for k, v in grad.items()}
+        return {k: v.numpy() for k, v in grad.items()}
     for k, v in grad.items():
         acc[k] += v.numpy()
     return acc
 
 
 def _mean_paramset(acc: dict[str, np.ndarray], n: int) -> ParamSet:
-    return ParamSet({k: CTensor._wrap(v / n) for k, v in acc.items()})
+    for k in acc:
+        acc[k] /= n  # in place, but for a rank-0 sum, which is a numpy scalar
+    return ParamSet({k: CTensor._wrap(v) for k, v in acc.items()})
 
 
 def _exact_task_gradient(theta: ParamSet, task: MetaTask, inner_lr: float, steps: int):
@@ -376,6 +381,7 @@ def _meta_step_gradient(theta: ParamSet, tasks: Sequence[MetaTask], inner_lr: fl
         else:
             grad, q_loss, q_acc = _exact_task_gradient(theta, task, inner_lr, steps)
         acc = _accumulate(acc, grad)
+        del grad  # folded in: not alive through the next task's query phase
         total_loss += q_loss
         query_accs.append(q_acc)
     return _mean_paramset(acc, len(tasks)), total_loss / len(tasks), query_accs
@@ -495,6 +501,7 @@ def train_meta(theta0: ParamSet, batch_source: Callable[[], Sequence[MetaTask]],
             theta_next = adam.step(state.theta, grad)
         else:
             theta_next = outer_update(state.theta, grad, cfg.outer_lr)
+        del grad  # not alive through the next iteration's meta-gradient
         bad = any(not (np.all(np.isfinite(t.numpy().real)) and np.all(np.isfinite(t.numpy().imag)))
                   for t in theta_next.values())
         if bad:

@@ -16,7 +16,7 @@ pullback.  The steepest-ascent direction is ``2 * dL/dz*``, which is what
 A node that is real for every input holds its value in float64, and
 ``Tape.real`` flags it.  Its op makes it so: cabs, re and im always; a const
 built from real data; crelu of a real operand; and add, sub, neg, mul,
-mulc, div, mdiv, exp, matmul, attend, smul by a real scalar and the
+mulc, div, mdiv, exp, matmul, attend, norm, smul by a real scalar and the
 structural ops when every operand is real (log and sqrt too, where no
 entry is negative).  Mixed
 operands promote as numpy does.  A real node's adjoint is float64 as well:
@@ -55,10 +55,13 @@ keys, scales each head's queries by 1/sqrt(d_h) and merges the heads back.
 It runs :func:`g_attention`, the chain of primitive ops (head split,
 matmul, lift, minus the row maximum, exp, row normalisation, matmul, head
 merge), which is written once and also serves the softmax layers.  The
-sequences run in chunks whose working set fits :data:`ATTEND_CHUNK_BYTES`,
-512 KiB: every (Lq, Lk) score block alive at once, and the chunk's copies
-of the operands (see :func:`_attend_sequence_bytes`).  Every op of the
-chain acts per matrix or per row, so chunks change no bit.  The pullback
+sequences run in chunks, as many to a chunk as keep its working set within
+:data:`ATTEND_CHUNK_BYTES`, 512 KiB: every (Lq, Lk) score block alive at
+once, and the chunk's copies of the operands (see
+:func:`_attend_sequence_bytes`).  A sequence whose working set is larger
+runs alone: one sequence of the wide arch of the tests (4 heads of 63 x 63
+scores) works in about 1.0 MiB in the pullback.  Every op of the chain
+acts per matrix or per row, so chunks change no bit.  The pullback
 keeps nothing from the forward pass (Chen et al., arXiv:1604.06174): it
 recomputes the weights from q and k and applies the chain's adjoint in
 closed form, written once against the op methods, and drops each block at
@@ -73,6 +76,17 @@ and it recomputes each chunk's weights once, one order up from the first
 sweep's recomputation.  A graph-free sweep runs it per chunk; a recording
 sweep records it over the whole batch, so a third sweep can differentiate
 it again.
+
+``norm`` is per-column normalization of (M, C) rows as one op:
+x̂ = (x - μ)/s with a complex mean μ and a real s = sqrt(mean|x - μ|² + eps),
+which the node keeps in its aux, so no tape holds the centred copy.  Its
+pullback is the closed form of batch norm's backward (Ioffe and Szegedy,
+arXiv:1502.03167), written once against the op methods:
+(c - mean(c) - x̂ mean(Re(c conj x̂)))/s.  A graph-free sweep runs it on
+the node's value and the kept s.  A recording sweep rebuilds s from the
+input with the op-method helper the forward uses (same bits), so a later
+sweep sees s depend on x; that read is not in ``_READS``, and no caller
+releases a tape before a recording sweep over it.
 
 A real scalar loss reads as (L + L*)/2, so its sweep starts from the real
 seed 1/2.  :func:`backward` returns one adjoint per node, dL/dz*, as a map
@@ -94,8 +108,10 @@ differentiates again: the second sweep of a Hessian product
 (:func:`hvp_sweep`), and in ``meta`` every support and query gradient.
 
 A tape keeps each node's shape, and each op's pullback reads the values
-``_READS`` names and only shapes and ``aux`` otherwise.  So
-:meth:`Tape.release` can drop every value that no recorded pullback reads.
+``_READS`` names and only shapes and ``aux`` otherwise (but for norm's
+recording pullback, which reads its input too).  So :meth:`Tape.release`
+can drop every value that no graph-free pullback reads, and a released
+tape serves graph-free sweeps only.
 It is a function of the tape as it stands: each call marks the reads of
 every node afresh, so what it drops does not depend on earlier calls.
 :func:`backward_values` consumes the tape up to its loss: it releases
@@ -282,7 +298,7 @@ class Tape:
 
     def release(self, keep: Iterable[int] = (), end: int | None = None) -> None:
         """Drop the value of every node before ``end`` (default: every node)
-        that no recorded pullback reads, except leaves, consts and ``keep``.
+        that no graph-free pullback reads, except leaves, consts and ``keep``.
         A released node can no longer be an operand of a new op."""
         n = len(self.kind)
         read, needs = bytearray(n), self.needs
@@ -464,6 +480,26 @@ class Tape:
             out[sq] = g_attention(ev, vq[sq], vk[sk], vv[sk], m, n_heads, lift)
         return self._push("attend", (q, k, v), out, (lift, n, n_heads))
 
+    def norm(self, x: int, eps: float) -> int:
+        """Per-column normalization of (M, C) rows: x̂ = (x - μ)/s with each
+        column's complex mean μ and real scale s = sqrt(mean|x - μ|² + eps),
+        as :func:`_norm_centred` computes them.  One node: it keeps s in its
+        aux, and no centred copy outlives the op.  Its pullback is batch
+        norm's backward in closed form."""
+        vx = self.raw(x)
+        if vx.ndim != 2:
+            raise ShapeMismatchError(f"norm needs (M, C) rows, got shape {vx.shape}")
+        if not eps >= 0:
+            raise UnknownOpError(f"norm: eps must be >= 0, got {eps!r}")
+        ev = evaluator()
+        xc, s = _norm_centred(ev, vx, eps)
+        out = ev.div(xc, s)
+        if not np.all(np.isfinite(s)):
+            # where |x - μ|² overflows, s is inf and xc/s would read 0, not
+            # the x̂ of unit scale: NaN there, so the loss checks see it
+            out[:, ~np.isfinite(s[0])] = np.nan
+        return self._push("norm", (x,), out, (eps, s))
+
     # -- structure ---------------------------------------------------------
 
     def reshape(self, a: int, shape: Sequence[int]) -> int:
@@ -622,6 +658,17 @@ def g_attention(g: Tape, q: int, k: int, v: int, n: int, n_heads: int, lift: str
     evaluator frees them as soon as the lift has read them."""
     qs, kt = _queries_and_keys(g, q, k, n, n_heads)
     return _merged(g, g.matmul(g_softmax_last(g, g.matmul(qs, kt), lift), _heads(g, v, n, n_heads)))
+
+
+def _norm_centred(g: Tape, x: int, eps: float) -> tuple[int, int]:
+    """(x - μ, s) of :meth:`Tape.norm`: each column's complex mean μ taken
+    away, and the real scale s = sqrt(mean|x - μ|² + eps) of shape (1, C).
+    The forward runs it on arrays and a recording pullback on the tape, so
+    both get the same bits of s."""
+    m, c = g.shape[x]
+    xc = g.sub(x, g.smul(g.sum_to(x, (1, c)), 1.0 / m))
+    var = g.smul(g.re(g.sum_to(g.mulc(xc, xc), (1, c))), 1.0 / m)
+    return xc, g.sqrt(g.add(var, g.const(float(eps))))
 
 
 ATTEND_CHUNK_BYTES = 512 * 2**10
@@ -996,6 +1043,29 @@ def _pull_attend_adjoint(g, nid, c, take):
     return [(ids[pos], a) for pos, a in enumerate(grads) if a is not None]
 
 
+def _norm_adjoint(g, xhat, s, c):
+    # the adjoint of x from the adjoint c of x̂ = (x - μ)/s, per column:
+    # (c - mean(c) - x̂ mean(Re(c conj x̂)))/s.  The first mean is μ's share,
+    # the second s's, which is real: ds = mean(Re(conj(x̂) dx)).  It reads
+    # x̂ and s only
+    m, k = g.shape[xhat]
+    r = g.re(g.sum_to(g.mulc(c, xhat), (1, k)))
+    t = g.add(g.sum_to(c, (1, k)), g.mul(xhat, r))
+    return g.div(g.sub(c, g.smul(t, 1.0 / m)), s)
+
+
+def _pull_norm(g, nid, c):
+    # a graph-free sweep reads the node's value and the s it keeps; a
+    # recording sweep rebuilds s from the input, so that a later sweep sees
+    # s depend on x, and so reads a value that _READS does not name: no
+    # caller releases a tape before a recording sweep
+    (x,) = g.inputs[nid]
+    eps, s = g.aux[nid]
+    if not isinstance(g, _ArrayOps):
+        s = _norm_centred(g, x, eps)[1]
+    return [(x, _norm_adjoint(g, nid, s, c))]
+
+
 def _pull_reshape(g, nid, c):
     (a,) = g.inputs[nid]
     return [(a, g.reshape(c, g.aux[nid]))]
@@ -1047,6 +1117,7 @@ _PULLBACKS: dict[str, Callable] = {
     "matmul": _pull_matmul,
     "attend": _pull_attend,
     "attend_adjoint": _pull_attend_adjoint,
+    "norm": _pull_norm,
     "reshape": _pull_reshape,
     "permute": _pull_permute,
     "sum_to": _pull_sum_to,
@@ -1073,6 +1144,7 @@ _READS: dict[str, tuple[tuple[int, ...], bool, bool]] = {
     "crelu": ((1,), False, False),
     "attend": ((0, 1, 2), False, False),
     "attend_adjoint": ((0, 1, 2, 3), False, False),
+    "norm": ((), True, False),  # its graph-free pullback's reads (see _pull_norm)
 }
 _READS_OWN = frozenset(kind for kind, (_, own, _) in _READS.items() if own)
 

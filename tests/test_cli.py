@@ -541,6 +541,41 @@ def test_cmd_train_and_eval_roundtrip(tmp_path, tiny_cfg_path):
         assert abs(sum(row) - 100.0) <= 1e-6
 
 
+_SCENARIOS = {
+    "snr_ge0": ["scenario=snr_ge0"],
+    # a 0 dB cell, with frames enough that the 25% test split holds three
+    # schemes of k_shot + q_size frames
+    "snr_eq0": ["scenario=snr_eq0", "snr_lo=0", "frames_per_cell=12"],
+    # p_o trains on the two schemes outside its five prediction schemes
+    # (and 5% of theirs), so a run is 2-way
+    "p_o": ["scenario=p_o", "n_way=2", "n_classes=2"],
+}
+
+
+@pytest.mark.parametrize("scenario", list(_SCENARIOS))
+def test_cmd_train_and_eval_through_a_scenario(tmp_path, tiny_cfg_path, scenario):
+    sets = [arg for line in _SCENARIOS[scenario] for arg in ("--set", line)]
+    out = tmp_path / "run"
+    assert main(["train", "--config", tiny_cfg_path, *sets, "--iterations", "3", "--out", str(out)]) == 0
+    assert len((out / "metrics.csv").read_text().splitlines()) == 4
+    assert main(["eval", "--config", tiny_cfg_path, *sets, "--checkpoint", str(out / "checkpoint.caml"),
+                 "--out", str(out)]) == 0
+    assert (out / "confusion.csv").exists()
+
+
+@pytest.mark.parametrize("sets, message", [
+    (["scenario=snr_eq0", "snr_hi=18"], "pool has no frames for scenario snr_eq0"),
+    (["scenario=p_o", "n_way=4", "n_classes=4", "frames_per_cell=8"], "pool has 2 schemes with >= 3 frames, needs 4"),
+], ids=["snr_eq0-without-a-0dB-cell", "p_o-4-way"])
+def test_cmd_train_scenario_edges_exit_3(tmp_path, tiny_cfg_path, capsys, sets, message):
+    # snr_eq0 on the default 10-18 dB grid has no 0 dB frame, and p_o leaves
+    # two schemes outside its prediction set, too few for a 4-way episode
+    out = tmp_path / "run"
+    code = main(["train", "--config", tiny_cfg_path, *[arg for line in sets for arg in ("--set", line)],
+                 "--out", str(out)])
+    assert code == 3 and message in capsys.readouterr().err
+
+
 def test_cmd_train_resume_continues_history(tmp_path, tiny_cfg_path):
     half = tmp_path / "half"
     full = tmp_path / "full"

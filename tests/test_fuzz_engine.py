@@ -19,6 +19,14 @@ within 1e-12, the gradient must match central differences within
 planted faults, crelu gated by its adjoint and -i for im, must make that
 fuzz fail.
 
+``norm`` is checked over drawn shapes, eps and real or complex operands,
+with a column whose variance is far below eps in half the draws.  The
+evaluator's forward must equal the tape's bit for bit, the recorded and
+graph-free sweeps must agree within 1e-12, the gradient must match central
+differences, and ``hvp_sweep`` a second recorded sweep (which rebuilds s
+from the input) within 1e-12 and central differences of the gradient.  A
+planted fault, the adjoint without its mean(c) term, must make it fail.
+
 The runs are derandomized and bounded, as in ``test_fuzz``.
 """
 
@@ -253,5 +261,83 @@ def test_fuzz_crelu_and_lifts_fails_on_a_planted_fault(monkeypatch, op, fault):
     fuzz = settings(FUZZ, max_examples=10, phases=[Phase.generate])(given(**_SPLIT_DRAWS)(
         lambda shape, seed: check(op, False, "leaf" if op == "crelu" else None, shape, seed)))
     monkeypatch.setitem(_PULLBACKS, op, fault)
+    with pytest.raises(AssertionError):
+        fuzz()
+
+
+_NORM_DRAWS = dict(shape=st.tuples(st.integers(1, 5), st.integers(1, 4)), eps=st.sampled_from([1e-5, 1e-2, 1.0]),
+                   small=st.booleans(), seed=st.integers(0, 2**16))
+
+
+def _norm_loss(g, x, w, real, eps):
+    """Re sum(conj(w) * y * y) for y = norm(a), with a the node ``x`` or,
+    where ``real`` says so, its real part."""
+    y = g.norm(g.re(x) if real else x, eps)
+    return g.re(g_sum(g, g.mulc(g.mul(y, y), g.const(w))))
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@settings(FUZZ, max_examples=30)
+@given(**_NORM_DRAWS)
+def test_fuzz_norm(real, shape, eps, small, seed):
+    # with ``small``, the last column is scaled by 1e-3: its variance, about
+    # 2e-6, is then far below eps = 1e-2 or 1
+    rng = np.random.default_rng(seed)
+    x = rand_complex(rng, *shape)
+    if small:
+        x[:, -1] *= 1e-3
+    w = rand_complex(rng, *shape)
+    u = CTensor(rand_complex(rng, *shape))
+
+    def tape(at):
+        g = Tape()
+        leaf = g.leaf(at)
+        return g, leaf, _norm_loss(g, leaf, w, real, eps)
+
+    def gradient(at):
+        g, leaf, loss = tape(at)
+        return 2.0 * backward_values(g, loss)[leaf]
+
+    def loss_at(arr):
+        ev = evaluator()
+        return float(ev.raw(_norm_loss(ev, ev.const(arr), w, real, eps)).real)
+
+    g, leaf, loss = tape(x)
+    ev = evaluator()
+    assert np.asarray(ev.raw(_norm_loss(ev, ev.const(x), w, real, eps))).tobytes() == g.raw(loss).tobytes()
+    recorded = backward(g, loss)
+    got = 2.0 * g.raw(recorded[leaf])
+    graph_free = gradient(x)
+    scale = max(float(np.max(np.abs(graph_free))), 1e-300)
+    assert float(np.max(np.abs(got - graph_free))) <= 1e-12 * scale
+    assert rel_error(graph_free, fd_complex_gradient(loss_at, x), REL_TOL, ABS_FLOOR) <= REL_TOL
+
+    # the Hessian product by hvp_sweep, by a second recorded sweep and by
+    # central differences of the graph-free gradient
+    g2, leaf2, loss2 = tape(x)
+    first = backward(g2, loss2)
+    phi = g2.re(g_sum(g2, g2.mulc(g2.smul(first[leaf2], 2.0), g2.const(u.numpy()))))
+    twice = 2.0 * g2.raw(backward(g2, phi)[leaf2])
+    hv = hvp_sweep(g, {"x": leaf}, recorded, {"x": u})["x"].numpy()
+    scale = max(float(np.max(np.abs(hv))), 1e-300)
+    assert float(np.max(np.abs(twice - hv))) <= 1e-12 * scale
+    fd = (gradient(x + FD_STEP * u.numpy()) - gradient(x - FD_STEP * u.numpy())) / (2.0 * FD_STEP)
+    assert rel_error(hv, fd, REL_TOL, ABS_FLOOR) <= REL_TOL
+
+
+def _norm_adjoint_without_the_mean(g, xhat, s, c):
+    # norm's adjoint with the share of the column mean, mean(c), dropped
+    m, k = g.shape[xhat]
+    r = g.smul(g.sum_to(g.re(g.mulc(c, xhat)), (1, k)), 1.0 / m)
+    return g.div(g.sub(c, g.mul(xhat, r)), s)
+
+
+def test_fuzz_norm_fails_on_a_planted_fault(monkeypatch):
+    # the fuzz's own draws and checks on a complex operand, stopped at the
+    # first failing example
+    check = test_fuzz_norm.hypothesis.inner_test
+    fuzz = settings(FUZZ, max_examples=10, phases=[Phase.generate])(given(**_NORM_DRAWS)(
+        lambda shape, eps, small, seed: check(False, shape, eps, small, seed)))
+    monkeypatch.setattr(camel.wirtinger, "_norm_adjoint", _norm_adjoint_without_the_mean)
     with pytest.raises(AssertionError):
         fuzz()

@@ -249,10 +249,11 @@ def _desk_tasks(rng, n=2):
 
 
 def test_single_channel_sweeps_at_desk_scale(rng, monkeypatch):
-    # one adjoint per node, conjugate-aware products, broadcasting ops and
-    # one attend node over the rows of every sequence and head: a desk
-    # support forward takes 67 nodes and its recorded backward 87, 3 of
-    # which are attend's operand adjoints (118 while the sweep recorded
+    # one adjoint per node, conjugate-aware products, broadcasting ops, one
+    # attend node over the rows of every sequence and head and one norm node
+    # per norm: a desk support forward takes 49 nodes and its recorded
+    # backward 85, 3 of which are attend's operand adjoints (67 and 87 while
+    # each norm took 12 forward nodes; 118 backward while the sweep recorded
     # attend's closed-form adjoint over the batch, 34 nodes with its head
     # split and merge).
     # With the heads split and merged by 13 nodes around a batched attend
@@ -266,12 +267,13 @@ def test_single_channel_sweeps_at_desk_scale(rng, monkeypatch):
     # 143 and 262 with conj/transpose nodes and index-map gathers).  The
     # counts are pinned exactly, so a sweep that records one node more
     # fails here without any timing.  Each inner step's Hessian product
-    # sweeps one support tape of 154 nodes (185 with attend's adjoint
-    # recorded over the batch, 195 with the heads moved outside attend),
-    # the forward and its recorded backward, at any number of steps (the
-    # whole unrolled tape held 324 nodes after 1 step and 1280 after 5).
-    # The 5-step meta-gradient peaks at 1.68 MiB of traced allocations with
-    # attend's second-order pullback recomputing per chunk (1.93 with
+    # sweeps one support tape of 134 nodes (154 with the norms in primitive
+    # ops, 185 with attend's adjoint recorded over the batch, 195 with the
+    # heads moved outside attend), the forward and its recorded backward, at
+    # any number of steps (the whole unrolled tape held 324 nodes after 1
+    # step and 1280 after 5).
+    # The 5-step meta-gradient peaks at 1.61 MiB of traced allocations with
+    # the norm as one op (1.68 with the norms in primitive ops, 1.93 with
     # attend's adjoint recorded over the batch, 2.43 MiB with the query
     # batch's score blocks in one chunk, 5.0 unrolled); the bound is 10%
     # above that
@@ -279,9 +281,9 @@ def test_single_channel_sweeps_at_desk_scale(rng, monkeypatch):
     g = Tape()
     loss = task.support_loss(g, {k: g.leaf(v) for k, v in theta.items()})
     n = len(g)
-    assert n == 67
+    assert n == 49
     backward(g, loss)
-    assert len(g) - n == 87
+    assert len(g) - n == 85
     lengths = []
 
     def product_sweep(g, *args):
@@ -290,10 +292,10 @@ def test_single_channel_sweeps_at_desk_scale(rng, monkeypatch):
 
     monkeypatch.setattr(camel.meta, "hvp_sweep", product_sweep)
     meta_gradient(theta, [task], ALPHA, 1)
-    assert lengths == [154]
+    assert lengths == [134]
     peak = traced_peak(lambda: meta_gradient(theta, [task], ALPHA, 5))
-    assert lengths == [154] * 6
-    assert peak < 1.85 * 2**20
+    assert lengths == [134] * 6
+    assert peak < 1.77 * 2**20
 
 
 _SCOPES = {"build_cconv1d": "conv", "build_norm": "norm", "build_act": "act", "build_cfc": "cfc",
@@ -310,7 +312,12 @@ def test_desk_support_pass_node_counts_by_scope(rng, monkeypatch):
     # _PULLBACKS.  The crelus' backward took 12 and the log-softmax's 9
     # while crelu's pullback built its masks as consts and cabs's took
     # c + conj(c), and MHA's 42 while attend's adjoint was recorded over
-    # the batch (now 3 attend_adjoint nodes and the four matmuls' 8)
+    # the batch (now 3 attend_adjoint nodes and the four matmuls' 8).  The
+    # two norms took 24 forward nodes, 42 backward nodes and 6 of the
+    # sweep's adds while each was 12 primitive ops; as one norm op, a mul
+    # and an add each, they take 6, and 46 backward: each norm's recorded
+    # pullback rebuilds s from its input (10 nodes) and applies the closed
+    # form (9), and gamma and kappa take 4
     theta, (task,) = _desk_tasks(rng, 1)
     scope: dict[int, str] = {}
 
@@ -340,27 +347,28 @@ def test_desk_support_pass_node_counts_by_scope(rng, monkeypatch):
     loss = task.support_loss(g, {k: g.leaf(v) for k, v in theta.items()})
     n = len(g)
     forward = Counter("leaf" if g.kind[nid] == "leaf" else scope.get(nid, "outside") for nid in range(n))
-    assert forward == {"leaf": 14, "outside": 2, "conv": 4, "norm": 24, "act": 2, "cfc": 5, "mha": 5,
+    assert forward == {"leaf": 14, "outside": 2, "conv": 4, "norm": 6, "act": 2, "cfc": 5, "mha": 5,
                        "log-softmax": 7, "cross-entropy": 4}
     backward(g, loss)
     swept = Counter(scope.get(nid, "sweep") for nid in range(n, len(g)))
-    assert swept == {"cross-entropy": 3, "log-softmax": 7, "cfc": 8, "act": 2, "norm": 42, "mha": 11,
-                     "conv": 3, "outside": 1, "sweep": 10}
+    assert swept == {"cross-entropy": 3, "log-softmax": 7, "cfc": 8, "act": 2, "norm": 46, "mha": 11,
+                     "conv": 3, "outside": 1, "sweep": 4}
 
 
 def test_meta_gradient_memory_is_flat_in_inner_steps(rng):
     # only one inner step's tape is alive at a time, and the parameters
     # before each step are all that grows: 5 steps hold at most 4 parameter
-    # snapshots and 32 KiB more than 1 step.  One desk task peaks at 1.40
-    # MiB of traced allocations at 1 step and 1.68 at 5, 289 KiB apart
-    # with 293 KiB of snapshots (1.65 and 1.93 with attend's adjoint
-    # recorded over the batch, 2.55 and 5.04 with the whole trajectory on
-    # one tape); the 5-step bound is 10% above its peak
+    # snapshots and 32 KiB more than 1 step.  One desk task peaks at 1.31
+    # MiB of traced allocations at 1 step and 1.61 at 5, 306 KiB apart
+    # with 293 KiB of snapshots (1.40 and 1.68 with the norms in primitive
+    # ops, 1.65 and 1.93 with attend's adjoint recorded over the batch,
+    # 2.55 and 5.04 with the whole trajectory on one tape); the 5-step
+    # bound is 10% above its peak
     theta, (task,) = _desk_tasks(rng, 1)
     peaks = {steps: traced_peak(lambda: meta_gradient(theta, [task], ALPHA, steps)) for steps in (1, 5)}
     snapshot = sum(t.numpy().nbytes for t in theta.values())
     assert peaks[5] - peaks[1] <= 4 * snapshot + 32 * 2**10
-    assert peaks[5] < 1.85 * 2**20
+    assert peaks[5] < 1.77 * 2**20
 
 
 def _reference_meta_gradient(theta, tasks, inner_lr, steps):
@@ -455,19 +463,35 @@ def test_released_tape_peak_at_desk_scale(rng):
     # running that pullback in chunks of a bounded working set, with each
     # score block dropped at its last use, to 2.14 MiB, and recording
     # attend's operand adjoints as nodes whose pullback recomputes per
-    # chunk, not the pullback's chain over the batch, to 1.84 MiB.  The
-    # bound is 10% above that
+    # chunk, not the pullback's chain over the batch, to 1.84 MiB; the norm
+    # as one op, and the first task's gradient folded into the sum and
+    # dropped, not copied and kept, to 1.70 MiB.  The bound is 10% above
+    # that
     theta, tasks = _desk_tasks(rng)
     peak = traced_peak(lambda: meta_gradient(theta, tasks, ALPHA, 5))
-    assert peak < 2.02 * 2**20
+    assert peak < 1.87 * 2**20
+
+
+def test_training_peak_at_desk_scale(rng):
+    # three desk iterations of the outer loop at 1 inner step, with Adam:
+    # 1.90 MiB of traced allocations while the norm took 12 primitive ops,
+    # the first task's gradient was kept beside its copy in the sum and the
+    # last meta-gradient lived through the next iteration's; 1.68 MiB
+    # without them.  The bound is 10% above that
+    theta = ParamSet(init_params(DESK_ARCH, rng))
+    episodes = [toy_episode(rng, DESK_ARCH, n_way=5, k_shot=1, q_per_class=5) for _ in range(6)]
+    cfg = MetaConfig(inner_lr=ALPHA, outer_lr=0.002, meta_batch=2, inner_steps=1, n_way=5, k_shot=1, q_size=5,
+                     iterations=3, outer_optimizer="adam", early_stop=False)
+    peak = traced_peak(lambda: train_camel(cfg, DESK_ARCH, iter(episodes), theta0=theta))
+    assert peak < 1.85 * 2**20
 
 
 @pytest.mark.parametrize("arch, bound", [(DESK_ARCH, 320 * 2**10), (WIDE_ARCH, 3.5 * 2**20)], ids=["desk", "wide"])
 def test_released_support_tape_holds_no_attention_blocks(rng, arch, bound):
     # what a released support tape keeps for the Hessian product, counted
-    # over unique buffers: 310 KiB at the desk arch and 3.25 MiB at the
-    # wide one, where attend's adjoint recorded over the batch kept 542 KiB
-    # and 9.6 MiB
+    # over unique buffers: 292 KiB at the desk arch and 3.08 MiB at the
+    # wide one (310 KiB and 3.25 MiB with the norms in primitive ops), where
+    # attend's adjoint recorded over the batch kept 542 KiB and 9.6 MiB
     theta = ParamSet(init_params(arch, rng))
     task = EpisodeTask(toy_episode(rng, arch, n_way=5, k_shot=1, q_per_class=5), arch)
     g = Tape()

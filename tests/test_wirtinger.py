@@ -711,7 +711,8 @@ def test_released_value_reads_raise_a_typed_error(rng, monkeypatch):
 _RELEASED_OPERANDS = {"add": 2, "sub": 2, "mul": 2, "mulc": 2, "div": 2, "mdiv": 2, "matmul": 2, "attend": 3}
 """Operand count of every op that takes more than one node."""
 _NON_NODE_ARGS = {"smul": (0.5,), "reshape": ((8,),), "permute": ((2, 1, 0),), "sum_to": ((),),
-                  "expand": ((2, 2, 2),), "window": (1, 1), "unwindow": (2, 1, 1), "attend": (1, 1, "abs")}
+                  "expand": ((2, 2, 2),), "window": (1, 1), "unwindow": (2, 1, 1), "attend": (1, 1, "abs"),
+                  "norm": (1e-5,)}
 
 
 def test_recording_on_a_released_node_raises_a_typed_error(rng):
@@ -743,6 +744,47 @@ def test_recorded_sweep_over_a_consumed_tape_raises_a_typed_error(rng, sweep):
         backward_values(g, loss)
         with pytest.raises(ReleasedValueError, match=rf"\({kind}\)"):
             sweep(g, loss)
+
+
+def test_recording_sweep_over_a_released_norm_raises_a_typed_error(rng, monkeypatch):
+    # norm's recorded pullback rebuilds s from the input, which _READS does
+    # not name (the graph-free one reads only the node's value and its s),
+    # so a released tape fails there before any adjoint is handed out, and
+    # still serves a graph-free sweep
+    xv = rand_complex(rng, 5, 3)
+
+    def record():
+        g = Tape()
+        x = g.leaf(xv)
+        h = g.neg(x)
+        w = g.const(np.arange(15.0).reshape(5, 3) - 7j)
+        return g, x, h, g.re(g_sum(g, g.mulc(g.norm(h, 1e-5), w)))
+
+    g, x, h, loss = record()
+    g.release(keep=(loss,))
+    assert g.val[h] is None
+    handed = []
+    pull = _PULLBACKS["norm"]
+
+    def spy(g, nid, c):
+        out = pull(g, nid, c)
+        handed.extend(out)
+        return out
+    monkeypatch.setitem(_PULLBACKS, "norm", spy)
+    with pytest.raises(ReleasedValueError, match=rf"node {h} \(neg\)"):
+        backward(g, loss)
+    assert not handed
+    twin, tx, _, twin_loss = record()
+    assert np.array_equal(backward_values(g, loss)[x], backward_values(twin, twin_loss)[tx])
+
+
+def test_norm_reads_nan_where_a_column_second_moment_overflows(rng):
+    # there s is inf, and xc/s would read 0 where x̂ has unit scale
+    x = rand_complex(rng, 4, 2)
+    x[:, 1] *= 1e160
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = evaluator().norm(x, 1e-5)
+    assert np.all(np.isfinite(y[:, 0])) and np.all(np.isnan(y[:, 1]))
 
 
 @pytest.mark.parametrize("lift", LIFTS)
